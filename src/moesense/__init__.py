@@ -57,7 +57,6 @@ from .simulate import (
     CsiStream,
     ScenarioConfig,
     TargetPath,
-    amplitude_series,
     decimate,
     load_stream,
     save_stream,

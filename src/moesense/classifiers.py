@@ -239,10 +239,9 @@ class TreeNode:
 
 
 class ForestModel:
-    def __init__(self, trees: list[TreeNode], tree_seeds: list[int], max_depth: int,
+    def __init__(self, trees: list[TreeNode], max_depth: int,
                  kind: FeatureKind, num_classes: int, n_features: int):
         self.trees = trees
-        self.tree_seeds = tree_seeds
         self.max_depth = max_depth
         self.kind = kind
         self.num_classes = num_classes
@@ -252,7 +251,6 @@ class ForestModel:
         return {
             "type": "forest",
             "trees": [_tree_to_dict(t) for t in self.trees],
-            "tree_seeds": [int(s) for s in self.tree_seeds],
             "max_depth": self.max_depth,
             "kind": self.kind.value,
             "num_classes": self.num_classes,
@@ -263,7 +261,6 @@ class ForestModel:
     def from_jsonable(cls, d: dict[str, Any]) -> "ForestModel":
         return cls(
             trees=[_tree_from_dict(t) for t in d["trees"]],
-            tree_seeds=[int(s) for s in d["tree_seeds"]],
             max_depth=int(d["max_depth"]),
             kind=FeatureKind(d["kind"]),
             num_classes=int(d["num_classes"]),
@@ -390,7 +387,7 @@ def train_forest(
         trees.append(
             _grow_tree(data.matrix[idx], data.labels[idx], data.num_classes, 0, max_depth, rng)
         )
-    return ForestModel(trees, tree_seeds, -1 if max_depth is None else max_depth,
+    return ForestModel(trees, -1 if max_depth is None else max_depth,
                        data.kind, data.num_classes, data.n_features)
 
 

@@ -39,15 +39,12 @@ from .errors import (
     MoeSenseError,
     TrainingError,
 )
-from .classifiers import predict_posterior
-from .features import FeatureKind
-from .gating import ExpertSpec, decide, default_registry, filter_by_rate, fuse, load_registry
+from .gating import ExpertSpec, default_registry, filter_by_rate, fuse, load_registry
 from .pipeline import (
     TrainedBundle,
     build_bundle,
     detect,
-    expert_input_rate,
-    extract_feature,
+    expert_posterior,
     load_bundle,
     save_bundle,
     split_train_val,
@@ -56,13 +53,19 @@ from .simulate import (
     CsiStream,
     ManifestEntry,
     ScenarioConfig,
-    decimate,
     load_stream,
     read_manifest,
     save_stream,
     synthesize_stream,
     write_manifest,
 )
+
+# The sweeps reach these only through `detect` and `expert_posterior`. They
+# stay bound on this module because the benchmark's tracer (perfbench/tracer.py)
+# wraps them here as well as in `pipeline`.
+from .classifiers import predict_posterior  # noqa: F401
+from .gating import decide  # noqa: F401
+from .simulate import decimate  # noqa: F401
 
 DEFAULT_RATES = (100.0, 200.0, 300.0, 400.0, 500.0)
 DEFAULT_TARGET_COUNTS = tuple(range(3, 11))
@@ -76,8 +79,6 @@ class ExperimentConfig:
 
     k_max: int = 5
     streams_per_class: int = 100
-    rates_to_test: tuple[float, ...] = DEFAULT_RATES
-    target_counts_to_test: tuple[int, ...] = ()
     seed: int = 42
     packet_rate: float = 1000.0
     duration: float = 2.0
@@ -88,10 +89,6 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.k_max < 0 or self.streams_per_class < 1:
             raise ConfigurationError("k_max must be >= 0 and streams_per_class >= 1")
-        if any(r <= 0 for r in self.rates_to_test):
-            raise ConfigurationError("rates must be positive")
-        if any(c < 0 or c > self.k_max for c in self.target_counts_to_test):
-            raise ConfigurationError("target counts must lie in [0, k_max]")
 
 
 def dataset_configs(cfg: ExperimentConfig) -> list[ScenarioConfig]:
@@ -153,41 +150,20 @@ def _evaluation_pool(registry: Sequence[ExpertSpec], rate: float) -> list[str]:
     return sorted(eligible) if eligible else sorted(s.id for s in registry)
 
 
-def _gating_features(observed: CsiStream, doppler_cfg) -> dict:
-    return {
-        FeatureKind.DOPPLER_ENERGY: extract_feature(observed, FeatureKind.DOPPLER_ENERGY, doppler_cfg),
-        FeatureKind.AMPLITUDE_STATS: extract_feature(observed, FeatureKind.AMPLITUDE_STATS, doppler_cfg),
-    }
-
-
-def _pool_posteriors(
-    bundle: TrainedBundle, observed: CsiStream, rate: float, pool: Sequence[str]
-) -> dict[str, np.ndarray]:
-    doppler_cfg = bundle.doppler_config()
-    out = {}
-    for eid in pool:
-        spec = bundle.spec(eid)
-        expert_input = decimate(observed, expert_input_rate(spec, rate))
-        fv = extract_feature(expert_input, spec.feature_kind, doppler_cfg)
-        out[eid] = predict_posterior(bundle.models[eid], fv)
-    return out
-
-
 def evaluate_rate_sweep(
     bundle: TrainedBundle,
     data: Iterable[tuple[CsiStream, int]],
     rates: Sequence[float],
     seed: int = 42,
-    k: int = 3,
 ) -> ResultTable:
     """Framework, per-expert, and random-triple accuracy at each rate.
 
-    The per-expert columns cover the rate-eligible experts, or the whole
-    registry at fallback rates. The random baseline draws one expert triple
-    per rate from that same pool and fuses with uniform weights.
+    The framework column is `detect`'s prediction. The per-expert columns
+    cover the rate-eligible experts, or the whole registry at fallback rates.
+    The random baseline draws one expert triple per rate from that same pool
+    and fuses with uniform weights.
     """
     registry = bundle.registry
-    doppler_cfg = bundle.doppler_config()
     pools = {r: _evaluation_pool(registry, r) for r in rates}
     # One RNG per rate; a fresh triple is drawn per stream so the baseline
     # reflects the average random combination, not one lucky draw.
@@ -201,21 +177,18 @@ def evaluate_rate_sweep(
 
     for stream, label in data:
         for r in rates:
-            observed = decimate(stream, r)
-            stream_features = _gating_features(observed, doppler_cfg)
-            posteriors = _pool_posteriors(bundle, observed, r, pools[r])
-
-            decision = decide(registry, bundle.templates, stream_features, r, k)
-            _, predicted = fuse([posteriors[eid] for eid in decision.selected], decision.weights)
-            hits[r]["framework"] += int(predicted == label)
-
             pool = pools[r]
+            report = detect(stream, r, bundle)
+            posteriors = {eid: report.expert_posteriors[eid] if eid in report.expert_posteriors
+                          else expert_posterior(stream, r, bundle, eid) for eid in pool}
+            hits[r]["framework"] += int(report.predicted_count == label)
+
             triple = sorted(triple_rngs[r].choice(pool, size=min(3, len(pool)), replace=False).tolist())
             _, rand_pred = fuse([posteriors[eid] for eid in triple],
                                 [1.0 / len(triple)] * len(triple))
             hits[r]["random3"] += int(rand_pred == label)
 
-            for eid in pools[r]:
+            for eid in pool:
                 hits[r][eid] += int(np.argmax(posteriors[eid]) == label)
             totals[r] += 1
 
@@ -237,12 +210,9 @@ def evaluate_target_sweep(
     data: Iterable[tuple[CsiStream, int]],
     target_counts: Sequence[int],
     rate: float = DEFAULT_SWEEP_RATE,
-    k: int = 3,
 ) -> ResultTable:
     """Exact-count accuracy per target count at one communication rate."""
-    registry = bundle.registry
-    doppler_cfg = bundle.doppler_config()
-    pool = _evaluation_pool(registry, rate)
+    pool = _evaluation_pool(bundle.registry, rate)
     wanted = set(int(c) for c in target_counts)
 
     hits = {c: {"framework": 0, **{eid: 0 for eid in pool}} for c in wanted}
@@ -253,13 +223,11 @@ def evaluate_target_sweep(
         seen.add(int(label))
         if int(label) not in wanted:
             continue
-        observed = decimate(stream, rate)
-        stream_features = _gating_features(observed, doppler_cfg)
-        posteriors = _pool_posteriors(bundle, observed, rate, pool)
-        decision = decide(registry, bundle.templates, stream_features, rate, k)
-        _, predicted = fuse([posteriors[eid] for eid in decision.selected], decision.weights)
+        report = detect(stream, rate, bundle)
+        posteriors = {eid: report.expert_posteriors[eid] if eid in report.expert_posteriors
+                      else expert_posterior(stream, rate, bundle, eid) for eid in pool}
         c = int(label)
-        hits[c]["framework"] += int(predicted == c)
+        hits[c]["framework"] += int(report.predicted_count == c)
         for eid in pool:
             hits[c][eid] += int(np.argmax(posteriors[eid]) == c)
         totals[c] += 1

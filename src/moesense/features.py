@@ -17,8 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, FormatError, InputError
-from .simulate import CsiStream, amplitude_series
+from .errors import ConfigurationError, InputError
+from .simulate import CsiStream
 
 AMP_STATS_LENGTH = 6
 
@@ -30,6 +30,10 @@ DEFAULT_DOPPLER_BINS = 25
 DEFAULT_DOPPLER_MAX_HZ = 62.5
 
 _ZERO_ENERGY_EPS = 1e-15
+
+# Sums of squares inside this range keep pearson's products free of underflow
+# and overflow, so its denominator is computed at full precision.
+_SAFE_SUMSQ = (2.0**-500, 2.0**500)
 
 
 class FeatureKind(enum.Enum):
@@ -67,7 +71,7 @@ class DopplerConfig:
 
 def mean_amplitude_series(stream: CsiStream) -> np.ndarray:
     """Subcarrier-averaged amplitude, one value per packet."""
-    return amplitude_series(stream).mean(axis=1)
+    return np.abs(stream.samples).mean(axis=1)
 
 
 def extract_doppler(stream: CsiStream, cfg: DopplerConfig | None = None) -> FeatureVector:
@@ -138,15 +142,25 @@ def pearson(a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarray) ->
         return 0.0
     xc = x - x.mean()
     yc = y - y.mean()
-    vx = float(xc @ xc)
-    vy = float(yc @ yc)
+    with np.errstate(over="ignore", under="ignore"):
+        vx = float(xc @ xc)
+        vy = float(yc @ yc)
+    if not (_SAFE_SUMSQ[0] < vx < _SAFE_SUMSQ[1] and _SAFE_SUMSQ[0] < vy < _SAFE_SUMSQ[1]):
+        # Tiny or huge inputs would underflow or overflow the sums. Scaling by
+        # a power of two is exact, and the correlation is scale-invariant.
+        # ldexp applies the exponent per element, so a subnormal maximum (whose
+        # scale factor 2**-exp would itself overflow) is handled too.
+        xc = np.ldexp(xc, -math.frexp(float(np.abs(xc).max()))[1])
+        yc = np.ldexp(yc, -math.frexp(float(np.abs(yc).max()))[1])
+        vx = float(xc @ xc)
+        vy = float(yc @ yc)
     if vx <= 0.0 or vy <= 0.0:
         return 0.0
     return float(xc @ yc) / math.sqrt(vx * vy)
 
 
 # ---------------------------------------------------------------------------
-# CSV row codec (template-library interchange)
+# Serialization
 # ---------------------------------------------------------------------------
 
 def feature_to_jsonable(fv: FeatureVector) -> dict:
@@ -160,19 +174,3 @@ def feature_to_jsonable(fv: FeatureVector) -> dict:
 def feature_from_jsonable(d: dict) -> FeatureVector:
     return FeatureVector(FeatureKind(d["kind"]), np.asarray(d["values"], dtype=np.float64),
                          float(d["source_rate"]))
-
-
-def feature_to_row(fv: FeatureVector) -> list[str]:
-    return [fv.kind.value, repr(float(fv.source_rate))] + [repr(float(v)) for v in fv.values]
-
-
-def feature_from_row(row: Sequence[str]) -> FeatureVector:
-    if len(row) < 3:
-        raise FormatError(f"feature row too short: {row!r}")
-    try:
-        kind = FeatureKind(row[0])
-        rate = float(row[1])
-        values = np.array([float(v) for v in row[2:]])
-    except ValueError as exc:
-        raise FormatError(f"malformed feature row: {exc}") from exc
-    return FeatureVector(kind, values, rate)

@@ -10,7 +10,6 @@ produced.
 """
 from __future__ import annotations
 
-import csv
 import enum
 import json
 from dataclasses import dataclass, field
@@ -19,8 +18,8 @@ from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, FormatError, InputError
-from .features import FeatureKind, FeatureVector, feature_from_row, feature_to_row, pearson
+from .errors import ConfigurationError, InputError
+from .features import FeatureKind, FeatureVector, pearson
 
 # Score assigned to an expert whose template has no centroids at all
 # (it never classified a validation sample correctly).
@@ -139,27 +138,6 @@ class TemplateLibrary:
 
     def scaler_kinds(self) -> list[FeatureKind]:
         return sorted(self._scalers, key=lambda k: k.value)
-
-    # Rows: expert_id, class label, then the feature row (kind, rate, values).
-    def save_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            for eid in sorted(self._centroids):
-                for label in sorted(self._centroids[eid]):
-                    writer.writerow([eid, label] + feature_to_row(self._centroids[eid][label]))
-
-    @classmethod
-    def load_csv(cls, path: str | Path) -> "TemplateLibrary":
-        lib = cls()
-        with open(path, newline="", encoding="utf-8") as fh:
-            for row in csv.reader(fh):
-                if not row:
-                    continue
-                if len(row) < 4:
-                    raise FormatError(f"template row too short: {row!r}")
-                eid, label = row[0], int(row[1])
-                lib._centroids.setdefault(eid, {})[label] = feature_from_row(row[2:])
-        return lib
 
 
 def filter_by_rate(registry: Sequence[ExpertSpec], current_rate: float) -> set[str]:

@@ -41,6 +41,7 @@ from .features import (
     feature_to_jsonable,
 )
 from .gating import (
+    DEFAULT_TOP_K,
     ClassifierKind,
     ExpertSpec,
     GatingDecision,
@@ -289,12 +290,22 @@ def build_bundle(
     return TrainedBundle(tuple(ordered), models, templates, metadata)
 
 
-def detect(
-    stream: CsiStream,
-    current_rate: float,
-    bundle: TrainedBundle,
-    k: int = 3,
-) -> DetectionReport:
+def expert_posterior(
+    stream: CsiStream, current_rate: float, bundle: TrainedBundle, expert_id: str
+) -> np.ndarray:
+    """One expert's class posterior for `stream` observed at `current_rate`.
+
+    The expert's input is decimated from the base stream, never from an
+    already-decimated one, so at or above its nominal rate it consumes
+    exactly the rate it was trained at.
+    """
+    spec = bundle.spec(expert_id)
+    expert_input = decimate(stream, expert_input_rate(spec, current_rate))
+    fv = extract_feature(expert_input, spec.feature_kind, bundle.doppler_config())
+    return predict_posterior(bundle.models[expert_id], fv)
+
+
+def detect(stream: CsiStream, current_rate: float, bundle: TrainedBundle) -> DetectionReport:
     """Run the detection workflow on one stream observed at `current_rate`."""
     if not np.all(np.isfinite(stream.samples.view(np.float64))):
         raise InputError("stream contains non-finite samples")
@@ -305,15 +316,11 @@ def detect(
         FeatureKind.DOPPLER_ENERGY: extract_feature(observed, FeatureKind.DOPPLER_ENERGY, doppler_cfg),
         FeatureKind.AMPLITUDE_STATS: extract_feature(observed, FeatureKind.AMPLITUDE_STATS, doppler_cfg),
     }
-    decision = decide(bundle.registry, bundle.templates, stream_features, current_rate, k)
+    decision = decide(bundle.registry, bundle.templates, stream_features, current_rate,
+                      DEFAULT_TOP_K)
 
-    posteriors: dict[str, np.ndarray] = {}
-    for eid in decision.selected:
-        spec = bundle.spec(eid)
-        expert_input = decimate(observed, expert_input_rate(spec, current_rate))
-        fv = extract_feature(expert_input, spec.feature_kind, doppler_cfg)
-        posteriors[eid] = predict_posterior(bundle.models[eid], fv)
-
+    posteriors = {eid: expert_posterior(stream, current_rate, bundle, eid)
+                  for eid in decision.selected}
     fused, predicted = fuse([posteriors[eid] for eid in decision.selected], decision.weights)
     return DetectionReport(
         decision=decision,
@@ -385,7 +392,7 @@ def deserialize_bundle(data: bytes) -> TrainedBundle:
         raise FormatError(f"bundle truncated: payload {len(payload)} bytes, expected {length}")
     try:
         return bundle_from_jsonable(json.loads(payload.decode("utf-8")))
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise FormatError(f"bundle payload malformed: {exc}") from exc
 
 

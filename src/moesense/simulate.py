@@ -195,11 +195,6 @@ def decimate(stream: CsiStream, target_rate: float) -> CsiStream:
     )
 
 
-def amplitude_series(stream: CsiStream) -> np.ndarray:
-    """Element-wise modulus of the channel matrix."""
-    return np.abs(stream.samples)
-
-
 # ---------------------------------------------------------------------------
 # Stream container and dataset manifest
 # ---------------------------------------------------------------------------
@@ -223,6 +218,8 @@ def deserialize_stream(data: bytes) -> CsiStream:
     magic, n, k, rate, seed, true_count = _HEADER.unpack_from(data)
     if magic != STREAM_MAGIC:
         raise FormatError(f"bad stream magic {magic!r}")
+    if not (math.isfinite(rate) and rate > 0):
+        raise FormatError(f"stream packet rate must be finite and positive, got {rate}")
     expected = _HEADER.size + n * k * 16
     if len(data) != expected:
         raise FormatError(f"stream container truncated: {len(data)} bytes, expected {expected}")

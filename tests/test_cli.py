@@ -1,5 +1,6 @@
 import csv
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from moesense.cli import main
 from moesense.errors import EXIT_CONFIG, EXIT_FORMAT, EXIT_INPUT, EXIT_IO, EXIT_OK
-from moesense.pipeline import load_bundle
+from moesense.pipeline import BUNDLE_MAGIC, BUNDLE_VERSION, bundle_to_jsonable, load_bundle
 from moesense.simulate import read_manifest
 
 GEN_ARGS = ["--k-max", "2", "--streams-per-class", "6", "--subcarriers", "8",
@@ -246,6 +247,18 @@ def test_detect_corrupt_bundle_is_format_error(dataset, tmp_path):
     entry = read_manifest(dataset / "manifest.csv")[0]
     bad = tmp_path / "bad.moe"
     bad.write_bytes(b"MOEBxxxxgarbage")
+    rc = main(["detect", "--bundle", str(bad), "--stream", str(dataset / entry.path),
+               "--rate", "100"])
+    assert rc == EXIT_FORMAT
+
+
+def test_detect_bundle_with_null_model_is_format_error(dataset, bundle_path, tmp_path):
+    entry = read_manifest(dataset / "manifest.csv")[0]
+    payload = bundle_to_jsonable(load_bundle(bundle_path))
+    payload["models"]["E1"] = None
+    bad = tmp_path / "null_model.moe"
+    body = json.dumps(payload, sort_keys=True).encode("utf-8")
+    bad.write_bytes(struct.pack("<4sIQ", BUNDLE_MAGIC, BUNDLE_VERSION, len(body)) + body)
     rc = main(["detect", "--bundle", str(bad), "--stream", str(dataset / entry.path),
                "--rate", "100"])
     assert rc == EXIT_FORMAT

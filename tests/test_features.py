@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moesense.errors import ConfigurationError, FormatError, InputError
+from moesense.errors import ConfigurationError, InputError
 from moesense.features import (
     DopplerConfig,
     FeatureKind,
@@ -11,9 +11,7 @@ from moesense.features import (
     extract_amp_stats,
     extract_doppler,
     feature_from_jsonable,
-    feature_from_row,
     feature_to_jsonable,
-    feature_to_row,
     pearson,
 )
 from moesense.simulate import CsiStream, ScenarioConfig, TargetPath, synthesize_stream
@@ -188,6 +186,19 @@ def test_pearson_input_errors():
         pearson([1], [2])
 
 
+# numpy warns as the huge sums overflow; pearson detects that and rescales
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_pearson_tiny_and_huge_scales():
+    a = np.array([0.0, 1.0, 3.0, 2.0])
+    b = np.array([1.0, -2.0, 0.5, 4.0])
+    r = pearson(a, b)
+    for scale in (7e-161, 1e-300, 1e150, 1e300):
+        assert pearson(a * scale, b) == pytest.approx(r, abs=1e-12)
+        assert pearson(a * scale, b * scale) == pytest.approx(r, abs=1e-12)
+    # regression: once raised ZeroDivisionError, or returned |r| > 1
+    assert pearson([0.0, 7.364775116695471e-161], [1.0, 2.0]) == pytest.approx(1.0, abs=1e-12)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=40),
        st.integers(0, 2**31))
@@ -208,22 +219,8 @@ def test_pearson_properties(values, seed):
 # serialization
 # ---------------------------------------------------------------------------
 
-def test_feature_row_round_trip():
-    fv = FeatureVector(FeatureKind.DOPPLER_ENERGY, np.array([0.25, 0.5, 0.25]), 333.25)
-    back = feature_from_row(feature_to_row(fv))
-    assert back.kind is fv.kind
-    assert back.source_rate == fv.source_rate
-    assert np.array_equal(back.values, fv.values)
-
-
 def test_feature_jsonable_round_trip():
     fv = FeatureVector(FeatureKind.AMPLITUDE_STATS, np.array([1.0, 0.1, 0.2, 1.0, 0.9, 1.1]), 500.0)
     back = feature_from_jsonable(feature_to_jsonable(fv))
     assert back.kind is fv.kind and np.array_equal(back.values, fv.values)
 
-
-def test_feature_row_malformed():
-    with pytest.raises(FormatError):
-        feature_from_row(["doppler", "500.0"])
-    with pytest.raises(FormatError):
-        feature_from_row(["nosuch", "500.0", "0.1", "0.9"])

@@ -346,20 +346,3 @@ def test_validate_registry_duplicate():
     with pytest.raises(ConfigurationError):
         validate_registry(reg)
 
-
-def test_template_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(9)
-    lib = library({
-        "E1": {0: fv(rng.uniform(size=5)), 2: fv(rng.uniform(size=5))},
-        "E2": {1: fv(rng.uniform(size=6), kind=S)},
-    })
-    path = tmp_path / "templates.csv"
-    lib.save_csv(path)
-    loaded = TemplateLibrary.load_csv(path)
-    assert loaded.expert_ids() == ["E1", "E2"]
-    for eid in ("E1", "E2"):
-        orig, back = lib.centroids(eid), loaded.centroids(eid)
-        assert orig.keys() == back.keys()
-        for cls in orig:
-            assert np.array_equal(orig[cls].values, back[cls].values)
-            assert orig[cls].kind is back[cls].kind

@@ -19,6 +19,7 @@ from moesense.pipeline import (
     deserialize_bundle,
     detect,
     expert_input_rate,
+    expert_posterior,
     extract_feature,
     load_bundle,
     save_bundle,
@@ -192,7 +193,7 @@ def test_detect_equals_manual_composition(small_bundle, probe_stream):
     posteriors = []
     for eid in decision.selected:
         spec = small_bundle.spec(eid)
-        inp = decimate(observed, expert_input_rate(spec, rate))
+        inp = decimate(probe_stream, expert_input_rate(spec, rate))
         posteriors.append(predict_posterior(small_bundle.models[eid],
                                             extract_feature(inp, spec.feature_kind, cfg)))
     fused, predicted = fuse(posteriors, decision.weights)
@@ -201,6 +202,28 @@ def test_detect_equals_manual_composition(small_bundle, probe_stream):
     assert report.decision.weights == decision.weights
     assert np.array_equal(report.fused, fused)
     assert report.predicted_count == predicted
+
+
+def test_expert_consumes_its_training_rate(small_bundle, probe_stream):
+    # Decimating an already-decimated stream compounds the integer strides:
+    # 1000 -> 500 -> 300 keeps every packet of the 500 pkts/s stream, whereas
+    # training fed the 300 pkts/s experts every third packet (333.3 pkts/s).
+    cfg = small_bundle.doppler_config()
+    rates = (300.0, 400.0, 500.0, 600.0, 1000.0)
+    trained_on = {}
+    for spec in small_bundle.registry:
+        training_input = decimate(probe_stream, spec.nominal_rate)
+        trained_on[spec.id] = predict_posterior(
+            small_bundle.models[spec.id], extract_feature(training_input, spec.feature_kind, cfg))
+        for rate in rates:
+            if rate >= spec.nominal_rate:
+                served = expert_posterior(probe_stream, rate, small_bundle, spec.id)
+                assert np.array_equal(served, trained_on[spec.id]), (spec.id, rate)
+    for rate in rates:
+        report = detect(probe_stream, rate, small_bundle)
+        for eid, served in report.expert_posteriors.items():
+            if rate >= small_bundle.spec(eid).nominal_rate:
+                assert np.array_equal(served, trained_on[eid]), (eid, rate)
 
 
 def test_detect_rate_above_stream_rejected(small_bundle, probe_stream):

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from moesense.errors import ConfigurationError, FormatError, RateError
+from moesense.features import mean_amplitude_series
 from moesense.simulate import (
     CsiStream,
     ManifestEntry,
     ScenarioConfig,
     TargetPath,
-    amplitude_series,
     decimate,
     deserialize_stream,
     load_stream,
@@ -65,7 +65,7 @@ def test_forced_path_aliasing_rejected():
 def test_no_targets_no_noise_gives_constant_amplitude():
     cfg = make_config(num_targets=0, snr_db=float("inf"))
     stream = synthesize_stream(cfg)
-    amp = amplitude_series(stream)
+    amp = np.abs(stream.samples)
     # only the static component remains, so |H| is constant along time
     assert np.allclose(amp, amp[0], atol=1e-12)
 
@@ -73,7 +73,7 @@ def test_no_targets_no_noise_gives_constant_amplitude():
 def test_forced_doppler_peak_within_half_hz():
     cfg = make_config(num_targets=1, snr_db=float("inf"))
     stream = synthesize_stream(cfg, [TargetPath(20.0, 0.8, 0.3, 25.0)])
-    series = amplitude_series(stream).mean(axis=1)
+    series = np.abs(stream.samples).mean(axis=1)
     # independent oracle: DFT of the mean-removed series, locate the peak
     spectrum = np.abs(np.fft.rfft(series - series.mean()))
     freqs = np.fft.rfftfreq(len(series), d=1.0 / stream.packet_rate)
@@ -163,24 +163,24 @@ def test_decimate_non_integral_ratio_keeps_exact_rate():
 
 
 # ---------------------------------------------------------------------------
-# amplitude_series
+# subcarrier-averaged amplitude (features.mean_amplitude_series)
 # ---------------------------------------------------------------------------
 
 def test_amplitude_pythagorean():
-    stream = CsiStream(np.array([[3 + 4j]]), 100.0, 0, 0)
-    assert amplitude_series(stream)[0, 0] == 5.0
+    stream = CsiStream(np.array([[3 + 4j, 6 - 8j]]), 100.0, 0, 0)
+    assert mean_amplitude_series(stream)[0] == 7.5
 
 
 def test_amplitude_zero_stream():
     stream = CsiStream(np.zeros((4, 3), dtype=complex), 100.0, 0, 0)
-    assert np.all(amplitude_series(stream) == 0.0)
+    assert np.all(mean_amplitude_series(stream) == 0.0)
 
 
 def test_amplitude_conjugation_invariant():
     stream = synthesize_stream(make_config())
     conj = CsiStream(np.conj(stream.samples), stream.packet_rate,
                      stream.true_target_count, stream.seed)
-    assert np.array_equal(amplitude_series(stream), amplitude_series(conj))
+    assert np.array_equal(mean_amplitude_series(stream), mean_amplitude_series(conj))
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +215,14 @@ def test_stream_truncated():
         deserialize_stream(data[:-8])
     with pytest.raises(FormatError):
         deserialize_stream(data[:10])
+
+
+@pytest.mark.parametrize("rate", [float("nan"), float("inf"), 0.0, -500.0])
+def test_stream_bad_packet_rate(rate):
+    stream = synthesize_stream(make_config())
+    forged = CsiStream(stream.samples, rate, stream.true_target_count, stream.seed)
+    with pytest.raises(FormatError):
+        deserialize_stream(serialize_stream(forged))
 
 
 def test_manifest_round_trip(tmp_path):
