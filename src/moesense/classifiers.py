@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
@@ -63,10 +63,6 @@ class LabeledDataset:
     def __len__(self) -> int:
         return len(self.labels)
 
-    @property
-    def n_features(self) -> int:
-        return self.matrix.shape[1]
-
 
 def _check_query(x: FeatureVector, kind: FeatureKind, n_features: int) -> np.ndarray:
     if x.kind is not kind:
@@ -87,6 +83,7 @@ class KnnModel:
                  kind: FeatureKind, num_classes: int):
         self.k = k
         self.matrix = matrix
+        self.n_features = matrix.shape[1]
         self.labels = labels
         self.kind = kind
         self.num_classes = num_classes
@@ -103,13 +100,13 @@ class KnnModel:
 
     @classmethod
     def from_jsonable(cls, d: dict[str, Any]) -> "KnnModel":
-        return cls(
-            k=int(d["k"]),
-            matrix=np.asarray(d["matrix"], dtype=np.float64),
-            labels=np.asarray(d["labels"], dtype=np.int64),
-            kind=FeatureKind(d["kind"]),
-            num_classes=int(d["num_classes"]),
-        )
+        matrix = np.asarray(d["matrix"], dtype=np.float64)
+        labels = np.asarray(d["labels"], dtype=np.int64)
+        k, num_classes = int(d["k"]), int(d["num_classes"])
+        if (matrix.ndim != 2 or labels.shape != (len(matrix),) or not 1 <= k <= len(labels)
+                or np.any((labels < 0) | (labels >= num_classes))):
+            raise ValueError("knn matrix, labels and k disagree")
+        return cls(k, matrix, labels, FeatureKind(d["kind"]), num_classes)
 
 
 def train_knn(data: LabeledDataset, k: int = KNN_DEFAULTS["k"]) -> KnnModel:
@@ -119,7 +116,7 @@ def train_knn(data: LabeledDataset, k: int = KNN_DEFAULTS["k"]) -> KnnModel:
 
 
 def predict_knn(model: KnnModel, x: FeatureVector) -> np.ndarray:
-    q = _check_query(x, model.kind, model.matrix.shape[1])
+    q = _check_query(x, model.kind, model.n_features)
     diff = model.matrix - q
     d2 = np.einsum("ij,ij->i", diff, diff)
     # Stable sort: equidistant neighbours resolve to the lower training index.
@@ -137,7 +134,8 @@ class LinearSvmModel:
 
     def __init__(self, weights: np.ndarray, biases: np.ndarray, mean: np.ndarray,
                  std: np.ndarray, kind: FeatureKind, num_classes: int):
-        self.weights = weights  # (num_classes, d)
+        self.weights = weights  # (num_classes, n_features)
+        self.n_features = weights.shape[1]
         self.biases = biases
         self.mean = mean
         self.std = std
@@ -157,14 +155,13 @@ class LinearSvmModel:
 
     @classmethod
     def from_jsonable(cls, d: dict[str, Any]) -> "LinearSvmModel":
-        return cls(
-            weights=np.asarray(d["weights"], dtype=np.float64),
-            biases=np.asarray(d["biases"], dtype=np.float64),
-            mean=np.asarray(d["mean"], dtype=np.float64),
-            std=np.asarray(d["std"], dtype=np.float64),
-            kind=FeatureKind(d["kind"]),
-            num_classes=int(d["num_classes"]),
-        )
+        weights, biases, mean, std = (np.asarray(d[key], dtype=np.float64)
+                                      for key in ("weights", "biases", "mean", "std"))
+        num_classes = int(d["num_classes"])
+        if (weights.ndim != 2 or not biases.shape == (len(weights),) == (num_classes,)
+                or not mean.shape == std.shape == weights.shape[1:]):
+            raise ValueError("svm weights, biases and standardization disagree")
+        return cls(weights, biases, mean, std, FeatureKind(d["kind"]), num_classes)
 
 
 def train_linear_svm(
@@ -217,7 +214,7 @@ def svm_objective(model: LinearSvmModel, data: LabeledDataset, l2: float) -> flo
 
 
 def predict_linear_svm(model: LinearSvmModel, x: FeatureVector) -> np.ndarray:
-    q = _check_query(x, model.kind, model.weights.shape[1])
+    q = _check_query(x, model.kind, model.n_features)
     z = (q - model.mean) / model.std
     margins = model.weights @ z + model.biases
     shifted = margins - margins.max()
@@ -229,20 +226,52 @@ def predict_linear_svm(model: LinearSvmModel, x: FeatureVector) -> np.ndarray:
 # Random forest (CART, Gini impurity)
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False)
-class TreeNode:
-    feature: int = -1
-    threshold: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    probs: np.ndarray | None = None  # set on leaves only
+class Tree(NamedTuple):
+    """One CART tree as parallel preorder node arrays.
+
+    Node i's left child is node i + 1 and its right child right[i]. A leaf
+    has feature and right -1 and its class posterior in posterior[i], which
+    is None at inner nodes. Plain lists keep the per-node walk cheap.
+    """
+
+    feature: list[int]
+    threshold: list[float]
+    right: list[int]
+    posterior: list[np.ndarray | None]
+
+    def to_jsonable(self) -> dict[str, Any]:
+        leaves = [p.tolist() for p in self.posterior if p is not None]
+        return {"feature": list(self.feature), "threshold": list(self.threshold),
+                "right": list(self.right), "leaves": leaves}
+
+    @classmethod
+    def from_jsonable(cls, d: dict[str, Any], n_features: int, num_classes: int) -> "Tree":
+        """Convert the arrays once, checking that every walk ends at a leaf."""
+        feature = np.asarray(d["feature"])
+        threshold = np.asarray(d["threshold"], dtype=np.float64)
+        right = np.asarray(d["right"])
+        leaves = np.asarray(d["leaves"], dtype=np.float64)
+        n = len(feature)
+        if n == 0 or not feature.shape == threshold.shape == right.shape == (n,):
+            raise ValueError("tree node arrays must be 1-D, non-empty and of equal length")
+        if feature.dtype.kind != "i" or feature.min() < -1 or feature.max() >= n_features:
+            raise ValueError(f"tree features must be integers in [-1, {n_features})")
+        is_leaf = feature == -1
+        # Children come strictly after their parent, so traversal always ends.
+        inner_ok = (right > np.arange(n) + 1) & (right < n)
+        if right.dtype.kind != "i" or not np.all(np.where(is_leaf, right == -1, inner_ok)):
+            raise ValueError("tree child index not after its parent or outside the tree")
+        if leaves.shape != (int(is_leaf.sum()), num_classes):
+            raise ValueError(f"tree leaf rows must be {num_classes} wide, one per leaf")
+        rows = iter(leaves)
+        return cls(feature.tolist(), threshold.tolist(), right.tolist(),
+                   [next(rows) if leaf else None for leaf in is_leaf.tolist()])
 
 
 class ForestModel:
-    def __init__(self, trees: list[TreeNode], max_depth: int,
-                 kind: FeatureKind, num_classes: int, n_features: int):
+    def __init__(self, trees: list[Tree], kind: FeatureKind, num_classes: int,
+                 n_features: int):
         self.trees = trees
-        self.max_depth = max_depth
         self.kind = kind
         self.num_classes = num_classes
         self.n_features = n_features
@@ -250,8 +279,7 @@ class ForestModel:
     def to_jsonable(self) -> dict[str, Any]:
         return {
             "type": "forest",
-            "trees": [_tree_to_dict(t) for t in self.trees],
-            "max_depth": self.max_depth,
+            "trees": [t.to_jsonable() for t in self.trees],
             "kind": self.kind.value,
             "num_classes": self.num_classes,
             "n_features": self.n_features,
@@ -259,35 +287,11 @@ class ForestModel:
 
     @classmethod
     def from_jsonable(cls, d: dict[str, Any]) -> "ForestModel":
-        return cls(
-            trees=[_tree_from_dict(t) for t in d["trees"]],
-            max_depth=int(d["max_depth"]),
-            kind=FeatureKind(d["kind"]),
-            num_classes=int(d["num_classes"]),
-            n_features=int(d["n_features"]),
-        )
-
-
-def _tree_to_dict(node: TreeNode) -> dict[str, Any]:
-    if node.probs is not None:
-        return {"probs": node.probs.tolist()}
-    return {
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "left": _tree_to_dict(node.left),
-        "right": _tree_to_dict(node.right),
-    }
-
-
-def _tree_from_dict(d: dict[str, Any]) -> TreeNode:
-    if "probs" in d:
-        return TreeNode(probs=np.asarray(d["probs"], dtype=np.float64))
-    return TreeNode(
-        feature=int(d["feature"]),
-        threshold=float(d["threshold"]),
-        left=_tree_from_dict(d["left"]),
-        right=_tree_from_dict(d["right"]),
-    )
+        num_classes, n_features = int(d["num_classes"]), int(d["n_features"])
+        trees = [Tree.from_jsonable(t, n_features, num_classes) for t in d["trees"]]
+        if not trees:
+            raise ValueError("forest has no trees")
+        return cls(trees, FeatureKind(d["kind"]), num_classes, n_features)
 
 
 def _best_split_on_feature(
@@ -318,46 +322,39 @@ def _best_split_on_feature(
     return float(weighted[best]), float(thr)
 
 
-def _leaf(labels: np.ndarray, num_classes: int) -> TreeNode:
-    counts = np.bincount(labels, minlength=num_classes).astype(np.float64)
-    return TreeNode(probs=counts / counts.sum())
-
-
-def _grow_tree(
-    matrix: np.ndarray,
-    labels: np.ndarray,
-    num_classes: int,
-    depth: int,
-    max_depth: int | None,
-    rng: np.random.Generator,
-) -> TreeNode:
-    if (
-        len(labels) < 2
-        or (max_depth is not None and depth >= max_depth)
-        or np.all(labels == labels[0])
-    ):
-        return _leaf(labels, num_classes)
-
-    d = matrix.shape[1]
-    m_try = math.ceil(math.sqrt(d))
-    perm = rng.permutation(d)
-    best: tuple[float, float, int] | None = None
-    # Evaluate m_try candidate features; if none of them splits, keep walking
-    # the permutation until one does so unique points always separate.
-    for rank, f in enumerate(perm):
-        res = _best_split_on_feature(matrix[:, f], labels, num_classes)
-        if res is not None and (best is None or res[0] < best[0]):
-            best = (res[0], res[1], int(f))
-        if rank + 1 >= m_try and best is not None:
-            break
-    if best is None:
-        return _leaf(labels, num_classes)
-
-    _, threshold, feature = best
-    mask = matrix[:, feature] <= threshold
-    left = _grow_tree(matrix[mask], labels[mask], num_classes, depth + 1, max_depth, rng)
-    right = _grow_tree(matrix[~mask], labels[~mask], num_classes, depth + 1, max_depth, rng)
-    return TreeNode(feature=feature, threshold=threshold, left=left, right=right)
+def _grow_tree(matrix: np.ndarray, labels: np.ndarray, num_classes: int,
+               max_depth: int | None, rng: np.random.Generator) -> Tree:
+    """Grow one tree in preorder: a node's left subtree is finished before its
+    right one starts, so the RNG draws follow the node order."""
+    m_try = math.ceil(math.sqrt(matrix.shape[1]))
+    tree = Tree([], [], [], [])
+    stack = [(matrix, labels, 0, -1)]  # (samples, labels, depth, parent of a right child)
+    while stack:
+        m, y, depth, parent = stack.pop()
+        if parent >= 0:
+            tree.right[parent] = len(tree.feature)
+        best: tuple[float, float, int] | None = None
+        if len(y) >= 2 and (max_depth is None or depth < max_depth) and not np.all(y == y[0]):
+            # Evaluate m_try candidate features; if none of them splits, keep walking
+            # the permutation until one does so unique points always separate.
+            for rank, f in enumerate(rng.permutation(m.shape[1])):
+                res = _best_split_on_feature(m[:, f], y, num_classes)
+                if res is not None and (best is None or res[0] < best[0]):
+                    best = (res[0], res[1], int(f))
+                if rank + 1 >= m_try and best is not None:
+                    break
+        if best is None:
+            counts = np.bincount(y, minlength=num_classes).astype(np.float64)
+            node = (-1, 0.0, -1, counts / counts.sum())
+        else:
+            _, threshold, feature = best
+            node = (feature, threshold, -1, None)
+            mask = m[:, feature] <= threshold
+            stack.append((m[~mask], y[~mask], depth + 1, len(tree.feature)))
+            stack.append((m[mask], y[mask], depth + 1, -1))
+        for column, value in zip(tree, node):
+            column.append(value)
+    return tree
 
 
 def train_forest(
@@ -384,21 +381,18 @@ def train_forest(
     for ts in tree_seeds:
         rng = np.random.default_rng(ts)
         idx = rng.integers(0, n, n) if bootstrap else np.arange(n)
-        trees.append(
-            _grow_tree(data.matrix[idx], data.labels[idx], data.num_classes, 0, max_depth, rng)
-        )
-    return ForestModel(trees, -1 if max_depth is None else max_depth,
-                       data.kind, data.num_classes, data.n_features)
+        trees.append(_grow_tree(data.matrix[idx], data.labels[idx], data.num_classes, max_depth, rng))
+    return ForestModel(trees, data.kind, data.num_classes, data.matrix.shape[1])
 
 
 def predict_forest(model: ForestModel, x: FeatureVector) -> np.ndarray:
-    q = _check_query(x, model.kind, model.n_features)
+    q = _check_query(x, model.kind, model.n_features).tolist()
     acc = np.zeros(model.num_classes)
-    for tree in model.trees:
-        node = tree
-        while node.probs is None:
-            node = node.left if q[node.feature] <= node.threshold else node.right
-        acc += node.probs
+    for feature, threshold, right, posterior in model.trees:
+        i = 0
+        while (f := feature[i]) >= 0:
+            i = i + 1 if q[f] <= threshold[i] else right[i]
+        acc += posterior[i]
     return acc / len(model.trees)
 
 
@@ -419,6 +413,8 @@ def predict_posterior(model: Model, x: FeatureVector) -> np.ndarray:
     return _PREDICTORS[type(model)](model, x)
 
 
+MODEL_TYPES = {"knn": KnnModel, "svm": LinearSvmModel, "forest": ForestModel}
+
+
 def model_from_jsonable(d: dict[str, Any]) -> Model:
-    loaders = {"knn": KnnModel, "svm": LinearSvmModel, "forest": ForestModel}
-    return loaders[d["type"]].from_jsonable(d)
+    return MODEL_TYPES[d["type"]].from_jsonable(d)

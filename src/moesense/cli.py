@@ -332,6 +332,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _check_rates_against_dataset(entries: Sequence[ManifestEntry], rates: Sequence[float]) -> None:
+    if not entries:
+        raise InputError("dataset manifest lists no streams")
     base = min(e.rate for e in entries)
     too_high = [r for r in rates if r > base]
     if too_high:

@@ -61,7 +61,7 @@ class DopplerConfig:
     def __post_init__(self) -> None:
         if self.num_bins < 2:
             raise ConfigurationError(f"num_bins must be >= 2, got {self.num_bins}")
-        if self.max_freq_hz <= 0:
+        if not self.max_freq_hz > 0:  # NaN fails too
             raise ConfigurationError(f"max_freq_hz must be positive, got {self.max_freq_hz}")
 
     def clipped_to_rate(self, packet_rate: float) -> "DopplerConfig":

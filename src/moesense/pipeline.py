@@ -22,6 +22,7 @@ from .classifiers import (
     FOREST_DEFAULTS,
     KNN_DEFAULTS,
     SVM_DEFAULTS,
+    MODEL_TYPES,
     LabeledDataset,
     Model,
     model_from_jsonable,
@@ -32,6 +33,7 @@ from .classifiers import (
 )
 from .errors import ConfigurationError, FormatError, InputError, TrainingError
 from .features import (
+    AMP_STATS_LENGTH,
     DopplerConfig,
     FeatureKind,
     FeatureVector,
@@ -55,7 +57,7 @@ from .gating import (
 from .simulate import CsiStream, decimate, serialize_stream
 
 BUNDLE_MAGIC = b"MOEB"
-BUNDLE_VERSION = 1
+BUNDLE_VERSION = 2
 _BUNDLE_HEADER = struct.Struct("<4sIQ")
 
 DEFAULT_VAL_FRACTION = 0.25
@@ -370,7 +372,30 @@ def bundle_from_jsonable(payload: dict[str, Any]) -> TrainedBundle:
             np.asarray(scaler["mean"], dtype=np.float64),
             np.asarray(scaler["std"], dtype=np.float64),
         )
-    return TrainedBundle(registry, models, templates, dict(payload["metadata"]))
+    bundle = TrainedBundle(registry, models, templates, dict(payload["metadata"]))
+    _check_parts_agree(bundle)
+    return bundle
+
+
+def _check_parts_agree(bundle: TrainedBundle) -> None:
+    """Reject a bundle whose models, centroids or scalers disagree with its
+    registry and metadata, so it fails when it loads rather than in `detect`."""
+    widths = {FeatureKind.DOPPLER_ENERGY: bundle.doppler_config().num_bins,
+              FeatureKind.AMPLITUDE_STATS: AMP_STATS_LENGTH}
+    num_classes = bundle.num_classes
+    for spec in bundle.registry:
+        model, width = bundle.models[spec.id], widths[spec.feature_kind]
+        if (type(model) is not MODEL_TYPES[spec.classifier_kind.value]
+                or model.kind is not spec.feature_kind
+                or model.n_features != width or model.num_classes != num_classes):
+            raise FormatError(f"model {spec.id} disagrees with its registry entry or the metadata")
+        for label, centroid in bundle.templates.centroids(spec.id).items():
+            if (centroid.kind is not spec.feature_kind or centroid.values.shape != (width,)
+                    or not 0 <= label < num_classes):
+                raise FormatError(f"template centroid {label} of {spec.id} does not fit its model")
+    for kind in bundle.templates.scaler_kinds():
+        if any(a.shape != (widths[kind],) for a in bundle.templates.scaler(kind)):
+            raise FormatError(f"{kind.value} scaler is not {widths[kind]} wide")
 
 
 def serialize_bundle(bundle: TrainedBundle) -> bytes:
@@ -392,7 +417,8 @@ def deserialize_bundle(data: bytes) -> TrainedBundle:
         raise FormatError(f"bundle truncated: payload {len(payload)} bytes, expected {length}")
     try:
         return bundle_from_jsonable(json.loads(payload.decode("utf-8")))
-    except (KeyError, ValueError, TypeError, AttributeError) as exc:
+    except (KeyError, ValueError, TypeError, AttributeError, OverflowError, RecursionError,
+            ConfigurationError) as exc:
         raise FormatError(f"bundle payload malformed: {exc}") from exc
 
 

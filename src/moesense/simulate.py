@@ -259,6 +259,11 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
         if header != ["path", "label", "rate"]:
             raise FormatError(f"unexpected manifest header {header}")
         try:
-            return [ManifestEntry(row[0], int(row[1]), float(row[2])) for row in reader if row]
+            entries = [ManifestEntry(row[0], int(row[1]), float(row[2])) for row in reader if row]
         except (IndexError, ValueError) as exc:
             raise FormatError(f"malformed manifest row: {exc}") from exc
+    for e in entries:
+        if e.label < 0 or not (math.isfinite(e.rate) and e.rate > 0):
+            raise FormatError(f"manifest row {e.path!r}: label must be >= 0 and rate "
+                              f"finite and positive, got {e.label}, {e.rate}")
+    return entries

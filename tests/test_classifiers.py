@@ -208,8 +208,9 @@ def test_forest_pure_class_single_leaf():
     data = dataset([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]], [2, 2, 2], num_classes=4)
     model = train_forest(data, num_trees=3, max_depth=4, seed=1)
     for tree in model.trees:
-        assert tree.probs is not None
-        assert tree.probs[2] == 1.0
+        # the root is the only node, and it is a leaf
+        assert tree.feature == [-1] and tree.right == [-1]
+        assert tree.posterior[0][2] == 1.0
     post = predict_forest(model, fv([9.0, 9.0]))
     assert post[2] == 1.0
 

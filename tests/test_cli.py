@@ -262,3 +262,26 @@ def test_detect_bundle_with_null_model_is_format_error(dataset, bundle_path, tmp
     rc = main(["detect", "--bundle", str(bad), "--stream", str(dataset / entry.path),
                "--rate", "100"])
     assert rc == EXIT_FORMAT
+
+
+def test_detect_deeply_nested_bundle_is_format_error(dataset, tmp_path):
+    entry = read_manifest(dataset / "manifest.csv")[0]
+    body = b"[" * 200_000
+    bad = tmp_path / "nested.moe"
+    bad.write_bytes(struct.pack("<4sIQ", BUNDLE_MAGIC, BUNDLE_VERSION, len(body)) + body)
+    rc = main(["detect", "--bundle", str(bad), "--stream", str(dataset / entry.path),
+               "--rate", "100"])
+    assert rc == EXIT_FORMAT
+
+
+@pytest.mark.parametrize("command", [
+    ["eval-rate", "--rates", "100"],
+    ["eval-targets", "--counts", "0", "--rate", "300"],
+])
+def test_eval_on_empty_manifest_is_input_error(bundle_path, tmp_path, command):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    (empty / "manifest.csv").write_text("path,label,rate\n")
+    rc = main([command[0], "--bundle", str(bundle_path), "--dataset", str(empty),
+               "--out", str(tmp_path / "out.csv"), *command[1:]])
+    assert rc == EXIT_INPUT

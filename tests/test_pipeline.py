@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,8 @@ from moesense.gating import (
     fuse,
 )
 from moesense.pipeline import (
+    BUNDLE_MAGIC,
+    BUNDLE_VERSION,
     TrainedBundle,
     build_bundle,
     bundle_to_jsonable,
@@ -271,13 +276,13 @@ def test_bundle_truncated(small_bundle):
 
 
 def test_bundle_version_mismatch(small_bundle):
-    import struct
     data = serialize_bundle(small_bundle)
     header = struct.Struct("<4sIQ")
     magic, version, length = header.unpack_from(data)
-    forged = header.pack(magic, version + 1, length) + data[header.size:]
-    with pytest.raises(FormatError):
-        deserialize_bundle(forged)
+    for forged_version in (1, version + 1):  # version 1 held forests as nested dicts
+        forged = header.pack(magic, forged_version, length) + data[header.size:]
+        with pytest.raises(FormatError):
+            deserialize_bundle(forged)
 
 
 def test_bundle_registry_model_mismatch(small_bundle):
@@ -286,3 +291,85 @@ def test_bundle_registry_model_mismatch(small_bundle):
     with pytest.raises(ConfigurationError):
         TrainedBundle(small_bundle.registry, models, small_bundle.templates,
                       small_bundle.metadata)
+
+
+def fresh_payload(bundle):
+    """A payload that shares no list or dict with `bundle`."""
+    return json.loads(json.dumps(bundle_to_jsonable(bundle)))
+
+
+def forge(payload):
+    body = json.dumps(payload, sort_keys=True).encode("utf-8")
+    return struct.pack("<4sIQ", BUNDLE_MAGIC, BUNDLE_VERSION, len(body)) + body
+
+
+def test_forged_bundle_unchanged_loads(small_bundle):
+    payload = fresh_payload(small_bundle)
+    assert bundle_to_jsonable(deserialize_bundle(forge(payload))) == payload
+
+
+def _last_inner_node(tree):
+    return max(i for i, f in enumerate(tree["feature"]) if f >= 0)
+
+
+HOSTILE_TREES = {
+    "right_child_is_parent": lambda t, i: t["right"].__setitem__(i, i),
+    "right_child_before_parent": lambda t, i: t["right"].__setitem__(i, i - 1),
+    "right_child_past_end": lambda t, i: t["right"].__setitem__(i, len(t["feature"])),
+    "feature_too_large": lambda t, i: t["feature"].__setitem__(i, 25),
+    "feature_below_leaf_marker": lambda t, i: t["feature"].__setitem__(i, -2),
+    "unequal_lengths": lambda t, i: t["threshold"].append(0.0),
+    "leaf_rows_too_wide": lambda t, i: [row.append(0.0) for row in t["leaves"]],
+    "one_leaf_row_too_wide": lambda t, i: t["leaves"][0].append(0.0),
+    "leaf_row_too_narrow": lambda t, i: [row.pop() for row in t["leaves"]],
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_TREES))
+def test_hostile_forest_is_format_error(small_bundle, case):
+    payload = fresh_payload(small_bundle)
+    forest = payload["models"]["E3"]  # doppler forest over 25 bins
+    assert forest["type"] == "forest" and forest["n_features"] == 25
+    tree = forest["trees"][0]
+    inner = _last_inner_node(tree)
+    assert inner > 0
+    HOSTILE_TREES[case](tree, inner)
+    with pytest.raises(FormatError):
+        deserialize_bundle(forge(payload))
+
+
+def _set(path, value):
+    def mutate(payload):
+        *parents, last = path
+        node = payload
+        for key in parents:
+            node = node[key]
+        node[last] = value(node[last]) if callable(value) else value
+    return mutate
+
+
+DISAGREEING_PARTS = {
+    # the models take 25 Doppler bins; detect would fail on a broadcast
+    "doppler_bins_20": _set(("metadata", "doppler_num_bins"), 20),
+    "k_max_off_by_one": _set(("metadata", "k_max"), lambda k: k + 1),
+    "k_max_infinite": _set(("metadata", "k_max"), float("inf")),
+    "doppler_max_freq_nan": _set(("metadata", "doppler_max_freq_hz"), float("nan")),
+    "forest_registered_as_knn": _set(("registry", 2, "classifier"), "knn"),
+    "doppler_expert_registered_as_amp_stats": _set(("registry", 0, "feature"), "amp_stats"),
+    "centroid_too_short": _set(("templates", "E1", "0", "values"), lambda v: v[:-1]),
+    "scaler_too_short": _set(("scalers", "amp_stats", "mean"), lambda v: v[:-1]),
+    "svm_bias_missing": _set(("models", "E1", "biases"), lambda v: v[:-1]),
+    "knn_label_out_of_range": _set(("models", "E6", "labels", 0), 7),
+    "forest_without_trees": _set(("models", "E3", "trees"), []),
+    "model_missing": lambda payload: payload["models"].pop("E1"),
+    "registry_entry_without_id": lambda payload: payload["registry"][0].pop("id"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DISAGREEING_PARTS))
+def test_bundle_parts_disagree_is_format_error(small_bundle, case):
+    payload = fresh_payload(small_bundle)
+    assert [spec["id"] for spec in payload["registry"]][:3] == ["E1", "E2", "E3"]
+    DISAGREEING_PARTS[case](payload)
+    with pytest.raises(FormatError):
+        deserialize_bundle(forge(payload))

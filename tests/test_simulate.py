@@ -238,3 +238,12 @@ def test_manifest_bad_header(tmp_path):
     path.write_text("foo,bar\n1,2\n")
     with pytest.raises(FormatError):
         read_manifest(path)
+
+
+@pytest.mark.parametrize("row", ["a.csi,0,nan", "a.csi,0,inf", "a.csi,0,0", "a.csi,0,-3",
+                                 "a.csi,-1,1000.0", "a.csi,-3,nan"])
+def test_manifest_bad_rate_or_label(tmp_path, row):
+    path = tmp_path / "manifest.csv"
+    path.write_text(f"path,label,rate\nb.csi,1,1000.0\n{row}\n")
+    with pytest.raises(FormatError):
+        read_manifest(path)
