@@ -189,17 +189,22 @@ def train_linear_svm(
     # +1 for the sample's own class, -1 for the rest.
     y = np.where(np.arange(c)[None, :] == data.labels[:, None], 1.0, -1.0)
 
+    margins = np.empty(c)
     for epoch in range(epochs):
         eta = step_size / (epoch + 1)
         shrink = 1.0 - eta * l2
         for i in range(n):
-            zi = z[i]
-            margins = (weights @ zi + biases) * y[i]
+            zi, yi = z[i], y[i]
+            np.dot(weights, zi, out=margins)
+            margins += biases
+            margins *= yi
             weights *= shrink
-            violated = margins < 1.0
-            if violated.any():
-                weights[violated] += eta * y[i, violated, None] * zi
-                biases[violated] += eta * y[i, violated]
+            # Rows whose margin holds get a step of +-0.0, which leaves them
+            # bit-identical unless a weight is -0.0. Weights start at +0.0, and
+            # with a positive shrink factor only an underflow could make one -0.0.
+            step = (eta * yi) * (margins < 1.0)
+            weights += step[:, None] * zi
+            biases += step
     return LinearSvmModel(weights, biases, mean, std, data.kind, data.num_classes)
 
 

@@ -75,6 +75,18 @@ def mean_amplitude_series(stream: CsiStream) -> np.ndarray:
 
 
 def extract_doppler(stream: CsiStream, cfg: DopplerConfig | None = None) -> FeatureVector:
+    """Doppler energy of `stream`; see `doppler_from_series`."""
+    return doppler_from_series(mean_amplitude_series(stream), stream.packet_rate, cfg)
+
+
+def extract_amp_stats(stream: CsiStream) -> FeatureVector:
+    """Amplitude statistics of `stream`; see `amp_stats_from_series`."""
+    return amp_stats_from_series(mean_amplitude_series(stream), stream.packet_rate)
+
+
+def doppler_from_series(
+    series: np.ndarray, packet_rate: float, cfg: DopplerConfig | None = None
+) -> FeatureVector:
     """Binned, normalized spectral energy of the amplitude variation.
 
     The mean-removed subcarrier-averaged amplitude is Fourier transformed,
@@ -83,18 +95,17 @@ def extract_doppler(stream: CsiStream, cfg: DopplerConfig | None = None) -> Feat
     A constant stream has no dynamic energy and yields the all-zero vector.
     """
     if cfg is None:
-        cfg = DopplerConfig().clipped_to_rate(stream.packet_rate)
-    if stream.num_packets < 8:
-        raise InputError(f"need at least 8 packets, got {stream.num_packets}")
-    if cfg.max_freq_hz > stream.packet_rate / 2.0:
+        cfg = DopplerConfig().clipped_to_rate(packet_rate)
+    if len(series) < 8:
+        raise InputError(f"need at least 8 packets, got {len(series)}")
+    if cfg.max_freq_hz > packet_rate / 2.0:
         raise ConfigurationError(
-            f"max_freq_hz {cfg.max_freq_hz} above Nyquist for rate {stream.packet_rate}"
+            f"max_freq_hz {cfg.max_freq_hz} above Nyquist for rate {packet_rate}"
         )
 
-    series = mean_amplitude_series(stream)
     centered = series - series.mean()
     spectrum = np.abs(np.fft.rfft(centered)) ** 2
-    freqs = np.fft.rfftfreq(len(centered), d=1.0 / stream.packet_rate)
+    freqs = np.fft.rfftfreq(len(centered), d=1.0 / packet_rate)
 
     bin_width = cfg.max_freq_hz / cfg.num_bins
     in_band = freqs <= cfg.max_freq_hz
@@ -107,14 +118,13 @@ def extract_doppler(stream: CsiStream, cfg: DopplerConfig | None = None) -> Feat
         energy /= total
     else:
         energy[:] = 0.0
-    return FeatureVector(FeatureKind.DOPPLER_ENERGY, energy, stream.packet_rate)
+    return FeatureVector(FeatureKind.DOPPLER_ENERGY, energy, packet_rate)
 
 
-def extract_amp_stats(stream: CsiStream) -> FeatureVector:
+def amp_stats_from_series(series: np.ndarray, packet_rate: float) -> FeatureVector:
     """[mean, population variance, MAD, median, Q1, Q3] of the amplitude series."""
-    if stream.num_packets < 2:
-        raise InputError(f"need at least 2 packets, got {stream.num_packets}")
-    series = mean_amplitude_series(stream)
+    if len(series) < 2:
+        raise InputError(f"need at least 2 packets, got {len(series)}")
     mean = series.mean()
     q1, median, q3 = np.quantile(series, [0.25, 0.5, 0.75])
     values = np.array([
@@ -125,7 +135,7 @@ def extract_amp_stats(stream: CsiStream) -> FeatureVector:
         q1,
         q3,
     ])
-    return FeatureVector(FeatureKind.AMPLITUDE_STATS, values, stream.packet_rate)
+    return FeatureVector(FeatureKind.AMPLITUDE_STATS, values, packet_rate)
 
 
 def pearson(a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarray) -> float:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
@@ -53,10 +54,13 @@ class ExpertSpec:
     def __post_init__(self) -> None:
         if not self.id:
             raise ConfigurationError("expert id must be non-empty")
-        if self.required_rate <= 0:
-            raise ConfigurationError(f"required_rate must be positive for {self.id}")
         if self.nominal_rate is None:
             object.__setattr__(self, "nominal_rate", self.required_rate)
+        for name in ("required_rate", "nominal_rate"):
+            rate = getattr(self, name)
+            if not (math.isfinite(rate) and rate > 0):
+                raise ConfigurationError(f"{name} must be finite and positive for {self.id}, "
+                                         f"got {rate}")
 
 
 def default_registry() -> list[ExpertSpec]:

@@ -9,6 +9,7 @@ the same bundle twice produces identical bytes.
 """
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import struct
@@ -37,10 +38,13 @@ from .features import (
     DopplerConfig,
     FeatureKind,
     FeatureVector,
+    amp_stats_from_series,
+    doppler_from_series,
     extract_amp_stats,
     extract_doppler,
     feature_from_jsonable,
     feature_to_jsonable,
+    mean_amplitude_series,
 )
 from .gating import (
     DEFAULT_TOP_K,
@@ -54,7 +58,7 @@ from .gating import (
     spec_to_jsonable,
     validate_registry,
 )
-from .simulate import CsiStream, decimate, serialize_stream
+from .simulate import CsiStream, container_parts, decimate, decimation_stride
 
 BUNDLE_MAGIC = b"MOEB"
 BUNDLE_VERSION = 2
@@ -115,6 +119,14 @@ def extract_feature(stream: CsiStream, kind: FeatureKind, doppler_cfg: DopplerCo
     if kind is FeatureKind.DOPPLER_ENERGY:
         return extract_doppler(stream, doppler_cfg.clipped_to_rate(stream.packet_rate))
     return extract_amp_stats(stream)
+
+
+def _series_feature(series: np.ndarray, packet_rate: float, kind: FeatureKind,
+                    doppler_cfg: DopplerConfig) -> FeatureVector:
+    """`extract_feature` on a stream whose amplitude series is `series`."""
+    if kind is FeatureKind.DOPPLER_ENERGY:
+        return doppler_from_series(series, packet_rate, doppler_cfg.clipped_to_rate(packet_rate))
+    return amp_stats_from_series(series, packet_rate)
 
 
 def expert_input_rate(spec: ExpertSpec, current_rate: float) -> float:
@@ -194,18 +206,30 @@ def _extract_feature_table(
     doppler_cfg: DopplerConfig,
     fingerprint: "hashlib._Hash | None" = None,
 ) -> dict[tuple[float, FeatureKind], list[FeatureVector]]:
-    """One pass over the streams, extracting every (nominal rate, kind) combo."""
+    """One pass over the streams, extracting every (nominal rate, kind) combo.
+
+    Each stream's amplitude series is computed once. Taking every stride-th
+    value of it is what `decimate` followed by `extract_feature` computes, so
+    each (stride, kind) pair is extracted once and nominal rates that share a
+    stride share its feature vector.
+    """
     table: dict[tuple[float, FeatureKind], list[FeatureVector]] = {key: [] for key in needed}
+    ordered = sorted(needed, key=lambda rk: (rk[0], rk[1].value))
     count = 0
     for stream, label in zip(streams, labels):
         if fingerprint is not None:
-            fingerprint.update(serialize_stream(stream))
+            for part in container_parts(stream):
+                fingerprint.update(part)
             fingerprint.update(str(int(label)).encode())
-        by_rate: dict[float, CsiStream] = {}
-        for rate, kind in sorted(needed, key=lambda rk: (rk[0], rk[1].value)):
-            if rate not in by_rate:
-                by_rate[rate] = decimate(stream, rate)
-            table[(rate, kind)].append(extract_feature(by_rate[rate], kind, doppler_cfg))
+        series = mean_amplitude_series(stream)
+        by_stride: dict[tuple[int, FeatureKind], FeatureVector] = {}
+        for rate, kind in ordered:
+            stride = decimation_stride(stream.packet_rate, rate)
+            if (stride, kind) not in by_stride:
+                by_stride[(stride, kind)] = _series_feature(
+                    np.ascontiguousarray(series[::stride]), stream.packet_rate / stride,
+                    kind, doppler_cfg)
+            table[(rate, kind)].append(by_stride[(stride, kind)])
         count += 1
     if count != len(labels):
         raise InputError(f"{count} streams but {len(labels)} labels")
@@ -353,7 +377,7 @@ def bundle_to_jsonable(bundle: TrainedBundle) -> dict[str, Any]:
             for eid in bundle.templates.expert_ids()
         },
         "scalers": scalers,
-        "metadata": bundle.metadata,
+        "metadata": copy.deepcopy(bundle.metadata),
     }
 
 
@@ -372,7 +396,7 @@ def bundle_from_jsonable(payload: dict[str, Any]) -> TrainedBundle:
             np.asarray(scaler["mean"], dtype=np.float64),
             np.asarray(scaler["std"], dtype=np.float64),
         )
-    bundle = TrainedBundle(registry, models, templates, dict(payload["metadata"]))
+    bundle = TrainedBundle(registry, models, templates, copy.deepcopy(payload["metadata"]))
     _check_parts_agree(bundle)
     return bundle
 

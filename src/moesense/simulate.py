@@ -174,19 +174,22 @@ def synthesize_stream(config: ScenarioConfig, paths: Sequence[TargetPath] | None
     )
 
 
+def decimation_stride(packet_rate: float, target_rate: float) -> int:
+    """The packet stride `decimate` keeps: floor(packet_rate / target_rate)."""
+    if not target_rate > 0:  # NaN fails too
+        raise ConfigurationError(f"target_rate must be positive, got {target_rate}")
+    if target_rate > packet_rate:
+        raise RateError(f"target_rate {target_rate} exceeds stream rate {packet_rate}")
+    return math.floor(packet_rate / target_rate)
+
+
 def decimate(stream: CsiStream, target_rate: float) -> CsiStream:
     """Keep every floor(packet_rate / target_rate)-th packet, starting at 0.
 
     The output rate is recomputed exactly from the integer stride, so it can
     sit above `target_rate` when the ratio is not integral.
     """
-    if target_rate <= 0:
-        raise ConfigurationError(f"target_rate must be positive, got {target_rate}")
-    if target_rate > stream.packet_rate:
-        raise RateError(
-            f"target_rate {target_rate} exceeds stream rate {stream.packet_rate}"
-        )
-    stride = math.floor(stream.packet_rate / target_rate)
+    stride = decimation_stride(stream.packet_rate, target_rate)
     return CsiStream(
         samples=stream.samples[::stride].copy(),
         packet_rate=stream.packet_rate / stride,
@@ -199,7 +202,12 @@ def decimate(stream: CsiStream, target_rate: float) -> CsiStream:
 # Stream container and dataset manifest
 # ---------------------------------------------------------------------------
 
-def serialize_stream(stream: CsiStream) -> bytes:
+def container_parts(stream: CsiStream) -> tuple[bytes, np.ndarray]:
+    """The CSI1 header and the little-endian sample array that follows it.
+
+    Hashing the two parts digests the same bytes as `serialize_stream`
+    without building the joined copy.
+    """
     header = _HEADER.pack(
         STREAM_MAGIC,
         stream.num_packets,
@@ -208,8 +216,12 @@ def serialize_stream(stream: CsiStream) -> bytes:
         int(stream.seed),
         int(stream.true_target_count),
     )
-    payload = np.ascontiguousarray(stream.samples, dtype="<c16").tobytes()
-    return header + payload
+    return header, np.ascontiguousarray(stream.samples, dtype="<c16")
+
+
+def serialize_stream(stream: CsiStream) -> bytes:
+    header, samples = container_parts(stream)
+    return header + samples.tobytes()
 
 
 def deserialize_stream(data: bytes) -> CsiStream:

@@ -177,6 +177,52 @@ def test_svm_objective_non_increasing_over_epochs():
     assert np.all(diffs <= 1e-9)
 
 
+def per_sample_svm_reference(data, epochs, step_size, l2):
+    """The SVM loop as first written: boolean-index updates of the violated rows."""
+    mean = data.matrix.mean(axis=0)
+    std = data.matrix.std(axis=0)
+    std = np.where(std > 0, std, 1.0)
+    z = (data.matrix - mean) / std
+    c = data.num_classes
+    weights = np.zeros((c, z.shape[1]))
+    biases = np.zeros(c)
+    y = np.where(np.arange(c)[None, :] == data.labels[:, None], 1.0, -1.0)
+    for epoch in range(epochs):
+        eta = step_size / (epoch + 1)
+        shrink = 1.0 - eta * l2
+        for i in range(len(z)):
+            zi = z[i]
+            margins = (weights @ zi + biases) * y[i]
+            weights *= shrink
+            violated = margins < 1.0
+            if violated.any():
+                weights[violated] += eta * y[i, violated, None] * zi
+                biases[violated] += eta * y[i, violated]
+    return weights, biases
+
+
+def _with_constant_column(rng):
+    data, _, _ = random_dataset(rng, n=60, d=5, num_classes=4)
+    data.matrix[:, 2] = 3.25
+    return data
+
+
+def _separable(rng):
+    labels = np.repeat(np.arange(3), 15)
+    matrix = labels[:, None] * 10.0 + rng.normal(scale=0.1, size=(45, 3))
+    return dataset(matrix, labels)
+
+
+@pytest.mark.parametrize("make", [_with_constant_column, _separable])
+@pytest.mark.parametrize("epochs, step_size, l2", [(40, 0.01, 1e-3), (15, 0.3, 0.05)])
+def test_svm_matches_per_sample_reference_bytes(make, epochs, step_size, l2):
+    data = make(np.random.default_rng(41))
+    model = train_linear_svm(data, epochs=epochs, step_size=step_size, l2=l2)
+    weights, biases = per_sample_svm_reference(data, epochs, step_size, l2)
+    assert model.weights.tobytes() == weights.tobytes()
+    assert model.biases.tobytes() == biases.tobytes()
+
+
 def test_svm_posterior_follows_margins():
     rng = np.random.default_rng(31)
     data, _, _ = random_dataset(rng, n=40, d=5, num_classes=4)

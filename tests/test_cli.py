@@ -105,6 +105,17 @@ def test_train_duplicate_registry_id(dataset, tmp_path):
     assert rc == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("rates", [{"required_rate": float("nan")},
+                                   {"required_rate": 300.0, "nominal_rate": -300.0}])
+def test_train_registry_with_bad_rate_is_config_error(dataset, tmp_path, rates):
+    registry = {"experts": [{"id": "E1", "feature": "doppler", "classifier": "knn", **rates}]}
+    reg_path = tmp_path / "registry.json"
+    reg_path.write_text(json.dumps(registry))  # writes NaN, which json.loads reads back
+    rc = main(["train", "--dataset", str(dataset), "--out", str(tmp_path / "b.moe"),
+               "--registry", str(reg_path)])
+    assert rc == EXIT_CONFIG
+
+
 def test_train_missing_dataset(tmp_path):
     rc = main(["train", "--dataset", str(tmp_path / "nope"), "--out", str(tmp_path / "b.moe")])
     assert rc == EXIT_INPUT
@@ -261,6 +272,18 @@ def test_detect_bundle_with_null_model_is_format_error(dataset, bundle_path, tmp
     bad.write_bytes(struct.pack("<4sIQ", BUNDLE_MAGIC, BUNDLE_VERSION, len(body)) + body)
     rc = main(["detect", "--bundle", str(bad), "--stream", str(dataset / entry.path),
                "--rate", "100"])
+    assert rc == EXIT_FORMAT
+
+
+def test_detect_bundle_with_nan_required_rate_is_format_error(dataset, bundle_path, tmp_path):
+    entry = read_manifest(dataset / "manifest.csv")[0]
+    payload = bundle_to_jsonable(load_bundle(bundle_path))
+    payload["registry"][2]["required_rate"] = float("nan")
+    bad = tmp_path / "nan_rate.moe"
+    body = json.dumps(payload, sort_keys=True).encode("utf-8")
+    bad.write_bytes(struct.pack("<4sIQ", BUNDLE_MAGIC, BUNDLE_VERSION, len(body)) + body)
+    rc = main(["detect", "--bundle", str(bad), "--stream", str(dataset / entry.path),
+               "--rate", "500"])
     assert rc == EXIT_FORMAT
 
 

@@ -341,6 +341,14 @@ def test_spec_nominal_rate_defaults_to_required():
     assert clone == spec
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -300.0])
+@pytest.mark.parametrize("field", ["required_rate", "nominal_rate"])
+def test_spec_rejects_nonfinite_or_nonpositive_rates(field, bad):
+    rates = {"required_rate": 300.0, "nominal_rate": 300.0, field: bad}
+    with pytest.raises(ConfigurationError):
+        ExpertSpec("X", D, ClassifierKind.FOREST, **rates)
+
+
 def test_validate_registry_duplicate():
     reg = default_registry() + [ExpertSpec("E1", D, ClassifierKind.KNN, 100.0)]
     with pytest.raises(ConfigurationError):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 
@@ -6,7 +7,7 @@ import pytest
 
 from moesense.classifiers import predict_posterior
 from moesense.errors import ConfigurationError, FormatError, TrainingError
-from moesense.features import FeatureKind
+from moesense.features import DopplerConfig, FeatureKind
 from moesense.gating import (
     ClassifierKind,
     ExpertSpec,
@@ -19,7 +20,9 @@ from moesense.pipeline import (
     BUNDLE_MAGIC,
     BUNDLE_VERSION,
     TrainedBundle,
+    _extract_feature_table,
     build_bundle,
+    bundle_from_jsonable,
     bundle_to_jsonable,
     deserialize_bundle,
     detect,
@@ -31,7 +34,13 @@ from moesense.pipeline import (
     serialize_bundle,
     split_train_val,
 )
-from moesense.simulate import ScenarioConfig, TargetPath, decimate, synthesize_stream
+from moesense.simulate import (
+    ScenarioConfig,
+    TargetPath,
+    decimate,
+    serialize_stream,
+    synthesize_stream,
+)
 
 D = FeatureKind.DOPPLER_ENERGY
 S = FeatureKind.AMPLITUDE_STATS
@@ -98,6 +107,34 @@ def test_bundle_build_deterministic():
     a = build_bundle(tr_s, tr_l, va_s, va_l, reg, seed=5)
     b = build_bundle(iter(tr_s), tr_l, iter(va_s), va_l, reg, seed=5)
     assert serialize_bundle(a) == serialize_bundle(b)
+
+
+def test_feature_table_equals_decimate_then_extract():
+    # 1000 pkts/s base: 400 and 500 share stride 2 (400 is not integral), 300 is stride 3
+    streams, labels = make_streams(2, 2, seed=17)
+    cfg = DopplerConfig()
+    needed = {(spec.nominal_rate, spec.feature_kind) for spec in default_registry()}
+    assert (400.0, D) in needed and (300.0, S) in needed
+    table = _extract_feature_table(streams, labels, needed, cfg)
+    assert set(table) == needed
+    for (rate, kind), features in table.items():
+        assert len(features) == len(streams)
+        for stream, got in zip(streams, features):
+            want = extract_feature(decimate(stream, rate), kind, cfg)
+            assert got.kind is want.kind
+            assert got.values.tobytes() == want.values.tobytes(), (rate, kind)
+            assert got.source_rate == want.source_rate
+
+
+def test_feature_table_fingerprint_hashes_the_stream_containers():
+    streams, labels = make_streams(1, 2, seed=19)
+    digest = hashlib.sha256()
+    _extract_feature_table(streams, labels, {(500.0, S)}, DopplerConfig(), digest)
+    want = hashlib.sha256()
+    for stream, label in zip(streams, labels):
+        want.update(serialize_stream(stream))
+        want.update(str(label).encode())
+    assert digest.hexdigest() == want.hexdigest()
 
 
 def test_build_requires_every_class():
@@ -303,6 +340,17 @@ def forge(payload):
     return struct.pack("<4sIQ", BUNDLE_MAGIC, BUNDLE_VERSION, len(body)) + body
 
 
+def test_payload_edits_leave_the_bundle_unchanged(small_bundle):
+    before = serialize_bundle(small_bundle)
+    payload = bundle_to_jsonable(small_bundle)
+    rebuilt = bundle_from_jsonable(payload)
+    payload["metadata"]["k_max"] = 99
+    payload["metadata"]["validation_accuracy"]["E1"] = -1.0
+    payload["registry"][0]["hyperparams"]["epochs"] = 1
+    assert serialize_bundle(small_bundle) == before
+    assert serialize_bundle(rebuilt) == before
+
+
 def test_forged_bundle_unchanged_loads(small_bundle):
     payload = fresh_payload(small_bundle)
     assert bundle_to_jsonable(deserialize_bundle(forge(payload))) == payload
@@ -363,6 +411,10 @@ DISAGREEING_PARTS = {
     "forest_without_trees": _set(("models", "E3", "trees"), []),
     "model_missing": lambda payload: payload["models"].pop("E1"),
     "registry_entry_without_id": lambda payload: payload["registry"][0].pop("id"),
+    # a NaN required rate would drop the expert from every eligible set
+    "required_rate_nan": _set(("registry", 2, "required_rate"), float("nan")),
+    "nominal_rate_nan": _set(("registry", 2, "nominal_rate"), float("nan")),
+    "nominal_rate_negative": _set(("registry", 2, "nominal_rate"), -500.0),
 }
 
 

@@ -147,6 +147,12 @@ def test_decimate_nonpositive_rate_raises():
         decimate(stream, 0.0)
 
 
+def test_decimate_nan_rate_raises():
+    stream = synthesize_stream(make_config())
+    with pytest.raises(ConfigurationError):
+        decimate(stream, float("nan"))
+
+
 def test_decimate_composes_when_strides_multiply():
     stream = synthesize_stream(make_config(packet_rate=1000.0))
     two_step = decimate(decimate(stream, 500.0), 100.0)
