@@ -22,7 +22,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -124,30 +124,80 @@ def iter_dataset(configs: Sequence[ScenarioConfig]) -> Iterator[tuple[CsiStream,
 class ResultTable:
     """Accuracy rows keyed by a sweep condition (rate or target count)."""
 
-    condition_name: str
-    expert_ids: tuple[str, ...]
+    columns: tuple[str, ...]
     rows: list[dict] = field(default_factory=list)
 
     def fieldnames(self) -> list[str]:
-        return [self.condition_name, "n_samples", "framework", "random3", *self.expert_ids]
+        return list(self.columns)
 
     def write_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=self.fieldnames())
+            writer = csv.DictWriter(fh, fieldnames=self.columns)
             writer.writeheader()
             for row in self.rows:
-                out = {}
-                for key in self.fieldnames():
-                    val = row.get(key, "")
-                    if isinstance(val, float):
-                        val = CSV_FLOAT_FMT.format(val)
-                    out[key] = val
-                writer.writerow(out)
+                writer.writerow({key: CSV_FLOAT_FMT.format(val) if isinstance(val, float) else val
+                                 for key, val in row.items()})
 
 
 def _evaluation_pool(registry: Sequence[ExpertSpec], rate: float) -> list[str]:
     eligible = filter_by_rate(registry, rate)
     return sorted(eligible) if eligible else sorted(s.id for s in registry)
+
+
+def _count_hits(
+    bundle: TrainedBundle,
+    data: Iterable[tuple[CsiStream, int]],
+    conditions: dict,
+    condition_of: Callable[[float, int], object],
+    triple_seed: int | None = None,
+) -> dict:
+    """Hits per sweep condition over every (stream, rate) pair: "n_samples",
+    "framework" (`detect`'s prediction), "random3" when `triple_seed` is given,
+    then each pool expert (rate-eligible, or all at fallback rates).
+
+    `conditions` maps each condition to its rate; `condition_of(rate, label)`
+    names the one a pair counts toward, and pairs outside it are skipped.
+    """
+    rates = list(dict.fromkeys(conditions.values()))
+    pools = {r: _evaluation_pool(bundle.registry, r) for r in rates}
+    # One generator per rate draws a fresh random triple per stream, so the
+    # baseline shows the average random combination, not one lucky draw.
+    triple_rngs = {} if triple_seed is None else {
+        r: np.random.default_rng([triple_seed, i]) for i, r in enumerate(sorted(rates))}
+    random3 = ["random3"] if triple_rngs else []
+    hits = {c: dict.fromkeys(["n_samples", "framework", *random3, *pools[r]], 0)
+            for c, r in conditions.items()}
+
+    for stream, label in data:
+        for r in rates:
+            counts = hits.get(condition_of(r, label))
+            if counts is None:
+                continue
+            pool = pools[r]
+            report = detect(stream, r, bundle)
+            posteriors = {eid: report.expert_posteriors[eid] if eid in report.expert_posteriors
+                          else expert_posterior(stream, r, bundle, eid) for eid in pool}
+            counts["n_samples"] += 1
+            counts["framework"] += int(report.predicted_count == label)
+            if triple_rngs:
+                triple = sorted(triple_rngs[r].choice(pool, size=min(3, len(pool)), replace=False).tolist())
+                _, rand_pred = fuse([posteriors[eid] for eid in triple],
+                                    [1.0 / len(triple)] * len(triple))
+                counts["random3"] += int(rand_pred == label)
+            for eid in pool:
+                counts[eid] += int(np.argmax(posteriors[eid]) == label)
+    return hits
+
+
+def _result_table(columns: tuple[str, ...], hits: dict, condition_text: Callable) -> ResultTable:
+    """One row per condition: its n_samples and each counted column's accuracy."""
+    table = ResultTable(columns)
+    for condition, counts in hits.items():
+        n = counts["n_samples"]
+        row = {columns[0]: condition_text(condition), "n_samples": n}
+        row.update((col, h / n if n else 0.0) for col, h in counts.items() if col != "n_samples")
+        table.rows.append(row)
+    return table
 
 
 def evaluate_rate_sweep(
@@ -158,51 +208,15 @@ def evaluate_rate_sweep(
 ) -> ResultTable:
     """Framework, per-expert, and random-triple accuracy at each rate.
 
-    The framework column is `detect`'s prediction. The per-expert columns
-    cover the rate-eligible experts, or the whole registry at fallback rates.
-    The random baseline draws one expert triple per rate from that same pool
-    and fuses with uniform weights.
+    Every expert has a column; its cell is blank at rates where it is
+    outside the pool.
     """
-    registry = bundle.registry
-    pools = {r: _evaluation_pool(registry, r) for r in rates}
-    # One RNG per rate; a fresh triple is drawn per stream so the baseline
-    # reflects the average random combination, not one lucky draw.
-    triple_rngs = {r: np.random.default_rng([seed, i]) for i, r in enumerate(sorted(rates))}
-
-    hits: dict[float, dict[str, int]] = {r: {"framework": 0, "random3": 0} for r in rates}
-    for r in rates:
-        for eid in pools[r]:
-            hits[r][eid] = 0
-    totals = {r: 0 for r in rates}
-
-    for stream, label in data:
-        for r in rates:
-            pool = pools[r]
-            report = detect(stream, r, bundle)
-            posteriors = {eid: report.expert_posteriors[eid] if eid in report.expert_posteriors
-                          else expert_posterior(stream, r, bundle, eid) for eid in pool}
-            hits[r]["framework"] += int(report.predicted_count == label)
-
-            triple = sorted(triple_rngs[r].choice(pool, size=min(3, len(pool)), replace=False).tolist())
-            _, rand_pred = fuse([posteriors[eid] for eid in triple],
-                                [1.0 / len(triple)] * len(triple))
-            hits[r]["random3"] += int(rand_pred == label)
-
-            for eid in pool:
-                hits[r][eid] += int(np.argmax(posteriors[eid]) == label)
-            totals[r] += 1
-
-    all_experts = tuple(sorted(s.id for s in registry))
-    table = ResultTable("rate", all_experts)
-    for r in rates:
-        n = totals[r]
-        row = {"rate": CSV_FLOAT_FMT.format(r), "n_samples": n}
-        row["framework"] = hits[r]["framework"] / n if n else 0.0
-        row["random3"] = hits[r]["random3"] / n if n else 0.0
-        for eid in pools[r]:
-            row[eid] = hits[r][eid] / n if n else 0.0
-        table.rows.append(row)
-    return table
+    if len(set(rates)) != len(rates):
+        raise InputError(f"rates {list(rates)} repeat a rate")
+    hits = _count_hits(bundle, data, {r: r for r in rates}, lambda r, label: r, triple_seed=seed)
+    experts = sorted(s.id for s in bundle.registry)
+    return _result_table(("rate", "n_samples", "framework", "random3", *experts), hits,
+                         CSV_FLOAT_FMT.format)
 
 
 def evaluate_target_sweep(
@@ -213,38 +227,12 @@ def evaluate_target_sweep(
 ) -> ResultTable:
     """Exact-count accuracy per target count at one communication rate."""
     pool = _evaluation_pool(bundle.registry, rate)
-    wanted = set(int(c) for c in target_counts)
-
-    hits = {c: {"framework": 0, **{eid: 0 for eid in pool}} for c in wanted}
-    totals = {c: 0 for c in wanted}
-    seen = set()
-
-    for stream, label in data:
-        seen.add(int(label))
-        if int(label) not in wanted:
-            continue
-        report = detect(stream, rate, bundle)
-        posteriors = {eid: report.expert_posteriors[eid] if eid in report.expert_posteriors
-                      else expert_posterior(stream, rate, bundle, eid) for eid in pool}
-        c = int(label)
-        hits[c]["framework"] += int(report.predicted_count == c)
-        for eid in pool:
-            hits[c][eid] += int(np.argmax(posteriors[eid]) == c)
-        totals[c] += 1
-
-    missing = wanted - seen
+    hits = _count_hits(bundle, data, {c: rate for c in sorted(set(int(c) for c in target_counts))},
+                       lambda r, label: int(label))
+    missing = [c for c, counts in hits.items() if not counts["n_samples"]]
     if missing:
-        raise InputError(f"target counts {sorted(missing)} not present in dataset")
-
-    table = ResultTable("target_count", tuple(pool))
-    for c in sorted(wanted):
-        n = totals[c]
-        row = {"target_count": c, "n_samples": n}
-        row["framework"] = hits[c]["framework"] / n if n else 0.0
-        for eid in pool:
-            row[eid] = hits[c][eid] / n if n else 0.0
-        table.rows.append(row)
-    return table
+        raise InputError(f"target counts {missing} not present in dataset")
+    return _result_table(("target_count", "n_samples", "framework", *pool), hits, int)
 
 
 # ---------------------------------------------------------------------------
@@ -264,12 +252,6 @@ def _load_dataset_entries(dataset_dir: Path) -> list[ManifestEntry]:
     if not manifest.exists():
         raise InputError(f"no manifest.csv under {dataset_dir}")
     return read_manifest(manifest)
-
-
-def _iter_manifest_streams(dataset_dir: Path,
-                           entries: Sequence[ManifestEntry]) -> Iterator[tuple[CsiStream, int]]:
-    for e in entries:
-        yield load_stream(dataset_dir / e.path), e.label
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -331,43 +313,27 @@ def cmd_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _check_rates_against_dataset(entries: Sequence[ManifestEntry], rates: Sequence[float]) -> None:
+def cmd_eval(args: argparse.Namespace) -> int:
+    """eval-rate and eval-targets: load, check the rates, sweep, write the CSV."""
+    bundle = load_bundle(args.bundle)
+    dataset_dir = Path(args.dataset)
+    entries = _load_dataset_entries(dataset_dir)
     if not entries:
         raise InputError("dataset manifest lists no streams")
+    by_rate = args.command == "eval-rate"
     base = min(e.rate for e in entries)
-    too_high = [r for r in rates if r > base]
+    too_high = [r for r in (args.rates if by_rate else [args.rate]) if r > base]
     if too_high:
         raise InputError(f"rates {too_high} above dataset base rate {base}")
-
-
-def cmd_eval_rate(args: argparse.Namespace) -> int:
-    bundle = load_bundle(args.bundle)
-    dataset_dir = Path(args.dataset)
-    entries = _load_dataset_entries(dataset_dir)
-    rates = args.rates
-    _check_rates_against_dataset(entries, rates)
-    table = evaluate_rate_sweep(
-        bundle, _iter_manifest_streams(dataset_dir, entries), rates, seed=args.seed
-    )
+    data = ((load_stream(dataset_dir / e.path), e.label) for e in entries)
+    if by_rate:
+        table = evaluate_rate_sweep(bundle, data, args.rates, seed=args.seed)
+    else:
+        table = evaluate_target_sweep(bundle, data, args.counts, rate=args.rate)
     out = _resolve_out(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     table.write_csv(out)
-    print(f"rate sweep written to {out}")
-    return EXIT_OK
-
-
-def cmd_eval_targets(args: argparse.Namespace) -> int:
-    bundle = load_bundle(args.bundle)
-    dataset_dir = Path(args.dataset)
-    entries = _load_dataset_entries(dataset_dir)
-    _check_rates_against_dataset(entries, [args.rate])
-    table = evaluate_target_sweep(
-        bundle, _iter_manifest_streams(dataset_dir, entries), args.counts, rate=args.rate
-    )
-    out = _resolve_out(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    table.write_csv(out)
-    print(f"target sweep written to {out}")
+    print(f"{'rate' if by_rate else 'target'} sweep written to {out}")
     return EXIT_OK
 
 
@@ -440,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rates", type=_float_list, default=list(DEFAULT_RATES))
     p.add_argument("--out", required=True, help="CSV output path")
     p.add_argument("--seed", type=int, default=42)
-    p.set_defaults(func=cmd_eval_rate)
+    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("eval-targets", help="accuracy vs. number of targets")
     p.add_argument("--bundle", required=True)
@@ -449,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate", type=float, default=DEFAULT_SWEEP_RATE)
     p.add_argument("--out", required=True, help="CSV output path")
     p.add_argument("--seed", type=int, default=42)
-    p.set_defaults(func=cmd_eval_targets)
+    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("detect", help="detect the target count in one stream")
     p.add_argument("--bundle", required=True)

@@ -26,13 +26,29 @@ from .features import FeatureKind, FeatureVector, pearson
 # (it never classified a validation sample correctly).
 NO_TEMPLATE_SCORE = -1.0
 
-DEFAULT_TOP_K = 3
+TOP_K = 3  # experts the gate selects
 
 
 class ClassifierKind(enum.Enum):
     KNN = "knn"
     LINEAR_SVM = "svm"
     FOREST = "forest"
+
+
+# The hyperparameters each classifier takes and the JSON type of each value.
+_HYPERPARAM_TYPES = {
+    ClassifierKind.KNN: {"k": int},
+    ClassifierKind.LINEAR_SVM: {"epochs": int, "step_size": float, "l2": float},
+    ClassifierKind.FOREST: {"num_trees": int, "max_depth": int, "bootstrap": bool},
+}
+
+
+def _has_json_type(value: Any, expected: type) -> bool:
+    """A float field takes any finite number; int and bool fields take only
+    their own type (a bool is no int, and 5.0 is no int)."""
+    if expected is float:
+        return type(value) in (int, float) and -math.inf < value < math.inf
+    return type(value) is expected
 
 
 class GatingMode(enum.Enum):
@@ -61,6 +77,13 @@ class ExpertSpec:
             if not (math.isfinite(rate) and rate > 0):
                 raise ConfigurationError(f"{name} must be finite and positive for {self.id}, "
                                          f"got {rate}")
+        types = _HYPERPARAM_TYPES[self.classifier_kind]
+        for name, value in self.hyperparams.items():
+            if name not in types:
+                raise ConfigurationError(f"unknown hyperparameter {name!r} for {self.id}")
+            if not _has_json_type(value, types[name]):
+                raise ConfigurationError(f"hyperparameter {name} of {self.id} must be a JSON "
+                                         f"{types[name].__name__}, got {value!r}")
 
 
 def default_registry() -> list[ExpertSpec]:
@@ -146,7 +169,7 @@ class TemplateLibrary:
 
 def filter_by_rate(registry: Sequence[ExpertSpec], current_rate: float) -> set[str]:
     """Experts whose required rate is satisfied (boundary inclusive)."""
-    if current_rate <= 0:
+    if not current_rate > 0:
         raise InputError(f"current_rate must be positive, got {current_rate}")
     return {spec.id for spec in registry if spec.required_rate <= current_rate}
 
@@ -204,9 +227,8 @@ def decide(
     templates: TemplateLibrary,
     stream_features: Mapping[FeatureKind, FeatureVector],
     current_rate: float,
-    k: int = DEFAULT_TOP_K,
 ) -> GatingDecision:
-    """Full gate: rate filter, correlation scores, top-k, weights.
+    """Full gate: rate filter, correlation scores, top `TOP_K`, weights.
 
     Weights are the positive-clipped scores of the selected experts
     normalized to sum 1, or uniform when every clipped score is zero.
@@ -221,7 +243,7 @@ def decide(
         candidates = {spec.id for spec in registry}
 
     scores = score_experts(stream_features, templates, sorted(candidates))
-    selected = tuple(select_top_k(scores, k))
+    selected = tuple(select_top_k(scores, TOP_K))
 
     clipped = np.maximum([scores[eid] for eid in selected], 0.0)
     total = clipped.sum()
@@ -278,7 +300,7 @@ def spec_from_jsonable(d: dict[str, Any]) -> ExpertSpec:
             nominal_rate=float(d["nominal_rate"]) if "nominal_rate" in d else None,
             hyperparams=dict(d.get("hyperparams", {})),
         )
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, TypeError) as exc:
         raise ConfigurationError(f"bad registry entry {d!r}: {exc}") from exc
 
 
@@ -287,7 +309,7 @@ def load_registry(path: str | Path) -> list[ExpertSpec]:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"registry file is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict) or "experts" not in raw:
+    if not isinstance(raw, dict) or not isinstance(raw.get("experts"), list):
         raise ConfigurationError("registry file must be an object with an 'experts' list")
     registry = [spec_from_jsonable(entry) for entry in raw["experts"]]
     validate_registry(registry)

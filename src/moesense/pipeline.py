@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,9 +21,6 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from .classifiers import (
-    FOREST_DEFAULTS,
-    KNN_DEFAULTS,
-    SVM_DEFAULTS,
     MODEL_TYPES,
     LabeledDataset,
     Model,
@@ -47,7 +45,6 @@ from .features import (
     mean_amplitude_series,
 )
 from .gating import (
-    DEFAULT_TOP_K,
     ClassifierKind,
     ExpertSpec,
     GatingDecision,
@@ -169,34 +166,14 @@ def split_train_val(
     )
 
 
-_ALLOWED_HYPERPARAMS = {
-    ClassifierKind.KNN: {"k"},
-    ClassifierKind.LINEAR_SVM: {"epochs", "step_size", "l2"},
-    ClassifierKind.FOREST: {"num_trees", "max_depth", "bootstrap"},
-}
-
-
 def _train_expert(spec: ExpertSpec, data: LabeledDataset, seed: int) -> Model:
-    hp = dict(spec.hyperparams)
-    unknown = set(hp) - _ALLOWED_HYPERPARAMS[spec.classifier_kind]
-    if unknown:
-        raise ConfigurationError(f"unknown hyperparameters for {spec.id}: {sorted(unknown)}")
+    """Train with the spec's hyperparameters, whose names and types the spec
+    has checked; the rest take the trainer's defaults."""
     if spec.classifier_kind is ClassifierKind.KNN:
-        return train_knn(data, k=int(hp.get("k", KNN_DEFAULTS["k"])))
+        return train_knn(data, **spec.hyperparams)
     if spec.classifier_kind is ClassifierKind.LINEAR_SVM:
-        return train_linear_svm(
-            data,
-            epochs=int(hp.get("epochs", SVM_DEFAULTS["epochs"])),
-            step_size=float(hp.get("step_size", SVM_DEFAULTS["step_size"])),
-            l2=float(hp.get("l2", SVM_DEFAULTS["l2"])),
-        )
-    return train_forest(
-        data,
-        num_trees=int(hp.get("num_trees", FOREST_DEFAULTS["num_trees"])),
-        max_depth=int(hp.get("max_depth", FOREST_DEFAULTS["max_depth"])),
-        seed=seed,
-        bootstrap=bool(hp.get("bootstrap", True)),
-    )
+        return train_linear_svm(data, **spec.hyperparams)
+    return train_forest(data, seed=seed, **spec.hyperparams)
 
 
 def _extract_feature_table(
@@ -243,7 +220,6 @@ def build_bundle(
     val_labels: Sequence[int],
     registry: Sequence[ExpertSpec],
     seed: int = 0,
-    doppler_cfg: DopplerConfig = DopplerConfig(),
 ) -> TrainedBundle:
     """Train every expert at its nominal rate and build its template centroids.
 
@@ -260,6 +236,7 @@ def build_bundle(
     if missing:
         raise TrainingError(f"training data missing classes {missing} of 0..{k_max}")
     num_classes = k_max + 1
+    doppler_cfg = DopplerConfig()
 
     needed = {(spec.nominal_rate, spec.feature_kind) for spec in registry}
     digest = hashlib.sha256()
@@ -333,6 +310,8 @@ def expert_posterior(
 
 def detect(stream: CsiStream, current_rate: float, bundle: TrainedBundle) -> DetectionReport:
     """Run the detection workflow on one stream observed at `current_rate`."""
+    if not (math.isfinite(current_rate) and current_rate > 0):
+        raise InputError(f"current_rate must be finite and positive, got {current_rate}")
     if not np.all(np.isfinite(stream.samples.view(np.float64))):
         raise InputError("stream contains non-finite samples")
     doppler_cfg = bundle.doppler_config()
@@ -342,8 +321,7 @@ def detect(stream: CsiStream, current_rate: float, bundle: TrainedBundle) -> Det
         FeatureKind.DOPPLER_ENERGY: extract_feature(observed, FeatureKind.DOPPLER_ENERGY, doppler_cfg),
         FeatureKind.AMPLITUDE_STATS: extract_feature(observed, FeatureKind.AMPLITUDE_STATS, doppler_cfg),
     }
-    decision = decide(bundle.registry, bundle.templates, stream_features, current_rate,
-                      DEFAULT_TOP_K)
+    decision = decide(bundle.registry, bundle.templates, stream_features, current_rate)
 
     posteriors = {eid: expert_posterior(stream, current_rate, bundle, eid)
                   for eid in decision.selected}

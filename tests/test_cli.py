@@ -6,10 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from moesense.cli import main
+from moesense.cli import evaluate_rate_sweep, evaluate_target_sweep, main
 from moesense.errors import EXIT_CONFIG, EXIT_FORMAT, EXIT_INPUT, EXIT_IO, EXIT_OK
 from moesense.pipeline import BUNDLE_MAGIC, BUNDLE_VERSION, bundle_to_jsonable, load_bundle
-from moesense.simulate import read_manifest
+from moesense.simulate import load_stream, read_manifest
 
 GEN_ARGS = ["--k-max", "2", "--streams-per-class", "6", "--subcarriers", "8",
             "--duration", "1.0", "--seed", "11"]
@@ -116,6 +116,31 @@ def test_train_registry_with_bad_rate_is_config_error(dataset, tmp_path, rates):
     assert rc == EXIT_CONFIG
 
 
+KNN_ENTRY = {"id": "E1", "feature": "doppler", "classifier": "knn", "required_rate": 100.0}
+FOREST_ENTRY = {**KNN_ENTRY, "classifier": "forest"}
+MALFORMED_REGISTRIES = {
+    "required_rate_null": {"experts": [{**KNN_ENTRY, "required_rate": None}]},
+    "hyperparams_not_an_object": {"experts": [{**KNN_ENTRY, "hyperparams": [1]}]},
+    "entry_not_an_object": {"experts": [1]},
+    "experts_not_a_list": {"experts": 5},
+    "k_null": {"experts": [{**KNN_ENTRY, "hyperparams": {"k": None}}]},
+    "k_string": {"experts": [{**KNN_ENTRY, "hyperparams": {"k": "abc"}}]},
+    "max_depth_null": {"experts": [{**FOREST_ENTRY, "hyperparams": {"max_depth": None}}]},
+    # bool("false") is True, so a coerced string would train with bootstrap on
+    "bootstrap_string": {"experts": [{**FOREST_ENTRY, "hyperparams": {"bootstrap": "false"}}]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_REGISTRIES))
+def test_train_malformed_registry_is_config_error(dataset, tmp_path, case):
+    reg_path = tmp_path / "registry.json"
+    reg_path.write_text(json.dumps(MALFORMED_REGISTRIES[case]))
+    rc = main(["train", "--dataset", str(dataset), "--out", str(tmp_path / "b.moe"),
+               "--registry", str(reg_path)])
+    assert rc == EXIT_CONFIG
+    assert not (tmp_path / "b.moe").exists()
+
+
 def test_train_missing_dataset(tmp_path):
     rc = main(["train", "--dataset", str(tmp_path / "nope"), "--out", str(tmp_path / "b.moe")])
     assert rc == EXIT_INPUT
@@ -148,6 +173,25 @@ def test_eval_rate_schema_and_ranges(dataset, bundle_path, tmp_path):
 def test_eval_rate_above_base_rejected(dataset, bundle_path, tmp_path):
     rc = main(["eval-rate", "--bundle", str(bundle_path), "--dataset", str(dataset),
                "--rates", "2000", "--out", str(tmp_path / "r.csv")])
+    assert rc == EXIT_INPUT
+
+
+def test_eval_rate_repeated_rate_is_input_error(dataset, bundle_path, tmp_path):
+    out = tmp_path / "r.csv"
+    rc = main(["eval-rate", "--bundle", str(bundle_path), "--dataset", str(dataset),
+               "--rates", "100,300,100.0", "--out", str(out)])
+    assert rc == EXIT_INPUT
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["detect --rate=0", "detect --rate=-5", "detect --rate=nan",
+                                     "eval-rate --rates=0", "eval-rate --rates=nan"])
+def test_bad_rate_is_input_error(dataset, bundle_path, tmp_path, command):
+    command = command.split()
+    entry = read_manifest(dataset / "manifest.csv")[0]
+    where = (["--stream", str(dataset / entry.path)] if command[0] == "detect"
+             else ["--dataset", str(dataset), "--out", str(tmp_path / "r.csv")])
+    rc = main([command[0], "--bundle", str(bundle_path), *where, *command[1:]])
     assert rc == EXIT_INPUT
 
 
@@ -196,6 +240,30 @@ def test_eval_targets_rows(dataset, bundle_path, tmp_path):
     rows = read_csv(out)
     assert [r["target_count"] for r in rows] == ["0", "1", "2"]
     assert all(r["n_samples"] == "6" for r in rows)
+    # the pool at 300 pkts/s is E5/E7/E8; there is no random-triple column
+    assert out.read_text().splitlines()[0] == "target_count,n_samples,framework,E5,E7,E8"
+
+
+@pytest.mark.parametrize("rate,pool", [
+    (300.0, ["E5", "E7", "E8"]),             # normal gating
+    (100.0, [f"E{i}" for i in range(1, 9)]),  # fallback: the whole registry
+])
+def test_target_rows_add_up_to_the_rate_row(dataset, bundle_path, rate, pool):
+    bundle = load_bundle(bundle_path)
+    entries = read_manifest(dataset / "manifest.csv")
+
+    def data():
+        return ((load_stream(dataset / e.path), e.label) for e in entries)
+
+    (rate_row,) = evaluate_rate_sweep(bundle, data(), [rate]).rows
+    target_rows = evaluate_target_sweep(bundle, data(), [0, 1, 2], rate=rate).rows
+    assert [k for k in rate_row if k.startswith("E")] == pool
+    assert [k for k in target_rows[0] if k.startswith("E")] == pool
+    n = rate_row["n_samples"]
+    assert sum(row["n_samples"] for row in target_rows) == n == len(entries)
+    for column in ["framework", *pool]:
+        hits = sum(round(row[column] * row["n_samples"]) for row in target_rows)
+        assert hits == round(rate_row[column] * n), column
 
 
 def test_eval_targets_missing_count(dataset, bundle_path, tmp_path):
@@ -294,6 +362,22 @@ def test_detect_deeply_nested_bundle_is_format_error(dataset, tmp_path):
     bad.write_bytes(struct.pack("<4sIQ", BUNDLE_MAGIC, BUNDLE_VERSION, len(body)) + body)
     rc = main(["detect", "--bundle", str(bad), "--stream", str(dataset / entry.path),
                "--rate", "100"])
+    assert rc == EXIT_FORMAT
+
+
+@pytest.mark.parametrize("hyperparams", [{"bootstrap": "false"}, {"max_depth": None},
+                                         {"trees": 5}])
+def test_detect_bundle_with_bad_hyperparams_is_format_error(dataset, bundle_path, tmp_path,
+                                                            hyperparams):
+    entry = read_manifest(dataset / "manifest.csv")[0]
+    payload = bundle_to_jsonable(load_bundle(bundle_path))
+    assert payload["registry"][2]["classifier"] == "forest"
+    payload["registry"][2]["hyperparams"] = hyperparams
+    bad = tmp_path / "bad_hyperparams.moe"
+    body = json.dumps(payload, sort_keys=True).encode("utf-8")
+    bad.write_bytes(struct.pack("<4sIQ", BUNDLE_MAGIC, BUNDLE_VERSION, len(body)) + body)
+    rc = main(["detect", "--bundle", str(bad), "--stream", str(dataset / entry.path),
+               "--rate", "500"])
     assert rc == EXIT_FORMAT
 
 

@@ -55,6 +55,8 @@ def test_filter_boundary_inclusive():
 def test_filter_rejects_nonpositive_rate():
     with pytest.raises(InputError):
         filter_by_rate(default_registry(), 0.0)
+    with pytest.raises(InputError):
+        filter_by_rate(default_registry(), float("nan"))
 
 
 def test_rate_monotonicity():
@@ -195,7 +197,7 @@ def test_decide_normal_mode_respects_rate():
     rng = np.random.default_rng(2)
     lib = small_library(rng)
     x = {D: fv(rng.uniform(size=4))}
-    decision = decide(small_registry(), lib, x, 250.0, k=3)
+    decision = decide(small_registry(), lib, x, 250.0)
     assert decision.mode is GatingMode.NORMAL
     assert decision.eligible == {"A2", "A3"}
     assert set(decision.selected) <= decision.eligible
@@ -206,7 +208,7 @@ def test_decide_fallback_over_full_registry():
     rng = np.random.default_rng(3)
     lib = small_library(rng)
     x = {D: fv(rng.uniform(size=4))}
-    decision = decide(small_registry(), lib, x, 50.0, k=3)
+    decision = decide(small_registry(), lib, x, 50.0)
     assert decision.mode is GatingMode.FALLBACK
     assert decision.eligible == set()
     assert len(decision.selected) == 3
@@ -216,7 +218,7 @@ def test_decide_weights_are_clipped_normalized_scores():
     rng = np.random.default_rng(4)
     lib = small_library(rng)
     x = {D: fv(rng.uniform(size=4))}
-    decision = decide(small_registry(), lib, x, 500.0, k=3)
+    decision = decide(small_registry(), lib, x, 500.0)
     clipped = np.maximum([decision.scores[eid] for eid in decision.selected], 0.0)
     expected = clipped / clipped.sum() if clipped.sum() > 0 else np.full(3, 1 / 3)
     assert np.allclose(decision.weights, expected, atol=1e-12)
@@ -232,7 +234,7 @@ def test_decide_uniform_when_all_scores_clip_to_zero():
     rng = np.random.default_rng(5)
     lib = small_library(rng)
     x = {D: fv([0.5, 0.5, 0.5, 0.5])}  # zero variance, all scores 0
-    decision = decide(small_registry(), lib, x, 500.0, k=3)
+    decision = decide(small_registry(), lib, x, 500.0)
     assert np.allclose(decision.weights, [1 / 3] * 3)
 
 
@@ -347,6 +349,28 @@ def test_spec_rejects_nonfinite_or_nonpositive_rates(field, bad):
     rates = {"required_rate": 300.0, "nominal_rate": 300.0, field: bad}
     with pytest.raises(ConfigurationError):
         ExpertSpec("X", D, ClassifierKind.FOREST, **rates)
+
+
+@pytest.mark.parametrize("kind,hyperparams,ok", [
+    (ClassifierKind.KNN, {"k": 5}, True),
+    (ClassifierKind.LINEAR_SVM, {"epochs": 10, "step_size": 1, "l2": 0.5}, True),
+    (ClassifierKind.FOREST, {"num_trees": 3, "max_depth": 2, "bootstrap": False}, True),
+    (ClassifierKind.KNN, {"k": 5.0}, False),
+    (ClassifierKind.KNN, {"k": True}, False),
+    (ClassifierKind.KNN, {"epochs": 5}, False),
+    (ClassifierKind.LINEAR_SVM, {"step_size": float("nan")}, False),
+    (ClassifierKind.LINEAR_SVM, {"l2": "0.1"}, False),
+    (ClassifierKind.FOREST, {"bootstrap": 0}, False),
+    (ClassifierKind.FOREST, {"max_depth": None}, False),
+])
+def test_spec_checks_hyperparam_names_and_types(kind, hyperparams, ok):
+    spec = {"id": "X", "feature": "doppler", "classifier": kind.value, "required_rate": 300.0,
+            "hyperparams": hyperparams}
+    if ok:
+        assert spec_from_jsonable(spec).hyperparams == hyperparams
+    else:
+        with pytest.raises(ConfigurationError):
+            spec_from_jsonable(spec)
 
 
 def test_validate_registry_duplicate():

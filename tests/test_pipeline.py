@@ -231,7 +231,7 @@ def test_detect_equals_manual_composition(small_bundle, probe_stream):
         D: extract_feature(observed, D, cfg),
         S: extract_feature(observed, S, cfg),
     }
-    decision = decide(small_bundle.registry, small_bundle.templates, features, rate, 3)
+    decision = decide(small_bundle.registry, small_bundle.templates, features, rate)
     posteriors = []
     for eid in decision.selected:
         spec = small_bundle.spec(eid)
