@@ -40,7 +40,6 @@ from .gating import (
     filter_by_rate,
     fuse,
     load_registry,
-    save_registry,
     score_experts,
     select_top_k,
 )

@@ -414,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--counts", type=_int_list, default=list(DEFAULT_TARGET_COUNTS))
     p.add_argument("--rate", type=float, default=DEFAULT_SWEEP_RATE)
     p.add_argument("--out", required=True, help="CSV output path")
-    p.add_argument("--seed", type=int, default=42)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("detect", help="detect the target count in one stream")

@@ -44,8 +44,8 @@ _HYPERPARAM_TYPES = {
 
 
 def _has_json_type(value: Any, expected: type) -> bool:
-    """A float field takes any finite number; int and bool fields take only
-    their own type (a bool is no int, and 5.0 is no int)."""
+    """A float field takes any finite number; every other field takes only
+    its own type (a bool is no int, and 5.0 is no int)."""
     if expected is float:
         return type(value) in (int, float) and -math.inf < value < math.inf
     return type(value) is expected
@@ -290,17 +290,26 @@ def spec_to_jsonable(spec: ExpertSpec) -> dict[str, Any]:
     }
 
 
+# The JSON type each registry entry field must have; nothing is coerced.
+_ENTRY_TYPES = {"id": (str, "string"), "required_rate": (float, "number"),
+                "nominal_rate": (float, "number"), "hyperparams": (dict, "object")}
+
+
 def spec_from_jsonable(d: dict[str, Any]) -> ExpertSpec:
     try:
+        for name, (expected, json_name) in _ENTRY_TYPES.items():
+            if name in d and not _has_json_type(d[name], expected):
+                raise ConfigurationError(f"registry entry field {name} must be a JSON "
+                                         f"{json_name}, got {d[name]!r}")
         return ExpertSpec(
-            id=str(d["id"]),
+            id=d["id"],
             feature_kind=FeatureKind(d["feature"]),
             classifier_kind=ClassifierKind(d["classifier"]),
             required_rate=float(d["required_rate"]),
             nominal_rate=float(d["nominal_rate"]) if "nominal_rate" in d else None,
             hyperparams=dict(d.get("hyperparams", {})),
         )
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise ConfigurationError(f"bad registry entry {d!r}: {exc}") from exc
 
 
@@ -314,8 +323,3 @@ def load_registry(path: str | Path) -> list[ExpertSpec]:
     registry = [spec_from_jsonable(entry) for entry in raw["experts"]]
     validate_registry(registry)
     return registry
-
-
-def save_registry(registry: Sequence[ExpertSpec], path: str | Path) -> None:
-    payload = {"experts": [spec_to_jsonable(s) for s in registry]}
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")

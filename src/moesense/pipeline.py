@@ -13,7 +13,11 @@ import copy
 import hashlib
 import json
 import math
+import multiprocessing
+import os
 import struct
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Sequence
@@ -176,6 +180,24 @@ def _train_expert(spec: ExpertSpec, data: LabeledDataset, seed: int) -> Model:
     return train_forest(data, seed=seed, **spec.hyperparams)
 
 
+def _train_experts(jobs: Sequence[tuple[ExpertSpec, LabeledDataset, int]]) -> list[Model]:
+    """`_train_expert` over `jobs`, in one forked worker process per usable
+    CPU up to the job count.
+
+    A model depends only on its own job, so its bytes do not depend on the
+    worker count. Models come back in job order, and a failure is that of
+    the first failing job in that order. No worker outlives the call.
+    """
+    workers = min(len(jobs), len(os.sched_getaffinity(0)))
+    # Forked workers start without re-importing numpy and moesense.
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        try:
+            futures = [pool.submit(_train_expert, *job) for job in jobs]
+            return [future.result() for future in futures]
+        except BrokenProcessPool as exc:
+            raise TrainingError(f"an expert training worker died: {exc}") from exc
+
+
 def _extract_feature_table(
     streams: Iterable[CsiStream],
     labels: Sequence[int],
@@ -247,7 +269,6 @@ def build_bundle(
     master = np.random.default_rng(seed)
     expert_seeds = {spec.id: int(s) for spec, s in zip(ordered, master.integers(0, 2**63, len(ordered)))}
 
-    models: dict[str, Model] = {}
     templates = TemplateLibrary()
     val_accuracy: dict[str, float] = {}
     val_label_arr = np.asarray(val_labels, dtype=np.int64)
@@ -261,13 +282,14 @@ def build_bundle(
         )
         templates.set_scaler(kind, pooled.mean(axis=0), pooled.std(axis=0))
 
-    for spec in ordered:
-        key = (spec.nominal_rate, spec.feature_kind)
-        data = LabeledDataset.build(train_table[key], train_labels, num_classes)
-        model = _train_expert(spec, data, expert_seeds[spec.id])
-        models[spec.id] = model
+    jobs = [(spec, LabeledDataset.build(train_table[(spec.nominal_rate, spec.feature_kind)],
+                                        train_labels, num_classes), expert_seeds[spec.id])
+            for spec in ordered]
+    models = {spec.id: model for spec, model in zip(ordered, _train_experts(jobs))}
 
-        val_features = val_table[key]
+    for spec in ordered:
+        model = models[spec.id]
+        val_features = val_table[(spec.nominal_rate, spec.feature_kind)]
         preds = np.array([int(np.argmax(predict_posterior(model, fv))) for fv in val_features])
         correct = preds == val_label_arr
         val_accuracy[spec.id] = float(correct.mean())

@@ -1,13 +1,24 @@
 import csv
 import json
+import os
 import struct
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from moesense import pipeline
 from moesense.cli import evaluate_rate_sweep, evaluate_target_sweep, main
-from moesense.errors import EXIT_CONFIG, EXIT_FORMAT, EXIT_INPUT, EXIT_IO, EXIT_OK
+from moesense.errors import (
+    EXIT_CONFIG,
+    EXIT_FORMAT,
+    EXIT_INPUT,
+    EXIT_IO,
+    EXIT_OK,
+    EXIT_TRAINING,
+    TrainingError,
+)
 from moesense.pipeline import BUNDLE_MAGIC, BUNDLE_VERSION, bundle_to_jsonable, load_bundle
 from moesense.simulate import load_stream, read_manifest
 
@@ -141,6 +152,55 @@ def test_train_malformed_registry_is_config_error(dataset, tmp_path, case):
     assert not (tmp_path / "b.moe").exists()
 
 
+def test_train_reports_the_first_failing_expert_in_id_order(dataset, tmp_path, monkeypatch,
+                                                             capsys):
+    def svm_fails(data, **hyperparams):
+        raise TrainingError("svm expert failed")
+
+    def knn_fails_later(data, **hyperparams):
+        time.sleep(0.5)  # the SVM, later in id order, fails first
+        raise TrainingError("knn expert failed")
+
+    monkeypatch.setattr(pipeline, "train_linear_svm", svm_fails)
+    monkeypatch.setattr(pipeline, "train_knn", knn_fails_later)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})  # a two-worker pool
+    registry = {"experts": [
+        {"id": "A", "feature": "doppler", "classifier": "knn", "required_rate": 300.0},
+        {"id": "B", "feature": "amp_stats", "classifier": "svm", "required_rate": 300.0},
+    ]}
+    reg_path = tmp_path / "registry.json"
+    reg_path.write_text(json.dumps(registry))
+    rc = main(["train", "--dataset", str(dataset), "--out", str(tmp_path / "b.moe"),
+               "--registry", str(reg_path)])
+    assert rc == EXIT_TRAINING
+    assert "knn expert failed" in capsys.readouterr().err
+    assert not (tmp_path / "b.moe").exists()
+
+
+# Entry fields whose JSON type is wrong, each of which used to be converted.
+MISTYPED_ENTRY_FIELDS = {
+    "id_null": {"id": None},
+    "id_number": {"id": 7},
+    "hyperparams_pairs": {"hyperparams": [["epochs", 3]]},
+    "required_rate_string": {"required_rate": "600"},
+    "nominal_rate_string": {"nominal_rate": "300"},
+    "required_rate_bool": {"required_rate": True},
+    "required_rate_huge_int": {"required_rate": 10**400},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISTYPED_ENTRY_FIELDS))
+def test_train_registry_with_mistyped_field_is_config_error(dataset, tmp_path, case):
+    entry = {"id": "E1", "feature": "doppler", "classifier": "svm", "required_rate": 600.0,
+             **MISTYPED_ENTRY_FIELDS[case]}
+    reg_path = tmp_path / "registry.json"
+    reg_path.write_text(json.dumps({"experts": [entry]}))
+    rc = main(["train", "--dataset", str(dataset), "--out", str(tmp_path / "b.moe"),
+               "--registry", str(reg_path)])
+    assert rc == EXIT_CONFIG
+    assert not (tmp_path / "b.moe").exists()
+
+
 def test_train_missing_dataset(tmp_path):
     rc = main(["train", "--dataset", str(tmp_path / "nope"), "--out", str(tmp_path / "b.moe")])
     assert rc == EXIT_INPUT
@@ -266,6 +326,17 @@ def test_target_rows_add_up_to_the_rate_row(dataset, bundle_path, rate, pool):
         assert hits == round(rate_row[column] * n), column
 
 
+def test_eval_targets_has_no_seed_option(dataset, bundle_path, tmp_path, capsys):
+    # the target sweep draws no random triple, so a seed would have no effect
+    with pytest.raises(SystemExit) as exc:
+        main(["eval-targets", "--bundle", str(bundle_path), "--dataset", str(dataset),
+              "--counts", "0,1", "--rate", "300", "--out", str(tmp_path / "t.csv"),
+              "--seed", "1"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_eval_targets_missing_count(dataset, bundle_path, tmp_path):
     rc = main(["eval-targets", "--bundle", str(bundle_path), "--dataset", str(dataset),
                "--counts", "0,7", "--rate", "300", "--out", str(tmp_path / "t.csv")])
@@ -378,6 +449,21 @@ def test_detect_bundle_with_bad_hyperparams_is_format_error(dataset, bundle_path
     bad.write_bytes(struct.pack("<4sIQ", BUNDLE_MAGIC, BUNDLE_VERSION, len(body)) + body)
     rc = main(["detect", "--bundle", str(bad), "--stream", str(dataset / entry.path),
                "--rate", "500"])
+    assert rc == EXIT_FORMAT
+
+
+@pytest.mark.parametrize("case", sorted(MISTYPED_ENTRY_FIELDS))
+def test_detect_bundle_with_mistyped_registry_field_is_format_error(dataset, bundle_path,
+                                                                    tmp_path, case):
+    entry = read_manifest(dataset / "manifest.csv")[0]
+    payload = bundle_to_jsonable(load_bundle(bundle_path))
+    assert payload["registry"][0]["classifier"] == "svm"
+    payload["registry"][0].update(MISTYPED_ENTRY_FIELDS[case])
+    bad = tmp_path / "mistyped.moe"
+    body = json.dumps(payload, sort_keys=True).encode("utf-8")
+    bad.write_bytes(struct.pack("<4sIQ", BUNDLE_MAGIC, BUNDLE_VERSION, len(body)) + body)
+    rc = main(["detect", "--bundle", str(bad), "--stream", str(dataset / entry.path),
+               "--rate", "600"])
     assert rc == EXIT_FORMAT
 
 

@@ -15,7 +15,6 @@ from moesense.gating import (
     filter_by_rate,
     fuse,
     load_registry,
-    save_registry,
     score_experts,
     select_top_k,
     spec_from_jsonable,
@@ -306,7 +305,7 @@ def test_fuse_length_mismatch():
 
 def test_registry_round_trip(tmp_path):
     path = tmp_path / "registry.json"
-    save_registry(default_registry(), path)
+    path.write_text(json.dumps({"experts": [spec_to_jsonable(s) for s in default_registry()]}))
     loaded = load_registry(path)
     assert loaded == default_registry()
 

@@ -1,10 +1,14 @@
 import hashlib
 import json
+import multiprocessing
+import os
 import struct
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
+from moesense import pipeline
 from moesense.classifiers import predict_posterior
 from moesense.errors import ConfigurationError, FormatError, TrainingError
 from moesense.features import DopplerConfig, FeatureKind
@@ -107,6 +111,72 @@ def test_bundle_build_deterministic():
     a = build_bundle(tr_s, tr_l, va_s, va_l, reg, seed=5)
     b = build_bundle(iter(tr_s), tr_l, iter(va_s), va_l, reg, seed=5)
     assert serialize_bundle(a) == serialize_bundle(b)
+
+
+def use_cpus(monkeypatch, n):
+    """Make `build_bundle` see `n` usable CPUs, whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def small_split(seed):
+    streams, labels = make_streams(1, 8, seed=seed)
+    return split_train_val(streams, labels, seed=seed)
+
+
+@pytest.mark.parametrize("registry", [
+    default_registry(),
+    [ExpertSpec("K", D, ClassifierKind.KNN, 300.0, hyperparams={"k": 3}),
+     ExpertSpec("S", S, ClassifierKind.LINEAR_SVM, 500.0, hyperparams={"epochs": 20}),
+     ExpertSpec("T", S, ClassifierKind.FOREST, 300.0, hyperparams={"num_trees": 4})],
+], ids=["default", "knn_svm_forest"])
+def test_bundle_bytes_do_not_depend_on_the_worker_count(monkeypatch, registry):
+    split = small_split(23)
+    built = {}
+    for cpus in (1, 2, 3):
+        use_cpus(monkeypatch, cpus)
+        built[cpus] = serialize_bundle(build_bundle(*split, registry, seed=9))
+    assert built[1] == built[2] == built[3]
+
+
+def test_no_training_worker_outlives_build_bundle(monkeypatch):
+    use_cpus(monkeypatch, 2)
+    split = small_split(25)
+    build_bundle(*split, default_registry(), seed=1)
+    assert multiprocessing.active_children() == []
+
+    def fails(data, **hyperparams):
+        raise TrainingError("knn failed")
+
+    monkeypatch.setattr(pipeline, "train_knn", fails)
+    with pytest.raises(TrainingError, match="knn failed"):
+        build_bundle(*split, default_registry(), seed=1)
+    assert multiprocessing.active_children() == []
+
+
+def test_dead_training_worker_is_training_error(monkeypatch):
+    parent = os.getpid()
+
+    def dies(data, **kwargs):
+        assert os.getpid() != parent, "the expert trained in the calling process"
+        os._exit(1)
+
+    use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(pipeline, "train_forest", dies)
+    with pytest.raises(TrainingError, match="worker died"):
+        build_bundle(*small_split(25), default_registry(), seed=1)
+    assert multiprocessing.active_children() == []
+
+
+def test_pool_broken_while_submitting_is_training_error(monkeypatch):
+    class BreaksOnSubmit(pipeline.ProcessPoolExecutor):
+        def submit(self, fn, *args, **kwargs):
+            raise BrokenProcessPool("a worker died before all jobs were submitted")
+
+    use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", BreaksOnSubmit)
+    with pytest.raises(TrainingError, match="worker died"):
+        build_bundle(*small_split(25), default_registry(), seed=1)
+    assert multiprocessing.active_children() == []
 
 
 def test_feature_table_equals_decimate_then_extract():
