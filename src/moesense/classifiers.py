@@ -15,7 +15,7 @@ from typing import Any, NamedTuple, Sequence
 import numpy as np
 
 from .errors import InputError, TrainingError
-from .features import FeatureKind, FeatureVector
+from .features import FeatureKind, FeatureVector, finite_array
 
 KNN_DEFAULTS = {"k": 5}
 SVM_DEFAULTS = {"epochs": 200, "step_size": 0.01, "l2": 1e-3}
@@ -100,7 +100,7 @@ class KnnModel:
 
     @classmethod
     def from_jsonable(cls, d: dict[str, Any]) -> "KnnModel":
-        matrix = np.asarray(d["matrix"], dtype=np.float64)
+        matrix = finite_array(d["matrix"], "knn matrix")
         labels = np.asarray(d["labels"], dtype=np.int64)
         k, num_classes = int(d["k"]), int(d["num_classes"])
         if (matrix.ndim != 2 or labels.shape != (len(matrix),) or not 1 <= k <= len(labels)
@@ -155,7 +155,7 @@ class LinearSvmModel:
 
     @classmethod
     def from_jsonable(cls, d: dict[str, Any]) -> "LinearSvmModel":
-        weights, biases, mean, std = (np.asarray(d[key], dtype=np.float64)
+        weights, biases, mean, std = (finite_array(d[key], f"svm {key}")
                                       for key in ("weights", "biases", "mean", "std"))
         num_classes = int(d["num_classes"])
         if (weights.ndim != 2 or not biases.shape == (len(weights),) == (num_classes,)
@@ -253,9 +253,9 @@ class Tree(NamedTuple):
     def from_jsonable(cls, d: dict[str, Any], n_features: int, num_classes: int) -> "Tree":
         """Convert the arrays once, checking that every walk ends at a leaf."""
         feature = np.asarray(d["feature"])
-        threshold = np.asarray(d["threshold"], dtype=np.float64)
+        threshold = finite_array(d["threshold"], "tree threshold")
         right = np.asarray(d["right"])
-        leaves = np.asarray(d["leaves"], dtype=np.float64)
+        leaves = finite_array(d["leaves"], "tree leaves")
         n = len(feature)
         if n == 0 or not feature.shape == threshold.shape == right.shape == (n,):
             raise ValueError("tree node arrays must be 1-D, non-empty and of equal length")

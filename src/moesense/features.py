@@ -35,6 +35,8 @@ _ZERO_ENERGY_EPS = 1e-15
 # and overflow, so its denominator is computed at full precision.
 _SAFE_SUMSQ = (2.0**-500, 2.0**500)
 
+_max, _min, _sum = np.maximum.reduce, np.minimum.reduce, np.add.reduce
+
 
 class FeatureKind(enum.Enum):
     DOPPLER_ENERGY = "doppler"
@@ -61,8 +63,9 @@ class DopplerConfig:
     def __post_init__(self) -> None:
         if self.num_bins < 2:
             raise ConfigurationError(f"num_bins must be >= 2, got {self.num_bins}")
-        if not self.max_freq_hz > 0:  # NaN fails too
-            raise ConfigurationError(f"max_freq_hz must be positive, got {self.max_freq_hz}")
+        if not 0 < self.max_freq_hz < math.inf:  # NaN fails too
+            raise ConfigurationError(f"max_freq_hz must be finite and positive, "
+                                     f"got {self.max_freq_hz}")
 
     def clipped_to_rate(self, packet_rate: float) -> "DopplerConfig":
         """Same bin count with the top frequency clipped to Nyquist."""
@@ -146,12 +149,15 @@ def pearson(a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarray) ->
         raise InputError(f"length mismatch: {x.shape} vs {y.shape}")
     if x.size < 2:
         raise InputError(f"need at least 2 points, got {x.size}")
-    # ptp == 0 catches constant inputs exactly, before mean-subtraction
-    # rounding can manufacture a spurious nonzero variance
-    if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
+    # A zero range catches constant inputs exactly, before mean-subtraction
+    # rounding can manufacture a spurious nonzero variance. The bare ufunc
+    # reductions compute what np.ptp and ndarray.mean do, without their
+    # dispatch overhead: the gate calls this once per scored centroid.
+    if (_max(x, axis=None) - _min(x, axis=None) == 0.0
+            or _max(y, axis=None) - _min(y, axis=None) == 0.0):
         return 0.0
-    xc = x - x.mean()
-    yc = y - y.mean()
+    xc = x - _sum(x, axis=None) / x.size
+    yc = y - _sum(y, axis=None) / y.size
     with np.errstate(over="ignore", under="ignore"):
         vx = float(xc @ xc)
         vy = float(yc @ yc)
@@ -181,6 +187,18 @@ def feature_to_jsonable(fv: FeatureVector) -> dict:
     }
 
 
+def finite_array(values, what: str) -> np.ndarray:
+    """`values` as a float64 array; ValueError if any of them is NaN or infinite.
+
+    Decoders call this on every number list they read: json reads an
+    out-of-range literal such as 1e999 as an infinity.
+    """
+    arr = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} holds a non-finite number")
+    return arr
+
+
 def feature_from_jsonable(d: dict) -> FeatureVector:
-    return FeatureVector(FeatureKind(d["kind"]), np.asarray(d["values"], dtype=np.float64),
-                         float(d["source_rate"]))
+    return FeatureVector(FeatureKind(d["kind"]), finite_array(d["values"], "feature"),
+                         float(finite_array(d["source_rate"], "feature source rate")))

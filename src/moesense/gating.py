@@ -134,21 +134,39 @@ class TemplateLibrary:
     z-scored vectors, which keeps heterogeneous-scale features such as the
     amplitude statistics from saturating every correlation near 1. Libraries
     without scalers correlate raw vectors.
+
+    Each centroid is also kept as `score_experts` correlates it: scaled once,
+    whenever its centroids or its kind's scaler are set, never per request.
     """
 
     def __init__(self, centroids: Mapping[str, Mapping[int, FeatureVector]] | None = None):
-        self._centroids: dict[str, dict[int, FeatureVector]] = {
-            eid: dict(by_class) for eid, by_class in (centroids or {}).items()
-        }
+        self._centroids: dict[str, dict[int, FeatureVector]] = {}
+        self._scaled: dict[str, list[tuple[FeatureKind, np.ndarray | None]]] = {}
         self._scalers: dict[FeatureKind, tuple[np.ndarray, np.ndarray]] = {}
+        for eid, by_class in (centroids or {}).items():
+            self.set_centroids(eid, by_class)
 
     def set_centroids(self, expert_id: str, by_class: Mapping[int, FeatureVector]) -> None:
         self._centroids[expert_id] = dict(by_class)
+        self._scale(expert_id)
+
+    def _scale(self, expert_id: str) -> None:
+        self._scaled[expert_id] = [(c.kind, _scaled(c.values, self._scalers.get(c.kind)))
+                                   for c in self._centroids[expert_id].values()]
 
     def centroids(self, expert_id: str) -> dict[int, FeatureVector]:
+        self._check_known(expert_id)
+        return dict(self._centroids[expert_id])
+
+    def scaled_centroids(self, expert_id: str) -> list[tuple[FeatureKind, np.ndarray | None]]:
+        """Each centroid's kind and its vector as the gate correlates it
+        (see `_scaled`), in the order of `centroids`."""
+        self._check_known(expert_id)
+        return self._scaled[expert_id]
+
+    def _check_known(self, expert_id: str) -> None:
         if expert_id not in self._centroids:
             raise ConfigurationError(f"no template entry for expert {expert_id}")
-        return self._centroids[expert_id]
 
     def expert_ids(self) -> list[str]:
         return sorted(self._centroids)
@@ -159,6 +177,8 @@ class TemplateLibrary:
     def set_scaler(self, kind: FeatureKind, mean: np.ndarray, std: np.ndarray) -> None:
         std = np.where(np.asarray(std) > 0, std, 1.0)
         self._scalers[kind] = (np.asarray(mean, dtype=np.float64), std.astype(np.float64))
+        for eid in self._centroids:
+            self._scale(eid)
 
     def scaler(self, kind: FeatureKind) -> tuple[np.ndarray, np.ndarray] | None:
         return self._scalers.get(kind)
@@ -174,20 +194,19 @@ def filter_by_rate(registry: Sequence[ExpertSpec], current_rate: float) -> set[s
     return {spec.id for spec in registry if spec.required_rate <= current_rate}
 
 
-def _template_correlation(
-    feature: FeatureVector, centroid: FeatureVector, templates: TemplateLibrary
-) -> float:
-    a = np.asarray(feature.values, dtype=np.float64)
-    b = np.asarray(centroid.values, dtype=np.float64)
-    # Zero-variance convention applies to the raw vectors, before any scaling.
-    if np.ptp(a) == 0.0 or np.ptp(b) == 0.0:
-        return 0.0
-    scaler = templates.scaler(centroid.kind)
+def _scaled(values: np.ndarray, scaler: tuple[np.ndarray, np.ndarray] | None
+            ) -> np.ndarray | None:
+    """`values` as the gate correlates them: None when the raw vector is
+    constant, which scores 0.0 whatever it is matched with, and otherwise
+    standardized by `scaler` if there is one."""
+    v = np.asarray(values, dtype=np.float64)
+    # The zero-variance convention applies to the raw vector, before scaling.
+    if np.ptp(v) == 0.0:
+        return None
     if scaler is not None:
         mean, std = scaler
-        a = (a - mean) / std
-        b = (b - mean) / std
-    return pearson(a, b)
+        v = (v - mean) / std
+    return v
 
 
 def score_experts(
@@ -195,20 +214,26 @@ def score_experts(
     templates: TemplateLibrary,
     candidate_ids: Iterable[str],
 ) -> dict[str, float]:
-    """Max-over-class Pearson correlation against each candidate's centroids."""
+    """Max-over-class Pearson correlation against each candidate's centroids.
+
+    The library holds its centroids already scaled; each stream feature is
+    scaled once, when the first centroid of its kind needs it.
+    """
     scores: dict[str, float] = {}
+    features: dict[FeatureKind, np.ndarray | None] = {}
     for eid in candidate_ids:
-        centroids = templates.centroids(eid)
+        centroids = templates.scaled_centroids(eid)
         if not centroids:
             scores[eid] = NO_TEMPLATE_SCORE
             continue
         best = -np.inf
-        for centroid in centroids.values():
-            if centroid.kind not in stream_features:
-                raise InputError(
-                    f"no {centroid.kind.value} feature supplied for expert {eid}"
-                )
-            r = _template_correlation(stream_features[centroid.kind], centroid, templates)
+        for kind, centroid in centroids:
+            if kind not in features:
+                if kind not in stream_features:
+                    raise InputError(f"no {kind.value} feature supplied for expert {eid}")
+                features[kind] = _scaled(stream_features[kind].values, templates.scaler(kind))
+            feature = features[kind]
+            r = 0.0 if feature is None or centroid is None else pearson(feature, centroid)
             best = max(best, r)
         scores[eid] = float(best)
     return scores

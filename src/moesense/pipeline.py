@@ -46,6 +46,7 @@ from .features import (
     extract_doppler,
     feature_from_jsonable,
     feature_to_jsonable,
+    finite_array,
     mean_amplitude_series,
 )
 from .gating import (
@@ -384,19 +385,18 @@ def bundle_to_jsonable(bundle: TrainedBundle) -> dict[str, Any]:
 def bundle_from_jsonable(payload: dict[str, Any]) -> TrainedBundle:
     registry = tuple(spec_from_jsonable(d) for d in payload["registry"])
     models = {eid: model_from_jsonable(d) for eid, d in payload["models"].items()}
-    templates = TemplateLibrary(
-        {
-            eid: {int(label): feature_from_jsonable(d) for label, d in by_class.items()}
-            for eid, by_class in payload["templates"].items()
-        }
-    )
-    for kind_tag, scaler in payload.get("scalers", {}).items():
-        templates.set_scaler(
-            FeatureKind(kind_tag),
-            np.asarray(scaler["mean"], dtype=np.float64),
-            np.asarray(scaler["std"], dtype=np.float64),
-        )
-    bundle = TrainedBundle(registry, models, templates, copy.deepcopy(payload["metadata"]))
+    templates = TemplateLibrary()
+    # Scalers first, so that each centroid is scaled once, as it is set.
+    for kind_tag, scaler in payload["scalers"].items():
+        templates.set_scaler(FeatureKind(kind_tag),
+                             finite_array(scaler["mean"], f"{kind_tag} scaler mean"),
+                             finite_array(scaler["std"], f"{kind_tag} scaler std"))
+    for eid, by_class in payload["templates"].items():
+        templates.set_centroids(
+            eid, {int(label): feature_from_jsonable(d) for label, d in by_class.items()})
+    metadata = copy.deepcopy(payload["metadata"])
+    finite_array([metadata["seed"], *metadata["validation_accuracy"].values()], "metadata")
+    bundle = TrainedBundle(registry, models, templates, metadata)
     _check_parts_agree(bundle)
     return bundle
 
@@ -417,6 +417,10 @@ def _check_parts_agree(bundle: TrainedBundle) -> None:
             if (centroid.kind is not spec.feature_kind or centroid.values.shape != (width,)
                     or not 0 <= label < num_classes):
                 raise FormatError(f"template centroid {label} of {spec.id} does not fit its model")
+    unscaled = sorted({spec.feature_kind.value for spec in bundle.registry
+                       if bundle.templates.scaler(spec.feature_kind) is None})
+    if unscaled:
+        raise FormatError(f"no scaler for the {', '.join(unscaled)} features")
     for kind in bundle.templates.scaler_kinds():
         if any(a.shape != (widths[kind],) for a in bundle.templates.scaler(kind)):
             raise FormatError(f"{kind.value} scaler is not {widths[kind]} wide")
@@ -440,10 +444,16 @@ def deserialize_bundle(data: bytes) -> TrainedBundle:
     if len(payload) != length:
         raise FormatError(f"bundle truncated: payload {len(payload)} bytes, expected {length}")
     try:
-        return bundle_from_jsonable(json.loads(payload.decode("utf-8")))
+        return bundle_from_jsonable(json.loads(payload.decode("utf-8"),
+                                               parse_constant=_refuse_constant))
     except (KeyError, ValueError, TypeError, AttributeError, OverflowError, RecursionError,
             ConfigurationError) as exc:
         raise FormatError(f"bundle payload malformed: {exc}") from exc
+
+
+def _refuse_constant(name: str) -> float:
+    """json reads NaN, Infinity and -Infinity as numbers; a bundle holds none."""
+    raise ValueError(f"non-finite number {name}")
 
 
 def save_bundle(bundle: TrainedBundle, path: str | Path) -> None:

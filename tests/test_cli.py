@@ -426,6 +426,20 @@ def test_detect_bundle_with_nan_required_rate_is_format_error(dataset, bundle_pa
     assert rc == EXIT_FORMAT
 
 
+@pytest.mark.parametrize("literal", ["NaN", "1e999"])
+def test_detect_bundle_with_non_finite_scaler_is_format_error(dataset, bundle_path, tmp_path,
+                                                              literal):
+    entry = read_manifest(dataset / "manifest.csv")[0]
+    payload = bundle_to_jsonable(load_bundle(bundle_path))
+    payload["scalers"]["amp_stats"]["mean"][0] = float("inf")
+    bad = tmp_path / "non_finite.moe"
+    body = json.dumps(payload, sort_keys=True).replace("Infinity", literal).encode("utf-8")
+    bad.write_bytes(struct.pack("<4sIQ", BUNDLE_MAGIC, BUNDLE_VERSION, len(body)) + body)
+    rc = main(["detect", "--bundle", str(bad), "--stream", str(dataset / entry.path),
+               "--rate", "300"])
+    assert rc == EXIT_FORMAT
+
+
 def test_detect_deeply_nested_bundle_is_format_error(dataset, tmp_path):
     entry = read_manifest(dataset / "manifest.csv")[0]
     body = b"[" * 200_000

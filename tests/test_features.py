@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -213,6 +215,66 @@ def test_pearson_properties(values, seed):
         alpha = float(rng.uniform(0.1, 5.0)) * (1 if seed % 2 else -1)
         beta = float(rng.uniform(-10, 10))
         assert pearson(a, alpha * a + beta) == pytest.approx(np.sign(alpha), abs=1e-9)
+
+
+def pearson_reference(a, b):
+    """pearson written with np.ptp and ndarray.mean; the gate's hot path
+    spells these reductions out, and must not change a bit."""
+    x = np.asarray(a, dtype=np.float64)
+    y = np.asarray(b, dtype=np.float64)
+    if x.shape != y.shape:
+        raise InputError(f"length mismatch: {x.shape} vs {y.shape}")
+    if x.size < 2:
+        raise InputError(f"need at least 2 points, got {x.size}")
+    if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
+        return 0.0
+    xc = x - x.mean()
+    yc = y - y.mean()
+    with np.errstate(over="ignore", under="ignore"):
+        vx = float(xc @ xc)
+        vy = float(yc @ yc)
+    if not (2.0**-500 < vx < 2.0**500 and 2.0**-500 < vy < 2.0**500):
+        xc = np.ldexp(xc, -math.frexp(float(np.abs(xc).max()))[1])
+        yc = np.ldexp(yc, -math.frexp(float(np.abs(yc).max()))[1])
+        vx = float(xc @ xc)
+        vy = float(yc @ yc)
+    if vx <= 0.0 or vy <= 0.0:
+        return 0.0
+    return float(xc @ yc) / math.sqrt(vx * vy)
+
+
+@st.composite
+def pearson_inputs(draw):
+    """Two vectors of one length: scaled far into the tiny or the huge range,
+    constant, integer, or any floats at all (NaN, infinities, subnormals)."""
+    n = draw(st.integers(1, 12))
+
+    def vector():
+        shape = draw(st.sampled_from(["scaled", "constant", "integers", "any"]))
+        if shape == "constant":
+            return [draw(st.floats())] * n
+        if shape == "integers":
+            return draw(st.lists(st.integers(-1000, 1000), min_size=n, max_size=n))
+        if shape == "any":
+            return draw(st.lists(st.floats(), min_size=n, max_size=n))
+        unit = draw(st.lists(st.floats(-1, 1), min_size=n, max_size=n))
+        return np.ldexp(unit, draw(st.integers(-1074, 1023)))
+
+    return vector(), vector()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN and inf inputs warn in both
+@settings(max_examples=1000, deadline=None)
+@given(pearson_inputs())
+def test_pearson_equals_the_reference_bit_for_bit(ab):
+    a, b = ab
+    try:
+        expected = pearson_reference(a, b)
+    except InputError:
+        with pytest.raises(InputError):
+            pearson(a, b)
+        return
+    assert repr(pearson(a, b)) == repr(expected)  # tells -0.0 from 0.0, and NaN equals NaN
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moesense.errors import ConfigurationError, InputError
 from moesense.features import FeatureKind, FeatureVector, pearson
 from moesense.gating import (
+    NO_TEMPLATE_SCORE,
     ClassifierKind,
     ExpertSpec,
     GatingMode,
@@ -148,6 +151,116 @@ def test_scaler_separates_scale_dominated_vectors():
     lib.set_scaler(S, base - 0.01, np.array([0.05, 0.05, 0.05, 0.05, 0.05, 0.05]))
     scaled = score_experts({S: x}, lib, ["near", "far"])
     assert scaled["near"] > scaled["far"]
+
+
+def reference_scores(stream_features, lib, candidate_ids):
+    """The gate's scores by their definition, from the raw centroids: a
+    constant raw vector scores 0.0, the rest are scaled, then correlated."""
+    scores = {}
+    for eid in candidate_ids:
+        centroids = lib.centroids(eid)
+        if not centroids:
+            scores[eid] = NO_TEMPLATE_SCORE
+            continue
+        best = -np.inf
+        for centroid in centroids.values():
+            a = np.asarray(stream_features[centroid.kind].values, dtype=np.float64)
+            b = np.asarray(centroid.values, dtype=np.float64)
+            if np.ptp(a) == 0.0 or np.ptp(b) == 0.0:
+                r = 0.0
+            else:
+                scaler = lib.scaler(centroid.kind)
+                if scaler is not None:
+                    mean, std = scaler
+                    a = (a - mean) / std
+                    b = (b - mean) / std
+                r = pearson(a, b)
+            best = max(best, r)
+        scores[eid] = float(best)
+    return scores
+
+
+WIDTHS = {D: 5, S: 6}
+
+
+def vectors(width):
+    """Feature values, constant about half of the time."""
+    return st.one_of(
+        st.lists(st.floats(-10, 10), min_size=width, max_size=width),
+        st.floats(-10, 10).map(lambda v: [v] * width),
+    )
+
+
+@st.composite
+def scalers(draw, kind):
+    """A scaler for `kind`, or None; its std may have zero dimensions."""
+    if draw(st.booleans()):
+        return None
+    width = WIDTHS[kind]
+    mean = draw(st.lists(st.floats(-5, 5), min_size=width, max_size=width))
+    std = draw(st.lists(st.sampled_from([0.0, 0.01, 0.5, 1.0, 3.0]),
+                        min_size=width, max_size=width))
+    return np.array(mean), np.array(std)
+
+
+@st.composite
+def gates(draw):
+    """A library (experts of either kind, some with no centroids), the
+    stream's features and the scalers, set before or after the centroids."""
+    entries = {}
+    for i in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from([D, S]))
+        classes = draw(st.lists(st.integers(0, 5), max_size=4, unique=True))
+        entries[f"E{i}"] = {c: fv(draw(vectors(WIDTHS[kind])), kind) for c in classes}
+    features = {kind: fv(draw(vectors(WIDTHS[kind])), kind) for kind in (D, S)}
+    by_kind = {kind: draw(scalers(kind)) for kind in (D, S)}
+    lib = TemplateLibrary()
+
+    def set_centroids():
+        for eid, by_class in entries.items():
+            lib.set_centroids(eid, by_class)
+
+    def set_scalers():
+        for kind, scaler in by_kind.items():
+            if scaler is not None:
+                lib.set_scaler(kind, *scaler)
+
+    for step in draw(st.permutations([set_centroids, set_scalers])):
+        step()
+    return lib, features, sorted(entries)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gates(), st.data())
+def test_scores_equal_the_reference_exactly(gate, data):
+    lib, features, ids = gate
+    assert score_experts(features, lib, ids) == reference_scores(features, lib, ids)
+    # Whatever is set after scoring counts in the next scores.
+    kind = data.draw(st.sampled_from([D, S]))
+    scaler = data.draw(scalers(kind))
+    if scaler is not None:
+        lib.set_scaler(kind, *scaler)
+    eid = data.draw(st.sampled_from(ids))
+    lib.set_centroids(eid, {0: fv(data.draw(vectors(WIDTHS[kind])), kind)})
+    assert score_experts(features, lib, ids) == reference_scores(features, lib, ids)
+
+
+def test_setting_scalers_or_centroids_changes_the_next_scores():
+    base = np.array([1.0, 0.02, 0.03, 1.0, 0.98, 1.02])
+    near = fv(base + np.array([0, 0.001, 0.001, 0, 0, 0]), kind=S)
+    far = fv(base + np.array([0, 0.3, 0.25, 0.01, 0.01, 0.01]), kind=S)
+    lib = library({"near": {0: near}, "far": {0: far}})
+    x = {S: fv(base + np.array([0.001, -0.001, 0.002, -0.001, 0.001, 0.002]), kind=S)}
+    raw = score_experts(x, lib, ["near", "far"])
+    lib.set_scaler(S, base - 0.01, np.full(6, 0.05))
+    scaled = score_experts(x, lib, ["near", "far"])
+    lib.set_scaler(S, base, np.array([1.0, 0.01, 0.01, 1.0, 1.0, 1.0]))
+    rescaled = score_experts(x, lib, ["near", "far"])
+    lib.set_centroids("near", {0: far})
+    swapped = score_experts(x, lib, ["near", "far"])
+    assert raw != scaled != rescaled != swapped
+    assert swapped["near"] == swapped["far"]
+    assert swapped == reference_scores(x, lib, ["near", "far"])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import struct
@@ -405,8 +406,9 @@ def fresh_payload(bundle):
     return json.loads(json.dumps(bundle_to_jsonable(bundle)))
 
 
-def forge(payload):
-    body = json.dumps(payload, sort_keys=True).encode("utf-8")
+def forge(payload, infinity="Infinity"):
+    """Bundle bytes holding `payload`, each infinity written as `infinity`."""
+    body = json.dumps(payload, sort_keys=True).replace("Infinity", infinity).encode("utf-8")
     return struct.pack("<4sIQ", BUNDLE_MAGIC, BUNDLE_VERSION, len(body)) + body
 
 
@@ -485,6 +487,9 @@ DISAGREEING_PARTS = {
     "required_rate_nan": _set(("registry", 2, "required_rate"), float("nan")),
     "nominal_rate_nan": _set(("registry", 2, "nominal_rate"), float("nan")),
     "nominal_rate_negative": _set(("registry", 2, "nominal_rate"), -500.0),
+    # without scalers the gate would correlate raw vectors, near 1 for everyone
+    "scalers_missing": lambda payload: payload.pop("scalers"),
+    "doppler_scaler_missing": lambda payload: payload["scalers"].pop("doppler"),
 }
 
 
@@ -495,3 +500,35 @@ def test_bundle_parts_disagree_is_format_error(small_bundle, case):
     DISAGREEING_PARTS[case](payload)
     with pytest.raises(FormatError):
         deserialize_bundle(forge(payload))
+
+
+# A number of each part of a bundle, by its path in the payload.
+NUMBERS = {
+    "scaler_mean": ("scalers", "amp_stats", "mean", 0),
+    "scaler_std": ("scalers", "doppler", "std", 1),
+    "svm_weight": ("models", "E1", "weights", 0, 0),
+    "svm_bias": ("models", "E2", "biases", 1),
+    "svm_mean": ("models", "E2", "mean", 2),
+    "tree_threshold": ("models", "E3", "trees", 0, "threshold", 0),
+    "leaf_value": ("models", "E4", "trees", 0, "leaves", 0, 1),
+    "knn_matrix_value": ("models", "E6", "matrix", 3, 4),
+    "centroid_value": ("templates", "E1", "0", "values", 2),
+    "centroid_source_rate": ("templates", "E4", "0", "source_rate"),
+    "doppler_max_freq_hz": ("metadata", "doppler_max_freq_hz"),
+    "validation_accuracy": ("metadata", "validation_accuracy", "E5"),
+    "seed": ("metadata", "seed"),
+}
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+@pytest.mark.parametrize("part", sorted(NUMBERS))
+def test_non_finite_number_is_format_error(small_bundle, part, literal):
+    payload = fresh_payload(small_bundle)
+    *parents, last = NUMBERS[part]
+    node = payload
+    for key in parents:
+        node = node[key]
+    assert type(node[last]) in (int, float)
+    node[last] = math.inf  # json writes Infinity, which forge rewrites as `literal`
+    with pytest.raises(FormatError):
+        deserialize_bundle(forge(payload, literal))
