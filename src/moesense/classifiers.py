@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import InputError, TrainingError
-from .features import FeatureKind, FeatureVector, finite_array
+from .features import FeatureKind, FeatureVector, Get, Put, finite_array
 
 KNN_DEFAULTS = {"k": 5}
 SVM_DEFAULTS = {"epochs": 200, "step_size": 0.01, "l2": 1e-3}
@@ -88,20 +89,20 @@ class KnnModel:
         self.kind = kind
         self.num_classes = num_classes
 
-    def to_jsonable(self) -> dict[str, Any]:
+    def to_jsonable(self, put: Put) -> dict[str, Any]:
         return {
             "type": "knn",
             "k": self.k,
-            "matrix": self.matrix.tolist(),
-            "labels": self.labels.tolist(),
+            "matrix": put(self.matrix, "<f8"),
+            "labels": put(self.labels, "<i8"),
             "kind": self.kind.value,
             "num_classes": self.num_classes,
         }
 
     @classmethod
-    def from_jsonable(cls, d: dict[str, Any]) -> "KnnModel":
-        matrix = finite_array(d["matrix"], "knn matrix")
-        labels = np.asarray(d["labels"], dtype=np.int64)
+    def from_jsonable(cls, d: dict[str, Any], get: Get) -> "KnnModel":
+        matrix = finite_array(get(d["matrix"], "<f8"), "knn matrix")
+        labels = get(d["labels"], "<i8")
         k, num_classes = int(d["k"]), int(d["num_classes"])
         if (matrix.ndim != 2 or labels.shape != (len(matrix),) or not 1 <= k <= len(labels)
                 or np.any((labels < 0) | (labels >= num_classes))):
@@ -142,20 +143,20 @@ class LinearSvmModel:
         self.kind = kind
         self.num_classes = num_classes
 
-    def to_jsonable(self) -> dict[str, Any]:
+    def to_jsonable(self, put: Put) -> dict[str, Any]:
         return {
             "type": "svm",
-            "weights": self.weights.tolist(),
-            "biases": self.biases.tolist(),
-            "mean": self.mean.tolist(),
-            "std": self.std.tolist(),
+            "weights": put(self.weights, "<f8"),
+            "biases": put(self.biases, "<f8"),
+            "mean": put(self.mean, "<f8"),
+            "std": put(self.std, "<f8"),
             "kind": self.kind.value,
             "num_classes": self.num_classes,
         }
 
     @classmethod
-    def from_jsonable(cls, d: dict[str, Any]) -> "LinearSvmModel":
-        weights, biases, mean, std = (finite_array(d[key], f"svm {key}")
+    def from_jsonable(cls, d: dict[str, Any], get: Get) -> "LinearSvmModel":
+        weights, biases, mean, std = (finite_array(get(d[key], "<f8"), f"svm {key}")
                                       for key in ("weights", "biases", "mean", "std"))
         num_classes = int(d["num_classes"])
         if (weights.ndim != 2 or not biases.shape == (len(weights),) == (num_classes,)
@@ -244,34 +245,6 @@ class Tree(NamedTuple):
     right: list[int]
     posterior: list[np.ndarray | None]
 
-    def to_jsonable(self) -> dict[str, Any]:
-        leaves = [p.tolist() for p in self.posterior if p is not None]
-        return {"feature": list(self.feature), "threshold": list(self.threshold),
-                "right": list(self.right), "leaves": leaves}
-
-    @classmethod
-    def from_jsonable(cls, d: dict[str, Any], n_features: int, num_classes: int) -> "Tree":
-        """Convert the arrays once, checking that every walk ends at a leaf."""
-        feature = np.asarray(d["feature"])
-        threshold = finite_array(d["threshold"], "tree threshold")
-        right = np.asarray(d["right"])
-        leaves = finite_array(d["leaves"], "tree leaves")
-        n = len(feature)
-        if n == 0 or not feature.shape == threshold.shape == right.shape == (n,):
-            raise ValueError("tree node arrays must be 1-D, non-empty and of equal length")
-        if feature.dtype.kind != "i" or feature.min() < -1 or feature.max() >= n_features:
-            raise ValueError(f"tree features must be integers in [-1, {n_features})")
-        is_leaf = feature == -1
-        # Children come strictly after their parent, so traversal always ends.
-        inner_ok = (right > np.arange(n) + 1) & (right < n)
-        if right.dtype.kind != "i" or not np.all(np.where(is_leaf, right == -1, inner_ok)):
-            raise ValueError("tree child index not after its parent or outside the tree")
-        if leaves.shape != (int(is_leaf.sum()), num_classes):
-            raise ValueError(f"tree leaf rows must be {num_classes} wide, one per leaf")
-        rows = iter(leaves)
-        return cls(feature.tolist(), threshold.tolist(), right.tolist(),
-                   [next(rows) if leaf else None for leaf in is_leaf.tolist()])
-
 
 class ForestModel:
     def __init__(self, trees: list[Tree], kind: FeatureKind, num_classes: int,
@@ -281,21 +254,56 @@ class ForestModel:
         self.num_classes = num_classes
         self.n_features = n_features
 
-    def to_jsonable(self) -> dict[str, Any]:
+    def to_jsonable(self, put: Put) -> dict[str, Any]:
+        """One array per node column for the whole forest, trees in order,
+        and each tree's node count; leaf rows in node order."""
+        trees = self.trees
         return {
             "type": "forest",
-            "trees": [t.to_jsonable() for t in self.trees],
+            "nodes": [len(t.feature) for t in trees],
+            "feature": put(list(chain.from_iterable(t.feature for t in trees)), "<i4"),
+            "threshold": put(list(chain.from_iterable(t.threshold for t in trees)), "<f8"),
+            "right": put(list(chain.from_iterable(t.right for t in trees)), "<i4"),
+            "leaves": put([p for t in trees for p in t.posterior if p is not None], "<f8"),
             "kind": self.kind.value,
             "num_classes": self.num_classes,
             "n_features": self.n_features,
         }
 
     @classmethod
-    def from_jsonable(cls, d: dict[str, Any]) -> "ForestModel":
+    def from_jsonable(cls, d: dict[str, Any], get: Get) -> "ForestModel":
+        """Check every tree at once, so that every walk ends at a leaf, then
+        cut the node columns into per-tree lists."""
         num_classes, n_features = int(d["num_classes"]), int(d["n_features"])
-        trees = [Tree.from_jsonable(t, n_features, num_classes) for t in d["trees"]]
-        if not trees:
+        nodes = d["nodes"]
+        if not nodes:
             raise ValueError("forest has no trees")
+        if not (type(nodes) is list and all(type(n) is int and n > 0 for n in nodes)):
+            raise ValueError("tree node counts must be positive integers")
+        feature, right = get(d["feature"], "<i4"), get(d["right"], "<i4")
+        threshold = finite_array(get(d["threshold"], "<f8"), "tree threshold")
+        leaves = finite_array(get(d["leaves"], "<f8"), "tree leaves")
+        total = sum(nodes)
+        if not feature.shape == threshold.shape == right.shape == (total,):
+            raise ValueError(f"tree node arrays must be 1-D and hold all {total} nodes")
+        if feature.min() < -1 or feature.max() >= n_features:
+            raise ValueError(f"tree features must lie in [-1, {n_features})")
+        counts = np.asarray(nodes)
+        starts = np.cumsum(counts) - counts
+        local = np.arange(total) - np.repeat(starts, counts)
+        is_leaf = feature == -1
+        # Children come strictly after their parent and inside its tree, so
+        # every walk ends at a leaf.
+        inner_ok = (right > local + 1) & (right < np.repeat(counts, counts))
+        if not np.all(np.where(is_leaf, right == -1, inner_ok)):
+            raise ValueError("tree child index not after its parent or outside the tree")
+        if leaves.shape != (int(is_leaf.sum()), num_classes):
+            raise ValueError(f"tree leaf rows must be {num_classes} wide, one per leaf")
+        rows = iter(leaves)
+        posterior = [next(rows) if leaf else None for leaf in is_leaf.tolist()]
+        feature, threshold, right = feature.tolist(), threshold.tolist(), right.tolist()
+        trees = [Tree(feature[a:a + n], threshold[a:a + n], right[a:a + n], posterior[a:a + n])
+                 for a, n in zip(starts.tolist(), nodes)]
         return cls(trees, FeatureKind(d["kind"]), num_classes, n_features)
 
 
@@ -421,5 +429,5 @@ def predict_posterior(model: Model, x: FeatureVector) -> np.ndarray:
 MODEL_TYPES = {"knn": KnnModel, "svm": LinearSvmModel, "forest": ForestModel}
 
 
-def model_from_jsonable(d: dict[str, Any]) -> Model:
-    return MODEL_TYPES[d["type"]].from_jsonable(d)
+def model_from_jsonable(d: dict[str, Any], get: Get) -> Model:
+    return MODEL_TYPES[d["type"]].from_jsonable(d, get)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -179,18 +179,27 @@ def pearson(a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarray) ->
 # Serialization
 # ---------------------------------------------------------------------------
 
-def feature_to_jsonable(fv: FeatureVector) -> dict:
+# An encoder stores each array with `put(array, dtype)` and keeps the
+# reference it returns in its JSON header entry; the decoder reads the array
+# back with `get(reference, dtype)`.
+Put = Callable[[Any, str], dict]
+Get = Callable[[dict, str], np.ndarray]
+
+
+def feature_to_jsonable(fv: FeatureVector, put: Put) -> dict:
+    """`fv` as a JSON header entry; `put` stores its values as a block."""
     return {
         "kind": fv.kind.value,
         "source_rate": float(fv.source_rate),
-        "values": [float(v) for v in fv.values],
+        "values": put(fv.values, "<f8"),
     }
 
 
 def finite_array(values, what: str) -> np.ndarray:
     """`values` as a float64 array; ValueError if any of them is NaN or infinite.
 
-    Decoders call this on every number list they read: json reads an
+    Decoders call this on every float block and header number they read: a
+    block can hold NaN or infinity bit patterns, and json reads an
     out-of-range literal such as 1e999 as an infinity.
     """
     arr = np.asarray(values, dtype=np.float64)
@@ -199,6 +208,7 @@ def finite_array(values, what: str) -> np.ndarray:
     return arr
 
 
-def feature_from_jsonable(d: dict) -> FeatureVector:
-    return FeatureVector(FeatureKind(d["kind"]), finite_array(d["values"], "feature"),
+def feature_from_jsonable(d: dict, get: Get) -> FeatureVector:
+    """The inverse of `feature_to_jsonable`; `get` returns a block's array."""
+    return FeatureVector(FeatureKind(d["kind"]), finite_array(get(d["values"], "<f8"), "feature"),
                          float(finite_array(d["source_rate"], "feature source rate")))

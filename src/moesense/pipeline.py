@@ -4,8 +4,9 @@ per-expert inference, weighted fusion).
 
 A trained bundle holds the registry, one trained model per expert, the
 template library used for gating, and training metadata. Bundles serialize
-to a versioned binary container whose payload is canonical JSON, so saving
-the same bundle twice produces identical bytes.
+to a versioned binary container: a canonical JSON header, then each numeric
+array as a little-endian byte block. Saving the same bundle twice produces
+identical bytes.
 """
 from __future__ import annotations
 
@@ -40,6 +41,8 @@ from .features import (
     DopplerConfig,
     FeatureKind,
     FeatureVector,
+    Get,
+    Put,
     amp_stats_from_series,
     doppler_from_series,
     extract_amp_stats,
@@ -60,11 +63,12 @@ from .gating import (
     spec_to_jsonable,
     validate_registry,
 )
-from .simulate import CsiStream, container_parts, decimate, decimation_stride
+from .simulate import CsiStream, decimate, decimation_stride
 
 BUNDLE_MAGIC = b"MOEB"
-BUNDLE_VERSION = 2
-_BUNDLE_HEADER = struct.Struct("<4sIQ")
+BUNDLE_VERSION = 3
+_BUNDLE_HEADER = struct.Struct("<4sIQ")  # magic, version, JSON header length
+_BLOCK_ALIGN = 8  # every block starts at a multiple of this many bytes
 
 DEFAULT_VAL_FRACTION = 0.25
 
@@ -217,11 +221,12 @@ def _extract_feature_table(
     ordered = sorted(needed, key=lambda rk: (rk[0], rk[1].value))
     count = 0
     for stream, label in zip(streams, labels):
-        if fingerprint is not None:
-            for part in container_parts(stream):
-                fingerprint.update(part)
-            fingerprint.update(str(int(label)).encode())
         series = mean_amplitude_series(stream)
+        if fingerprint is not None:
+            # What training reads of the stream: its rate and amplitude series.
+            fingerprint.update(struct.pack("<dq", stream.packet_rate, len(series)))
+            fingerprint.update(series.astype("<f8", copy=False))
+            fingerprint.update(struct.pack("<q", label))
         by_stride: dict[tuple[int, FeatureKind], FeatureVector] = {}
         for rate, kind in ordered:
             stride = decimation_stride(stream.packet_rate, rate)
@@ -362,17 +367,51 @@ def detect(stream: CsiStream, current_rate: float, bundle: TrainedBundle) -> Det
 # Bundle container
 # ---------------------------------------------------------------------------
 
-def bundle_to_jsonable(bundle: TrainedBundle) -> dict[str, Any]:
+class Blocks:
+    """A bundle's numeric arrays, one little-endian byte block each.
+
+    `put` stores an array as the next block and returns the reference that
+    the JSON header keeps in its place. `get` returns the array a reference
+    names, as a read-only view of its block, once the reference's dtype is
+    the one the caller expects and its shape fits the block.
+    """
+
+    def __init__(self, data: Sequence[bytes | memoryview] = ()):
+        self.data = list(data)
+
+    def put(self, array: Any, dtype: str) -> dict[str, Any]:
+        arr = np.ascontiguousarray(array, dtype=dtype)
+        self.data.append(arr.tobytes())
+        return {"block": len(self.data) - 1, "dtype": dtype, "shape": list(arr.shape)}
+
+    def get(self, ref: dict[str, Any], dtype: str) -> np.ndarray:
+        block, shape = ref["block"], ref["shape"]
+        if ref["dtype"] != dtype:
+            raise ValueError(f"block dtype {ref['dtype']!r} where {dtype} belongs")
+        if not (_is_count(block) and block < len(self.data)):
+            raise ValueError(f"no block {block!r}")
+        if not (type(shape) is list and all(_is_count(n) for n in shape)):
+            raise ValueError(f"bad block shape {shape!r}")
+        # reshape raises ValueError when the shape's size is not the block's
+        return np.frombuffer(self.data[block], dtype).reshape(shape)
+
+
+def _is_count(value: Any) -> bool:
+    return type(value) is int and value >= 0
+
+
+def bundle_to_jsonable(bundle: TrainedBundle, put: Put) -> dict[str, Any]:
+    """The bundle's JSON header; `put` stores each numeric array as a block."""
     scalers = {}
     for kind in bundle.templates.scaler_kinds():
         mean, std = bundle.templates.scaler(kind)
-        scalers[kind.value] = {"mean": mean.tolist(), "std": std.tolist()}
+        scalers[kind.value] = {"mean": put(mean, "<f8"), "std": put(std, "<f8")}
     return {
         "registry": [spec_to_jsonable(s) for s in bundle.registry],
-        "models": {eid: m.to_jsonable() for eid, m in bundle.models.items()},
+        "models": {eid: m.to_jsonable(put) for eid, m in bundle.models.items()},
         "templates": {
             eid: {
-                str(label): feature_to_jsonable(fv)
+                str(label): feature_to_jsonable(fv, put)
                 for label, fv in bundle.templates.centroids(eid).items()
             }
             for eid in bundle.templates.expert_ids()
@@ -382,18 +421,19 @@ def bundle_to_jsonable(bundle: TrainedBundle) -> dict[str, Any]:
     }
 
 
-def bundle_from_jsonable(payload: dict[str, Any]) -> TrainedBundle:
+def bundle_from_jsonable(payload: dict[str, Any], get: Get) -> TrainedBundle:
+    """The inverse of `bundle_to_jsonable`; `get` returns a block's array."""
     registry = tuple(spec_from_jsonable(d) for d in payload["registry"])
-    models = {eid: model_from_jsonable(d) for eid, d in payload["models"].items()}
+    models = {eid: model_from_jsonable(d, get) for eid, d in payload["models"].items()}
     templates = TemplateLibrary()
     # Scalers first, so that each centroid is scaled once, as it is set.
     for kind_tag, scaler in payload["scalers"].items():
         templates.set_scaler(FeatureKind(kind_tag),
-                             finite_array(scaler["mean"], f"{kind_tag} scaler mean"),
-                             finite_array(scaler["std"], f"{kind_tag} scaler std"))
+                             finite_array(get(scaler["mean"], "<f8"), f"{kind_tag} scaler mean"),
+                             finite_array(get(scaler["std"], "<f8"), f"{kind_tag} scaler std"))
     for eid, by_class in payload["templates"].items():
         templates.set_centroids(
-            eid, {int(label): feature_from_jsonable(d) for label, d in by_class.items()})
+            eid, {int(label): feature_from_jsonable(d, get) for label, d in by_class.items()})
     metadata = copy.deepcopy(payload["metadata"])
     finite_array([metadata["seed"], *metadata["validation_accuracy"].values()], "metadata")
     bundle = TrainedBundle(registry, models, templates, metadata)
@@ -427,28 +467,68 @@ def _check_parts_agree(bundle: TrainedBundle) -> None:
 
 
 def serialize_bundle(bundle: TrainedBundle) -> bytes:
-    payload = json.dumps(bundle_to_jsonable(bundle), sort_keys=True,
-                         separators=(",", ":")).encode("utf-8")
-    return _BUNDLE_HEADER.pack(BUNDLE_MAGIC, BUNDLE_VERSION, len(payload)) + payload
+    blocks = Blocks()
+    return _pack(bundle_to_jsonable(bundle, blocks.put), blocks.data)
 
 
 def deserialize_bundle(data: bytes) -> TrainedBundle:
+    try:
+        # bytes(), so that no array views a buffer its caller can still change.
+        header, blocks = _unpack(bytes(data))
+        return bundle_from_jsonable(header, Blocks(blocks).get)
+    except (KeyError, ValueError, TypeError, AttributeError, OverflowError, RecursionError,
+            ConfigurationError) as exc:
+        raise FormatError(f"bundle payload malformed: {exc}") from exc
+
+
+def _pack(header: dict[str, Any], blocks: Sequence[bytes]) -> bytes:
+    """The container: magic, version and JSON header length; the canonical
+    JSON header with its block table of [offset, length] pairs; then the
+    blocks, each zero-padded to the next multiple of `_BLOCK_ALIGN` bytes.
+    Offsets count from the first block, which starts at such a multiple
+    of the file too."""
+    table, body = [], bytearray()
+    for block in blocks:
+        body += bytes(-len(body) % _BLOCK_ALIGN)
+        table.append([len(body), len(block)])
+        body += block
+    text = json.dumps({**header, "blocks": table}, sort_keys=True,
+                      separators=(",", ":")).encode("utf-8")
+    head = _BUNDLE_HEADER.pack(BUNDLE_MAGIC, BUNDLE_VERSION, len(text)) + text
+    return head + bytes(-len(head) % _BLOCK_ALIGN) + body
+
+
+def _unpack(data: bytes) -> tuple[dict[str, Any], list[memoryview]]:
+    """The JSON header and a view of each block, once the block table tiles
+    the rest of the file exactly: each block at the first aligned offset
+    after the one before it, and the last one ending the file."""
     if len(data) < _BUNDLE_HEADER.size:
         raise FormatError("bundle shorter than its header")
     magic, version, length = _BUNDLE_HEADER.unpack_from(data)
     if magic != BUNDLE_MAGIC:
         raise FormatError(f"bad bundle magic {magic!r}")
     if version != BUNDLE_VERSION:
-        raise FormatError(f"unsupported bundle version {version}")
-    payload = data[_BUNDLE_HEADER.size:]
-    if len(payload) != length:
-        raise FormatError(f"bundle truncated: payload {len(payload)} bytes, expected {length}")
-    try:
-        return bundle_from_jsonable(json.loads(payload.decode("utf-8"),
-                                               parse_constant=_refuse_constant))
-    except (KeyError, ValueError, TypeError, AttributeError, OverflowError, RecursionError,
-            ConfigurationError) as exc:
-        raise FormatError(f"bundle payload malformed: {exc}") from exc
+        raise FormatError(f"unsupported bundle version {version}; retrain to get "
+                          f"version {BUNDLE_VERSION}")
+    end = _BUNDLE_HEADER.size + length
+    if len(data) < end:
+        raise FormatError(f"bundle truncated: {len(data)} bytes, header ends at {end}")
+    header = json.loads(data[_BUNDLE_HEADER.size:end].decode("utf-8"),
+                        parse_constant=_refuse_constant)
+    area = memoryview(data)[end + -end % _BLOCK_ALIGN:]
+    views, pos = [], 0
+    for i, (offset, nbytes) in enumerate(header.pop("blocks")):
+        if not (_is_count(offset) and _is_count(nbytes)):
+            raise ValueError(f"block {i} has offset {offset!r} and length {nbytes!r}")
+        if offset != pos + -pos % _BLOCK_ALIGN:
+            problem = ("is misaligned" if offset % _BLOCK_ALIGN
+                       else "overlaps the block before it" if offset < pos else "leaves a gap")
+            raise ValueError(f"block {i} at offset {offset} {problem}")
+        views.append(area[offset:offset + nbytes])
+        pos = offset + nbytes
+    if pos != len(area):
+        raise ValueError(f"the blocks end at byte {pos} of the {len(area)} after the header")
+    return header, views
 
 
 def _refuse_constant(name: str) -> float:

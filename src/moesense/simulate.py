@@ -202,12 +202,7 @@ def decimate(stream: CsiStream, target_rate: float) -> CsiStream:
 # Stream container and dataset manifest
 # ---------------------------------------------------------------------------
 
-def container_parts(stream: CsiStream) -> tuple[bytes, np.ndarray]:
-    """The CSI1 header and the little-endian sample array that follows it.
-
-    Hashing the two parts digests the same bytes as `serialize_stream`
-    without building the joined copy.
-    """
+def serialize_stream(stream: CsiStream) -> bytes:
     header = _HEADER.pack(
         STREAM_MAGIC,
         stream.num_packets,
@@ -216,12 +211,7 @@ def container_parts(stream: CsiStream) -> tuple[bytes, np.ndarray]:
         int(stream.seed),
         int(stream.true_target_count),
     )
-    return header, np.ascontiguousarray(stream.samples, dtype="<c16")
-
-
-def serialize_stream(stream: CsiStream) -> bytes:
-    header, samples = container_parts(stream)
-    return header + samples.tobytes()
+    return header + np.ascontiguousarray(stream.samples, dtype="<c16").tobytes()
 
 
 def deserialize_stream(data: bytes) -> CsiStream:

@@ -19,7 +19,7 @@ from moesense.errors import (
     EXIT_TRAINING,
     TrainingError,
 )
-from moesense.pipeline import BUNDLE_MAGIC, BUNDLE_VERSION, bundle_to_jsonable, load_bundle
+from moesense.pipeline import BUNDLE_MAGIC, BUNDLE_VERSION, load_bundle
 from moesense.simulate import load_stream, read_manifest
 
 GEN_ARGS = ["--k-max", "2", "--streams-per-class", "6", "--subcarriers", "8",
@@ -402,13 +402,21 @@ def test_detect_corrupt_bundle_is_format_error(dataset, tmp_path):
     assert rc == EXIT_FORMAT
 
 
+def forged_bundle(bundle_path, tmp_path, edit):
+    """A copy of the bundle at `bundle_path` after `edit(header, blocks)`
+    changed its JSON header or its blocks (writable bytearrays)."""
+    header, blocks = pipeline._unpack(bundle_path.read_bytes())
+    blocks = [bytearray(block) for block in blocks]
+    edit(header, blocks)
+    bad = tmp_path / "forged.moe"
+    bad.write_bytes(pipeline._pack(header, blocks))
+    return bad
+
+
 def test_detect_bundle_with_null_model_is_format_error(dataset, bundle_path, tmp_path):
     entry = read_manifest(dataset / "manifest.csv")[0]
-    payload = bundle_to_jsonable(load_bundle(bundle_path))
-    payload["models"]["E1"] = None
-    bad = tmp_path / "null_model.moe"
-    body = json.dumps(payload, sort_keys=True).encode("utf-8")
-    bad.write_bytes(struct.pack("<4sIQ", BUNDLE_MAGIC, BUNDLE_VERSION, len(body)) + body)
+    bad = forged_bundle(bundle_path, tmp_path,
+                        lambda header, blocks: header["models"].update(E1=None))
     rc = main(["detect", "--bundle", str(bad), "--stream", str(dataset / entry.path),
                "--rate", "100"])
     assert rc == EXIT_FORMAT
@@ -416,11 +424,8 @@ def test_detect_bundle_with_null_model_is_format_error(dataset, bundle_path, tmp
 
 def test_detect_bundle_with_nan_required_rate_is_format_error(dataset, bundle_path, tmp_path):
     entry = read_manifest(dataset / "manifest.csv")[0]
-    payload = bundle_to_jsonable(load_bundle(bundle_path))
-    payload["registry"][2]["required_rate"] = float("nan")
-    bad = tmp_path / "nan_rate.moe"
-    body = json.dumps(payload, sort_keys=True).encode("utf-8")
-    bad.write_bytes(struct.pack("<4sIQ", BUNDLE_MAGIC, BUNDLE_VERSION, len(body)) + body)
+    bad = forged_bundle(bundle_path, tmp_path, lambda header, blocks:
+                        header["registry"][2].update(required_rate=float("nan")))
     rc = main(["detect", "--bundle", str(bad), "--stream", str(dataset / entry.path),
                "--rate", "500"])
     assert rc == EXIT_FORMAT
@@ -430,11 +435,13 @@ def test_detect_bundle_with_nan_required_rate_is_format_error(dataset, bundle_pa
 def test_detect_bundle_with_non_finite_scaler_is_format_error(dataset, bundle_path, tmp_path,
                                                               literal):
     entry = read_manifest(dataset / "manifest.csv")[0]
-    payload = bundle_to_jsonable(load_bundle(bundle_path))
-    payload["scalers"]["amp_stats"]["mean"][0] = float("inf")
-    bad = tmp_path / "non_finite.moe"
-    body = json.dumps(payload, sort_keys=True).replace("Infinity", literal).encode("utf-8")
-    bad.write_bytes(struct.pack("<4sIQ", BUNDLE_MAGIC, BUNDLE_VERSION, len(body)) + body)
+
+    def edit(header, blocks):
+        # the bit pattern the literal reads as: NaN, or +inf for 1e999
+        block = blocks[header["scalers"]["amp_stats"]["mean"]["block"]]
+        np.frombuffer(block, "<f8")[0] = float(literal)
+
+    bad = forged_bundle(bundle_path, tmp_path, edit)
     rc = main(["detect", "--bundle", str(bad), "--stream", str(dataset / entry.path),
                "--rate", "300"])
     assert rc == EXIT_FORMAT
@@ -450,17 +457,35 @@ def test_detect_deeply_nested_bundle_is_format_error(dataset, tmp_path):
     assert rc == EXIT_FORMAT
 
 
+@pytest.mark.parametrize("forge", [
+    # a bundle written by the previous format version
+    lambda data: data[:4] + struct.pack("<I", 2) + data[8:],
+    # the first block starts at offset 4, which is not a multiple of 8
+    lambda data: data.replace(b'"blocks":[[0,', b'"blocks":[[4,', 1),
+], ids=["version_2", "misaligned_block"])
+def test_detect_hostile_bundle_container_is_format_error(dataset, bundle_path, tmp_path, forge):
+    entry = read_manifest(dataset / "manifest.csv")[0]
+    bad = tmp_path / "hostile.moe"
+    data = bundle_path.read_bytes()
+    forged = forge(data)
+    assert forged != data and load_bundle(bundle_path)
+    bad.write_bytes(forged)
+    rc = main(["detect", "--bundle", str(bad), "--stream", str(dataset / entry.path),
+               "--rate", "500"])
+    assert rc == EXIT_FORMAT
+
+
 @pytest.mark.parametrize("hyperparams", [{"bootstrap": "false"}, {"max_depth": None},
                                          {"trees": 5}])
 def test_detect_bundle_with_bad_hyperparams_is_format_error(dataset, bundle_path, tmp_path,
                                                             hyperparams):
     entry = read_manifest(dataset / "manifest.csv")[0]
-    payload = bundle_to_jsonable(load_bundle(bundle_path))
-    assert payload["registry"][2]["classifier"] == "forest"
-    payload["registry"][2]["hyperparams"] = hyperparams
-    bad = tmp_path / "bad_hyperparams.moe"
-    body = json.dumps(payload, sort_keys=True).encode("utf-8")
-    bad.write_bytes(struct.pack("<4sIQ", BUNDLE_MAGIC, BUNDLE_VERSION, len(body)) + body)
+
+    def edit(header, blocks):
+        assert header["registry"][2]["classifier"] == "forest"
+        header["registry"][2]["hyperparams"] = hyperparams
+
+    bad = forged_bundle(bundle_path, tmp_path, edit)
     rc = main(["detect", "--bundle", str(bad), "--stream", str(dataset / entry.path),
                "--rate", "500"])
     assert rc == EXIT_FORMAT
@@ -470,12 +495,12 @@ def test_detect_bundle_with_bad_hyperparams_is_format_error(dataset, bundle_path
 def test_detect_bundle_with_mistyped_registry_field_is_format_error(dataset, bundle_path,
                                                                     tmp_path, case):
     entry = read_manifest(dataset / "manifest.csv")[0]
-    payload = bundle_to_jsonable(load_bundle(bundle_path))
-    assert payload["registry"][0]["classifier"] == "svm"
-    payload["registry"][0].update(MISTYPED_ENTRY_FIELDS[case])
-    bad = tmp_path / "mistyped.moe"
-    body = json.dumps(payload, sort_keys=True).encode("utf-8")
-    bad.write_bytes(struct.pack("<4sIQ", BUNDLE_MAGIC, BUNDLE_VERSION, len(body)) + body)
+
+    def edit(header, blocks):
+        assert header["registry"][0]["classifier"] == "svm"
+        header["registry"][0].update(MISTYPED_ENTRY_FIELDS[case])
+
+    bad = forged_bundle(bundle_path, tmp_path, edit)
     rc = main(["detect", "--bundle", str(bad), "--stream", str(dataset / entry.path),
                "--rate", "600"])
     assert rc == EXIT_FORMAT

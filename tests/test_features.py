@@ -16,6 +16,7 @@ from moesense.features import (
     feature_to_jsonable,
     pearson,
 )
+from moesense.pipeline import Blocks
 from moesense.simulate import CsiStream, ScenarioConfig, TargetPath, synthesize_stream
 
 
@@ -283,6 +284,8 @@ def test_pearson_equals_the_reference_bit_for_bit(ab):
 
 def test_feature_jsonable_round_trip():
     fv = FeatureVector(FeatureKind.AMPLITUDE_STATS, np.array([1.0, 0.1, 0.2, 1.0, 0.9, 1.1]), 500.0)
-    back = feature_from_jsonable(feature_to_jsonable(fv))
-    assert back.kind is fv.kind and np.array_equal(back.values, fv.values)
+    blocks = Blocks()
+    back = feature_from_jsonable(feature_to_jsonable(fv, blocks.put), blocks.get)
+    assert back.kind is fv.kind and back.source_rate == fv.source_rate
+    assert back.values.tobytes() == fv.values.tobytes()
 

@@ -8,6 +8,8 @@ from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moesense import pipeline
 from moesense.classifiers import predict_posterior
@@ -22,8 +24,7 @@ from moesense.gating import (
     fuse,
 )
 from moesense.pipeline import (
-    BUNDLE_MAGIC,
-    BUNDLE_VERSION,
+    Blocks,
     TrainedBundle,
     _extract_feature_table,
     build_bundle,
@@ -43,7 +44,6 @@ from moesense.simulate import (
     ScenarioConfig,
     TargetPath,
     decimate,
-    serialize_stream,
     synthesize_stream,
 )
 
@@ -197,15 +197,30 @@ def test_feature_table_equals_decimate_then_extract():
             assert got.source_rate == want.source_rate
 
 
-def test_feature_table_fingerprint_hashes_the_stream_containers():
-    streams, labels = make_streams(1, 2, seed=19)
+def fingerprint(streams, labels):
     digest = hashlib.sha256()
     _extract_feature_table(streams, labels, {(500.0, S)}, DopplerConfig(), digest)
+    return digest.hexdigest()
+
+
+def test_feature_table_fingerprint_hashes_what_training_reads():
+    streams, labels = make_streams(1, 2, seed=19)
     want = hashlib.sha256()
     for stream, label in zip(streams, labels):
-        want.update(serialize_stream(stream))
-        want.update(str(label).encode())
-    assert digest.hexdigest() == want.hexdigest()
+        series = np.abs(stream.samples).mean(axis=1)
+        want.update(struct.pack("<dq", stream.packet_rate, len(series)))
+        want.update(series.astype("<f8").tobytes())
+        want.update(struct.pack("<q", label))
+    assert fingerprint(streams, labels) == want.hexdigest()
+    # Each of the rate, the samples and the label is part of what it identifies.
+    first = streams[0]
+    faster = pipeline.CsiStream(first.samples, 2000.0, first.true_target_count, first.seed)
+    louder = pipeline.CsiStream(first.samples * 1.5, first.packet_rate,
+                                first.true_target_count, first.seed)
+    digests = {fingerprint(streams, labels), fingerprint(streams, [1, *labels[1:]]),
+               fingerprint([faster, *streams[1:]], labels),
+               fingerprint([louder, *streams[1:]], labels)}
+    assert len(digests) == 4
 
 
 def test_build_requires_every_class():
@@ -349,17 +364,49 @@ def test_detect_rate_above_stream_rejected(small_bundle, probe_stream):
 # bundle container
 # ---------------------------------------------------------------------------
 
-def test_bundle_round_trip(tmp_path, small_bundle, probe_stream):
+def test_bundle_round_trip(tmp_path, small_bundle):
     path = tmp_path / "bundle.moe"
     save_bundle(small_bundle, path)
     loaded = load_bundle(path)
-    assert serialize_bundle(loaded) == serialize_bundle(small_bundle)
-    assert bundle_to_jsonable(loaded) == bundle_to_jsonable(small_bundle)
-    for rate in (500.0, 300.0, 50.0):
-        a = detect(probe_stream, rate, small_bundle)
-        b = detect(probe_stream, rate, loaded)
-        assert a.predicted_count == b.predicted_count
-        assert np.array_equal(a.fused, b.fused)
+    assert serialize_bundle(loaded) == path.read_bytes() == serialize_bundle(small_bundle)
+    a, b = Blocks(), Blocks()
+    assert bundle_to_jsonable(loaded, a.put) == bundle_to_jsonable(small_bundle, b.put)
+    assert a.data == b.data
+
+
+def test_loaded_bundle_detects_bit_for_bit(small_bundle):
+    loaded = deserialize_bundle(serialize_bundle(small_bundle))
+    streams, _ = make_streams(2, 3, seed=41)
+    for rate in (50.0, 300.0, 500.0):
+        for stream in streams:
+            a = detect(stream, rate, small_bundle)
+            b = detect(stream, rate, loaded)
+            assert a.decision.selected == b.decision.selected
+            assert a.decision.weights == b.decision.weights
+            assert a.decision.scores == b.decision.scores
+            assert a.fused.tobytes() == b.fused.tobytes()
+
+
+def test_loaded_arrays_are_read_only_views(small_bundle, probe_stream):
+    data = serialize_bundle(small_bundle)
+    buffer = bytearray(data)
+    loaded = deserialize_bundle(buffer)
+    buffer[:] = bytes(len(buffer))  # the caller's buffer is not what the arrays view
+    arrays = [loaded.templates.scaler(kind)[0] for kind in loaded.templates.scaler_kinds()]
+    for eid, model in loaded.models.items():
+        arrays += [fv.values for fv in loaded.templates.centroids(eid).values()]
+        if hasattr(model, "trees"):
+            arrays += [p for tree in model.trees for p in tree.posterior if p is not None]
+        else:
+            arrays += [a for a in vars(model).values() if isinstance(a, np.ndarray)]
+    assert len(arrays) > 100
+    # Views of the bundle's immutable bytes: a write into one would raise.
+    assert not any(a.flags.writeable or a.flags.owndata for a in arrays)
+    for rate in (50.0, 300.0, 500.0, 1000.0):
+        detect(probe_stream, rate, loaded)
+        for spec in loaded.registry:
+            expert_posterior(probe_stream, rate, loaded, spec.id)
+    assert serialize_bundle(loaded) == data
 
 
 def test_bundle_save_twice_identical(tmp_path, small_bundle):
@@ -367,6 +414,24 @@ def test_bundle_save_twice_identical(tmp_path, small_bundle):
     save_bundle(small_bundle, p1)
     save_bundle(small_bundle, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_blocks_are_aligned_little_endian_arrays(small_bundle):
+    data = serialize_bundle(small_bundle)
+    length = struct.unpack_from("<Q", data, 8)[0]
+    header = json.loads(data[16:16 + length])
+    start = len(data) - header["blocks"][-1][0] - header["blocks"][-1][1]
+    assert start == 16 + length + -(16 + length) % 8
+    assert all((start + offset) % 8 == 0 for offset, _ in header["blocks"])
+    e6 = header["models"]["E6"]
+    (offset, nbytes), = [header["blocks"][e6["labels"]["block"]]]
+    assert e6["labels"]["dtype"] == "<i8"
+    labels = small_bundle.models["E6"].labels
+    assert data[start + offset:start + offset + nbytes] == labels.astype("<i8").tobytes()
+    e3 = header["models"]["E3"]
+    assert [e3[c]["dtype"] for c in ("feature", "threshold", "right", "leaves")] == [
+        "<i4", "<f8", "<i4", "<f8"]
+    assert e3["nodes"] == [len(t.feature) for t in small_bundle.models["E3"].trees]
 
 
 def test_bundle_bad_magic(small_bundle):
@@ -387,9 +452,10 @@ def test_bundle_version_mismatch(small_bundle):
     data = serialize_bundle(small_bundle)
     header = struct.Struct("<4sIQ")
     magic, version, length = header.unpack_from(data)
-    for forged_version in (1, version + 1):  # version 1 held forests as nested dicts
+    # version 1 held forests as nested dicts, version 2 every array as JSON lists
+    for forged_version in (1, 2, version + 1):
         forged = header.pack(magic, forged_version, length) + data[header.size:]
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="version"):
             deserialize_bundle(forged)
 
 
@@ -402,20 +468,66 @@ def test_bundle_registry_model_mismatch(small_bundle):
 
 
 def fresh_payload(bundle):
-    """A payload that shares no list or dict with `bundle`."""
-    return json.loads(json.dumps(bundle_to_jsonable(bundle)))
+    """The bundle's JSON header and its blocks, sharing nothing with `bundle`."""
+    header, blocks = pipeline._unpack(serialize_bundle(bundle))
+    return header, [bytes(b) for b in blocks]
+
+
+def with_header_text(data, edit):
+    """Bundle bytes `data` with the JSON header text replaced by `edit(text)`
+    (str or bytes) and the blocks kept as they are."""
+    fixed = struct.Struct("<4sIQ")
+    magic, version, length = fixed.unpack_from(data)
+    end = fixed.size + length
+    text = edit(data[fixed.size:end].decode("utf-8"))
+    text = text.encode("utf-8") if isinstance(text, str) else text
+    head = fixed.pack(magic, version, len(text)) + text
+    return head + bytes(-len(head) % 8) + data[end + -end % 8:]
+
+
+def with_header(data, edit):
+    """Bundle bytes `data` after `edit(header)`, where the header still holds
+    its block table."""
+    def rewrite(text):
+        header = json.loads(text)
+        edit(header)
+        return json.dumps(header, sort_keys=True, separators=(",", ":"))
+    return with_header_text(data, rewrite)
 
 
 def forge(payload, infinity="Infinity"):
-    """Bundle bytes holding `payload`, each infinity written as `infinity`."""
-    body = json.dumps(payload, sort_keys=True).replace("Infinity", infinity).encode("utf-8")
-    return struct.pack("<4sIQ", BUNDLE_MAGIC, BUNDLE_VERSION, len(body)) + body
+    """Bundle bytes holding `payload`, each infinity in its header written as `infinity`."""
+    header, blocks = payload
+    return with_header_text(pipeline._pack(header, blocks),
+                            lambda text: text.replace("Infinity", infinity))
+
+
+def _node(header, path):
+    for key in path:
+        header = header[key]
+    return header
+
+
+def _edit(path, dtype, change):
+    """A payload mutation: `change` edits a writable copy of the array whose
+    reference sits at `path` in the header, in place or by returning a new
+    array, and the reference's shape follows."""
+    def mutate(payload):
+        header, blocks = payload
+        ref = _node(header, path)
+        arr = np.frombuffer(blocks[ref["block"]], dtype).reshape(ref["shape"]).copy()
+        new = change(arr)
+        arr = arr if new is None else np.asarray(new, dtype)
+        blocks[ref["block"]] = arr.tobytes()
+        ref["shape"] = list(arr.shape)
+    return mutate
 
 
 def test_payload_edits_leave_the_bundle_unchanged(small_bundle):
     before = serialize_bundle(small_bundle)
-    payload = bundle_to_jsonable(small_bundle)
-    rebuilt = bundle_from_jsonable(payload)
+    blocks = Blocks()
+    payload = bundle_to_jsonable(small_bundle, blocks.put)
+    rebuilt = bundle_from_jsonable(payload, blocks.get)
     payload["metadata"]["k_max"] = 99
     payload["metadata"]["validation_accuracy"]["E1"] = -1.0
     payload["registry"][0]["hyperparams"]["epochs"] = 1
@@ -424,36 +536,70 @@ def test_payload_edits_leave_the_bundle_unchanged(small_bundle):
 
 
 def test_forged_bundle_unchanged_loads(small_bundle):
-    payload = fresh_payload(small_bundle)
-    assert bundle_to_jsonable(deserialize_bundle(forge(payload))) == payload
+    data = serialize_bundle(small_bundle)
+    assert forge(fresh_payload(small_bundle)) == data
+    assert serialize_bundle(deserialize_bundle(forge(fresh_payload(small_bundle)))) == data
 
 
-def _last_inner_node(tree):
-    return max(i for i, f in enumerate(tree["feature"]) if f >= 0)
+def _column(name, change):
+    """A forest mutation: `change(column, i, n)` edits a copy of one E3
+    column, given i, the last inner node of the first tree, and n, the
+    tree's node count."""
+    dtype = {"feature": "<i4", "threshold": "<f8", "right": "<i4", "leaves": "<f8"}[name]
+    return lambda payload, i, n: _edit(("models", "E3", name), dtype,
+                                       lambda a: change(a, i, n))(payload)
 
 
+def _counts(change):
+    """A forest mutation: `change(nodes, n)` edits the E3 trees' node counts."""
+    return lambda payload, i, n: change(payload[0]["models"]["E3"]["nodes"], n)
+
+
+def _leaf_block_grows(payload, i, n):
+    # the leaf rows keep their shape, but the block holds one value more
+    header, blocks = payload
+    block = header["models"]["E3"]["leaves"]["block"]
+    blocks[block] += bytes(8)
+
+
+# Each case edits the E3 forest, whose first tree has n nodes and whose
+# later trees follow them in each column; i is that tree's last inner node.
 HOSTILE_TREES = {
-    "right_child_is_parent": lambda t, i: t["right"].__setitem__(i, i),
-    "right_child_before_parent": lambda t, i: t["right"].__setitem__(i, i - 1),
-    "right_child_past_end": lambda t, i: t["right"].__setitem__(i, len(t["feature"])),
-    "feature_too_large": lambda t, i: t["feature"].__setitem__(i, 25),
-    "feature_below_leaf_marker": lambda t, i: t["feature"].__setitem__(i, -2),
-    "unequal_lengths": lambda t, i: t["threshold"].append(0.0),
-    "leaf_rows_too_wide": lambda t, i: [row.append(0.0) for row in t["leaves"]],
-    "one_leaf_row_too_wide": lambda t, i: t["leaves"][0].append(0.0),
-    "leaf_row_too_narrow": lambda t, i: [row.pop() for row in t["leaves"]],
+    "right_child_is_parent": _column("right", lambda a, i, n: a.__setitem__(i, i)),
+    "right_child_is_left_child": _column("right", lambda a, i, n: a.__setitem__(i, i + 1)),
+    "right_child_before_parent": _column("right", lambda a, i, n: a.__setitem__(i, i - 1)),
+    # node n is the second tree's root: inside the forest, outside this tree
+    "right_child_past_end": _column("right", lambda a, i, n: a.__setitem__(i, n)),
+    "feature_too_large": _column("feature", lambda a, i, n: a.__setitem__(i, 25)),
+    "feature_below_leaf_marker": _column("feature", lambda a, i, n: a.__setitem__(i, -2)),
+    "unequal_lengths": _column("threshold", lambda a, i, n: np.append(a, 0.0)),
+    "leaf_rows_too_wide": _column("leaves", lambda a, i, n: np.pad(a, ((0, 0), (0, 1)))),
+    "one_leaf_row_too_wide": _leaf_block_grows,
+    "leaf_row_too_narrow": _column("leaves", lambda a, i, n: a[:, :-1]),
+    "one_leaf_row_too_many": _column("leaves", lambda a, i, n: np.vstack([a, a[:1]])),
+    # the first tree's last node, a leaf, marked as an inner node
+    "last_node_inner": _column("feature", lambda a, i, n: a.__setitem__(n - 1, 0)),
+    "counts_exceed_the_nodes": _counts(lambda nodes, n: nodes.__setitem__(0, n + 1)),
+    "counts_fall_short": _counts(lambda nodes, n: nodes.__setitem__(-1, nodes[-1] - 1)),
+    "empty_tree": _counts(lambda nodes, n: nodes.insert(1, 0)),
+    "count_not_an_integer": _counts(lambda nodes, n: nodes.__setitem__(0, float(n))),
+    # the first tree's last leaf would become the second tree's root
+    "tree_boundary_moved": _counts(lambda nodes, n: nodes.__setitem__(
+        slice(0, 2), [n - 1, nodes[1] + 1])),
 }
 
 
 @pytest.mark.parametrize("case", sorted(HOSTILE_TREES))
 def test_hostile_forest_is_format_error(small_bundle, case):
     payload = fresh_payload(small_bundle)
-    forest = payload["models"]["E3"]  # doppler forest over 25 bins
+    header, blocks = payload
+    forest = header["models"]["E3"]  # doppler forest over 25 bins
     assert forest["type"] == "forest" and forest["n_features"] == 25
-    tree = forest["trees"][0]
-    inner = _last_inner_node(tree)
-    assert inner > 0
-    HOSTILE_TREES[case](tree, inner)
+    n = forest["nodes"][0]
+    feature = np.frombuffer(blocks[forest["feature"]["block"]], "<i4")
+    inner = max(i for i in range(n) if feature[i] >= 0)
+    assert inner > 0 and feature[n - 1] == -1
+    HOSTILE_TREES[case](payload, inner, n)
     with pytest.raises(FormatError):
         deserialize_bundle(forge(payload))
 
@@ -461,9 +607,7 @@ def test_hostile_forest_is_format_error(small_bundle, case):
 def _set(path, value):
     def mutate(payload):
         *parents, last = path
-        node = payload
-        for key in parents:
-            node = node[key]
+        node = _node(payload[0], parents)
         node[last] = value(node[last]) if callable(value) else value
     return mutate
 
@@ -476,59 +620,161 @@ DISAGREEING_PARTS = {
     "doppler_max_freq_nan": _set(("metadata", "doppler_max_freq_hz"), float("nan")),
     "forest_registered_as_knn": _set(("registry", 2, "classifier"), "knn"),
     "doppler_expert_registered_as_amp_stats": _set(("registry", 0, "feature"), "amp_stats"),
-    "centroid_too_short": _set(("templates", "E1", "0", "values"), lambda v: v[:-1]),
-    "scaler_too_short": _set(("scalers", "amp_stats", "mean"), lambda v: v[:-1]),
-    "svm_bias_missing": _set(("models", "E1", "biases"), lambda v: v[:-1]),
-    "knn_label_out_of_range": _set(("models", "E6", "labels", 0), 7),
-    "forest_without_trees": _set(("models", "E3", "trees"), []),
-    "model_missing": lambda payload: payload["models"].pop("E1"),
-    "registry_entry_without_id": lambda payload: payload["registry"][0].pop("id"),
+    "centroid_too_short": _edit(("templates", "E1", "0", "values"), "<f8", lambda v: v[:-1]),
+    "scaler_too_short": _edit(("scalers", "amp_stats", "mean"), "<f8", lambda v: v[:-1]),
+    "svm_bias_missing": _edit(("models", "E1", "biases"), "<f8", lambda v: v[:-1]),
+    "knn_label_out_of_range": _edit(("models", "E6", "labels"), "<i8",
+                                    lambda v: v.__setitem__(0, 7)),
+    "forest_without_trees": _set(("models", "E3", "nodes"), []),
+    "model_missing": lambda payload: payload[0]["models"].pop("E1"),
+    "registry_entry_without_id": lambda payload: payload[0]["registry"][0].pop("id"),
     # a NaN required rate would drop the expert from every eligible set
     "required_rate_nan": _set(("registry", 2, "required_rate"), float("nan")),
     "nominal_rate_nan": _set(("registry", 2, "nominal_rate"), float("nan")),
     "nominal_rate_negative": _set(("registry", 2, "nominal_rate"), -500.0),
     # without scalers the gate would correlate raw vectors, near 1 for everyone
-    "scalers_missing": lambda payload: payload.pop("scalers"),
-    "doppler_scaler_missing": lambda payload: payload["scalers"].pop("doppler"),
+    "scalers_missing": lambda payload: payload[0].pop("scalers"),
+    "doppler_scaler_missing": lambda payload: payload[0]["scalers"].pop("doppler"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(DISAGREEING_PARTS))
 def test_bundle_parts_disagree_is_format_error(small_bundle, case):
     payload = fresh_payload(small_bundle)
-    assert [spec["id"] for spec in payload["registry"]][:3] == ["E1", "E2", "E3"]
+    assert [spec["id"] for spec in payload[0]["registry"]][:3] == ["E1", "E2", "E3"]
     DISAGREEING_PARTS[case](payload)
     with pytest.raises(FormatError):
         deserialize_bundle(forge(payload))
 
 
-# A number of each part of a bundle, by its path in the payload.
-NUMBERS = {
-    "scaler_mean": ("scalers", "amp_stats", "mean", 0),
-    "scaler_std": ("scalers", "doppler", "std", 1),
-    "svm_weight": ("models", "E1", "weights", 0, 0),
-    "svm_bias": ("models", "E2", "biases", 1),
-    "svm_mean": ("models", "E2", "mean", 2),
-    "tree_threshold": ("models", "E3", "trees", 0, "threshold", 0),
-    "leaf_value": ("models", "E4", "trees", 0, "leaves", 0, 1),
-    "knn_matrix_value": ("models", "E6", "matrix", 3, 4),
-    "centroid_value": ("templates", "E1", "0", "values", 2),
+# A number of each part of a bundle. Those in the JSON header are given by
+# their path; those in a block by the path of the array's reference and the
+# number's index in the array.
+HEADER_NUMBERS = {
     "centroid_source_rate": ("templates", "E4", "0", "source_rate"),
     "doppler_max_freq_hz": ("metadata", "doppler_max_freq_hz"),
     "validation_accuracy": ("metadata", "validation_accuracy", "E5"),
     "seed": ("metadata", "seed"),
 }
+BLOCK_NUMBERS = {
+    "scaler_mean": (("scalers", "amp_stats", "mean"), 0),
+    "scaler_std": (("scalers", "doppler", "std"), 1),
+    "svm_weight": (("models", "E1", "weights"), (0, 0)),
+    "svm_bias": (("models", "E2", "biases"), 1),
+    "svm_mean": (("models", "E2", "mean"), 2),
+    "tree_threshold": (("models", "E3", "threshold"), 0),
+    "leaf_value": (("models", "E4", "leaves"), (0, 1)),
+    "knn_matrix_value": (("models", "E6", "matrix"), (3, 4)),
+    "centroid_value": (("templates", "E1", "0", "values"), 2),
+}
 
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
-@pytest.mark.parametrize("part", sorted(NUMBERS))
+@pytest.mark.parametrize("part", sorted(HEADER_NUMBERS | BLOCK_NUMBERS))
 def test_non_finite_number_is_format_error(small_bundle, part, literal):
     payload = fresh_payload(small_bundle)
-    *parents, last = NUMBERS[part]
-    node = payload
-    for key in parents:
-        node = node[key]
-    assert type(node[last]) in (int, float)
-    node[last] = math.inf  # json writes Infinity, which forge rewrites as `literal`
+    if part in HEADER_NUMBERS:
+        *parents, last = HEADER_NUMBERS[part]
+        node = _node(payload[0], parents)
+        assert type(node[last]) in (int, float)
+        node[last] = math.inf  # json writes Infinity, which forge rewrites as `literal`
+    else:
+        path, index = BLOCK_NUMBERS[part]
+        # the bit pattern the literal reads as: NaN, +inf (Infinity, 1e999) or -inf
+        _edit(path, "<f8", lambda a: a.__setitem__(index, float(literal)))(payload)
     with pytest.raises(FormatError):
         deserialize_bundle(forge(payload, literal))
+
+
+def _table(change):
+    return lambda data: with_header(data, lambda header: change(header["blocks"]))
+
+
+def _e6_labels(change):
+    return lambda data: with_header(data, lambda header: change(header["models"]["E6"]["labels"]))
+
+
+HOSTILE_CONTAINERS = {
+    "reference_to_missing_block": _e6_labels(lambda ref: ref.update(block=10_000)),
+    "reference_to_negative_block": _e6_labels(lambda ref: ref.update(block=-1)),
+    "block_past_the_end": _table(lambda table: table[-1].__setitem__(1, table[-1][1] + 8)),
+    "blocks_overlap": _table(lambda table: table[1].__setitem__(0, 0)),
+    "gap_between_blocks": _table(lambda table: table[1].__setitem__(0, table[1][0] + 8)),
+    "misaligned_offset": _table(lambda table: table[1].__setitem__(0, table[1][0] + 4)),
+    "negative_length": _table(lambda table: table[0].__setitem__(1, -8)),
+    "table_entry_not_a_pair": _table(lambda table: table[0].pop()),
+    "table_missing": lambda data: with_header(data, lambda header: header.pop("blocks")),
+    "trailing_bytes": lambda data: data + bytes(8),
+    "dtype_float32": _e6_labels(lambda ref: ref.update(dtype="<f4", shape=[2 * ref["shape"][0]])),
+    "dtype_big_endian": _e6_labels(lambda ref: ref.update(dtype=">i8")),
+    "dtype_object": _e6_labels(lambda ref: ref.update(dtype="|O")),
+    # in the whitelist, but labels are <i8
+    "dtype_of_another_array": _e6_labels(
+        lambda ref: ref.update(dtype="<i4", shape=[2 * ref["shape"][0]])),
+    "shape_exceeds_block": _e6_labels(lambda ref: ref.update(shape=[ref["shape"][0] + 1])),
+    "shape_short_of_block": _e6_labels(lambda ref: ref.update(shape=[ref["shape"][0] - 1])),
+    # numpy's reshape would infer the -1
+    "shape_inferred": _e6_labels(lambda ref: ref.update(shape=[-1])),
+    "header_not_utf8": lambda data: with_header_text(data, lambda text: b"\xff" + text.encode()),
+    "header_not_json": lambda data: with_header_text(data, lambda text: text[:-1]),
+    "header_not_an_object": lambda data: with_header_text(data, lambda text: "[]"),
+    "header_length_past_the_end": lambda data: data[:8] + struct.pack("<Q", len(data)) + data[16:],
+    "version_2_header": lambda data: data[:4] + struct.pack("<I", 2) + data[8:],
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_CONTAINERS))
+def test_hostile_container_is_format_error(small_bundle, case):
+    data = serialize_bundle(small_bundle)
+    assert serialize_bundle(deserialize_bundle(with_header(data, lambda header: None))) == data
+    with pytest.raises(FormatError):
+        deserialize_bundle(HOSTILE_CONTAINERS[case](data))
+
+
+@pytest.fixture(scope="module")
+def tiny_bundle_bytes():
+    streams, labels = make_streams(1, 4, seed=43)
+    registry = [ExpertSpec("K", D, ClassifierKind.KNN, 300.0, hyperparams={"k": 2}),
+                ExpertSpec("S", S, ClassifierKind.LINEAR_SVM, 500.0, hyperparams={"epochs": 5}),
+                ExpertSpec("T", S, ClassifierKind.FOREST, 300.0,
+                           hyperparams={"num_trees": 2, "max_depth": 3})]
+    return serialize_bundle(build_bundle(*split_train_val(streams, labels, seed=43),
+                                         registry, seed=43))
+
+
+JSON_VALUES = st.one_of(st.integers(-2**70, 2**70), st.sampled_from(
+    [None, True, 1.5, -0.0, "<f8", "<i4", "<i8", "<f4", "|O", [], [0], [1, 2], [-3], {}]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mutated_bundle_loads_or_is_format_error(tiny_bundle_bytes, data):
+    """Flip, truncate or extend the bytes, or rewrite one block-table entry
+    or array reference: the bundle must load or raise FormatError."""
+    raw = tiny_bundle_bytes
+    header_end = 16 + struct.unpack_from("<Q", raw, 8)[0]
+    mutation = data.draw(st.sampled_from(["flip", "flip_header", "truncate", "extend",
+                                          "table", "reference"]))
+    if mutation in ("flip", "flip_header"):
+        at = data.draw(st.integers(0, (header_end if mutation == "flip_header" else len(raw)) - 1))
+        raw = raw[:at] + bytes([raw[at] ^ data.draw(st.integers(1, 255))]) + raw[at + 1:]
+    elif mutation == "truncate":
+        raw = raw[:data.draw(st.integers(0, len(raw) - 1))]
+    elif mutation == "extend":
+        raw = raw + data.draw(st.binary(min_size=1, max_size=24))
+    else:
+        def rewrite(header):
+            if mutation == "table":
+                entries = header["blocks"]
+            else:
+                models = header["models"]
+                entries = [models["K"]["matrix"], models["K"]["labels"], models["S"]["weights"],
+                           models["T"]["feature"], models["T"]["leaves"]]
+            entry = entries[data.draw(st.integers(0, len(entries) - 1))]
+            keys = range(2) if mutation == "table" else ["block", "dtype", "shape"]
+            entry[data.draw(st.sampled_from(list(keys)))] = data.draw(JSON_VALUES)
+        raw = with_header(raw, rewrite)
+    try:
+        deserialize_bundle(raw)
+    except FormatError:
+        pass
