@@ -26,19 +26,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import (
-    EXIT_CONFIG,
-    EXIT_FORMAT,
-    EXIT_INPUT,
-    EXIT_IO,
-    EXIT_OK,
-    EXIT_TRAINING,
-    ConfigurationError,
-    FormatError,
-    InputError,
-    MoeSenseError,
-    TrainingError,
-)
+from .errors import EXIT_IO, EXIT_OK, ConfigurationError, InputError, MoeSenseError, TrainingError
 from .gating import ExpertSpec, default_registry, filter_by_rate, fuse, load_registry
 from .pipeline import (
     TrainedBundle,
@@ -426,25 +414,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_ERROR_EXITS = [
-    (ConfigurationError, EXIT_CONFIG),
-    (TrainingError, EXIT_TRAINING),
-    (FormatError, EXIT_FORMAT),
-    (InputError, EXIT_INPUT),
-]
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except MoeSenseError as exc:
-        for cls, code in _ERROR_EXITS:
-            if isinstance(exc, cls):
-                print(f"error: {exc}", file=sys.stderr)
-                return code
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return exc.exit_code
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO

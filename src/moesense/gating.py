@@ -15,6 +15,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -127,32 +128,50 @@ class GatingDecision:
 
 
 class TemplateLibrary:
-    """Per expert, per class: one centroid feature vector.
+    """Per expert, per class: one centroid feature vector, and per feature
+    kind the standardization constants the gate scores with.
 
-    A library may also carry per-kind standardization constants (fitted on
-    validation features when the bundle is built). Scoring then correlates
-    z-scored vectors, which keeps heterogeneous-scale features such as the
-    amplitude statistics from saturating every correlation near 1. Libraries
-    without scalers correlate raw vectors.
-
-    Each centroid is also kept as `score_experts` correlates it: scaled once,
-    whenever its centroids or its kind's scaler are set, never per request.
+    The scalers are fitted on validation features when the bundle is built.
+    Scoring correlates z-scored vectors, which keeps heterogeneous-scale
+    features such as the amplitude statistics from saturating every
+    correlation near 1. A library is built once and never changes. Each
+    centroid is scaled, as `score_experts` correlates it, when the library
+    is built, never per request.
     """
 
-    def __init__(self, centroids: Mapping[str, Mapping[int, FeatureVector]] | None = None):
-        self._centroids: dict[str, dict[int, FeatureVector]] = {}
-        self._scaled: dict[str, list[tuple[FeatureKind, np.ndarray | None]]] = {}
+    def __init__(self, centroids: Mapping[str, Mapping[int, FeatureVector]],
+                 scalers: Mapping[FeatureKind, tuple[np.ndarray, np.ndarray]]):
         self._scalers: dict[FeatureKind, tuple[np.ndarray, np.ndarray]] = {}
-        for eid, by_class in (centroids or {}).items():
-            self.set_centroids(eid, by_class)
+        for kind, (mean, std) in scalers.items():
+            mean, std = np.asarray(mean, dtype=np.float64), np.asarray(std, dtype=np.float64)
+            if mean.ndim != 1 or mean.shape != std.shape:
+                raise ConfigurationError(f"{kind.value} scaler mean {mean.shape} and std "
+                                         f"{std.shape} are not two vectors of one width")
+            self._scalers[kind] = (mean, np.where(std > 0, std, 1.0))
+        self._centroids = {eid: dict(by_class) for eid, by_class in centroids.items()}
+        for eid, by_class in self._centroids.items():
+            for label, c in by_class.items():
+                if c.kind not in self._scalers or c.values.shape != self._scalers[c.kind][0].shape:
+                    raise ConfigurationError(f"template centroid {label} of {eid} has no "
+                                             f"{c.kind.value} scaler of its shape {c.values.shape}")
+        self._prescaled = {eid: [(c.kind, self._scaled(c.kind, c.values)) for c in by_class.values()]
+                           for eid, by_class in self._centroids.items()}
 
-    def set_centroids(self, expert_id: str, by_class: Mapping[int, FeatureVector]) -> None:
-        self._centroids[expert_id] = dict(by_class)
-        self._scale(expert_id)
+    @property
+    def scalers(self) -> Mapping[FeatureKind, tuple[np.ndarray, np.ndarray]]:
+        """Per kind, the mean and std the gate standardizes by; a zero std is kept as 1."""
+        return MappingProxyType(self._scalers)
 
-    def _scale(self, expert_id: str) -> None:
-        self._scaled[expert_id] = [(c.kind, _scaled(c.values, self._scalers.get(c.kind)))
-                                   for c in self._centroids[expert_id].values()]
+    def _scaled(self, kind: FeatureKind, values: np.ndarray) -> np.ndarray | None:
+        """`values` as the gate correlates them: None when the raw vector is
+        constant, which scores 0.0 whatever it is matched with, and otherwise
+        standardized by the scaler of `kind`."""
+        v = np.asarray(values, dtype=np.float64)
+        # The zero-variance convention applies to the raw vector, before scaling.
+        if np.ptp(v) == 0.0:
+            return None
+        mean, std = self._scalers[kind]
+        return (v - mean) / std
 
     def centroids(self, expert_id: str) -> dict[int, FeatureVector]:
         self._check_known(expert_id)
@@ -162,7 +181,7 @@ class TemplateLibrary:
         """Each centroid's kind and its vector as the gate correlates it
         (see `_scaled`), in the order of `centroids`."""
         self._check_known(expert_id)
-        return self._scaled[expert_id]
+        return self._prescaled[expert_id]
 
     def _check_known(self, expert_id: str) -> None:
         if expert_id not in self._centroids:
@@ -174,39 +193,12 @@ class TemplateLibrary:
     def __contains__(self, expert_id: str) -> bool:
         return expert_id in self._centroids
 
-    def set_scaler(self, kind: FeatureKind, mean: np.ndarray, std: np.ndarray) -> None:
-        std = np.where(np.asarray(std) > 0, std, 1.0)
-        self._scalers[kind] = (np.asarray(mean, dtype=np.float64), std.astype(np.float64))
-        for eid in self._centroids:
-            self._scale(eid)
-
-    def scaler(self, kind: FeatureKind) -> tuple[np.ndarray, np.ndarray] | None:
-        return self._scalers.get(kind)
-
-    def scaler_kinds(self) -> list[FeatureKind]:
-        return sorted(self._scalers, key=lambda k: k.value)
-
 
 def filter_by_rate(registry: Sequence[ExpertSpec], current_rate: float) -> set[str]:
     """Experts whose required rate is satisfied (boundary inclusive)."""
     if not current_rate > 0:
         raise InputError(f"current_rate must be positive, got {current_rate}")
     return {spec.id for spec in registry if spec.required_rate <= current_rate}
-
-
-def _scaled(values: np.ndarray, scaler: tuple[np.ndarray, np.ndarray] | None
-            ) -> np.ndarray | None:
-    """`values` as the gate correlates them: None when the raw vector is
-    constant, which scores 0.0 whatever it is matched with, and otherwise
-    standardized by `scaler` if there is one."""
-    v = np.asarray(values, dtype=np.float64)
-    # The zero-variance convention applies to the raw vector, before scaling.
-    if np.ptp(v) == 0.0:
-        return None
-    if scaler is not None:
-        mean, std = scaler
-        v = (v - mean) / std
-    return v
 
 
 def score_experts(
@@ -231,7 +223,7 @@ def score_experts(
             if kind not in features:
                 if kind not in stream_features:
                     raise InputError(f"no {kind.value} feature supplied for expert {eid}")
-                features[kind] = _scaled(stream_features[kind].values, templates.scaler(kind))
+                features[kind] = templates._scaled(kind, stream_features[kind].values)
             feature = features[kind]
             r = 0.0 if feature is None or centroid is None else pearson(feature, centroid)
             best = max(best, r)

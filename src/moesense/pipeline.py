@@ -81,6 +81,9 @@ class TrainedBundle:
     metadata: dict[str, Any]
 
     def __post_init__(self) -> None:
+        """Reject a bundle whose models, centroids or scalers disagree with its
+        registry and metadata, so that a bundle fails when it is built or
+        loaded rather than in `detect`."""
         validate_registry(self.registry)
         ids = {spec.id for spec in self.registry}
         if set(self.models) != ids:
@@ -90,6 +93,26 @@ class TrainedBundle:
         missing = [eid for eid in ids if eid not in self.templates]
         if missing:
             raise ConfigurationError(f"experts without template entries: {sorted(missing)}")
+        widths = {FeatureKind.DOPPLER_ENERGY: self.doppler_config().num_bins,
+                  FeatureKind.AMPLITUDE_STATS: AMP_STATS_LENGTH}
+        num_classes = self.num_classes
+        for spec in self.registry:
+            model, width = self.models[spec.id], widths[spec.feature_kind]
+            if (type(model) is not MODEL_TYPES[spec.classifier_kind.value]
+                    or model.kind is not spec.feature_kind
+                    or model.n_features != width or model.num_classes != num_classes):
+                raise ConfigurationError(
+                    f"model {spec.id} disagrees with its registry entry or the metadata")
+            for label, centroid in self.templates.centroids(spec.id).items():
+                if (centroid.kind is not spec.feature_kind or centroid.values.shape != (width,)
+                        or not 0 <= label < num_classes):
+                    raise ConfigurationError(
+                        f"template centroid {label} of {spec.id} does not fit its model")
+            if spec.feature_kind not in self.templates.scalers:
+                raise ConfigurationError(f"no scaler for the {spec.feature_kind.value} features")
+        for kind, (mean, _) in self.templates.scalers.items():
+            if mean.shape != (widths[kind],):
+                raise ConfigurationError(f"{kind.value} scaler is not {widths[kind]} wide")
 
     @property
     def num_classes(self) -> int:
@@ -208,25 +231,24 @@ def _extract_feature_table(
     labels: Sequence[int],
     needed: set[tuple[float, FeatureKind]],
     doppler_cfg: DopplerConfig,
-    fingerprint: "hashlib._Hash | None" = None,
+    fingerprint: "hashlib._Hash",
 ) -> dict[tuple[float, FeatureKind], list[FeatureVector]]:
     """One pass over the streams, extracting every (nominal rate, kind) combo.
 
     Each stream's amplitude series is computed once. Taking every stride-th
     value of it is what `decimate` followed by `extract_feature` computes, so
     each (stride, kind) pair is extracted once and nominal rates that share a
-    stride share its feature vector.
+    stride share its feature vector. `fingerprint` is updated with what
+    training reads of each stream: its rate, amplitude series and label.
     """
     table: dict[tuple[float, FeatureKind], list[FeatureVector]] = {key: [] for key in needed}
     ordered = sorted(needed, key=lambda rk: (rk[0], rk[1].value))
     count = 0
     for stream, label in zip(streams, labels):
         series = mean_amplitude_series(stream)
-        if fingerprint is not None:
-            # What training reads of the stream: its rate and amplitude series.
-            fingerprint.update(struct.pack("<dq", stream.packet_rate, len(series)))
-            fingerprint.update(series.astype("<f8", copy=False))
-            fingerprint.update(struct.pack("<q", label))
+        fingerprint.update(struct.pack("<dq", stream.packet_rate, len(series)))
+        fingerprint.update(series.astype("<f8", copy=False))
+        fingerprint.update(struct.pack("<q", label))
         by_stride: dict[tuple[int, FeatureKind], FeatureVector] = {}
         for rate, kind in ordered:
             stride = decimation_stride(stream.packet_rate, rate)
@@ -275,24 +297,25 @@ def build_bundle(
     master = np.random.default_rng(seed)
     expert_seeds = {spec.id: int(s) for spec, s in zip(ordered, master.integers(0, 2**63, len(ordered)))}
 
-    templates = TemplateLibrary()
     val_accuracy: dict[str, float] = {}
     val_label_arr = np.asarray(val_labels, dtype=np.int64)
 
     # Per-kind standardization for gating correlations, fitted on the pooled
     # validation features so heterogeneous-scale dims weigh in comparably.
     ordered_keys = sorted(needed, key=lambda rk: (rk[0], rk[1].value))
+    scalers = {}
     for kind in sorted({k for _, k in needed}, key=lambda k: k.value):
         pooled = np.concatenate(
             [np.stack([fv.values for fv in val_table[key]]) for key in ordered_keys if key[1] is kind]
         )
-        templates.set_scaler(kind, pooled.mean(axis=0), pooled.std(axis=0))
+        scalers[kind] = (pooled.mean(axis=0), pooled.std(axis=0))
 
     jobs = [(spec, LabeledDataset.build(train_table[(spec.nominal_rate, spec.feature_kind)],
                                         train_labels, num_classes), expert_seeds[spec.id])
             for spec in ordered]
     models = {spec.id: model for spec, model in zip(ordered, _train_experts(jobs))}
 
+    centroids: dict[str, dict[int, FeatureVector]] = {}
     for spec in ordered:
         model = models[spec.id]
         val_features = val_table[(spec.nominal_rate, spec.feature_kind)]
@@ -300,15 +323,14 @@ def build_bundle(
         correct = preds == val_label_arr
         val_accuracy[spec.id] = float(correct.mean())
 
-        centroids: dict[int, FeatureVector] = {}
+        centroids[spec.id] = {}
         for cls in range(num_classes):
             mask = correct & (val_label_arr == cls)
             if not mask.any():
                 continue
             stacked = np.stack([val_features[i].values for i in np.flatnonzero(mask)])
             rate = val_features[int(np.flatnonzero(mask)[0])].source_rate
-            centroids[cls] = FeatureVector(spec.feature_kind, stacked.mean(axis=0), rate)
-        templates.set_centroids(spec.id, centroids)
+            centroids[spec.id][cls] = FeatureVector(spec.feature_kind, stacked.mean(axis=0), rate)
 
     metadata = {
         "seed": int(seed),
@@ -318,7 +340,7 @@ def build_bundle(
         "doppler_max_freq_hz": float(doppler_cfg.max_freq_hz),
         "validation_accuracy": val_accuracy,
     }
-    return TrainedBundle(tuple(ordered), models, templates, metadata)
+    return TrainedBundle(tuple(ordered), models, TemplateLibrary(centroids, scalers), metadata)
 
 
 def expert_posterior(
@@ -402,10 +424,9 @@ def _is_count(value: Any) -> bool:
 
 def bundle_to_jsonable(bundle: TrainedBundle, put: Put) -> dict[str, Any]:
     """The bundle's JSON header; `put` stores each numeric array as a block."""
-    scalers = {}
-    for kind in bundle.templates.scaler_kinds():
-        mean, std = bundle.templates.scaler(kind)
-        scalers[kind.value] = {"mean": put(mean, "<f8"), "std": put(std, "<f8")}
+    scalers = {kind.value: {"mean": put(mean, "<f8"), "std": put(std, "<f8")}
+               for kind, (mean, std) in sorted(bundle.templates.scalers.items(),
+                                               key=lambda item: item[0].value)}
     return {
         "registry": [spec_to_jsonable(s) for s in bundle.registry],
         "models": {eid: m.to_jsonable(put) for eid, m in bundle.models.items()},
@@ -425,45 +446,14 @@ def bundle_from_jsonable(payload: dict[str, Any], get: Get) -> TrainedBundle:
     """The inverse of `bundle_to_jsonable`; `get` returns a block's array."""
     registry = tuple(spec_from_jsonable(d) for d in payload["registry"])
     models = {eid: model_from_jsonable(d, get) for eid, d in payload["models"].items()}
-    templates = TemplateLibrary()
-    # Scalers first, so that each centroid is scaled once, as it is set.
-    for kind_tag, scaler in payload["scalers"].items():
-        templates.set_scaler(FeatureKind(kind_tag),
-                             finite_array(get(scaler["mean"], "<f8"), f"{kind_tag} scaler mean"),
-                             finite_array(get(scaler["std"], "<f8"), f"{kind_tag} scaler std"))
-    for eid, by_class in payload["templates"].items():
-        templates.set_centroids(
-            eid, {int(label): feature_from_jsonable(d, get) for label, d in by_class.items()})
+    scalers = {FeatureKind(tag): (finite_array(get(s["mean"], "<f8"), f"{tag} scaler mean"),
+                                  finite_array(get(s["std"], "<f8"), f"{tag} scaler std"))
+               for tag, s in payload["scalers"].items()}
+    centroids = {eid: {int(label): feature_from_jsonable(d, get) for label, d in by_class.items()}
+                 for eid, by_class in payload["templates"].items()}
     metadata = copy.deepcopy(payload["metadata"])
     finite_array([metadata["seed"], *metadata["validation_accuracy"].values()], "metadata")
-    bundle = TrainedBundle(registry, models, templates, metadata)
-    _check_parts_agree(bundle)
-    return bundle
-
-
-def _check_parts_agree(bundle: TrainedBundle) -> None:
-    """Reject a bundle whose models, centroids or scalers disagree with its
-    registry and metadata, so it fails when it loads rather than in `detect`."""
-    widths = {FeatureKind.DOPPLER_ENERGY: bundle.doppler_config().num_bins,
-              FeatureKind.AMPLITUDE_STATS: AMP_STATS_LENGTH}
-    num_classes = bundle.num_classes
-    for spec in bundle.registry:
-        model, width = bundle.models[spec.id], widths[spec.feature_kind]
-        if (type(model) is not MODEL_TYPES[spec.classifier_kind.value]
-                or model.kind is not spec.feature_kind
-                or model.n_features != width or model.num_classes != num_classes):
-            raise FormatError(f"model {spec.id} disagrees with its registry entry or the metadata")
-        for label, centroid in bundle.templates.centroids(spec.id).items():
-            if (centroid.kind is not spec.feature_kind or centroid.values.shape != (width,)
-                    or not 0 <= label < num_classes):
-                raise FormatError(f"template centroid {label} of {spec.id} does not fit its model")
-    unscaled = sorted({spec.feature_kind.value for spec in bundle.registry
-                       if bundle.templates.scaler(spec.feature_kind) is None})
-    if unscaled:
-        raise FormatError(f"no scaler for the {', '.join(unscaled)} features")
-    for kind in bundle.templates.scaler_kinds():
-        if any(a.shape != (widths[kind],) for a in bundle.templates.scaler(kind)):
-            raise FormatError(f"{kind.value} scaler is not {widths[kind]} wide")
+    return TrainedBundle(registry, models, TemplateLibrary(centroids, scalers), metadata)
 
 
 def serialize_bundle(bundle: TrainedBundle) -> bytes:

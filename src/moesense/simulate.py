@@ -222,6 +222,8 @@ def deserialize_stream(data: bytes) -> CsiStream:
         raise FormatError(f"bad stream magic {magic!r}")
     if not (math.isfinite(rate) and rate > 0):
         raise FormatError(f"stream packet rate must be finite and positive, got {rate}")
+    if k < 1:
+        raise FormatError("stream container holds no subcarriers")
     expected = _HEADER.size + n * k * 16
     if len(data) != expected:
         raise FormatError(f"stream container truncated: {len(data)} bytes, expected {expected}")

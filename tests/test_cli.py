@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from moesense import pipeline
+from moesense import cli, pipeline
 from moesense.cli import evaluate_rate_sweep, evaluate_target_sweep, main
 from moesense.errors import (
     EXIT_CONFIG,
@@ -17,10 +17,15 @@ from moesense.errors import (
     EXIT_IO,
     EXIT_OK,
     EXIT_TRAINING,
+    ConfigurationError,
+    FormatError,
+    InputError,
+    MoeSenseError,
+    RateError,
     TrainingError,
 )
 from moesense.pipeline import BUNDLE_MAGIC, BUNDLE_VERSION, load_bundle
-from moesense.simulate import load_stream, read_manifest
+from moesense.simulate import CsiStream, load_stream, read_manifest, save_stream
 
 GEN_ARGS = ["--k-max", "2", "--streams-per-class", "6", "--subcarriers", "8",
             "--duration", "1.0", "--seed", "11"]
@@ -391,6 +396,28 @@ def test_detect_corrupt_stream_is_format_error(bundle_path, tmp_path):
     bad.write_bytes(b"garbage data that is not a stream")
     rc = main(["detect", "--bundle", str(bundle_path), "--stream", str(bad), "--rate", "100"])
     assert rc == EXIT_FORMAT
+
+
+def test_detect_stream_without_subcarriers_is_format_error(bundle_path, tmp_path, capsys):
+    empty = tmp_path / "empty.csi"
+    save_stream(CsiStream(np.zeros((1000, 0), complex), 1000.0, 0, 0), empty)
+    rc = main(["detect", "--bundle", str(bundle_path), "--stream", str(empty), "--rate", "500",
+               "--json"])
+    assert rc == EXIT_FORMAT
+    assert capsys.readouterr().out == ""
+
+
+# The exit codes the CLI documents: 2 configuration, 3 input, 5 format, 6 training.
+@pytest.mark.parametrize("error,code", [(MoeSenseError, 3), (ConfigurationError, 2),
+                                        (InputError, 3), (RateError, 3), (FormatError, 5),
+                                        (TrainingError, 6)])
+def test_each_error_class_exits_with_its_documented_code(monkeypatch, capsys, error, code):
+    def fail(path):
+        raise error("refused")
+
+    monkeypatch.setattr(cli, "load_bundle", fail)
+    assert main(["detect", "--bundle", "b.moe", "--stream", "s.csi", "--rate", "100"]) == code
+    assert capsys.readouterr().err == "error: refused\n"
 
 
 def test_detect_corrupt_bundle_is_format_error(dataset, tmp_path):

@@ -74,11 +74,15 @@ def test_rate_monotonicity():
 # score_experts
 # ---------------------------------------------------------------------------
 
-def library(entries):
-    lib = TemplateLibrary()
-    for eid, by_class in entries.items():
-        lib.set_centroids(eid, by_class)
-    return lib
+def identity_scalers(entries):
+    """Per kind, mean 0 and std 1 at its centroids' width: the gate then
+    correlates the raw vectors, since (v - 0) / 1 == v bit for bit."""
+    widths = {c.kind: len(c) for by_class in entries.values() for c in by_class.values()}
+    return {kind: (np.zeros(width), np.ones(width)) for kind, width in widths.items()}
+
+
+def library(entries, scalers=None):
+    return TemplateLibrary(entries, identity_scalers(entries) if scalers is None else scalers)
 
 
 def test_score_identical_to_centroid_is_one():
@@ -130,9 +134,8 @@ def test_score_missing_feature_kind_is_input_error():
 
 def test_score_with_scaler_identical_still_one_and_constant_still_zero():
     centroid = fv([1.0, 0.01, 0.02, 1.0, 0.99, 1.01], kind=S)
-    lib = library({"E1": {0: centroid}})
-    lib.set_scaler(S, np.array([0.9, 0.02, 0.01, 0.95, 0.9, 0.95]),
-                   np.array([0.1, 0.005, 0.004, 0.1, 0.1, 0.1]))
+    lib = library({"E1": {0: centroid}}, {S: (np.array([0.9, 0.02, 0.01, 0.95, 0.9, 0.95]),
+                                              np.array([0.1, 0.005, 0.004, 0.1, 0.1, 0.1]))})
     assert score_experts({S: centroid}, lib, ["E1"])["E1"] == pytest.approx(1.0, abs=1e-12)
     const = fv([2.0] * 6, kind=S)
     assert score_experts({S: const}, lib, ["E1"])["E1"] == 0.0
@@ -144,11 +147,11 @@ def test_scaler_separates_scale_dominated_vectors():
     base = np.array([1.0, 0.02, 0.03, 1.0, 0.98, 1.02])
     near = fv(base + np.array([0, 0.001, 0.001, 0, 0, 0]), kind=S)
     far = fv(base + np.array([0, 0.3, 0.25, 0.01, 0.01, 0.01]), kind=S)
-    lib = library({"near": {0: near}, "far": {0: far}})
+    entries = {"near": {0: near}, "far": {0: far}}
     x = fv(base + np.array([0.001, -0.001, 0.002, -0.001, 0.001, 0.002]), kind=S)
-    raw = score_experts({S: x}, lib, ["near", "far"])
+    raw = score_experts({S: x}, library(entries), ["near", "far"])
     assert raw["far"] > 0.99  # saturated without scaling
-    lib.set_scaler(S, base - 0.01, np.array([0.05, 0.05, 0.05, 0.05, 0.05, 0.05]))
+    lib = library(entries, {S: (base - 0.01, np.array([0.05, 0.05, 0.05, 0.05, 0.05, 0.05]))})
     scaled = score_experts({S: x}, lib, ["near", "far"])
     assert scaled["near"] > scaled["far"]
 
@@ -169,12 +172,8 @@ def reference_scores(stream_features, lib, candidate_ids):
             if np.ptp(a) == 0.0 or np.ptp(b) == 0.0:
                 r = 0.0
             else:
-                scaler = lib.scaler(centroid.kind)
-                if scaler is not None:
-                    mean, std = scaler
-                    a = (a - mean) / std
-                    b = (b - mean) / std
-                r = pearson(a, b)
+                mean, std = lib.scalers[centroid.kind]
+                r = pearson((a - mean) / std, (b - mean) / std)
             best = max(best, r)
         scores[eid] = float(best)
     return scores
@@ -193,10 +192,11 @@ def vectors(width):
 
 @st.composite
 def scalers(draw, kind):
-    """A scaler for `kind`, or None; its std may have zero dimensions."""
-    if draw(st.booleans()):
-        return None
+    """A scaler for `kind`, the identity about half of the time; its std may
+    have zero dimensions."""
     width = WIDTHS[kind]
+    if draw(st.booleans()):
+        return np.zeros(width), np.ones(width)
     mean = draw(st.lists(st.floats(-5, 5), min_size=width, max_size=width))
     std = draw(st.lists(st.sampled_from([0.0, 0.01, 0.5, 1.0, 3.0]),
                         min_size=width, max_size=width))
@@ -205,62 +205,43 @@ def scalers(draw, kind):
 
 @st.composite
 def gates(draw):
-    """A library (experts of either kind, some with no centroids), the
-    stream's features and the scalers, set before or after the centroids."""
+    """A library (experts of either kind, some with no centroids, and a
+    scaler for each kind) and the stream's features."""
     entries = {}
     for i in range(draw(st.integers(1, 5))):
         kind = draw(st.sampled_from([D, S]))
         classes = draw(st.lists(st.integers(0, 5), max_size=4, unique=True))
         entries[f"E{i}"] = {c: fv(draw(vectors(WIDTHS[kind])), kind) for c in classes}
     features = {kind: fv(draw(vectors(WIDTHS[kind])), kind) for kind in (D, S)}
-    by_kind = {kind: draw(scalers(kind)) for kind in (D, S)}
-    lib = TemplateLibrary()
-
-    def set_centroids():
-        for eid, by_class in entries.items():
-            lib.set_centroids(eid, by_class)
-
-    def set_scalers():
-        for kind, scaler in by_kind.items():
-            if scaler is not None:
-                lib.set_scaler(kind, *scaler)
-
-    for step in draw(st.permutations([set_centroids, set_scalers])):
-        step()
+    lib = TemplateLibrary(entries, {kind: draw(scalers(kind)) for kind in (D, S)})
     return lib, features, sorted(entries)
 
 
 @settings(max_examples=300, deadline=None)
-@given(gates(), st.data())
-def test_scores_equal_the_reference_exactly(gate, data):
+@given(gates())
+def test_scores_equal_the_reference_exactly(gate):
     lib, features, ids = gate
     assert score_experts(features, lib, ids) == reference_scores(features, lib, ids)
-    # Whatever is set after scoring counts in the next scores.
-    kind = data.draw(st.sampled_from([D, S]))
-    scaler = data.draw(scalers(kind))
-    if scaler is not None:
-        lib.set_scaler(kind, *scaler)
-    eid = data.draw(st.sampled_from(ids))
-    lib.set_centroids(eid, {0: fv(data.draw(vectors(WIDTHS[kind])), kind)})
-    assert score_experts(features, lib, ids) == reference_scores(features, lib, ids)
 
 
-def test_setting_scalers_or_centroids_changes_the_next_scores():
-    base = np.array([1.0, 0.02, 0.03, 1.0, 0.98, 1.02])
-    near = fv(base + np.array([0, 0.001, 0.001, 0, 0, 0]), kind=S)
-    far = fv(base + np.array([0, 0.3, 0.25, 0.01, 0.01, 0.01]), kind=S)
-    lib = library({"near": {0: near}, "far": {0: far}})
-    x = {S: fv(base + np.array([0.001, -0.001, 0.002, -0.001, 0.001, 0.002]), kind=S)}
-    raw = score_experts(x, lib, ["near", "far"])
-    lib.set_scaler(S, base - 0.01, np.full(6, 0.05))
-    scaled = score_experts(x, lib, ["near", "far"])
-    lib.set_scaler(S, base, np.array([1.0, 0.01, 0.01, 1.0, 1.0, 1.0]))
-    rescaled = score_experts(x, lib, ["near", "far"])
-    lib.set_centroids("near", {0: far})
-    swapped = score_experts(x, lib, ["near", "far"])
-    assert raw != scaled != rescaled != swapped
-    assert swapped["near"] == swapped["far"]
-    assert swapped == reference_scores(x, lib, ["near", "far"])
+@pytest.mark.parametrize("centroids,scalers", [
+    ({"E1": {0: fv([0.1, 0.3, 0.6])}}, {S: (np.zeros(3), np.ones(3))}),
+    ({"E1": {0: fv([0.1, 0.3, 0.6])}}, {D: (np.zeros(4), np.ones(4))}),
+    ({}, {D: (np.zeros(3), np.ones(4))}),
+    ({}, {D: (np.zeros((1, 3)), np.ones((1, 3)))}),
+], ids=["centroid_kind_without_scaler", "centroid_wider_than_scaler",
+        "mean_and_std_differ_in_shape", "scaler_not_a_vector"])
+def test_library_rejects_centroids_and_scalers_that_disagree(centroids, scalers):
+    with pytest.raises(ConfigurationError, match="scaler"):
+        TemplateLibrary(centroids, scalers)
+
+
+def test_library_keeps_a_zero_std_as_one_and_its_scalers_read_only():
+    lib = TemplateLibrary({}, {D: ([1.0, 2.0], [0.0, 0.5])})
+    mean, std = lib.scalers[D]
+    assert mean.tolist() == [1.0, 2.0] and std.tolist() == [1.0, 0.5]
+    with pytest.raises(TypeError):
+        lib.scalers[S] = (mean, std)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +333,7 @@ def test_decide_uniform_when_all_scores_clip_to_zero():
 
 def test_decide_empty_registry_rejected():
     with pytest.raises(ConfigurationError):
-        decide([], TemplateLibrary(), {}, 100.0)
+        decide([], TemplateLibrary({}, {}), {}, 100.0)
 
 
 def test_decide_deterministic():

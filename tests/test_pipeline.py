@@ -186,7 +186,7 @@ def test_feature_table_equals_decimate_then_extract():
     cfg = DopplerConfig()
     needed = {(spec.nominal_rate, spec.feature_kind) for spec in default_registry()}
     assert (400.0, D) in needed and (300.0, S) in needed
-    table = _extract_feature_table(streams, labels, needed, cfg)
+    table = _extract_feature_table(streams, labels, needed, cfg, hashlib.sha256())
     assert set(table) == needed
     for (rate, kind), features in table.items():
         assert len(features) == len(streams)
@@ -392,7 +392,7 @@ def test_loaded_arrays_are_read_only_views(small_bundle, probe_stream):
     buffer = bytearray(data)
     loaded = deserialize_bundle(buffer)
     buffer[:] = bytes(len(buffer))  # the caller's buffer is not what the arrays view
-    arrays = [loaded.templates.scaler(kind)[0] for kind in loaded.templates.scaler_kinds()]
+    arrays = [mean for mean, _ in loaded.templates.scalers.values()]
     for eid, model in loaded.models.items():
         arrays += [fv.values for fv in loaded.templates.centroids(eid).values()]
         if hasattr(model, "trees"):
@@ -465,6 +465,12 @@ def test_bundle_registry_model_mismatch(small_bundle):
     with pytest.raises(ConfigurationError):
         TrainedBundle(small_bundle.registry, models, small_bundle.templates,
                       small_bundle.metadata)
+
+
+def test_bundle_whose_models_disagree_with_k_max_fails_when_built(small_bundle):
+    metadata = {**small_bundle.metadata, "k_max": small_bundle.metadata["k_max"] + 1}
+    with pytest.raises(ConfigurationError, match="disagrees with its registry entry or the metadata"):
+        TrainedBundle(small_bundle.registry, small_bundle.models, small_bundle.templates, metadata)
 
 
 def fresh_payload(bundle):
@@ -612,6 +618,15 @@ def _set(path, value):
     return mutate
 
 
+def _no_doppler_centroids(mutate):
+    """`mutate`, on a payload whose Doppler experts (E1, E3, E6) have no
+    centroids, so only the bundle's own check sees the Doppler scaler."""
+    def both(payload):
+        payload[0]["templates"].update(E1={}, E3={}, E6={})
+        mutate(payload)
+    return both
+
+
 DISAGREEING_PARTS = {
     # the models take 25 Doppler bins; detect would fail on a broadcast
     "doppler_bins_20": _set(("metadata", "doppler_num_bins"), 20),
@@ -635,6 +650,11 @@ DISAGREEING_PARTS = {
     # without scalers the gate would correlate raw vectors, near 1 for everyone
     "scalers_missing": lambda payload: payload[0].pop("scalers"),
     "doppler_scaler_missing": lambda payload: payload[0]["scalers"].pop("doppler"),
+    "doppler_scaler_missing_without_centroids": _no_doppler_centroids(
+        lambda payload: payload[0]["scalers"].pop("doppler")),
+    "doppler_scaler_too_short_without_centroids": _no_doppler_centroids(
+        lambda payload: [_edit(("scalers", "doppler", part), "<f8", lambda v: v[:-1])(payload)
+                         for part in ("mean", "std")]),
 }
 
 
@@ -645,6 +665,16 @@ def test_bundle_parts_disagree_is_format_error(small_bundle, case):
     DISAGREEING_PARTS[case](payload)
     with pytest.raises(FormatError):
         deserialize_bundle(forge(payload))
+
+
+@pytest.mark.parametrize("case,names", [("centroid_too_short", "template centroid 0 of E1"),
+                                        ("scaler_too_short", "amp_stats scaler")])
+def test_short_centroid_or_scaler_is_named(small_bundle, case, names):
+    payload = fresh_payload(small_bundle)
+    DISAGREEING_PARTS[case](payload)
+    with pytest.raises(FormatError, match=names) as info:
+        deserialize_bundle(forge(payload))
+    assert "broadcast" not in str(info.value)
 
 
 # A number of each part of a bundle. Those in the JSON header are given by
