@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
-from typing import Any, NamedTuple, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -232,39 +231,43 @@ def predict_linear_svm(model: LinearSvmModel, x: FeatureVector) -> np.ndarray:
 # Random forest (CART, Gini impurity)
 # ---------------------------------------------------------------------------
 
-class Tree(NamedTuple):
-    """One CART tree as parallel preorder node arrays.
+class ForestModel:
+    """CART trees as the node columns a bundle stores, trees one after another.
 
-    Node i's left child is node i + 1 and its right child right[i]. A leaf
-    has feature and right -1 and its class posterior in posterior[i], which
-    is None at inner nodes. Plain lists keep the per-node walk cheap.
+    Tree t has nodes[t] nodes, in preorder. Counted from the tree's first
+    node, node i's left child is node i + 1 and its right child right[i]. A
+    leaf has feature and right -1 and the next row of `leaves`, its class
+    posterior. The columns are kept as arrays of the dtypes the bundle stores.
     """
 
-    feature: list[int]
-    threshold: list[float]
-    right: list[int]
-    posterior: list[np.ndarray | None]
-
-
-class ForestModel:
-    def __init__(self, trees: list[Tree], kind: FeatureKind, num_classes: int,
-                 n_features: int):
-        self.trees = trees
+    def __init__(self, nodes: list[int], feature: Sequence[int], threshold: Sequence[float],
+                 right: Sequence[int], leaves: Sequence[np.ndarray], kind: FeatureKind,
+                 num_classes: int, n_features: int):
+        self.nodes = nodes
+        self.feature = np.asarray(feature, np.int32)
+        self.threshold = np.asarray(threshold, np.float64)
+        self.right = np.asarray(right, np.int32)
+        self.leaves = np.asarray(leaves, np.float64)
         self.kind = kind
         self.num_classes = num_classes
         self.n_features = n_features
+        # What the walk reads, as plain lists, which keep the per-node steps
+        # cheap: each tree's root, and per forest node its feature, threshold,
+        # right child counted from the forest's first node, and leaf row.
+        counts = np.asarray(nodes)
+        starts = np.cumsum(counts) - counts
+        self._walk = (starts.tolist(), self.feature.tolist(), self.threshold.tolist(),
+                      (self.right + np.repeat(starts, counts)).tolist(),
+                      (np.cumsum(self.feature == -1) - 1).tolist())
 
     def to_jsonable(self, put: Put) -> dict[str, Any]:
-        """One array per node column for the whole forest, trees in order,
-        and each tree's node count; leaf rows in node order."""
-        trees = self.trees
         return {
             "type": "forest",
-            "nodes": [len(t.feature) for t in trees],
-            "feature": put(list(chain.from_iterable(t.feature for t in trees)), "<i4"),
-            "threshold": put(list(chain.from_iterable(t.threshold for t in trees)), "<f8"),
-            "right": put(list(chain.from_iterable(t.right for t in trees)), "<i4"),
-            "leaves": put([p for t in trees for p in t.posterior if p is not None], "<f8"),
+            "nodes": list(self.nodes),
+            "feature": put(self.feature, "<i4"),
+            "threshold": put(self.threshold, "<f8"),
+            "right": put(self.right, "<i4"),
+            "leaves": put(self.leaves, "<f8"),
             "kind": self.kind.value,
             "num_classes": self.num_classes,
             "n_features": self.n_features,
@@ -272,8 +275,7 @@ class ForestModel:
 
     @classmethod
     def from_jsonable(cls, d: dict[str, Any], get: Get) -> "ForestModel":
-        """Check every tree at once, so that every walk ends at a leaf, then
-        cut the node columns into per-tree lists."""
+        """Check every tree at once, so that every walk ends at a leaf."""
         num_classes, n_features = int(d["num_classes"]), int(d["n_features"])
         nodes = d["nodes"]
         if not nodes:
@@ -299,12 +301,8 @@ class ForestModel:
             raise ValueError("tree child index not after its parent or outside the tree")
         if leaves.shape != (int(is_leaf.sum()), num_classes):
             raise ValueError(f"tree leaf rows must be {num_classes} wide, one per leaf")
-        rows = iter(leaves)
-        posterior = [next(rows) if leaf else None for leaf in is_leaf.tolist()]
-        feature, threshold, right = feature.tolist(), threshold.tolist(), right.tolist()
-        trees = [Tree(feature[a:a + n], threshold[a:a + n], right[a:a + n], posterior[a:a + n])
-                 for a, n in zip(starts.tolist(), nodes)]
-        return cls(trees, FeatureKind(d["kind"]), num_classes, n_features)
+        return cls(nodes, feature, threshold, right, leaves, FeatureKind(d["kind"]),
+                   num_classes, n_features)
 
 
 def _best_split_on_feature(
@@ -336,16 +334,19 @@ def _best_split_on_feature(
 
 
 def _grow_tree(matrix: np.ndarray, labels: np.ndarray, num_classes: int,
-               max_depth: int | None, rng: np.random.Generator) -> Tree:
-    """Grow one tree in preorder: a node's left subtree is finished before its
-    right one starts, so the RNG draws follow the node order."""
+               max_depth: int | None, rng: np.random.Generator,
+               columns: tuple[list, list, list, list]) -> int:
+    """Append one tree in preorder to the forest's `columns` (feature, threshold,
+    right, leaves) and return its node count. A node's left subtree is finished
+    before its right one starts, so the RNG draws follow the node order."""
+    feature, threshold, right, leaves = columns
+    first = len(feature)
     m_try = math.ceil(math.sqrt(matrix.shape[1]))
-    tree = Tree([], [], [], [])
     stack = [(matrix, labels, 0, -1)]  # (samples, labels, depth, parent of a right child)
     while stack:
         m, y, depth, parent = stack.pop()
         if parent >= 0:
-            tree.right[parent] = len(tree.feature)
+            right[parent] = len(feature) - first
         best: tuple[float, float, int] | None = None
         if len(y) >= 2 and (max_depth is None or depth < max_depth) and not np.all(y == y[0]):
             # Evaluate m_try candidate features; if none of them splits, keep walking
@@ -358,16 +359,17 @@ def _grow_tree(matrix: np.ndarray, labels: np.ndarray, num_classes: int,
                     break
         if best is None:
             counts = np.bincount(y, minlength=num_classes).astype(np.float64)
-            node = (-1, 0.0, -1, counts / counts.sum())
+            leaves.append(counts / counts.sum())
+            node = (-1, 0.0, -1)
         else:
-            _, threshold, feature = best
-            node = (feature, threshold, -1, None)
-            mask = m[:, feature] <= threshold
-            stack.append((m[~mask], y[~mask], depth + 1, len(tree.feature)))
+            _, split, f = best
+            node = (f, split, -1)
+            mask = m[:, f] <= split
+            stack.append((m[~mask], y[~mask], depth + 1, len(feature)))
             stack.append((m[mask], y[mask], depth + 1, -1))
-        for column, value in zip(tree, node):
+        for column, value in zip((feature, threshold, right), node):
             column.append(value)
-    return tree
+    return len(feature) - first
 
 
 def train_forest(
@@ -390,23 +392,24 @@ def train_forest(
     tree_seeds = [int(s) for s in master.integers(0, 2**63, num_trees)]
 
     n = len(data)
-    trees = []
+    nodes, columns = [], ([], [], [], [])
     for ts in tree_seeds:
         rng = np.random.default_rng(ts)
         idx = rng.integers(0, n, n) if bootstrap else np.arange(n)
-        trees.append(_grow_tree(data.matrix[idx], data.labels[idx], data.num_classes, max_depth, rng))
-    return ForestModel(trees, data.kind, data.num_classes, data.matrix.shape[1])
+        nodes.append(_grow_tree(data.matrix[idx], data.labels[idx], data.num_classes,
+                                max_depth, rng, columns))
+    return ForestModel(nodes, *columns, data.kind, data.num_classes, data.matrix.shape[1])
 
 
 def predict_forest(model: ForestModel, x: FeatureVector) -> np.ndarray:
     q = _check_query(x, model.kind, model.n_features).tolist()
-    acc = np.zeros(model.num_classes)
-    for feature, threshold, right, posterior in model.trees:
-        i = 0
+    roots, feature, threshold, right, leaf_row = model._walk
+    rows = []
+    for i in roots:
         while (f := feature[i]) >= 0:
             i = i + 1 if q[f] <= threshold[i] else right[i]
-        acc += posterior[i]
-    return acc / len(model.trees)
+        rows.append(leaf_row[i])
+    return model.leaves[rows].sum(axis=0) / len(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -190,9 +190,6 @@ class TemplateLibrary:
     def expert_ids(self) -> list[str]:
         return sorted(self._centroids)
 
-    def __contains__(self, expert_id: str) -> bool:
-        return expert_id in self._centroids
-
 
 def filter_by_rate(registry: Sequence[ExpertSpec], current_rate: float) -> set[str]:
     """Experts whose required rate is satisfied (boundary inclusive)."""

@@ -72,6 +72,11 @@ _BLOCK_ALIGN = 8  # every block starts at a multiple of this many bytes
 
 DEFAULT_VAL_FRACTION = 0.25
 
+# `detect` takes real and imaginary parts below this in size. Features then stay
+# below 1e101 (the amplitude variance) and the squares later steps take (spectral
+# power, KNN distances) below 1e203, so none overflows, even over a small std.
+MAX_SAMPLE = 1e50
+
 
 @dataclass(frozen=True, eq=False)
 class TrainedBundle:
@@ -85,14 +90,11 @@ class TrainedBundle:
         registry and metadata, so that a bundle fails when it is built or
         loaded rather than in `detect`."""
         validate_registry(self.registry)
-        ids = {spec.id for spec in self.registry}
-        if set(self.models) != ids:
-            raise ConfigurationError(
-                f"registry/model mismatch: registry {sorted(ids)} vs models {sorted(self.models)}"
-            )
-        missing = [eid for eid in ids if eid not in self.templates]
-        if missing:
-            raise ConfigurationError(f"experts without template entries: {sorted(missing)}")
+        ids = sorted(spec.id for spec in self.registry)
+        for part, part_ids in (("model", sorted(self.models)),
+                               ("template", self.templates.expert_ids())):
+            if part_ids != ids:
+                raise ConfigurationError(f"registry/{part} mismatch: {ids} vs {part_ids}")
         widths = {FeatureKind.DOPPLER_ENERGY: self.doppler_config().num_bins,
                   FeatureKind.AMPLITUDE_STATS: AMP_STATS_LENGTH}
         num_classes = self.num_classes
@@ -362,15 +364,13 @@ def detect(stream: CsiStream, current_rate: float, bundle: TrainedBundle) -> Det
     """Run the detection workflow on one stream observed at `current_rate`."""
     if not (math.isfinite(current_rate) and current_rate > 0):
         raise InputError(f"current_rate must be finite and positive, got {current_rate}")
-    if not np.all(np.isfinite(stream.samples.view(np.float64))):
-        raise InputError("stream contains non-finite samples")
+    values = stream.samples.view(np.float64)
+    if not (values.size and -MAX_SAMPLE < values.min() and values.max() < MAX_SAMPLE):
+        raise InputError(f"stream must hold samples, all finite and below {MAX_SAMPLE:g} in size")
     doppler_cfg = bundle.doppler_config()
     observed = decimate(stream, current_rate)
 
-    stream_features = {
-        FeatureKind.DOPPLER_ENERGY: extract_feature(observed, FeatureKind.DOPPLER_ENERGY, doppler_cfg),
-        FeatureKind.AMPLITUDE_STATS: extract_feature(observed, FeatureKind.AMPLITUDE_STATS, doppler_cfg),
-    }
+    stream_features = {kind: extract_feature(observed, kind, doppler_cfg) for kind in FeatureKind}
     decision = decide(bundle.registry, bundle.templates, stream_features, current_rate)
 
     posteriors = {eid: expert_posterior(stream, current_rate, bundle, eid)

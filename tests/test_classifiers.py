@@ -254,10 +254,10 @@ def test_forest_single_tree_full_sample_memorizes():
 def test_forest_pure_class_single_leaf():
     data = dataset([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]], [2, 2, 2], num_classes=4)
     model = train_forest(data, num_trees=3, max_depth=4, seed=1)
-    for tree in model.trees:
-        # the root is the only node, and it is a leaf
-        assert tree.feature == [-1] and tree.right == [-1]
-        assert tree.posterior[0][2] == 1.0
+    # each tree's root is its only node, and it is a leaf
+    assert model.nodes == [1, 1, 1]
+    assert model.feature.tolist() == model.right.tolist() == [-1, -1, -1]
+    assert model.leaves.tolist() == [[0.0, 0.0, 1.0, 0.0]] * 3
     post = predict_forest(model, fv([9.0, 9.0]))
     assert post[2] == 1.0
 
@@ -280,6 +280,46 @@ def test_forest_posterior_valid():
         post = predict_forest(model, fv(rng.normal(size=4)))
         assert post.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.all(post >= 0.0)
+
+
+def per_tree_walk(model, x):
+    """The reference forest predict: the forest cut into per-tree lists with
+    a posterior per node (None at inner nodes), walked tree by tree with a
+    running sum, as forests were predicted before they were kept as node
+    columns."""
+    q = x.values.tolist()
+    starts = np.cumsum(model.nodes) - model.nodes
+    rows = iter(model.leaves)
+    posterior = [next(rows) if f == -1 else None for f in model.feature.tolist()]
+    columns = (model.feature.tolist(), model.threshold.tolist(), model.right.tolist(), posterior)
+    trees = [[column[a:a + n] for column in columns] for a, n in zip(starts, model.nodes)]
+    acc = np.zeros(model.num_classes)
+    for feature, threshold, right, posterior in trees:
+        i = 0
+        while (f := feature[i]) >= 0:
+            i = i + 1 if q[f] <= threshold[i] else right[i]
+        acc += posterior[i]
+    return acc / len(trees)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_forest_predicts_bit_for_bit_as_the_per_tree_walk(seed):
+    rng = np.random.default_rng(seed)
+    num_classes, d = [1, 2, 2, 3, 5][seed % 5], int(rng.integers(1, 7))
+    data, matrix, _ = random_dataset(rng, n=int(rng.integers(2, 60)), d=d,
+                                     num_classes=num_classes)
+    model = train_forest(data, num_trees=int(rng.integers(1, 40)),
+                         max_depth=[None, 1, 3, 8][seed % 4], seed=seed, bootstrap=seed % 3 > 0)
+    header, blocks = encoded(model)
+    clone = model_from_jsonable(header, Blocks(blocks).get)
+    # training rows, new points, and points on a split's threshold
+    on_split = matrix[rng.integers(0, len(matrix), 10)].copy()
+    for q, i in zip(on_split, rng.permutation(np.flatnonzero(model.feature >= 0))):
+        q[model.feature[i]] = model.threshold[i]
+    for q in [*matrix[:10], *rng.normal(size=(10, d)), *on_split]:
+        expected = per_tree_walk(model, fv(q)).tobytes()
+        assert predict_forest(model, fv(q)).tobytes() == expected
+        assert predict_forest(clone, fv(q)).tobytes() == expected
 
 
 def test_forest_dimension_mismatch():

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moesense import cli, pipeline
 from moesense.cli import evaluate_rate_sweep, evaluate_target_sweep, main
@@ -405,6 +407,61 @@ def test_detect_stream_without_subcarriers_is_format_error(bundle_path, tmp_path
                "--json"])
     assert rc == EXIT_FORMAT
     assert capsys.readouterr().out == ""
+
+
+def test_detect_stream_with_a_huge_sample_is_input_error(dataset, bundle_path, tmp_path, capsys):
+    # The reader takes any finite sample, but at 500 pkts/s a 1e200 would
+    # overflow the Doppler spectrum.
+    stream = load_stream(dataset / read_manifest(dataset / "manifest.csv")[4].path)
+    samples = stream.samples.copy()
+    samples[500, 2] = 1e200
+    huge = tmp_path / "huge.csi"
+    save_stream(CsiStream(samples, stream.packet_rate, stream.true_target_count, stream.seed), huge)
+    rc = main(["detect", "--bundle", str(bundle_path), "--stream", str(huge), "--rate", "500",
+               "--json"])
+    assert rc == EXIT_INPUT
+    assert capsys.readouterr().out == ""
+
+
+STREAM_HEADER = struct.Struct("<4sQQdqq")  # magic, packets, subcarriers, rate, seed, count
+
+
+@pytest.fixture(scope="module")
+def fuzzed_stream_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "stream.csi"
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_mutated_stream_detects_or_is_input_or_format_error(dataset, bundle_path,
+                                                            fuzzed_stream_path, data):
+    """Flip header bytes, set edge header values, truncate, or flip payload
+    bytes of a CSI1 stream: `moesense detect` must exit 0, 3 or 5."""
+    raw = (dataset / read_manifest(dataset / "manifest.csv")[4].path).read_bytes()
+    size = STREAM_HEADER.size
+    mutation = data.draw(st.sampled_from(["flip_header", "edge_header", "truncate",
+                                          "flip_payload"]))
+    if mutation in ("flip_header", "flip_payload"):
+        lo, hi = (0, size) if mutation == "flip_header" else (size, len(raw))
+        at = data.draw(st.integers(lo, hi - 1))
+        raw = raw[:at] + bytes([raw[at] ^ data.draw(st.integers(1, 255))]) + raw[at + 1:]
+    elif mutation == "truncate":
+        raw = raw[:data.draw(st.integers(0, len(raw) - 1))]
+    else:
+        # the payload is cut to the packets and subcarriers the header names
+        magic, n, k, rate, seed, count = STREAM_HEADER.unpack_from(raw)
+        edge = data.draw(st.sampled_from(["packets", "subcarriers", "rate"]))
+        if edge == "packets":
+            n = data.draw(st.sampled_from([0, 1, 7, 8]))
+        elif edge == "subcarriers":
+            k = 0
+        else:
+            rate = data.draw(st.sampled_from([5e-324, 1e-300, 1e300]))
+        raw = STREAM_HEADER.pack(magic, n, k, rate, seed, count) + raw[size:size + n * k * 16]
+    fuzzed_stream_path.write_bytes(raw)
+    rate = data.draw(st.sampled_from(["50", "300", "500"]))
+    assert main(["detect", "--bundle", str(bundle_path), "--stream", str(fuzzed_stream_path),
+                 "--rate", rate, "--json"]) in (EXIT_OK, EXIT_INPUT, EXIT_FORMAT)
 
 
 # The exit codes the CLI documents: 2 configuration, 3 input, 5 format, 6 training.

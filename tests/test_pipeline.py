@@ -4,6 +4,7 @@ import math
 import multiprocessing
 import os
 import struct
+import warnings
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from moesense import pipeline
 from moesense.classifiers import predict_posterior
-from moesense.errors import ConfigurationError, FormatError, TrainingError
+from moesense.errors import ConfigurationError, FormatError, InputError, TrainingError
 from moesense.features import DopplerConfig, FeatureKind
 from moesense.gating import (
     ClassifierKind,
@@ -41,6 +42,7 @@ from moesense.pipeline import (
     split_train_val,
 )
 from moesense.simulate import (
+    CsiStream,
     ScenarioConfig,
     TargetPath,
     decimate,
@@ -99,8 +101,7 @@ def test_split_is_stratified_and_seeded():
 def test_bundle_has_model_and_template_per_expert(small_bundle):
     ids = {spec.id for spec in small_bundle.registry}
     assert set(small_bundle.models) == ids
-    for eid in ids:
-        assert eid in small_bundle.templates
+    assert small_bundle.templates.expert_ids() == sorted(ids)
     assert set(small_bundle.metadata["validation_accuracy"]) == ids
     assert small_bundle.metadata["k_max"] == 2
 
@@ -360,6 +361,45 @@ def test_detect_rate_above_stream_rejected(small_bundle, probe_stream):
         detect(probe_stream, 2000.0, small_bundle)
 
 
+@pytest.mark.parametrize("shape", [(1000, 0), (0, 8)], ids=["no_subcarriers", "no_packets"])
+def test_detect_stream_without_samples_is_input_error(small_bundle, monkeypatch, shape):
+    def extract(*args):
+        raise AssertionError("extracted features from a stream without samples")
+
+    monkeypatch.setattr(pipeline, "extract_feature", extract)
+    with pytest.raises(InputError, match="samples"):
+        detect(CsiStream(np.zeros(shape, complex), 1000.0, 0, 0), 500.0, small_bundle)
+
+
+def with_sample(stream, value):
+    """`stream` with one of its samples set to `value`."""
+    samples = stream.samples.copy()
+    samples[421, 3] = value
+    return CsiStream(samples, stream.packet_rate, stream.true_target_count, stream.seed)
+
+
+UNDER_BOUND = np.nextafter(pipeline.MAX_SAMPLE, 0.0)
+
+
+@pytest.mark.parametrize("value", [UNDER_BOUND, -UNDER_BOUND, 1j * UNDER_BOUND,
+                                   UNDER_BOUND * (1 + 1j)])
+def test_detect_takes_samples_just_under_the_bound(small_bundle, probe_stream, value):
+    stream = with_sample(probe_stream, value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow anywhere would raise
+        for rate in (50.0, 300.0, 500.0, 1000.0):
+            detect(stream, rate, small_bundle)
+            for spec in small_bundle.registry:
+                expert_posterior(stream, rate, small_bundle, spec.id)
+
+
+@pytest.mark.parametrize("value", [pipeline.MAX_SAMPLE, -pipeline.MAX_SAMPLE,
+                                   1j * pipeline.MAX_SAMPLE, 1e200, np.inf, np.nan])
+def test_detect_rejects_samples_at_or_over_the_bound(small_bundle, probe_stream, value):
+    with pytest.raises(InputError, match="samples"):
+        detect(with_sample(probe_stream, value), 500.0, small_bundle)
+
+
 # ---------------------------------------------------------------------------
 # bundle container
 # ---------------------------------------------------------------------------
@@ -395,11 +435,11 @@ def test_loaded_arrays_are_read_only_views(small_bundle, probe_stream):
     arrays = [mean for mean, _ in loaded.templates.scalers.values()]
     for eid, model in loaded.models.items():
         arrays += [fv.values for fv in loaded.templates.centroids(eid).values()]
-        if hasattr(model, "trees"):
-            arrays += [p for tree in model.trees for p in tree.posterior if p is not None]
-        else:
-            arrays += [a for a in vars(model).values() if isinstance(a, np.ndarray)]
-    assert len(arrays) > 100
+        arrays += [a for a in vars(model).values() if isinstance(a, np.ndarray)]
+    # One array per block, except the scaler stds, which the library replaces.
+    blocks = Blocks()
+    bundle_to_jsonable(loaded, blocks.put)
+    assert len(arrays) == len(blocks.data) - len(loaded.templates.scalers)
     # Views of the bundle's immutable bytes: a write into one would raise.
     assert not any(a.flags.writeable or a.flags.owndata for a in arrays)
     for rate in (50.0, 300.0, 500.0, 1000.0):
@@ -431,7 +471,11 @@ def test_blocks_are_aligned_little_endian_arrays(small_bundle):
     e3 = header["models"]["E3"]
     assert [e3[c]["dtype"] for c in ("feature", "threshold", "right", "leaves")] == [
         "<i4", "<f8", "<i4", "<f8"]
-    assert e3["nodes"] == [len(t.feature) for t in small_bundle.models["E3"].trees]
+    forest = small_bundle.models["E3"]
+    assert e3["nodes"] == forest.nodes
+    for column in ("feature", "threshold", "right", "leaves"):
+        (offset, nbytes), = [header["blocks"][e3[column]["block"]]]
+        assert data[start + offset:start + offset + nbytes] == getattr(forest, column).tobytes()
 
 
 def test_bundle_bad_magic(small_bundle):
@@ -641,6 +685,9 @@ DISAGREEING_PARTS = {
     "knn_label_out_of_range": _edit(("models", "E6", "labels"), "<i8",
                                     lambda v: v.__setitem__(0, 7)),
     "forest_without_trees": _set(("models", "E3", "nodes"), []),
+    # no gate call can reach an expert outside the registry
+    "template_outside_registry": lambda payload: payload[0]["templates"].update(
+        E9=payload[0]["templates"]["E1"]),
     "model_missing": lambda payload: payload[0]["models"].pop("E1"),
     "registry_entry_without_id": lambda payload: payload[0]["registry"][0].pop("id"),
     # a NaN required rate would drop the expert from every eligible set
