@@ -20,6 +20,9 @@ from .features import FeatureKind, FeatureVector, Get, Put, finite_array
 KNN_DEFAULTS = {"k": 5}
 SVM_DEFAULTS = {"epochs": 200, "step_size": 0.01, "l2": 1e-3}
 FOREST_DEFAULTS = {"num_trees": 25, "max_depth": 8}
+# What a bundle's forest columns hold: features as <i1, and leaf counts and child
+# indices as <u2, since a tree on n rows has at most 2n - 1 nodes.
+FOREST_LIMITS = {"features": 127, "rows": 32768}
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,42 +235,48 @@ def predict_linear_svm(model: LinearSvmModel, x: FeatureVector) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class ForestModel:
-    """CART trees as the node columns a bundle stores, trees one after another.
+    """CART trees as node columns, trees one after another.
 
     Tree t has nodes[t] nodes, in preorder. Counted from the tree's first
     node, node i's left child is node i + 1 and its right child right[i]. A
-    leaf has feature and right -1 and the next row of `leaves`, its class
-    posterior. The columns are kept as arrays of the dtypes the bundle stores.
+    leaf has feature and right -1 and the next row of `counts`, its training
+    samples per class, which `leaves` holds as class posteriors.
     """
 
     def __init__(self, nodes: list[int], feature: Sequence[int], threshold: Sequence[float],
-                 right: Sequence[int], leaves: Sequence[np.ndarray], kind: FeatureKind,
+                 right: Sequence[int], counts: Sequence[np.ndarray], kind: FeatureKind,
                  num_classes: int, n_features: int):
         self.nodes = nodes
         self.feature = np.asarray(feature, np.int32)
         self.threshold = np.asarray(threshold, np.float64)
         self.right = np.asarray(right, np.int32)
-        self.leaves = np.asarray(leaves, np.float64)
+        self.counts = np.asarray(counts, np.uint16)
+        totals = self.counts @ np.ones(num_classes)  # exact sums of small integers
+        if not totals.all():
+            raise ValueError("a tree leaf holds no samples")
+        self.leaves = self.counts / totals[:, None]
+        self.leaves.flags.writeable = False  # predict reads it; like block views, it is fixed
         self.kind = kind
         self.num_classes = num_classes
         self.n_features = n_features
         # What the walk reads, as plain lists, which keep the per-node steps
         # cheap: each tree's root, and per forest node its feature, threshold,
         # right child counted from the forest's first node, and leaf row.
-        counts = np.asarray(nodes)
-        starts = np.cumsum(counts) - counts
+        sizes = np.asarray(nodes)
+        starts = np.cumsum(sizes) - sizes
         self._walk = (starts.tolist(), self.feature.tolist(), self.threshold.tolist(),
-                      (self.right + np.repeat(starts, counts)).tolist(),
+                      (self.right + np.repeat(starts, sizes)).tolist(),
                       (np.cumsum(self.feature == -1) - 1).tolist())
 
     def to_jsonable(self, put: Put) -> dict[str, Any]:
+        inner = self.feature >= 0
         return {
             "type": "forest",
             "nodes": list(self.nodes),
-            "feature": put(self.feature, "<i4"),
-            "threshold": put(self.threshold, "<f8"),
-            "right": put(self.right, "<i4"),
-            "leaves": put(self.leaves, "<f8"),
+            "feature": put(self.feature, "<i1"),
+            "threshold": put(self.threshold[inner], "<f8"),
+            "right": put(self.right[inner], "<u2"),
+            "counts": put(self.counts, "<u2"),
             "kind": self.kind.value,
             "num_classes": self.num_classes,
             "n_features": self.n_features,
@@ -278,30 +287,34 @@ class ForestModel:
         """Check every tree at once, so that every walk ends at a leaf."""
         num_classes, n_features = int(d["num_classes"]), int(d["n_features"])
         nodes = d["nodes"]
-        if not nodes:
-            raise ValueError("forest has no trees")
-        if not (type(nodes) is list and all(type(n) is int and n > 0 for n in nodes)):
-            raise ValueError("tree node counts must be positive integers")
-        feature, right = get(d["feature"], "<i4"), get(d["right"], "<i4")
+        if not (type(nodes) is list and nodes and all(type(n) is int and 0 < n <= 65535
+                                                      for n in nodes)):
+            raise ValueError("a forest's tree node counts must be integers in [1, 65535]")
+        feature, right, counts = (get(d[key], dtype) for key, dtype in
+                                  (("feature", "<i1"), ("right", "<u2"), ("counts", "<u2")))
         threshold = finite_array(get(d["threshold"], "<f8"), "tree threshold")
-        leaves = finite_array(get(d["leaves"], "<f8"), "tree leaves")
         total = sum(nodes)
-        if not feature.shape == threshold.shape == right.shape == (total,):
-            raise ValueError(f"tree node arrays must be 1-D and hold all {total} nodes")
-        if feature.min() < -1 or feature.max() >= n_features:
-            raise ValueError(f"tree features must lie in [-1, {n_features})")
-        counts = np.asarray(nodes)
-        starts = np.cumsum(counts) - counts
-        local = np.arange(total) - np.repeat(starts, counts)
-        is_leaf = feature == -1
+        if feature.shape != (total,):
+            raise ValueError(f"tree features must be 1-D and hold all {total} nodes")
+        if not (feature.min() >= -1 and feature.max() < n_features <= FOREST_LIMITS["features"]):
+            raise ValueError(f"tree features must lie in [-1, {n_features}), with n_features "
+                             f"at most {FOREST_LIMITS['features']}")
+        inner = np.flatnonzero(feature >= 0)
+        if not threshold.shape == right.shape == inner.shape:
+            raise ValueError(f"tree thresholds and right children must hold {len(inner)} inner nodes")
         # Children come strictly after their parent and inside its tree, so
         # every walk ends at a leaf.
-        inner_ok = (right > local + 1) & (right < np.repeat(counts, counts))
-        if not np.all(np.where(is_leaf, right == -1, inner_ok)):
+        sizes = np.asarray(nodes)
+        ends = np.cumsum(sizes)
+        tree = np.searchsorted(ends, inner, side="right")
+        local = inner - (ends - sizes)[tree]
+        if not np.all((right > local + 1) & (right < sizes[tree])):
             raise ValueError("tree child index not after its parent or outside the tree")
-        if leaves.shape != (int(is_leaf.sum()), num_classes):
+        if counts.shape != (total - len(inner), num_classes):
             raise ValueError(f"tree leaf rows must be {num_classes} wide, one per leaf")
-        return cls(nodes, feature, threshold, right, leaves, FeatureKind(d["kind"]),
+        full_threshold, full_right = np.zeros(total), np.full(total, -1, np.int32)
+        full_threshold[inner], full_right[inner] = threshold, right
+        return cls(nodes, feature, full_threshold, full_right, counts, FeatureKind(d["kind"]),
                    num_classes, n_features)
 
 
@@ -337,9 +350,9 @@ def _grow_tree(matrix: np.ndarray, labels: np.ndarray, num_classes: int,
                max_depth: int | None, rng: np.random.Generator,
                columns: tuple[list, list, list, list]) -> int:
     """Append one tree in preorder to the forest's `columns` (feature, threshold,
-    right, leaves) and return its node count. A node's left subtree is finished
+    right, counts) and return its node count. A node's left subtree is finished
     before its right one starts, so the RNG draws follow the node order."""
-    feature, threshold, right, leaves = columns
+    feature, threshold, right, counts = columns
     first = len(feature)
     m_try = math.ceil(math.sqrt(matrix.shape[1]))
     stack = [(matrix, labels, 0, -1)]  # (samples, labels, depth, parent of a right child)
@@ -358,8 +371,7 @@ def _grow_tree(matrix: np.ndarray, labels: np.ndarray, num_classes: int,
                 if rank + 1 >= m_try and best is not None:
                     break
         if best is None:
-            counts = np.bincount(y, minlength=num_classes).astype(np.float64)
-            leaves.append(counts / counts.sum())
+            counts.append(np.bincount(y, minlength=num_classes))
             node = (-1, 0.0, -1)
         else:
             _, split, f = best
@@ -388,6 +400,9 @@ def train_forest(
         raise TrainingError("empty dataset")
     if num_trees < 1:
         raise TrainingError(f"num_trees must be >= 1, got {num_trees}")
+    if len(data) > FOREST_LIMITS["rows"] or data.matrix.shape[1] > FOREST_LIMITS["features"]:
+        raise TrainingError(f"a forest takes at most {FOREST_LIMITS['rows']} rows of at most "
+                            f"{FOREST_LIMITS['features']} features, got {data.matrix.shape}")
     master = np.random.default_rng(seed)
     tree_seeds = [int(s) for s in master.integers(0, 2**63, num_trees)]
 

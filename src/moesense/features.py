@@ -130,14 +130,7 @@ def amp_stats_from_series(series: np.ndarray, packet_rate: float) -> FeatureVect
         raise InputError(f"need at least 2 packets, got {len(series)}")
     mean = series.mean()
     q1, median, q3 = np.quantile(series, [0.25, 0.5, 0.75])
-    values = np.array([
-        mean,
-        series.var(),
-        np.abs(series - mean).mean(),
-        median,
-        q1,
-        q3,
-    ])
+    values = np.array([mean, series.var(), np.abs(series - mean).mean(), median, q1, q3])
     return FeatureVector(FeatureKind.AMPLITUDE_STATS, values, packet_rate)
 
 

@@ -66,13 +66,13 @@ from .gating import (
 from .simulate import CsiStream, decimate, decimation_stride
 
 BUNDLE_MAGIC = b"MOEB"
-BUNDLE_VERSION = 3
+BUNDLE_VERSION = 4
 _BUNDLE_HEADER = struct.Struct("<4sIQ")  # magic, version, JSON header length
 _BLOCK_ALIGN = 8  # every block starts at a multiple of this many bytes
 
 DEFAULT_VAL_FRACTION = 0.25
 
-# `detect` takes real and imaginary parts below this in size. Features then stay
+# Streams hold real and imaginary parts below this in size. Features then stay
 # below 1e101 (the amplitude variance) and the squares later steps take (spectral
 # power, KNN distances) below 1e203, so none overflows, even over a small std.
 MAX_SAMPLE = 1e50
@@ -144,6 +144,13 @@ class DetectionReport:
     @property
     def mode(self):
         return self.decision.mode
+
+
+def check_samples(stream: CsiStream) -> None:
+    """InputError unless `stream` holds samples, all finite and below MAX_SAMPLE."""
+    values = np.ascontiguousarray(stream.samples, np.complex128).view(np.float64)
+    if not (values.size and -MAX_SAMPLE < values.min() and values.max() < MAX_SAMPLE):
+        raise InputError(f"stream must hold samples, all finite and below {MAX_SAMPLE:g} in size")
 
 
 def extract_feature(stream: CsiStream, kind: FeatureKind, doppler_cfg: DopplerConfig) -> FeatureVector:
@@ -247,6 +254,7 @@ def _extract_feature_table(
     ordered = sorted(needed, key=lambda rk: (rk[0], rk[1].value))
     count = 0
     for stream, label in zip(streams, labels):
+        check_samples(stream)
         series = mean_amplitude_series(stream)
         fingerprint.update(struct.pack("<dq", stream.packet_rate, len(series)))
         fingerprint.update(series.astype("<f8", copy=False))
@@ -364,9 +372,7 @@ def detect(stream: CsiStream, current_rate: float, bundle: TrainedBundle) -> Det
     """Run the detection workflow on one stream observed at `current_rate`."""
     if not (math.isfinite(current_rate) and current_rate > 0):
         raise InputError(f"current_rate must be finite and positive, got {current_rate}")
-    values = stream.samples.view(np.float64)
-    if not (values.size and -MAX_SAMPLE < values.min() and values.max() < MAX_SAMPLE):
-        raise InputError(f"stream must hold samples, all finite and below {MAX_SAMPLE:g} in size")
+    check_samples(stream)
     doppler_cfg = bundle.doppler_config()
     observed = decimate(stream, current_rate)
 

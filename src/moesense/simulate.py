@@ -55,8 +55,8 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.num_targets < 0:
             raise ConfigurationError(f"num_targets must be >= 0, got {self.num_targets}")
-        if self.packet_rate <= 0 or self.duration <= 0:
-            raise ConfigurationError("packet_rate and duration must be positive")
+        if not (0 < self.packet_rate < math.inf and 0 < self.duration < math.inf):
+            raise ConfigurationError("packet_rate and duration must be finite and positive")
         if self.packet_rate * self.duration < 2:
             raise ConfigurationError("scenario must span at least two packets")
         if self.num_subcarriers < 1:
@@ -178,8 +178,9 @@ def decimation_stride(packet_rate: float, target_rate: float) -> int:
     """The packet stride `decimate` keeps: floor(packet_rate / target_rate)."""
     if not target_rate > 0:  # NaN fails too
         raise ConfigurationError(f"target_rate must be positive, got {target_rate}")
-    if target_rate > packet_rate:
-        raise RateError(f"target_rate {target_rate} exceeds stream rate {packet_rate}")
+    if not 1 <= packet_rate / target_rate < math.inf:
+        problem = "exceeds" if target_rate > packet_rate else "is too small for"
+        raise RateError(f"target_rate {target_rate} {problem} stream rate {packet_rate}")
     return math.floor(packet_rate / target_rate)
 
 

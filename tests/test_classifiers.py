@@ -257,6 +257,7 @@ def test_forest_pure_class_single_leaf():
     # each tree's root is its only node, and it is a leaf
     assert model.nodes == [1, 1, 1]
     assert model.feature.tolist() == model.right.tolist() == [-1, -1, -1]
+    assert model.counts.tolist() == [[0, 0, 3, 0]] * 3
     assert model.leaves.tolist() == [[0.0, 0.0, 1.0, 0.0]] * 3
     post = predict_forest(model, fv([9.0, 9.0]))
     assert post[2] == 1.0
@@ -320,6 +321,90 @@ def test_forest_predicts_bit_for_bit_as_the_per_tree_walk(seed):
         expected = per_tree_walk(model, fv(q)).tobytes()
         assert predict_forest(model, fv(q)).tobytes() == expected
         assert predict_forest(clone, fv(q)).tobytes() == expected
+
+
+def leaf_row(model, tree, q):
+    """The leaf row that tree `tree` routes query `q` to, walking the node columns."""
+    first = int(np.sum(model.nodes[:tree]))
+    i = first
+    while (f := model.feature[i]) >= 0:
+        i = i + 1 if q[f] <= model.threshold[i] else first + model.right[i]
+    return int(np.sum(model.feature[:i] == -1))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_forest_counts_are_the_training_rows_each_leaf_holds(seed):
+    """Without bootstrap every tree sees every training row, so a leaf's
+    counts are the labels of the rows routed to it. The posteriors, built
+    and loaded, are those rows divided as trees did before leaves were
+    stored as counts: bincount(...).astype(float64) / its sum."""
+    rng = np.random.default_rng(100 + seed)
+    num_classes = [1, 2, 3, 6][seed % 4]
+    data, matrix, labels = random_dataset(rng, n=int(rng.integers(2, 80)),
+                                          d=int(rng.integers(1, 6)), num_classes=num_classes)
+    model = train_forest(data, num_trees=int(rng.integers(1, 8)),
+                         max_depth=[None, 1, 2, 4][seed % 4], seed=seed, bootstrap=False)
+    routed = [[] for _ in model.counts]
+    for q, label in zip(matrix, labels):
+        for tree in range(len(model.nodes)):
+            routed[leaf_row(model, tree, q)].append(label)
+    expected_counts = [np.bincount(rows, minlength=num_classes) for rows in routed]
+    assert model.counts.tolist() == [c.tolist() for c in expected_counts]
+    v3 = np.array([(c := row.astype(np.float64)) / c.sum() for row in expected_counts])
+    header, blocks = encoded(model)
+    clone = model_from_jsonable(header, Blocks(blocks).get)
+    assert model.leaves.tobytes() == clone.leaves.tobytes() == v3.tobytes()
+
+
+def test_forest_format_limits_hold_at_training():
+    # <i1 features: 127 features train and load, 128 do not train
+    rng = np.random.default_rng(71)
+    data, matrix, _ = random_dataset(rng, n=12, d=127, num_classes=2)
+    model = train_forest(data, num_trees=3, seed=1)
+    header, blocks = encoded(model)
+    clone = model_from_jsonable(header, Blocks(blocks).get)
+    assert predict_forest(clone, fv(matrix[0])).tobytes() == predict_forest(
+        model, fv(matrix[0])).tobytes()
+    with pytest.raises(ValueError, match="at most 127"):
+        model_from_jsonable({**header, "n_features": 128}, Blocks(blocks).get)
+    wide = LabeledDataset(np.zeros((4, 128)), np.array([0, 1, 0, 1]),
+                          FeatureKind.AMPLITUDE_STATS, 2)
+    with pytest.raises(TrainingError, match="at most 127 features"):
+        train_forest(wide, num_trees=1)
+    # <u2 counts and child indices: 32768 rows train and load, 32769 do not train
+    for n, trains in ((32768, True), (32769, False)):
+        tall = LabeledDataset(np.zeros((n, 1)), np.zeros(n, np.int64),
+                              FeatureKind.AMPLITUDE_STATS, 2)
+        if not trains:
+            with pytest.raises(TrainingError, match="at most 32768 rows"):
+                train_forest(tall, num_trees=1)
+            continue
+        model = train_forest(tall, num_trees=1, bootstrap=False)
+        header, blocks = encoded(model)
+        assert model_from_jsonable(header, Blocks(blocks).get).counts.tolist() == [[n, 0]]
+
+
+def test_forest_tree_over_65535_nodes_does_not_load():
+    # A well-formed tree of 65536 nodes: inner nodes at 0, 2, ..., 65532,
+    # each with a leaf to its left and the next node of that chain to its
+    # right, and the leaves 65534 and 65535. Only the node count limit, which
+    # no tree trained on at most 32768 rows reaches, rejects it.
+    n = 65536
+    inner = np.arange(0, n - 3, 2)
+    feature = np.full(n, -1)
+    feature[inner] = 0
+    blocks = Blocks()
+    header = {"type": "forest", "nodes": [n], "kind": "amp_stats", "num_classes": 2,
+              "n_features": 1, "feature": blocks.put(feature, "<i1"),
+              "threshold": blocks.put(np.zeros(len(inner)), "<f8"),
+              "right": blocks.put(inner + 2, "<u2"),
+              "counts": blocks.put(np.ones((n - len(inner), 2)), "<u2")}
+    with pytest.raises(ValueError, match="65535"):
+        model_from_jsonable(header, blocks.get)
+    header["nodes"] = [n - 1]  # the same tree without its last, unreachable leaf loads
+    header["feature"] = blocks.put(feature[:-1], "<i1")
+    header["counts"] = blocks.put(np.ones((n - 1 - len(inner), 2)), "<u2")
+    assert model_from_jsonable(header, blocks.get).nodes == [n - 1]
 
 
 def test_forest_dimension_mismatch():

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shutil
 import struct
 import time
 from pathlib import Path
@@ -251,15 +252,21 @@ def test_eval_rate_repeated_rate_is_input_error(dataset, bundle_path, tmp_path):
     assert not out.exists()
 
 
+# The last three are positive, but so small that 1000 pkts/s over them
+# overflows to an infinite decimation stride.
 @pytest.mark.parametrize("command", ["detect --rate=0", "detect --rate=-5", "detect --rate=nan",
-                                     "eval-rate --rates=0", "eval-rate --rates=nan"])
-def test_bad_rate_is_input_error(dataset, bundle_path, tmp_path, command):
+                                     "eval-rate --rates=0", "eval-rate --rates=nan",
+                                     "detect --rate=5e-324", "detect --rate=1e-310",
+                                     "eval-rate --rates=5e-324"])
+def test_bad_rate_is_input_error(dataset, bundle_path, tmp_path, capsys, command):
     command = command.split()
     entry = read_manifest(dataset / "manifest.csv")[0]
     where = (["--stream", str(dataset / entry.path)] if command[0] == "detect"
              else ["--dataset", str(dataset), "--out", str(tmp_path / "r.csv")])
     rc = main([command[0], "--bundle", str(bundle_path), *where, *command[1:]])
     assert rc == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
 
 
 def test_eval_rate_single_eligible_expert_identity(dataset, tmp_path):
@@ -423,6 +430,24 @@ def test_detect_stream_with_a_huge_sample_is_input_error(dataset, bundle_path, t
     assert capsys.readouterr().out == ""
 
 
+def test_train_stream_with_a_huge_sample_is_input_error(dataset, tmp_path, capsys):
+    # A 1e200 sample would train SVM weights that are not finite; training
+    # bounds samples as detect does, before any feature is computed.
+    copy = tmp_path / "ds"
+    shutil.copytree(dataset, copy)
+    entry = read_manifest(copy / "manifest.csv")[4]
+    stream = load_stream(copy / entry.path)
+    samples = stream.samples.copy()
+    samples[500, 2] = 1e200
+    save_stream(CsiStream(samples, stream.packet_rate, stream.true_target_count, stream.seed),
+                copy / entry.path)
+    out = tmp_path / "bundle.moe"
+    rc = main(["train", "--dataset", str(copy), "--out", str(out), "--seed", "3"])
+    assert rc == EXIT_INPUT
+    assert not out.exists()
+    assert "below 1e+50" in capsys.readouterr().err
+
+
 STREAM_HEADER = struct.Struct("<4sQQdqq")  # magic, packets, subcarriers, rate, seed, count
 
 
@@ -557,6 +582,18 @@ def test_detect_hostile_bundle_container_is_format_error(dataset, bundle_path, t
     rc = main(["detect", "--bundle", str(bad), "--stream", str(dataset / entry.path),
                "--rate", "500"])
     assert rc == EXIT_FORMAT
+
+
+def test_detect_version_3_bundle_says_retrain(dataset, bundle_path, tmp_path, capsys):
+    # version 3 stored forests as full-width <i4 and <f8 columns
+    data = bundle_path.read_bytes()
+    old = tmp_path / "v3.moe"
+    old.write_bytes(data[:4] + struct.pack("<I", 3) + data[8:])
+    entry = read_manifest(dataset / "manifest.csv")[0]
+    rc = main(["detect", "--bundle", str(old), "--stream", str(dataset / entry.path),
+               "--rate", "500"])
+    assert rc == EXIT_FORMAT
+    assert "version 3; retrain" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("hyperparams", [{"bootstrap": "false"}, {"max_depth": None},

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moesense import pipeline
-from moesense.classifiers import predict_posterior
+from moesense.classifiers import ForestModel, predict_posterior
 from moesense.errors import ConfigurationError, FormatError, InputError, TrainingError
 from moesense.features import DopplerConfig, FeatureKind
 from moesense.gating import (
@@ -400,6 +400,18 @@ def test_detect_rejects_samples_at_or_over_the_bound(small_bundle, probe_stream,
         detect(with_sample(probe_stream, value), 500.0, small_bundle)
 
 
+def test_detect_bounds_the_parts_of_any_sample_layout(small_bundle, probe_stream):
+    # complex64 parts are checked as themselves, not as float64 bit patterns
+    # made of two of them, and a strided stream is checked, not refused
+    samples = probe_stream.samples.astype(np.complex64)
+    samples[5, 1] = np.inf
+    with pytest.raises(InputError, match="finite"):
+        detect(CsiStream(samples, probe_stream.packet_rate, 1, 0), 500.0, small_bundle)
+    wide = np.repeat(probe_stream.samples, 2, axis=1)
+    strided = detect(CsiStream(wide[:, ::2], probe_stream.packet_rate, 1, 0), 500.0, small_bundle)
+    assert strided.fused.tobytes() == detect(probe_stream, 500.0, small_bundle).fused.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # bundle container
 # ---------------------------------------------------------------------------
@@ -436,12 +448,24 @@ def test_loaded_arrays_are_read_only_views(small_bundle, probe_stream):
     for eid, model in loaded.models.items():
         arrays += [fv.values for fv in loaded.templates.centroids(eid).values()]
         arrays += [a for a in vars(model).values() if isinstance(a, np.ndarray)]
-    # One array per block, except the scaler stds, which the library replaces.
+    # A forest's feature, threshold and right blocks load into full <i4, <f8
+    # and <i4 columns, and its leaves are derived from its counts.
+    forests = [m for m in loaded.models.values() if isinstance(m, ForestModel)]
+    derived = {id(getattr(forest, column)) for forest in forests
+               for column in ("feature", "threshold", "right", "leaves")}
+    views = [a for a in arrays if id(a) not in derived]
+    assert len(derived) == 4 * len(forests) == len(arrays) - len(views)
+    # One view per block, except the scaler stds, which the library replaces,
+    # and the three forest blocks that load into columns of their own.
     blocks = Blocks()
     bundle_to_jsonable(loaded, blocks.put)
-    assert len(arrays) == len(blocks.data) - len(loaded.templates.scalers)
+    assert len(views) == len(blocks.data) - len(loaded.templates.scalers) - 3 * len(forests)
     # Views of the bundle's immutable bytes: a write into one would raise.
-    assert not any(a.flags.writeable or a.flags.owndata for a in arrays)
+    assert not any(a.flags.writeable or a.flags.owndata for a in views)
+    # The derived columns view nothing: they own their memory. The leaves,
+    # which predict reads, are read-only too.
+    assert all(a.flags.owndata for a in arrays if id(a) in derived)
+    assert not any(forest.leaves.flags.writeable for forest in forests)
     for rate in (50.0, 300.0, 500.0, 1000.0):
         detect(probe_stream, rate, loaded)
         for spec in loaded.registry:
@@ -469,13 +493,19 @@ def test_blocks_are_aligned_little_endian_arrays(small_bundle):
     labels = small_bundle.models["E6"].labels
     assert data[start + offset:start + offset + nbytes] == labels.astype("<i8").tobytes()
     e3 = header["models"]["E3"]
-    assert [e3[c]["dtype"] for c in ("feature", "threshold", "right", "leaves")] == [
-        "<i4", "<f8", "<i4", "<f8"]
+    assert [e3[c]["dtype"] for c in ("feature", "threshold", "right", "counts")] == [
+        "<i1", "<f8", "<u2", "<u2"]
     forest = small_bundle.models["E3"]
     assert e3["nodes"] == forest.nodes
-    for column in ("feature", "threshold", "right", "leaves"):
+    # threshold and right are stored for inner nodes only; at a leaf they are 0.0 and -1
+    inner = forest.feature >= 0
+    assert np.all(forest.threshold[~inner] == 0.0) and np.all(forest.right[~inner] == -1)
+    for column, values in (("feature", forest.feature.astype("<i1")),
+                           ("threshold", forest.threshold[inner]),
+                           ("right", forest.right[inner].astype("<u2")),
+                           ("counts", forest.counts.astype("<u2"))):
         (offset, nbytes), = [header["blocks"][e3[column]["block"]]]
-        assert data[start + offset:start + offset + nbytes] == getattr(forest, column).tobytes()
+        assert data[start + offset:start + offset + nbytes] == values.tobytes()
 
 
 def test_bundle_bad_magic(small_bundle):
@@ -496,10 +526,12 @@ def test_bundle_version_mismatch(small_bundle):
     data = serialize_bundle(small_bundle)
     header = struct.Struct("<4sIQ")
     magic, version, length = header.unpack_from(data)
-    # version 1 held forests as nested dicts, version 2 every array as JSON lists
-    for forged_version in (1, 2, version + 1):
+    # version 1 held forests as nested dicts, version 2 every array as JSON
+    # lists, and version 3 forests as full-width float columns
+    assert version == 4
+    for forged_version in (1, 2, 3, version + 1):
         forged = header.pack(magic, forged_version, length) + data[header.size:]
-        with pytest.raises(FormatError, match="version"):
+        with pytest.raises(FormatError, match=f"version {forged_version}; retrain"):
             deserialize_bundle(forged)
 
 
@@ -592,50 +624,83 @@ def test_forged_bundle_unchanged_loads(small_bundle):
 
 
 def _column(name, change):
-    """A forest mutation: `change(column, i, n)` edits a copy of one E3
-    column, given i, the last inner node of the first tree, and n, the
-    tree's node count."""
-    dtype = {"feature": "<i4", "threshold": "<f8", "right": "<i4", "leaves": "<f8"}[name]
-    return lambda payload, i, n: _edit(("models", "E3", name), dtype,
-                                       lambda a: change(a, i, n))(payload)
+    """A forest mutation: `change(column, at, i, n)` edits a copy of one E3
+    column. i is the last inner node of the first tree, and n that tree's
+    node count; `at` is i's entry in the column: i in `feature`, and its
+    rank among the inner nodes in `threshold` and `right`, which hold inner
+    nodes only."""
+    dtype = {"feature": "<i1", "threshold": "<f8", "right": "<u2", "counts": "<u2"}[name]
+
+    def mutate(payload, i, n, rank):
+        at = i if name == "feature" else rank
+        _edit(("models", "E3", name), dtype, lambda a: change(a, at, i, n))(payload)
+    return mutate
 
 
-def _counts(change):
+def _nodes(change):
     """A forest mutation: `change(nodes, n)` edits the E3 trees' node counts."""
-    return lambda payload, i, n: change(payload[0]["models"]["E3"]["nodes"], n)
+    return lambda payload, i, n, rank: change(payload[0]["models"]["E3"]["nodes"], n)
 
 
-def _leaf_block_grows(payload, i, n):
-    # the leaf rows keep their shape, but the block holds one value more
+def _leaf_block_grows(payload, i, n, rank):
+    # the leaf rows keep their shape, but the block holds one count more
     header, blocks = payload
-    block = header["models"]["E3"]["leaves"]["block"]
-    blocks[block] += bytes(8)
+    block = header["models"]["E3"]["counts"]["block"]
+    blocks[block] += bytes(2)
+
+
+def _last_node_inner(payload, i, n, rank):
+    # The first tree's last node, a leaf, marked as an inner node, with a
+    # threshold and right child, and its leaf row gone: every column length
+    # agrees, and only the child check sees that its children lie outside
+    # the tree.
+    leaves_before = n - 1 - (rank + 1)  # the first tree's leaves before node n - 1
+    _column("feature", lambda a, at, i, n: a.__setitem__(n - 1, 0))(payload, i, n, rank)
+    _column("threshold", lambda a, at, i, n: np.insert(a, at + 1, 0.0))(payload, i, n, rank)
+    _column("right", lambda a, at, i, n: np.insert(a, at + 1, n - 1))(payload, i, n, rank)
+    _column("counts", lambda a, at, i, n: np.delete(a, leaves_before, axis=0))(payload, i, n, rank)
+
+
+def _forest_field(name, value):
+    return lambda payload, i, n, rank: payload[0]["models"]["E3"].__setitem__(name, value)
 
 
 # Each case edits the E3 forest, whose first tree has n nodes and whose
 # later trees follow them in each column; i is that tree's last inner node.
 HOSTILE_TREES = {
-    "right_child_is_parent": _column("right", lambda a, i, n: a.__setitem__(i, i)),
-    "right_child_is_left_child": _column("right", lambda a, i, n: a.__setitem__(i, i + 1)),
-    "right_child_before_parent": _column("right", lambda a, i, n: a.__setitem__(i, i - 1)),
+    "right_child_is_parent": _column("right", lambda a, at, i, n: a.__setitem__(at, i)),
+    "right_child_is_left_child": _column("right", lambda a, at, i, n: a.__setitem__(at, i + 1)),
+    "right_child_before_parent": _column("right", lambda a, at, i, n: a.__setitem__(at, i - 1)),
     # node n is the second tree's root: inside the forest, outside this tree
-    "right_child_past_end": _column("right", lambda a, i, n: a.__setitem__(i, n)),
-    "feature_too_large": _column("feature", lambda a, i, n: a.__setitem__(i, 25)),
-    "feature_below_leaf_marker": _column("feature", lambda a, i, n: a.__setitem__(i, -2)),
-    "unequal_lengths": _column("threshold", lambda a, i, n: np.append(a, 0.0)),
-    "leaf_rows_too_wide": _column("leaves", lambda a, i, n: np.pad(a, ((0, 0), (0, 1)))),
+    "right_child_past_end": _column("right", lambda a, at, i, n: a.__setitem__(at, n)),
+    "feature_too_large": _column("feature", lambda a, at, i, n: a.__setitem__(at, 25)),
+    "feature_far_past_n_features": _column("feature", lambda a, at, i, n: a.__setitem__(at, 127)),
+    "feature_below_leaf_marker": _column("feature", lambda a, at, i, n: a.__setitem__(at, -2)),
+    # the inner-node columns one entry too long or too short
+    "unequal_lengths": _column("threshold", lambda a, at, i, n: np.append(a, 0.0)),
+    "threshold_one_short": _column("threshold", lambda a, at, i, n: a[:-1]),
+    # one threshold would broadcast to every inner node
+    "threshold_single_entry": _column("threshold", lambda a, at, i, n: a[:1]),
+    "right_one_too_many": _column("right", lambda a, at, i, n: np.append(a, a[-1])),
+    "right_one_short": _column("right", lambda a, at, i, n: a[:-1]),
+    "leaf_rows_too_wide": _column("counts", lambda a, at, i, n: np.pad(a, ((0, 0), (0, 1)))),
     "one_leaf_row_too_wide": _leaf_block_grows,
-    "leaf_row_too_narrow": _column("leaves", lambda a, i, n: a[:, :-1]),
-    "one_leaf_row_too_many": _column("leaves", lambda a, i, n: np.vstack([a, a[:1]])),
-    # the first tree's last node, a leaf, marked as an inner node
-    "last_node_inner": _column("feature", lambda a, i, n: a.__setitem__(n - 1, 0)),
-    "counts_exceed_the_nodes": _counts(lambda nodes, n: nodes.__setitem__(0, n + 1)),
-    "counts_fall_short": _counts(lambda nodes, n: nodes.__setitem__(-1, nodes[-1] - 1)),
-    "empty_tree": _counts(lambda nodes, n: nodes.insert(1, 0)),
-    "count_not_an_integer": _counts(lambda nodes, n: nodes.__setitem__(0, float(n))),
+    "leaf_row_too_narrow": _column("counts", lambda a, at, i, n: a[:, :-1]),
+    "one_leaf_row_too_many": _column("counts", lambda a, at, i, n: np.vstack([a, a[:1]])),
+    # its posterior would be 0 / 0
+    "leaf_row_sums_to_zero": _column("counts", lambda a, at, i, n: a.__setitem__(0, 0)),
+    "last_node_inner": _last_node_inner,
+    "counts_exceed_the_nodes": _nodes(lambda nodes, n: nodes.__setitem__(0, n + 1)),
+    "counts_fall_short": _nodes(lambda nodes, n: nodes.__setitem__(-1, nodes[-1] - 1)),
+    "empty_tree": _nodes(lambda nodes, n: nodes.insert(1, 0)),
+    "count_not_an_integer": _nodes(lambda nodes, n: nodes.__setitem__(0, float(n))),
+    # <u2 right children cannot reach past node 65535
+    "tree_over_65535_nodes": _nodes(lambda nodes, n: nodes.__setitem__(0, 65536)),
     # the first tree's last leaf would become the second tree's root
-    "tree_boundary_moved": _counts(lambda nodes, n: nodes.__setitem__(
+    "tree_boundary_moved": _nodes(lambda nodes, n: nodes.__setitem__(
         slice(0, 2), [n - 1, nodes[1] + 1])),
+    # <i1 features reach 127 at most
+    "n_features_128": _forest_field("n_features", 128),
 }
 
 
@@ -646,10 +711,10 @@ def test_hostile_forest_is_format_error(small_bundle, case):
     forest = header["models"]["E3"]  # doppler forest over 25 bins
     assert forest["type"] == "forest" and forest["n_features"] == 25
     n = forest["nodes"][0]
-    feature = np.frombuffer(blocks[forest["feature"]["block"]], "<i4")
+    feature = np.frombuffer(blocks[forest["feature"]["block"]], "<i1")
     inner = max(i for i in range(n) if feature[i] >= 0)
     assert inner > 0 and feature[n - 1] == -1
-    HOSTILE_TREES[case](payload, inner, n)
+    HOSTILE_TREES[case](payload, inner, n, int(np.sum(feature[:inner] >= 0)))
     with pytest.raises(FormatError):
         deserialize_bundle(forge(payload))
 
@@ -732,6 +797,7 @@ HEADER_NUMBERS = {
     "doppler_max_freq_hz": ("metadata", "doppler_max_freq_hz"),
     "validation_accuracy": ("metadata", "validation_accuracy", "E5"),
     "seed": ("metadata", "seed"),
+    "tree_node_count": ("models", "E4", "nodes", 0),
 }
 BLOCK_NUMBERS = {
     "scaler_mean": (("scalers", "amp_stats", "mean"), 0),
@@ -740,7 +806,6 @@ BLOCK_NUMBERS = {
     "svm_bias": (("models", "E2", "biases"), 1),
     "svm_mean": (("models", "E2", "mean"), 2),
     "tree_threshold": (("models", "E3", "threshold"), 0),
-    "leaf_value": (("models", "E4", "leaves"), (0, 1)),
     "knn_matrix_value": (("models", "E6", "matrix"), (3, 4)),
     "centroid_value": (("templates", "E1", "0", "values"), 2),
 }
@@ -820,7 +885,8 @@ def tiny_bundle_bytes():
 
 
 JSON_VALUES = st.one_of(st.integers(-2**70, 2**70), st.sampled_from(
-    [None, True, 1.5, -0.0, "<f8", "<i4", "<i8", "<f4", "|O", [], [0], [1, 2], [-3], {}]))
+    [None, True, 1.5, -0.0, "<f8", "<i4", "<i8", "<f4", "<i1", "<u2", "|O", [], [0], [1, 2],
+     [-3], {}]))
 
 
 @settings(max_examples=300, deadline=None)
@@ -846,7 +912,7 @@ def test_mutated_bundle_loads_or_is_format_error(tiny_bundle_bytes, data):
             else:
                 models = header["models"]
                 entries = [models["K"]["matrix"], models["K"]["labels"], models["S"]["weights"],
-                           models["T"]["feature"], models["T"]["leaves"]]
+                           models["T"]["feature"], models["T"]["right"], models["T"]["counts"]]
             entry = entries[data.draw(st.integers(0, len(entries) - 1))]
             keys = range(2) if mutation == "table" else ["block", "dtype", "shape"]
             entry[data.draw(st.sampled_from(list(keys)))] = data.draw(JSON_VALUES)

@@ -40,6 +40,10 @@ def make_config(**kw):
     dict(doppler_range=(60.0, 5.0)),
     dict(doppler_range=(5.0, 250.0)),               # >= Nyquist at 500 pkts/s
     dict(rng_seed=-1),
+    dict(packet_rate=float("nan")),
+    dict(packet_rate=float("inf")),
+    dict(duration=float("nan")),
+    dict(duration=float("inf")),
 ])
 def test_invalid_configs_rejected(kw):
     with pytest.raises(ConfigurationError):
@@ -151,6 +155,14 @@ def test_decimate_nan_rate_raises():
     stream = synthesize_stream(make_config())
     with pytest.raises(ConfigurationError):
         decimate(stream, float("nan"))
+
+
+@pytest.mark.parametrize("rate", [5e-324, 1e-310])
+def test_decimate_rate_too_small_for_a_stride_raises(rate):
+    # 500 / rate overflows to infinity, which has no integer stride
+    stream = synthesize_stream(make_config())
+    with pytest.raises(RateError, match="too small"):
+        decimate(stream, rate)
 
 
 def test_decimate_composes_when_strides_multiply():
