@@ -29,10 +29,10 @@ import numpy as np
 from .errors import EXIT_IO, EXIT_OK, ConfigurationError, InputError, MoeSenseError, TrainingError
 from .gating import ExpertSpec, default_registry, filter_by_rate, fuse, load_registry
 from .pipeline import (
+    StreamFeatures,
     TrainedBundle,
     build_bundle,
     detect,
-    expert_posterior,
     load_bundle,
     save_bundle,
     split_train_val,
@@ -48,9 +48,7 @@ from .simulate import (
     write_manifest,
 )
 
-# The sweeps reach these only through `detect` and `expert_posterior`. They
-# stay bound on this module because the benchmark's tracer (perfbench/tracer.py)
-# wraps them here as well as in `pipeline`.
+# Bound here only for the benchmark's tracer (perfbench/tracer.py), which wraps them here too.
 from .classifiers import predict_posterior  # noqa: F401
 from .gating import decide  # noqa: F401
 from .simulate import decimate  # noqa: F401
@@ -157,23 +155,21 @@ def _count_hits(
             for c, r in conditions.items()}
 
     for stream, label in data:
+        cache = StreamFeatures(stream, bundle.doppler_config(), bundle)
         for r in rates:
             counts = hits.get(condition_of(r, label))
             if counts is None:
                 continue
             pool = pools[r]
-            report = detect(stream, r, bundle)
-            posteriors = {eid: report.expert_posteriors[eid] if eid in report.expert_posteriors
-                          else expert_posterior(stream, r, bundle, eid) for eid in pool}
             counts["n_samples"] += 1
-            counts["framework"] += int(report.predicted_count == label)
+            counts["framework"] += int(cache.detect(r).predicted_count == label)
             if triple_rngs:
                 triple = sorted(triple_rngs[r].choice(pool, size=min(3, len(pool)), replace=False).tolist())
-                _, rand_pred = fuse([posteriors[eid] for eid in triple],
+                _, rand_pred = fuse([cache.posterior(eid, r) for eid in triple],
                                     [1.0 / len(triple)] * len(triple))
                 counts["random3"] += int(rand_pred == label)
             for eid in pool:
-                counts[eid] += int(np.argmax(posteriors[eid]) == label)
+                counts[eid] += int(np.argmax(cache.posterior(eid, r)) == label)
     return hits
 
 

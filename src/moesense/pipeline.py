@@ -11,6 +11,7 @@ identical bytes.
 from __future__ import annotations
 
 import copy
+import functools
 import hashlib
 import json
 import math
@@ -21,7 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -159,14 +160,6 @@ def extract_feature(stream: CsiStream, kind: FeatureKind, doppler_cfg: DopplerCo
     return extract_amp_stats(stream)
 
 
-def _series_feature(series: np.ndarray, packet_rate: float, kind: FeatureKind,
-                    doppler_cfg: DopplerConfig) -> FeatureVector:
-    """`extract_feature` on a stream whose amplitude series is `series`."""
-    if kind is FeatureKind.DOPPLER_ENERGY:
-        return doppler_from_series(series, packet_rate, doppler_cfg.clipped_to_rate(packet_rate))
-    return amp_stats_from_series(series, packet_rate)
-
-
 def expert_input_rate(spec: ExpertSpec, current_rate: float) -> float:
     """Experts consume data decimated to their nominal rate when the link
     allows it, and to the (lower) current rate otherwise."""
@@ -242,31 +235,19 @@ def _extract_feature_table(
     doppler_cfg: DopplerConfig,
     fingerprint: "hashlib._Hash",
 ) -> dict[tuple[float, FeatureKind], list[FeatureVector]]:
-    """One pass over the streams, extracting every (nominal rate, kind) combo.
-
-    Each stream's amplitude series is computed once. Taking every stride-th
-    value of it is what `decimate` followed by `extract_feature` computes, so
-    each (stride, kind) pair is extracted once and nominal rates that share a
-    stride share its feature vector. `fingerprint` is updated with what
-    training reads of each stream: its rate, amplitude series and label.
-    """
+    """One pass over the streams, extracting every (nominal rate, kind) combo
+    from each stream's `StreamFeatures`, so rates that share a stride share its
+    feature vector. `fingerprint` is updated with what training reads of each
+    stream: its rate, amplitude series and label."""
     table: dict[tuple[float, FeatureKind], list[FeatureVector]] = {key: [] for key in needed}
-    ordered = sorted(needed, key=lambda rk: (rk[0], rk[1].value))
     count = 0
     for stream, label in zip(streams, labels):
-        check_samples(stream)
-        series = mean_amplitude_series(stream)
-        fingerprint.update(struct.pack("<dq", stream.packet_rate, len(series)))
-        fingerprint.update(series.astype("<f8", copy=False))
+        cache = StreamFeatures(stream, doppler_cfg)
+        fingerprint.update(struct.pack("<dq", stream.packet_rate, len(cache.series)))
+        fingerprint.update(cache.series.astype("<f8", copy=False))
         fingerprint.update(struct.pack("<q", label))
-        by_stride: dict[tuple[int, FeatureKind], FeatureVector] = {}
-        for rate, kind in ordered:
-            stride = decimation_stride(stream.packet_rate, rate)
-            if (stride, kind) not in by_stride:
-                by_stride[(stride, kind)] = _series_feature(
-                    np.ascontiguousarray(series[::stride]), stream.packet_rate / stride,
-                    kind, doppler_cfg)
-            table[(rate, kind)].append(by_stride[(stride, kind)])
+        for rate, kind in sorted(needed, key=lambda rk: (rk[0], rk[1].value)):
+            table[(rate, kind)].append(cache.feature(rate, kind))
         count += 1
     if count != len(labels):
         raise InputError(f"{count} streams but {len(labels)} labels")
@@ -370,25 +351,63 @@ def expert_posterior(
 
 def detect(stream: CsiStream, current_rate: float, bundle: TrainedBundle) -> DetectionReport:
     """Run the detection workflow on one stream observed at `current_rate`."""
+    def features() -> dict[FeatureKind, FeatureVector]:
+        check_samples(stream)
+        observed, doppler_cfg = decimate(stream, current_rate), bundle.doppler_config()
+        return {kind: extract_feature(observed, kind, doppler_cfg) for kind in FeatureKind}
+    return _detect(bundle, current_rate, features,
+                   lambda eid: expert_posterior(stream, current_rate, bundle, eid))
+
+
+def _detect(bundle: TrainedBundle, current_rate: float, features: Callable[[], dict],
+            posterior: Callable[[str], np.ndarray]) -> DetectionReport:
+    """Check the rate, gate on `features()`, and fuse the selected experts' posteriors."""
     if not (math.isfinite(current_rate) and current_rate > 0):
         raise InputError(f"current_rate must be finite and positive, got {current_rate}")
-    check_samples(stream)
-    doppler_cfg = bundle.doppler_config()
-    observed = decimate(stream, current_rate)
-
-    stream_features = {kind: extract_feature(observed, kind, doppler_cfg) for kind in FeatureKind}
-    decision = decide(bundle.registry, bundle.templates, stream_features, current_rate)
-
-    posteriors = {eid: expert_posterior(stream, current_rate, bundle, eid)
-                  for eid in decision.selected}
+    decision = decide(bundle.registry, bundle.templates, features(), current_rate)
+    posteriors = {eid: posterior(eid) for eid in decision.selected}
     fused, predicted = fuse([posteriors[eid] for eid in decision.selected], decision.weights)
-    return DetectionReport(
-        decision=decision,
-        expert_posteriors=posteriors,
-        fused=fused,
-        predicted_count=predicted,
-        current_rate=float(current_rate),
-    )
+    return DetectionReport(decision, posteriors, fused, predicted, float(current_rate))
+
+
+class StreamFeatures:
+    """A stream's features and, given a `bundle`, posteriors, each computed once."""
+
+    def __init__(self, stream: CsiStream, doppler_cfg: DopplerConfig,
+                 bundle: TrainedBundle | None = None):
+        self.stream, self.doppler_cfg, self.bundle = stream, doppler_cfg, bundle
+        self._memo: dict[tuple, Any] = {}  # (stride, kind) features, (id, rate) posteriors
+
+    @functools.cached_property
+    def series(self) -> np.ndarray:
+        check_samples(self.stream)
+        return mean_amplitude_series(self.stream)
+
+    def feature(self, rate: float, kind: FeatureKind) -> FeatureVector:
+        """`extract_feature(decimate(stream, rate), ...)`, from every stride-th series value."""
+        series, stride = self.series, decimation_stride(self.stream.packet_rate, rate)
+        if (stride, kind) not in self._memo:
+            kept, kept_rate = np.ascontiguousarray(series[::stride]), self.stream.packet_rate / stride
+            self._memo[(stride, kind)] = (
+                doppler_from_series(kept, kept_rate, self.doppler_cfg.clipped_to_rate(kept_rate))
+                if kind is FeatureKind.DOPPLER_ENERGY else amp_stats_from_series(kept, kept_rate))
+        return self._memo[(stride, kind)]
+
+    def posterior(self, expert_id: str, current_rate: float) -> np.ndarray:
+        """`expert_posterior(stream, current_rate, bundle, expert_id)`, read-only."""
+        spec = self.bundle.spec(expert_id)
+        fv = self.feature(expert_input_rate(spec, current_rate), spec.feature_kind)
+        key = (expert_id, fv.source_rate)
+        if key not in self._memo:
+            self._memo[key] = predict_posterior(self.bundle.models[expert_id], fv)
+            self._memo[key].setflags(write=False)
+        return self._memo[key]
+
+    def detect(self, current_rate: float) -> DetectionReport:
+        """`detect(stream, current_rate, bundle)`, from this cache."""
+        return _detect(self.bundle, current_rate,
+                       lambda: {kind: self.feature(current_rate, kind) for kind in FeatureKind},
+                       lambda eid: self.posterior(eid, current_rate))
 
 
 # ---------------------------------------------------------------------------

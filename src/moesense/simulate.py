@@ -57,8 +57,8 @@ class ScenarioConfig:
             raise ConfigurationError(f"num_targets must be >= 0, got {self.num_targets}")
         if not (0 < self.packet_rate < math.inf and 0 < self.duration < math.inf):
             raise ConfigurationError("packet_rate and duration must be finite and positive")
-        if self.packet_rate * self.duration < 2:
-            raise ConfigurationError("scenario must span at least two packets")
+        if not 2 <= self.packet_rate * self.duration < math.inf:
+            raise ConfigurationError("scenario must span at least two packets, and finitely many")
         if self.num_subcarriers < 1:
             raise ConfigurationError(f"num_subcarriers must be >= 1, got {self.num_subcarriers}")
         lo, hi = self.doppler_range

@@ -90,6 +90,15 @@ def test_generate_out_dir_env_override(tmp_path, monkeypatch):
     assert (tmp_path / "nested" / "ds" / "manifest.csv").exists()
 
 
+def test_generate_overflowing_scenario_length_is_config_error(tmp_path, capsys):
+    # a finite rate whose packet count over the default 2 s overflows to infinity
+    rc = main(["generate", "--out", str(tmp_path / "x"), "--k-max", "0",
+               "--streams-per-class", "1", "--packet-rate", "1e308"])
+    assert rc == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
 # ---------------------------------------------------------------------------
 # train
 # ---------------------------------------------------------------------------
@@ -300,6 +309,34 @@ def test_eval_rate_deterministic_bytes(dataset, tmp_path):
                      "--rates", "100,500", "--out", str(out), "--seed", "9"]) == EXIT_OK
     assert bundle_a.read_bytes() == bundle_b.read_bytes()
     assert out_a.read_bytes() == out_b.read_bytes()
+
+
+def counted(monkeypatch, module, name):
+    """The first argument of every call to `module.name` from now on."""
+    calls, original = [], getattr(module, name)
+
+    def count(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, count)
+    return calls
+
+
+def test_sweeps_compute_a_streams_series_once_and_never_decimate(dataset, bundle_path,
+                                                                 monkeypatch):
+    bundle = load_bundle(bundle_path)
+    data = [(load_stream(dataset / e.path), e.label)
+            for e in read_manifest(dataset / "manifest.csv")]
+    series = counted(monkeypatch, pipeline, "mean_amplitude_series")
+    decimated = counted(monkeypatch, pipeline, "decimate")
+    evaluate_rate_sweep(bundle, iter(data), [100.0, 200.0, 300.0, 400.0, 500.0])
+    assert series == [stream for stream, _ in data]  # CsiStream compares by identity
+    series.clear()
+    # the target sweep reads no stream whose label it skips
+    evaluate_target_sweep(bundle, iter(data), [1], rate=300.0)
+    assert series == [stream for stream, label in data if label == 1]
+    assert decimated == []
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from moesense.gating import (
 )
 from moesense.pipeline import (
     Blocks,
+    StreamFeatures,
     TrainedBundle,
     _extract_feature_table,
     build_bundle,
@@ -196,6 +197,48 @@ def test_feature_table_equals_decimate_then_extract():
             assert got.kind is want.kind
             assert got.values.tobytes() == want.values.tobytes(), (rate, kind)
             assert got.source_rate == want.source_rate
+
+
+def reference_pair(stream, rate, bundle):
+    """What a sweep computed for one (stream, rate) pair before `StreamFeatures`:
+    `detect`, then `expert_posterior` for every expert (a superset of the pool)."""
+    report = detect(stream, rate, bundle)
+    return report, {spec.id: expert_posterior(stream, rate, bundle, spec.id)
+                    for spec in bundle.registry}
+
+
+def test_stream_features_equal_detect_and_expert_posterior(small_bundle):
+    # 1000 pkts/s base: 50 falls back, 400 and 500 share stride 2, 333.3 is not
+    # integral and shares stride 3 with 300
+    streams, _ = make_streams(2, 2, seed=23)
+    for stream in streams:
+        cache = StreamFeatures(stream, small_bundle.doppler_config(), small_bundle)
+        for rate in (50.0, 100.0, 300.0, 400.0, 500.0, 333.3):
+            want, want_posteriors = reference_pair(stream, rate, small_bundle)
+            got = cache.detect(rate)
+            assert got.decision.selected == want.decision.selected, rate
+            assert (np.array(got.decision.weights).tobytes()
+                    == np.array(want.decision.weights).tobytes())
+            assert got.decision.scores == want.decision.scores
+            assert got.mode is want.mode and got.current_rate == want.current_rate
+            assert got.fused.tobytes() == want.fused.tobytes()
+            assert got.predicted_count == want.predicted_count
+            assert list(got.expert_posteriors) == list(want.expert_posteriors)
+            for eid, posterior in got.expert_posteriors.items():
+                assert posterior.tobytes() == want.expert_posteriors[eid].tobytes()
+            for eid, posterior in want_posteriors.items():
+                cached = cache.posterior(eid, rate)
+                assert cached.tobytes() == posterior.tobytes(), (eid, rate)
+                assert not cached.flags.writeable
+
+
+def test_stream_features_check_the_rate_before_the_stream(small_bundle):
+    bad = CsiStream(np.full((64, 2), np.nan + 0j), 1000.0, 0, 0)
+    for rate in (0.0, -5.0, float("nan")):
+        with pytest.raises(InputError, match="current_rate must be finite and positive"):
+            StreamFeatures(bad, small_bundle.doppler_config(), small_bundle).detect(rate)
+    with pytest.raises(InputError, match="stream must hold samples"):
+        StreamFeatures(bad, small_bundle.doppler_config(), small_bundle).detect(300.0)
 
 
 def fingerprint(streams, labels):

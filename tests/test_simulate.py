@@ -44,6 +44,7 @@ def make_config(**kw):
     dict(packet_rate=float("inf")),
     dict(duration=float("nan")),
     dict(duration=float("inf")),
+    dict(packet_rate=1e308),                        # 2 s of it overflows to infinity
 ])
 def test_invalid_configs_rejected(kw):
     with pytest.raises(ConfigurationError):
