@@ -15,11 +15,13 @@ from typing import Any, Sequence
 import numpy as np
 
 from .errors import InputError, TrainingError
-from .features import FeatureKind, FeatureVector, Get, Put, finite_array
+from .features import MAX_FEATURE, FeatureKind, FeatureVector, Get, Put, finite_array
 
 KNN_DEFAULTS = {"k": 5}
 SVM_DEFAULTS = {"epochs": 200, "step_size": 0.01, "l2": 1e-3}
-FOREST_DEFAULTS = {"num_trees": 25, "max_depth": 8}
+FOREST_DEFAULTS = {"num_trees": 25, "max_depth": 8, "bootstrap": True}
+# The hyperparameters each classifier kind takes, and their defaults.
+HYPERPARAMS = {"knn": KNN_DEFAULTS, "svm": SVM_DEFAULTS, "forest": FOREST_DEFAULTS}
 # What a bundle's forest columns hold: features as <i1, and leaf counts and child
 # indices as <u2, since a tree on n rows has at most 2n - 1 nodes.
 FOREST_LIMITS = {"features": 127, "rows": 32768}
@@ -164,6 +166,11 @@ class LinearSvmModel:
         if (weights.ndim != 2 or not biases.shape == (len(weights),) == (num_classes,)
                 or not mean.shape == std.shape == weights.shape[1:]):
             raise ValueError("svm weights, biases and standardization disagree")
+        # Features below MAX_FEATURE give margins below `reach`: below 1e307, softmax is finite.
+        with np.errstate(all="ignore"):
+            reach = np.abs(weights) @ ((MAX_FEATURE + np.abs(mean)) / std) + np.abs(biases)
+        if not (np.all(std > 0) and np.all(reach < 1e307)):
+            raise ValueError("svm numbers could make a prediction overflow")
         return cls(weights, biases, mean, std, FeatureKind(d["kind"]), num_classes)
 
 
@@ -389,7 +396,7 @@ def train_forest(
     num_trees: int = FOREST_DEFAULTS["num_trees"],
     max_depth: int | None = FOREST_DEFAULTS["max_depth"],
     seed: int = 0,
-    bootstrap: bool = True,
+    bootstrap: bool = FOREST_DEFAULTS["bootstrap"],
 ) -> ForestModel:
     """CART trees on seeded bootstrap samples, ceil(sqrt(d)) features per split.
 

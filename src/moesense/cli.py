@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import EXIT_IO, EXIT_OK, ConfigurationError, InputError, MoeSenseError, TrainingError
-from .gating import ExpertSpec, default_registry, filter_by_rate, fuse, load_registry
+from .gating import candidates, default_registry, fuse, load_registry
 from .pipeline import (
     StreamFeatures,
     TrainedBundle,
@@ -125,11 +125,6 @@ class ResultTable:
                                  for key, val in row.items()})
 
 
-def _evaluation_pool(registry: Sequence[ExpertSpec], rate: float) -> list[str]:
-    eligible = filter_by_rate(registry, rate)
-    return sorted(eligible) if eligible else sorted(s.id for s in registry)
-
-
 def _count_hits(
     bundle: TrainedBundle,
     data: Iterable[tuple[CsiStream, int]],
@@ -145,7 +140,7 @@ def _count_hits(
     names the one a pair counts toward, and pairs outside it are skipped.
     """
     rates = list(dict.fromkeys(conditions.values()))
-    pools = {r: _evaluation_pool(bundle.registry, r) for r in rates}
+    pools = {r: candidates(bundle.registry, r)[1] for r in rates}
     # One generator per rate draws a fresh random triple per stream, so the
     # baseline shows the average random combination, not one lucky draw.
     triple_rngs = {} if triple_seed is None else {
@@ -210,7 +205,7 @@ def evaluate_target_sweep(
     rate: float = DEFAULT_SWEEP_RATE,
 ) -> ResultTable:
     """Exact-count accuracy per target count at one communication rate."""
-    pool = _evaluation_pool(bundle.registry, rate)
+    _, pool = candidates(bundle.registry, rate)
     hits = _count_hits(bundle, data, {c: rate for c in sorted(set(int(c) for c in target_counts))},
                        lambda r, label: int(label))
     missing = [c for c, counts in hits.items() if not counts["n_samples"]]

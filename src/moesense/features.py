@@ -18,9 +18,10 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, InputError
-from .simulate import CsiStream
+from .simulate import CsiStream, check_positive
 
 AMP_STATS_LENGTH = 6
+MAX_FEATURE = 1e101  # what a feature of a stream `pipeline.check_samples` passes stays below
 
 # Fixed bin count keeps feature vectors comparable across rates; the top
 # frequency clips to Nyquist when the stream rate is low. The default span
@@ -63,9 +64,7 @@ class DopplerConfig:
     def __post_init__(self) -> None:
         if self.num_bins < 2:
             raise ConfigurationError(f"num_bins must be >= 2, got {self.num_bins}")
-        if not 0 < self.max_freq_hz < math.inf:  # NaN fails too
-            raise ConfigurationError(f"max_freq_hz must be finite and positive, "
-                                     f"got {self.max_freq_hz}")
+        check_positive(self.max_freq_hz, "max_freq_hz", ConfigurationError)
 
     def clipped_to_rate(self, packet_rate: float) -> "DopplerConfig":
         """Same bin count with the top frequency clipped to Nyquist."""

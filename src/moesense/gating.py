@@ -20,8 +20,10 @@ from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .classifiers import HYPERPARAMS
 from .errors import ConfigurationError, InputError
-from .features import FeatureKind, FeatureVector, pearson
+from .features import MAX_FEATURE, FeatureKind, FeatureVector, pearson
+from .simulate import check_positive
 
 # Score assigned to an expert whose template has no centroids at all
 # (it never classified a validation sample correctly).
@@ -34,14 +36,6 @@ class ClassifierKind(enum.Enum):
     KNN = "knn"
     LINEAR_SVM = "svm"
     FOREST = "forest"
-
-
-# The hyperparameters each classifier takes and the JSON type of each value.
-_HYPERPARAM_TYPES = {
-    ClassifierKind.KNN: {"k": int},
-    ClassifierKind.LINEAR_SVM: {"epochs": int, "step_size": float, "l2": float},
-    ClassifierKind.FOREST: {"num_trees": int, "max_depth": int, "bootstrap": bool},
-}
 
 
 def _has_json_type(value: Any, expected: type) -> bool:
@@ -74,17 +68,14 @@ class ExpertSpec:
         if self.nominal_rate is None:
             object.__setattr__(self, "nominal_rate", self.required_rate)
         for name in ("required_rate", "nominal_rate"):
-            rate = getattr(self, name)
-            if not (math.isfinite(rate) and rate > 0):
-                raise ConfigurationError(f"{name} must be finite and positive for {self.id}, "
-                                         f"got {rate}")
-        types = _HYPERPARAM_TYPES[self.classifier_kind]
+            check_positive(getattr(self, name), f"{name} of {self.id}", ConfigurationError)
+        defaults = HYPERPARAMS[self.classifier_kind.value]
         for name, value in self.hyperparams.items():
-            if name not in types:
+            if name not in defaults:
                 raise ConfigurationError(f"unknown hyperparameter {name!r} for {self.id}")
-            if not _has_json_type(value, types[name]):
+            if not _has_json_type(value, expected := type(defaults[name])):
                 raise ConfigurationError(f"hyperparameter {name} of {self.id} must be a JSON "
-                                         f"{types[name].__name__}, got {value!r}")
+                                         f"{expected.__name__}, got {value!r}")
 
 
 def default_registry() -> list[ExpertSpec]:
@@ -147,13 +138,20 @@ class TemplateLibrary:
             if mean.ndim != 1 or mean.shape != std.shape:
                 raise ConfigurationError(f"{kind.value} scaler mean {mean.shape} and std "
                                          f"{std.shape} are not two vectors of one width")
-            self._scalers[kind] = (mean, np.where(std > 0, std, 1.0))
+            std = np.where(std > 0, std, 1.0)
+            with np.errstate(over="ignore"):  # so `pearson` of scaled features stays finite
+                if not np.isfinite(2 * ((MAX_FEATURE + np.abs(mean)) / std).sum()):
+                    raise ConfigurationError(f"{kind.value} scaler could overflow a feature")
+            self._scalers[kind] = (mean, std)
         self._centroids = {eid: dict(by_class) for eid, by_class in centroids.items()}
         for eid, by_class in self._centroids.items():
             for label, c in by_class.items():
                 if c.kind not in self._scalers or c.values.shape != self._scalers[c.kind][0].shape:
                     raise ConfigurationError(f"template centroid {label} of {eid} has no "
                                              f"{c.kind.value} scaler of its shape {c.values.shape}")
+        values = [c.values for by_class in self._centroids.values() for c in by_class.values()]
+        if values and not np.abs(np.concatenate(values)).max(initial=0.0) < MAX_FEATURE:
+            raise ConfigurationError(f"a template centroid is not below {MAX_FEATURE:g} in size")
         self._prescaled = {eid: [(c.kind, self._scaled(c.kind, c.values)) for c in by_class.values()]
                            for eid, by_class in self._centroids.items()}
 
@@ -193,9 +191,15 @@ class TemplateLibrary:
 
 def filter_by_rate(registry: Sequence[ExpertSpec], current_rate: float) -> set[str]:
     """Experts whose required rate is satisfied (boundary inclusive)."""
-    if not current_rate > 0:
-        raise InputError(f"current_rate must be positive, got {current_rate}")
+    check_positive(current_rate, "current_rate")
     return {spec.id for spec in registry if spec.required_rate <= current_rate}
+
+
+def candidates(registry: Sequence[ExpertSpec], rate: float) -> tuple[frozenset[str], list[str]]:
+    """The experts `rate` admits, and the sorted ids the gate scores: those,
+    or every expert (fallback) when the rate admits none."""
+    eligible = frozenset(filter_by_rate(registry, rate))
+    return eligible, sorted(eligible or (spec.id for spec in registry))
 
 
 def score_experts(
@@ -248,15 +252,8 @@ def decide(
     normalized to sum 1, or uniform when every clipped score is zero.
     """
     validate_registry(registry)
-    eligible = filter_by_rate(registry, current_rate)
-    if eligible:
-        mode = GatingMode.NORMAL
-        candidates = eligible
-    else:
-        mode = GatingMode.FALLBACK
-        candidates = {spec.id for spec in registry}
-
-    scores = score_experts(stream_features, templates, sorted(candidates))
+    eligible, scored = candidates(registry, current_rate)
+    scores = score_experts(stream_features, templates, scored)
     selected = tuple(select_top_k(scores, TOP_K))
 
     clipped = np.maximum([scores[eid] for eid in selected], 0.0)
@@ -267,11 +264,11 @@ def decide(
         weights = np.full(len(selected), 1.0 / len(selected))
 
     return GatingDecision(
-        eligible=frozenset(eligible),
+        eligible=eligible,
         selected=selected,
         weights=tuple(float(w) for w in weights),
         scores=scores,
-        mode=mode,
+        mode=GatingMode.NORMAL if eligible else GatingMode.FALLBACK,
     )
 
 
@@ -330,7 +327,7 @@ def spec_from_jsonable(d: dict[str, Any]) -> ExpertSpec:
 def load_registry(path: str | Path) -> list[ExpertSpec]:
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also text that is not UTF-8, and huge ints
         raise ConfigurationError(f"registry file is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict) or not isinstance(raw.get("experts"), list):
         raise ConfigurationError("registry file must be an object with an 'experts' list")

@@ -14,7 +14,6 @@ import copy
 import functools
 import hashlib
 import json
-import math
 import multiprocessing
 import os
 import struct
@@ -64,7 +63,7 @@ from .gating import (
     spec_to_jsonable,
     validate_registry,
 )
-from .simulate import CsiStream, decimate, decimation_stride
+from .simulate import CsiStream, check_positive, decimate, decimation_stride
 
 BUNDLE_MAGIC = b"MOEB"
 BUNDLE_VERSION = 4
@@ -73,9 +72,9 @@ _BLOCK_ALIGN = 8  # every block starts at a multiple of this many bytes
 
 DEFAULT_VAL_FRACTION = 0.25
 
-# Streams hold real and imaginary parts below this in size. Features then stay
-# below 1e101 (the amplitude variance) and the squares later steps take (spectral
-# power, KNN distances) below 1e203, so none overflows, even over a small std.
+# Streams hold real and imaginary parts below this in size. Features then stay below
+# `features.MAX_FEATURE`, 1e101 (the amplitude variance), and the squares later steps
+# take (spectral power, KNN distances) below 1e203, so none overflows, even over a small std.
 MAX_SAMPLE = 1e50
 
 
@@ -362,8 +361,7 @@ def detect(stream: CsiStream, current_rate: float, bundle: TrainedBundle) -> Det
 def _detect(bundle: TrainedBundle, current_rate: float, features: Callable[[], dict],
             posterior: Callable[[str], np.ndarray]) -> DetectionReport:
     """Check the rate, gate on `features()`, and fuse the selected experts' posteriors."""
-    if not (math.isfinite(current_rate) and current_rate > 0):
-        raise InputError(f"current_rate must be finite and positive, got {current_rate}")
+    check_positive(current_rate, "current_rate")
     decision = decide(bundle.registry, bundle.templates, features(), current_rate)
     posteriors = {eid: posterior(eid) for eid in decision.selected}
     fused, predicted = fuse([posteriors[eid] for eid in decision.selected], decision.weights)

@@ -21,7 +21,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, FormatError, RateError
+from .errors import ConfigurationError, FormatError, InputError, MoeSenseError, RateError
 
 # WiFi-style 20 MHz / 64-point OFDM grid; only the relative subcarrier
 # offsets matter (they set the per-path phase ramp across the band).
@@ -55,8 +55,8 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.num_targets < 0:
             raise ConfigurationError(f"num_targets must be >= 0, got {self.num_targets}")
-        if not (0 < self.packet_rate < math.inf and 0 < self.duration < math.inf):
-            raise ConfigurationError("packet_rate and duration must be finite and positive")
+        check_positive(self.packet_rate, "packet_rate", ConfigurationError)
+        check_positive(self.duration, "duration", ConfigurationError)
         if not 2 <= self.packet_rate * self.duration < math.inf:
             raise ConfigurationError("scenario must span at least two packets, and finitely many")
         if self.num_subcarriers < 1:
@@ -174,10 +174,15 @@ def synthesize_stream(config: ScenarioConfig, paths: Sequence[TargetPath] | None
     )
 
 
+def check_positive(value: float, what: str, error: type[MoeSenseError] = InputError) -> None:
+    """`error` unless `value` is finite and positive; NaN is neither."""
+    if not 0 < value < math.inf:
+        raise error(f"{what} must be finite and positive, got {value}")
+
+
 def decimation_stride(packet_rate: float, target_rate: float) -> int:
     """The packet stride `decimate` keeps: floor(packet_rate / target_rate)."""
-    if not target_rate > 0:  # NaN fails too
-        raise ConfigurationError(f"target_rate must be positive, got {target_rate}")
+    check_positive(target_rate, "target_rate", ConfigurationError)
     if not 1 <= packet_rate / target_rate < math.inf:
         problem = "exceeds" if target_rate > packet_rate else "is too small for"
         raise RateError(f"target_rate {target_rate} {problem} stream rate {packet_rate}")
@@ -221,8 +226,7 @@ def deserialize_stream(data: bytes) -> CsiStream:
     magic, n, k, rate, seed, true_count = _HEADER.unpack_from(data)
     if magic != STREAM_MAGIC:
         raise FormatError(f"bad stream magic {magic!r}")
-    if not (math.isfinite(rate) and rate > 0):
-        raise FormatError(f"stream packet rate must be finite and positive, got {rate}")
+    check_positive(rate, "stream packet rate", FormatError)
     if k < 1:
         raise FormatError("stream container holds no subcarriers")
     expected = _HEADER.size + n * k * 16
@@ -260,15 +264,16 @@ def write_manifest(path: str | Path, entries: Iterable[ManifestEntry]) -> None:
 def read_manifest(path: str | Path) -> list[ManifestEntry]:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["path", "label", "rate"]:
-            raise FormatError(f"unexpected manifest header {header}")
-        try:
+        try:  # a ValueError includes text that is not UTF-8
+            header = next(reader, None)
+            if header != ["path", "label", "rate"]:
+                raise FormatError(f"unexpected manifest header {header}")
             entries = [ManifestEntry(row[0], int(row[1]), float(row[2])) for row in reader if row]
-        except (IndexError, ValueError) as exc:
+        except (IndexError, ValueError, csv.Error) as exc:
             raise FormatError(f"malformed manifest row: {exc}") from exc
     for e in entries:
-        if e.label < 0 or not (math.isfinite(e.rate) and e.rate > 0):
-            raise FormatError(f"manifest row {e.path!r}: label must be >= 0 and rate "
-                              f"finite and positive, got {e.label}, {e.rate}")
+        if e.label < 0 or "\0" in e.path:
+            raise FormatError(f"manifest row {e.path!r}: label must be >= 0 and path free of "
+                              f"NUL, got label {e.label}")
+        check_positive(e.rate, f"manifest row {e.path!r}: rate", FormatError)
     return entries

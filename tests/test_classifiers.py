@@ -1,8 +1,12 @@
+import inspect
+
 import numpy as np
 import pytest
 
 from moesense.classifiers import (
+    HYPERPARAMS,
     LabeledDataset,
+    LinearSvmModel,
     model_from_jsonable,
     predict_forest,
     predict_knn,
@@ -14,7 +18,7 @@ from moesense.classifiers import (
     train_linear_svm,
 )
 from moesense.errors import InputError, TrainingError
-from moesense.features import FeatureKind, FeatureVector
+from moesense.features import MAX_FEATURE, FeatureKind, FeatureVector
 from moesense.pipeline import Blocks
 
 
@@ -445,3 +449,58 @@ def test_models_round_trip_jsonable():
         assert type(clone) is type(model)
         assert encoded(clone) == (header, data)
         assert np.array_equal(predict_posterior(clone, q), predict_posterior(model, q))
+
+
+@pytest.mark.parametrize("kind,trainer", [("knn", train_knn), ("svm", train_linear_svm),
+                                          ("forest", train_forest)])
+def test_hyperparams_are_the_trainers_keyword_defaults(kind, trainer):
+    params = inspect.signature(trainer).parameters
+    assert HYPERPARAMS[kind] == {name: p.default for name, p in params.items()
+                                 if name not in ("data", "seed")}
+
+
+def svm_with(**numbers):
+    """A two-class SVM on one feature, given any of its numbers, as a bundle
+    stores it: its JSON header entry and its blocks' bytes."""
+    parts = {"weights": [[1.0], [-1.0]], "biases": [0.0, 0.0], "mean": [0.0], "std": [1.0],
+             **numbers}
+    model = LinearSvmModel(*(np.array(parts[key], np.float64)
+                             for key in ("weights", "biases", "mean", "std")),
+                           FeatureKind.AMPLITUDE_STATS, 2)
+    return encoded(model)
+
+
+# Just below MAX_FEATURE, the largest a feature gets.
+LARGEST_FEATURE = np.nextafter(MAX_FEATURE, 0.0)
+
+
+@pytest.mark.parametrize("numbers", [
+    {"std": [0.0]}, {"std": [-1.0]}, {"std": [1e-300]}, {"mean": [1e308]},
+    {"weights": [[2e206], [-2e206]]}, {"biases": [1e307, -1e307]},
+    # zero weights do not help: (feature - mean) / std overflows to inf, and 0 * inf is NaN
+    {"weights": [[0.0], [0.0]], "std": [1e-300]},
+], ids=["zero_std", "negative_std", "tiny_std", "huge_mean", "huge_weights", "huge_biases",
+        "tiny_std_zero_weights"])
+def test_svm_that_could_predict_a_non_finite_posterior_does_not_load(numbers):
+    header, blocks = svm_with(**numbers)
+    with pytest.raises(ValueError, match="svm numbers could make a prediction overflow"):
+        model_from_jsonable(header, Blocks(blocks).get)
+
+
+def test_svm_just_inside_the_bound_loads_and_predicts_finitely():
+    # each margin's size reaches 9e306, below the 1e307 bound
+    header, blocks = svm_with(weights=[[9e306 / MAX_FEATURE], [-9e306 / MAX_FEATURE]])
+    model = model_from_jsonable(header, Blocks(blocks).get)
+    for q in (LARGEST_FEATURE, -LARGEST_FEATURE):
+        posterior = predict_linear_svm(model, fv([q]))  # a RuntimeWarning fails the test
+        assert np.isfinite(posterior).all() and posterior.sum() == pytest.approx(1.0)
+
+
+def test_trained_svm_loads_and_predicts_finitely_for_the_largest_features():
+    rng = np.random.default_rng(75)
+    data, _, _ = random_dataset(rng, n=40, d=4, num_classes=3)
+    header, blocks = encoded(train_linear_svm(data, epochs=20))
+    model = model_from_jsonable(header, Blocks(blocks).get)
+    for signs in ([1, 1, 1, 1], [-1, 1, -1, 1], [-1, -1, -1, -1]):
+        posterior = predict_linear_svm(model, fv(np.array(signs) * LARGEST_FEATURE))
+        assert np.isfinite(posterior).all()

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import shutil
 import struct
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moesense import cli, pipeline
+from moesense.classifiers import HYPERPARAMS
 from moesense.cli import evaluate_rate_sweep, evaluate_target_sweep, main
 from moesense.errors import (
     EXIT_CONFIG,
@@ -28,7 +30,7 @@ from moesense.errors import (
     TrainingError,
 )
 from moesense.pipeline import BUNDLE_MAGIC, BUNDLE_VERSION, load_bundle
-from moesense.simulate import CsiStream, load_stream, read_manifest, save_stream
+from moesense.simulate import CsiStream, load_stream, read_manifest, save_stream, write_manifest
 
 GEN_ARGS = ["--k-max", "2", "--streams-per-class", "6", "--subcarriers", "8",
             "--duration", "1.0", "--seed", "11"]
@@ -675,3 +677,219 @@ def test_eval_on_empty_manifest_is_input_error(bundle_path, tmp_path, command):
     rc = main([command[0], "--bundle", str(bundle_path), "--dataset", str(empty),
                "--out", str(tmp_path / "out.csv"), *command[1:]])
     assert rc == EXIT_INPUT
+
+
+def test_bundle_with_a_zero_svm_std_is_format_error(dataset, bundle_path, tmp_path, capsys):
+    def edit(header, blocks):
+        assert header["models"]["E2"]["type"] == "svm"
+        np.frombuffer(blocks[header["models"]["E2"]["std"]["block"]], "<f8")[0] = 0.0
+
+    bad = forged_bundle(bundle_path, tmp_path, edit)
+    entry = read_manifest(dataset / "manifest.csv")[0]
+    for command in (["eval-rate", "--dataset", str(dataset), "--rates", "100,600",
+                     "--out", str(tmp_path / "rate.csv")],
+                    ["detect", "--stream", str(dataset / entry.path), "--rate", "700"]):
+        # before the load checked it, E2 predicted NaN: a divide-by-zero RuntimeWarning
+        assert main([command[0], "--bundle", str(bad), *command[1:]]) == EXIT_FORMAT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "svm numbers could make a prediction overflow" in err
+
+
+# ---------------------------------------------------------------------------
+# fuzzing bundles, manifests and registry files through main()
+# ---------------------------------------------------------------------------
+
+DOCUMENTED_EXITS = (EXIT_CONFIG, EXIT_INPUT, EXIT_IO, EXIT_FORMAT, EXIT_TRAINING)
+
+
+@pytest.fixture(scope="module")
+def two_streams(tmp_path_factory, dataset):
+    """A dataset of two of `dataset`'s streams, labelled 0 and 1."""
+    out = tmp_path_factory.mktemp("two") / "ds"
+    out.mkdir()
+    entries = read_manifest(dataset / "manifest.csv")
+    picks = [next(e for e in entries if e.label == label) for label in (0, 1)]
+    for e in picks:
+        shutil.copy(dataset / e.path, out / e.path)
+    write_manifest(out / "manifest.csv", picks)
+    return out
+
+
+TINY_REGISTRY = {"experts": [
+    {"id": "K", "feature": "doppler", "classifier": "knn", "required_rate": 300.0,
+     "hyperparams": {"k": 2}},
+    {"id": "S", "feature": "amp_stats", "classifier": "svm", "required_rate": 500.0,
+     "hyperparams": {"epochs": 5}},
+    {"id": "T", "feature": "amp_stats", "classifier": "forest", "required_rate": 300.0,
+     "hyperparams": {"num_trees": 2, "max_depth": 3}},
+]}
+
+
+@pytest.fixture(scope="module")
+def tiny_bundle(tmp_path_factory, dataset):
+    """A bundle of one small expert of each classifier kind."""
+    folder = tmp_path_factory.mktemp("tiny")
+    (folder / "registry.json").write_text(json.dumps(TINY_REGISTRY))
+    assert main(["train", "--dataset", str(dataset), "--out", str(folder / "tiny.moe"),
+                 "--registry", str(folder / "registry.json"), "--seed", "5"]) == EXIT_OK
+    return (folder / "tiny.moe").read_bytes()
+
+
+# Doubles that overflow, underflow or are not numbers; as a bundle's model
+# numbers they could each make a prediction or the gate's scaling non-finite.
+EDGE_DOUBLES = [1e308, -1e308, 1e300, 1e-300, 5e-324, 0.0, -0.0, math.inf, math.nan]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_mutated_bundle_sweeps_or_exits_with_a_documented_code(tiny_bundle, two_streams,
+                                                               tmp_path_factory, data):
+    """Flip a byte, overwrite an 8-byte block word with an edge double,
+    truncate or extend a bundle: `moesense eval-rate` over two streams must
+    exit 0 or with a documented code, and never warn (tier-1 makes a
+    RuntimeWarning an error)."""
+    raw = tiny_bundle
+    header_end = 16 + struct.unpack_from("<Q", raw, 8)[0]
+    first_block = header_end + -header_end % 8
+    mutation = data.draw(st.sampled_from(["flip", "edge_word", "truncate", "extend"]))
+    if mutation == "flip":
+        at = data.draw(st.integers(0, len(raw) - 1))
+        raw = raw[:at] + bytes([raw[at] ^ data.draw(st.integers(1, 255))]) + raw[at + 1:]
+    elif mutation == "edge_word":
+        # blocks start at multiples of 8, so every <f8 is one of these words
+        at = first_block + 8 * data.draw(st.integers(0, (len(raw) - first_block) // 8 - 1))
+        raw = raw[:at] + struct.pack("<d", data.draw(st.sampled_from(EDGE_DOUBLES))) + raw[at + 8:]
+    elif mutation == "truncate":
+        raw = raw[:data.draw(st.integers(0, len(raw) - 1))]
+    else:
+        raw = raw + data.draw(st.binary(min_size=1, max_size=24))
+    folder = tmp_path_factory.mktemp("fuzz_bundle")
+    (folder / "b.moe").write_bytes(raw)
+    rc = main(["eval-rate", "--bundle", str(folder / "b.moe"), "--dataset", str(two_streams),
+               "--rates", "100,600", "--out", str(folder / "rate.csv")])
+    assert rc in (EXIT_OK, *DOCUMENTED_EXITS)
+
+
+def _read_as(convert, text):
+    """`convert(text)`, or None where it raises ValueError."""
+    try:
+        return convert(text)
+    except ValueError:
+        return None
+
+
+# Text that is never UTF-8: a byte no UTF-8 sequence holds, a lone continuation
+# byte, a lead byte before ASCII, and an encoded surrogate.
+NOT_UTF8 = [b"\xff", b"\x80", b"\xc3(", b"\xed\xa0\x80"]
+TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_malformed_manifest_exits_with_a_documented_code(bundle_path, two_streams,
+                                                         tmp_path_factory, data):
+    """Break the header, one cell, or the shape, size or encoding of one row:
+    each is a manifest `moesense eval-rate` must refuse with a documented
+    code, never exit 0 or print a traceback."""
+    folder = tmp_path_factory.mktemp("fuzz_manifest")
+    rows = [["path", "label", "rate"],
+            *([e.path, str(e.label), repr(e.rate)] for e in read_manifest(two_streams /
+                                                                         "manifest.csv"))]
+    row = rows[data.draw(st.integers(1, 2))]
+    mutation = data.draw(st.sampled_from(["header", "path", "label", "rate", "short_row",
+                                          "huge_cell", "not_utf8"]))
+    if mutation == "header":
+        rows[0] = data.draw(st.lists(TEXT, max_size=4).filter(
+            lambda cells: cells != ["path", "label", "rate"]))
+    elif mutation == "path":  # a path that names no stream file, or holds a NUL
+        row[0] = data.draw(TEXT.filter(lambda text: not (two_streams / text).is_file()))
+    elif mutation == "label":  # not a count
+        row[1] = data.draw(TEXT.filter(lambda text: (n := _read_as(int, text)) is None or n < 0))
+    elif mutation == "rate":  # not a rate at or above the sweep's 600 pkts/s
+        row[2] = data.draw(st.one_of(TEXT, st.floats().map(repr)).filter(
+            lambda text: not 600 <= (_read_as(float, text) or 0.0) < math.inf))
+    elif mutation == "short_row":
+        del row[data.draw(st.integers(1, 2)):]
+    elif mutation == "huge_cell":  # over the csv module's field size limit
+        row[data.draw(st.integers(0, 2))] = "9" * (csv.field_size_limit() + 1)
+    with open(folder / "manifest.csv", "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    if mutation == "not_utf8":
+        text = (folder / "manifest.csv").read_bytes()
+        at = data.draw(st.integers(0, len(text)))
+        (folder / "manifest.csv").write_bytes(text[:at] + data.draw(st.sampled_from(NOT_UTF8))
+                                              + text[at:])
+    for e in read_manifest(two_streams / "manifest.csv"):
+        if not (folder / e.path).exists():
+            shutil.copy(two_streams / e.path, folder / e.path)
+    rc = main(["eval-rate", "--bundle", str(bundle_path), "--dataset", str(folder),
+               "--rates", "100,600", "--out", str(folder / "rate.csv")])
+    assert rc in DOCUMENTED_EXITS
+
+
+JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | TEXT,
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(TEXT, children, max_size=3),
+    max_leaves=6)
+
+
+def _is_hyperparam_value(value, default):
+    """The registry's rule: a float takes any finite JSON number, every other
+    default only a value of its own type."""
+    if type(default) is float:
+        return type(value) in (int, float) and -math.inf < value < math.inf
+    return type(value) is type(default)
+
+
+@st.composite
+def malformed_registry_texts(draw):
+    """TINY_REGISTRY's JSON with one fault that makes it no registry: cut
+    short, not UTF-8, not a list of entries, an entry without a field, or a
+    field with a value it does not take."""
+    registry = json.loads(json.dumps(TINY_REGISTRY))
+    entry = registry["experts"][draw(st.integers(0, 2))]
+    others = {e["id"] for e in registry["experts"]} - {entry["id"]}
+    mutation = draw(st.sampled_from(["truncate", "not_utf8", "experts", "missing", "id",
+                                     "feature", "classifier", "rate", "hyperparams"]))
+    if mutation == "experts":
+        registry = draw(st.one_of(
+            JSON_VALUE.filter(lambda v: not isinstance(v, dict)),
+            JSON_VALUE.filter(lambda v: not isinstance(v, list) or v == []).map(
+                lambda v: {"experts": v})))
+    elif mutation == "missing":
+        del entry[draw(st.sampled_from(["id", "feature", "classifier", "required_rate"]))]
+    elif mutation == "id":  # not a new non-empty string
+        entry["id"] = draw(JSON_VALUE.filter(lambda v: not isinstance(v, str) or v == "")
+                           | st.sampled_from(sorted(others)))
+    elif mutation in ("feature", "classifier"):
+        valid = {"feature": ["doppler", "amp_stats"], "classifier": ["knn", "svm", "forest"]}
+        entry[mutation] = draw(JSON_VALUE.filter(lambda v: v not in valid[mutation]))
+    elif mutation == "rate":  # not a finite, positive JSON number
+        entry[draw(st.sampled_from(["required_rate", "nominal_rate"]))] = draw(JSON_VALUE.filter(
+            lambda v: type(v) not in (int, float) or not 0 < v < math.inf))
+    elif mutation == "hyperparams":
+        defaults = HYPERPARAMS[entry["classifier"]]
+        name = draw(st.sampled_from(sorted(defaults)) | TEXT)
+        if name in defaults:  # then a value of the wrong type
+            value = draw(JSON_VALUE.filter(lambda v: not _is_hyperparam_value(v, defaults[name])))
+        else:
+            value = draw(JSON_VALUE)
+        entry["hyperparams"] = draw(st.sampled_from([{name: value}, [name, value]]))
+    text = json.dumps(registry).encode()
+    if mutation == "truncate":
+        return text[:draw(st.integers(0, len(text) - 1))]
+    if mutation == "not_utf8":
+        at = draw(st.integers(0, len(text)))
+        return text[:at] + draw(st.sampled_from(NOT_UTF8)) + text[at:]
+    return text
+
+
+@settings(max_examples=200, deadline=None)
+@given(malformed_registry_texts())
+def test_malformed_registry_file_exits_with_a_documented_code(dataset, tmp_path_factory, text):
+    folder = tmp_path_factory.mktemp("fuzz_registry")
+    (folder / "registry.json").write_bytes(text)
+    rc = main(["train", "--dataset", str(dataset), "--out", str(folder / "b.moe"),
+               "--registry", str(folder / "registry.json")])
+    assert rc in DOCUMENTED_EXITS
+    assert not (folder / "b.moe").exists()

@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moesense.errors import ConfigurationError, InputError
-from moesense.features import FeatureKind, FeatureVector, pearson
+from moesense.features import MAX_FEATURE, FeatureKind, FeatureVector, pearson
 from moesense.gating import (
     NO_TEMPLATE_SCORE,
     ClassifierKind,
     ExpertSpec,
     GatingMode,
     TemplateLibrary,
+    candidates,
     decide,
     default_registry,
     filter_by_rate,
@@ -59,6 +60,11 @@ def test_filter_rejects_nonpositive_rate():
         filter_by_rate(default_registry(), 0.0)
     with pytest.raises(InputError):
         filter_by_rate(default_registry(), float("nan"))
+
+
+def test_filter_rejects_an_infinite_rate():
+    with pytest.raises(InputError, match="current_rate must be finite and positive, got inf"):
+        filter_by_rate(default_registry(), float("inf"))
 
 
 def test_rate_monotonicity():
@@ -236,6 +242,27 @@ def test_library_rejects_centroids_and_scalers_that_disagree(centroids, scalers)
         TemplateLibrary(centroids, scalers)
 
 
+@pytest.mark.parametrize("centroids,scalers", [
+    ({}, {D: (np.array([0.0, 1e308]), np.ones(2))}),
+    ({}, {D: (np.zeros(2), np.full(2, 1e-207))}),  # each scaled feature is finite; their sum is not
+    ({}, {D: (np.zeros(2), np.array([1.0, 1e-300]))}),
+    ({"E1": {0: fv([0.1, MAX_FEATURE])}}, {D: (np.zeros(2), np.ones(2))}),
+], ids=["huge_mean", "small_std_for_the_width", "tiny_std",
+        "centroid_not_below_the_largest_feature"])
+def test_library_rejects_numbers_that_could_scale_a_feature_to_infinity(centroids, scalers):
+    with pytest.raises(ConfigurationError, match="could overflow a feature|not below 1e\\+101"):
+        TemplateLibrary(centroids, scalers)
+
+
+def test_library_at_its_bounds_scores_the_largest_features():
+    largest = np.nextafter(MAX_FEATURE, 0.0)
+    # each feature value scales to about 4e307, and twice their sum, 1.6e308, is finite
+    std = np.full(2, (MAX_FEATURE + 1.0) / 4e307)
+    lib = TemplateLibrary({"E1": {0: fv([-largest, largest])}}, {D: (np.array([1.0, -1.0]), std)})
+    scores = score_experts({D: fv([largest, -largest])}, lib, ["E1"])  # no RuntimeWarning
+    assert scores == {"E1": -1.0}
+
+
 def test_library_keeps_a_zero_std_as_one_and_its_scalers_read_only():
     lib = TemplateLibrary({}, {D: ([1.0, 2.0], [0.0, 0.5])})
     mean, std = lib.scalers[D]
@@ -305,6 +332,22 @@ def test_decide_fallback_over_full_registry():
     assert decision.mode is GatingMode.FALLBACK
     assert decision.eligible == set()
     assert len(decision.selected) == 3
+
+
+@pytest.mark.parametrize("registry", [default_registry(), small_registry()],
+                         ids=["default", "custom"])
+def test_candidates_are_what_decide_admits_and_scores(registry):
+    rng = np.random.default_rng(6)
+    lib = library({spec.id: {0: fv(rng.uniform(size=4))} for spec in registry})
+    x = {D: fv(rng.uniform(size=4))}
+    fallbacks = 0
+    for rate in [50.0, 99.9, 100.0, 150.0, 200.0, 250.0, 300.0, 400.0, 450.0, 500.0, 600.0, 1e4]:
+        eligible, scored = candidates(registry, rate)
+        decision = decide(registry, lib, x, rate)
+        assert eligible == decision.eligible and type(eligible) is frozenset
+        assert scored == sorted(decision.scores)
+        fallbacks += decision.mode is GatingMode.FALLBACK
+    assert fallbacks >= 2  # the grid reaches the fallback mode of both registries
 
 
 def test_decide_weights_are_clipped_normalized_scores():

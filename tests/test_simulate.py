@@ -1,14 +1,18 @@
+import re
+
 import numpy as np
 import pytest
 
-from moesense.errors import ConfigurationError, FormatError, RateError
-from moesense.features import mean_amplitude_series
+from moesense.errors import ConfigurationError, FormatError, InputError, RateError
+from moesense.features import DopplerConfig, FeatureKind, mean_amplitude_series
+from moesense.gating import ClassifierKind, ExpertSpec, default_registry, filter_by_rate
 from moesense.simulate import (
     CsiStream,
     ManifestEntry,
     ScenarioConfig,
     TargetPath,
     decimate,
+    decimation_stride,
     deserialize_stream,
     load_stream,
     read_manifest,
@@ -260,9 +264,49 @@ def test_manifest_bad_header(tmp_path):
 
 
 @pytest.mark.parametrize("row", ["a.csi,0,nan", "a.csi,0,inf", "a.csi,0,0", "a.csi,0,-3",
-                                 "a.csi,-1,1000.0", "a.csi,-3,nan"])
+                                 "a.csi,-1,1000.0", "a.csi,-3,nan", "a\0.csi,0,1000.0"])
 def test_manifest_bad_rate_or_label(tmp_path, row):
     path = tmp_path / "manifest.csv"
     path.write_text(f"path,label,rate\nb.csi,1,1000.0\n{row}\n")
     with pytest.raises(FormatError):
         read_manifest(path)
+
+
+def _manifest_with_rate(rate, tmp_path):
+    path = tmp_path / "manifest.csv"
+    path.write_text(f"path,label,rate\na.csi,0,{rate}\n")
+    return read_manifest(path)
+
+
+def _stream_with_rate(rate):
+    stream = synthesize_stream(make_config())
+    return deserialize_stream(serialize_stream(
+        CsiStream(stream.samples, rate, stream.true_target_count, stream.seed)))
+
+
+# Each place that takes a rate or another positive number, the error class it
+# documents, and what its message calls the number.
+POSITIVE_NUMBER_SITES = {
+    "scenario_rate": (lambda v, tmp: make_config(packet_rate=v), ConfigurationError,
+                      "packet_rate"),
+    "scenario_duration": (lambda v, tmp: make_config(duration=v), ConfigurationError,
+                          "duration"),
+    "decimation": (lambda v, tmp: decimation_stride(1000.0, v), ConfigurationError,
+                   "target_rate"),
+    "stream_container": (lambda v, tmp: _stream_with_rate(v), FormatError, "stream packet rate"),
+    "manifest": (_manifest_with_rate, FormatError, "manifest row 'a.csi': rate"),
+    "doppler_config": (lambda v, tmp: DopplerConfig(10, v), ConfigurationError, "max_freq_hz"),
+    "expert_spec": (lambda v, tmp: ExpertSpec("X", FeatureKind.DOPPLER_ENERGY,
+                                              ClassifierKind.FOREST, v),
+                    ConfigurationError, "required_rate of X"),
+    "rate_filter": (lambda v, tmp: filter_by_rate(default_registry(), v), InputError,
+                    "current_rate"),
+}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -2.5])
+@pytest.mark.parametrize("site", sorted(POSITIVE_NUMBER_SITES))
+def test_every_positive_number_check_says_the_same(tmp_path, site, value):
+    build, error, what = POSITIVE_NUMBER_SITES[site]
+    with pytest.raises(error, match=re.escape(f"{what} must be finite and positive, got {value}")):
+        build(value, tmp_path)
