@@ -166,12 +166,18 @@ class LinearSvmModel:
         if (weights.ndim != 2 or not biases.shape == (len(weights),) == (num_classes,)
                 or not mean.shape == std.shape == weights.shape[1:]):
             raise ValueError("svm weights, biases and standardization disagree")
-        # Features below MAX_FEATURE give margins below `reach`: below 1e307, softmax is finite.
-        with np.errstate(all="ignore"):
-            reach = np.abs(weights) @ ((MAX_FEATURE + np.abs(mean)) / std) + np.abs(biases)
-        if not (np.all(std > 0) and np.all(reach < 1e307)):
+        if not _svm_margins_bounded(weights, biases, mean, std):
             raise ValueError("svm numbers could make a prediction overflow")
         return cls(weights, biases, mean, std, FeatureKind(d["kind"]), num_classes)
+
+
+def _svm_margins_bounded(weights: np.ndarray, biases: np.ndarray, mean: np.ndarray,
+                         std: np.ndarray) -> bool:
+    """Whether every std is positive and features below MAX_FEATURE give margins
+    below `reach`, and so below 1e307: then softmax is finite. A NaN fails."""
+    with np.errstate(all="ignore"):
+        reach = np.abs(weights) @ ((MAX_FEATURE + np.abs(mean)) / std) + np.abs(biases)
+    return bool(np.all(std > 0) and np.all(reach < 1e307))
 
 
 def train_linear_svm(
@@ -200,21 +206,24 @@ def train_linear_svm(
     y = np.where(np.arange(c)[None, :] == data.labels[:, None], 1.0, -1.0)
 
     margins = np.empty(c)
-    for epoch in range(epochs):
-        eta = step_size / (epoch + 1)
-        shrink = 1.0 - eta * l2
-        for i in range(n):
-            zi, yi = z[i], y[i]
-            np.dot(weights, zi, out=margins)
-            margins += biases
-            margins *= yi
-            weights *= shrink
-            # Rows whose margin holds get a step of +-0.0, which leaves them
-            # bit-identical unless a weight is -0.0. Weights start at +0.0, and
-            # with a positive shrink factor only an underflow could make one -0.0.
-            step = (eta * yi) * (margins < 1.0)
-            weights += step[:, None] * zi
-            biases += step
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(epochs):
+            eta = step_size / (epoch + 1)
+            shrink = 1.0 - eta * l2
+            for i in range(n):
+                zi, yi = z[i], y[i]
+                np.dot(weights, zi, out=margins)
+                margins += biases
+                margins *= yi
+                weights *= shrink
+                # Rows whose margin holds get a step of +-0.0, which leaves them
+                # bit-identical unless a weight is -0.0. Weights start at +0.0, and
+                # with a positive shrink factor only an underflow could make one -0.0.
+                step = (eta * yi) * (margins < 1.0)
+                weights += step[:, None] * zi
+                biases += step
+    if not _svm_margins_bounded(weights, biases, mean, std):
+        raise TrainingError(f"linear SVM diverged at step_size {step_size:g}; lower it")
     return LinearSvmModel(weights, biases, mean, std, data.kind, data.num_classes)
 
 

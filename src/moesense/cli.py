@@ -20,7 +20,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -29,6 +29,7 @@ import numpy as np
 from .errors import EXIT_IO, EXIT_OK, ConfigurationError, InputError, MoeSenseError, TrainingError
 from .gating import candidates, default_registry, fuse, load_registry
 from .pipeline import (
+    DEFAULT_VAL_FRACTION,
     StreamFeatures,
     TrainedBundle,
     build_bundle,
@@ -61,16 +62,13 @@ CSV_FLOAT_FMT = "{:.4f}"
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Knobs for the synthetic benchmark."""
+    """Knobs for the synthetic benchmark; `scene` is what every stream shares
+    but its target count and seed."""
 
     k_max: int = 5
     streams_per_class: int = 100
     seed: int = 42
-    packet_rate: float = 1000.0
-    duration: float = 2.0
-    num_subcarriers: int = 30
-    snr_db: float = 15.0
-    doppler_range: tuple[float, float] = (5.0, 60.0)
+    scene: ScenarioConfig = ScenarioConfig(0)
 
     def __post_init__(self) -> None:
         if self.k_max < 0 or self.streams_per_class < 1:
@@ -83,17 +81,8 @@ def dataset_configs(cfg: ExperimentConfig) -> list[ScenarioConfig]:
     configs = []
     for cls in range(cfg.k_max + 1):
         for _ in range(cfg.streams_per_class):
-            configs.append(
-                ScenarioConfig(
-                    num_targets=cls,
-                    packet_rate=cfg.packet_rate,
-                    duration=cfg.duration,
-                    num_subcarriers=cfg.num_subcarriers,
-                    snr_db=cfg.snr_db,
-                    doppler_range=cfg.doppler_range,
-                    rng_seed=int(master.integers(0, 2**63)),
-                )
-            )
+            configs.append(replace(cfg.scene, num_targets=cls,
+                                   rng_seed=int(master.integers(0, 2**63))))
     return configs
 
 
@@ -234,16 +223,9 @@ def _load_dataset_entries(dataset_dir: Path) -> list[ManifestEntry]:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    cfg = ExperimentConfig(
-        k_max=args.k_max,
-        streams_per_class=args.streams_per_class,
-        seed=args.seed,
-        packet_rate=args.packet_rate,
-        duration=args.duration,
-        num_subcarriers=args.subcarriers,
-        snr_db=args.snr_db,
-        doppler_range=(args.doppler_min, args.doppler_max),
-    )
+    scene = ScenarioConfig(0, args.packet_rate, args.duration, args.subcarriers, args.snr_db,
+                           (args.doppler_min, args.doppler_max))
+    cfg = ExperimentConfig(args.k_max, args.streams_per_class, args.seed, scene)
     out_dir = _resolve_out(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -358,17 +340,19 @@ def build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    experiment = ExperimentConfig()
+    scene = experiment.scene
     p = sub.add_parser("generate", help="synthesize a labeled stream dataset")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--k-max", type=int, default=5)
-    p.add_argument("--streams-per-class", type=int, default=100)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--packet-rate", type=float, default=1000.0)
-    p.add_argument("--duration", type=float, default=2.0)
-    p.add_argument("--subcarriers", type=int, default=30)
-    p.add_argument("--snr-db", type=float, default=15.0)
-    p.add_argument("--doppler-min", type=float, default=5.0)
-    p.add_argument("--doppler-max", type=float, default=60.0)
+    p.add_argument("--k-max", type=int, default=experiment.k_max)
+    p.add_argument("--streams-per-class", type=int, default=experiment.streams_per_class)
+    p.add_argument("--seed", type=int, default=experiment.seed)
+    p.add_argument("--packet-rate", type=float, default=scene.packet_rate)
+    p.add_argument("--duration", type=float, default=scene.duration)
+    p.add_argument("--subcarriers", type=int, default=scene.num_subcarriers)
+    p.add_argument("--snr-db", type=float, default=scene.snr_db)
+    p.add_argument("--doppler-min", type=float, default=scene.doppler_range[0])
+    p.add_argument("--doppler-max", type=float, default=scene.doppler_range[1])
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("train", help="train all experts and build a bundle")
@@ -376,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="bundle output path")
     p.add_argument("--registry", default=None, help="registry JSON (default: built-in 8 experts)")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--val-fraction", type=float, default=0.25)
+    p.add_argument("--val-fraction", type=float, default=DEFAULT_VAL_FRACTION)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval-rate", help="accuracy vs. communication rate")

@@ -59,16 +59,12 @@ class ExpertSpec:
     feature_kind: FeatureKind
     classifier_kind: ClassifierKind
     required_rate: float
-    nominal_rate: float | None = None
     hyperparams: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.id:
             raise ConfigurationError("expert id must be non-empty")
-        if self.nominal_rate is None:
-            object.__setattr__(self, "nominal_rate", self.required_rate)
-        for name in ("required_rate", "nominal_rate"):
-            check_positive(getattr(self, name), f"{name} of {self.id}", ConfigurationError)
+        check_positive(self.required_rate, f"required_rate of {self.id}", ConfigurationError)
         defaults = HYPERPARAMS[self.classifier_kind.value]
         for name, value in self.hyperparams.items():
             if name not in defaults:
@@ -296,18 +292,20 @@ def spec_to_jsonable(spec: ExpertSpec) -> dict[str, Any]:
         "feature": spec.feature_kind.value,
         "classifier": spec.classifier_kind.value,
         "required_rate": float(spec.required_rate),
-        "nominal_rate": float(spec.nominal_rate),
         "hyperparams": dict(spec.hyperparams),
     }
 
 
 # The JSON type each registry entry field must have; nothing is coerced.
 _ENTRY_TYPES = {"id": (str, "string"), "required_rate": (float, "number"),
-                "nominal_rate": (float, "number"), "hyperparams": (dict, "object")}
+                "hyperparams": (dict, "object")}
+_ENTRY_FIELDS = {"feature", "classifier", *_ENTRY_TYPES}  # an entry has no other field
 
 
 def spec_from_jsonable(d: dict[str, Any]) -> ExpertSpec:
     try:
+        if unknown := sorted(d.keys() - _ENTRY_FIELDS):
+            raise ConfigurationError(f"registry entry has unknown fields {unknown}")
         for name, (expected, json_name) in _ENTRY_TYPES.items():
             if name in d and not _has_json_type(d[name], expected):
                 raise ConfigurationError(f"registry entry field {name} must be a JSON "
@@ -317,10 +315,9 @@ def spec_from_jsonable(d: dict[str, Any]) -> ExpertSpec:
             feature_kind=FeatureKind(d["feature"]),
             classifier_kind=ClassifierKind(d["classifier"]),
             required_rate=float(d["required_rate"]),
-            nominal_rate=float(d["nominal_rate"]) if "nominal_rate" in d else None,
             hyperparams=dict(d.get("hyperparams", {})),
         )
-    except (KeyError, ValueError, TypeError, OverflowError) as exc:
+    except (AttributeError, KeyError, ValueError, TypeError, OverflowError) as exc:
         raise ConfigurationError(f"bad registry entry {d!r}: {exc}") from exc
 
 

@@ -66,7 +66,7 @@ from .gating import (
 from .simulate import CsiStream, check_positive, decimate, decimation_stride
 
 BUNDLE_MAGIC = b"MOEB"
-BUNDLE_VERSION = 4
+BUNDLE_VERSION = 5
 _BUNDLE_HEADER = struct.Struct("<4sIQ")  # magic, version, JSON header length
 _BLOCK_ALIGN = 8  # every block starts at a multiple of this many bytes
 
@@ -160,9 +160,9 @@ def extract_feature(stream: CsiStream, kind: FeatureKind, doppler_cfg: DopplerCo
 
 
 def expert_input_rate(spec: ExpertSpec, current_rate: float) -> float:
-    """Experts consume data decimated to their nominal rate when the link
-    allows it, and to the (lower) current rate otherwise."""
-    return min(current_rate, spec.nominal_rate)
+    """Experts consume data decimated to their required rate, which they were
+    trained at, in normal mode, and to the (lower) current rate in fallback."""
+    return min(current_rate, spec.required_rate)
 
 
 def split_train_val(
@@ -234,7 +234,7 @@ def _extract_feature_table(
     doppler_cfg: DopplerConfig,
     fingerprint: "hashlib._Hash",
 ) -> dict[tuple[float, FeatureKind], list[FeatureVector]]:
-    """One pass over the streams, extracting every (nominal rate, kind) combo
+    """One pass over the streams, extracting every (required rate, kind) combo
     from each stream's `StreamFeatures`, so rates that share a stride share its
     feature vector. `fingerprint` is updated with what training reads of each
     stream: its rate, amplitude series and label."""
@@ -261,7 +261,7 @@ def build_bundle(
     registry: Sequence[ExpertSpec],
     seed: int = 0,
 ) -> TrainedBundle:
-    """Train every expert at its nominal rate and build its template centroids.
+    """Train every expert at its required rate and build its template centroids.
 
     Stream arguments may be one-pass iterables; they are consumed exactly
     once and only their features are retained. Centroids are per-class means
@@ -278,7 +278,7 @@ def build_bundle(
     num_classes = k_max + 1
     doppler_cfg = DopplerConfig()
 
-    needed = {(spec.nominal_rate, spec.feature_kind) for spec in registry}
+    needed = {(spec.required_rate, spec.feature_kind) for spec in registry}
     digest = hashlib.sha256()
     train_table = _extract_feature_table(train_streams, train_labels, needed, doppler_cfg, digest)
     val_table = _extract_feature_table(val_streams, val_labels, needed, doppler_cfg, digest)
@@ -300,7 +300,7 @@ def build_bundle(
         )
         scalers[kind] = (pooled.mean(axis=0), pooled.std(axis=0))
 
-    jobs = [(spec, LabeledDataset.build(train_table[(spec.nominal_rate, spec.feature_kind)],
+    jobs = [(spec, LabeledDataset.build(train_table[(spec.required_rate, spec.feature_kind)],
                                         train_labels, num_classes), expert_seeds[spec.id])
             for spec in ordered]
     models = {spec.id: model for spec, model in zip(ordered, _train_experts(jobs))}
@@ -308,7 +308,7 @@ def build_bundle(
     centroids: dict[str, dict[int, FeatureVector]] = {}
     for spec in ordered:
         model = models[spec.id]
-        val_features = val_table[(spec.nominal_rate, spec.feature_kind)]
+        val_features = val_table[(spec.required_rate, spec.feature_kind)]
         preds = np.array([int(np.argmax(predict_posterior(model, fv))) for fv in val_features])
         correct = preds == val_label_arr
         val_accuracy[spec.id] = float(correct.mean())
@@ -339,7 +339,7 @@ def expert_posterior(
     """One expert's class posterior for `stream` observed at `current_rate`.
 
     The expert's input is decimated from the base stream, never from an
-    already-decimated one, so at or above its nominal rate it consumes
+    already-decimated one, so at or above its required rate it consumes
     exactly the rate it was trained at.
     """
     spec = bundle.spec(expert_id)

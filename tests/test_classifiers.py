@@ -2,6 +2,8 @@ import inspect
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moesense.classifiers import (
     HYPERPARAMS,
@@ -504,3 +506,26 @@ def test_trained_svm_loads_and_predicts_finitely_for_the_largest_features():
     for signs in ([1, 1, 1, 1], [-1, 1, -1, 1], [-1, -1, -1, -1]):
         posterior = predict_linear_svm(model, fv(np.array(signs) * LARGEST_FEATURE))
         assert np.isfinite(posterior).all()
+
+
+def test_diverging_svm_is_training_error():
+    # the weights overflow to inf and NaN; that fails the bound a load checks,
+    # and no overflow RuntimeWarning comes out on the way
+    rng = np.random.default_rng(75)
+    data, _, _ = random_dataset(rng, n=40, d=4, num_classes=3)
+    with pytest.raises(TrainingError, match="linear SVM diverged at step_size 1e\\+300"):
+        train_linear_svm(data, epochs=5, step_size=1e300)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(-3.0, 300.0), st.integers(1, 4), st.sampled_from([0.0, 1e-3, 1.0]))
+def test_a_trained_svm_loads(log_step, epochs, l2):
+    # training and loading check one margin bound: what trains, loads
+    rng = np.random.default_rng(76)
+    data, _, _ = random_dataset(rng, n=20, d=3, num_classes=3)
+    try:
+        model = train_linear_svm(data, epochs=epochs, step_size=10.0**log_step, l2=l2)
+    except TrainingError:
+        return
+    header, blocks = encoded(model)
+    model_from_jsonable(header, Blocks(blocks).get)

@@ -1,10 +1,13 @@
 import csv
+import dataclasses
+import functools
 import json
 import math
 import os
 import shutil
 import struct
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +33,16 @@ from moesense.errors import (
     TrainingError,
 )
 from moesense.pipeline import BUNDLE_MAGIC, BUNDLE_VERSION, load_bundle
-from moesense.simulate import CsiStream, load_stream, read_manifest, save_stream, write_manifest
+from moesense.simulate import (
+    CsiStream,
+    ScenarioConfig,
+    load_stream,
+    read_manifest,
+    save_stream,
+    serialize_stream,
+    synthesize_stream,
+    write_manifest,
+)
 
 GEN_ARGS = ["--k-max", "2", "--streams-per-class", "6", "--subcarriers", "8",
             "--duration", "1.0", "--seed", "11"]
@@ -101,6 +113,60 @@ def test_generate_overflowing_scenario_length_is_config_error(tmp_path, capsys):
     assert captured.err.startswith("error: ") and captured.out == ""
 
 
+def test_generate_flags_set_every_scene_field(tmp_path):
+    out = tmp_path / "g"
+    rc = main(["generate", "--out", str(out), "--k-max", "1", "--streams-per-class", "2",
+               "--seed", "9", "--packet-rate", "400", "--duration", "0.5", "--subcarriers", "3",
+               "--snr-db", "20", "--doppler-min", "10", "--doppler-max", "30"])
+    assert rc == EXIT_OK
+    scene = ScenarioConfig(0, 400.0, 0.5, 3, 20.0, (10.0, 30.0))
+    configs = cli.dataset_configs(cli.ExperimentConfig(1, 2, 9, scene))
+    entries = read_manifest(out / "manifest.csv")
+    assert len(entries) == len(configs) == 4
+    for entry, config in zip(entries, configs):
+        assert (out / entry.path).read_bytes() == serialize_stream(synthesize_stream(config))
+
+
+def test_experiment_config_keeps_one_scene():
+    assert [f.name for f in dataclasses.fields(cli.ExperimentConfig)] == [
+        "k_max", "streams_per_class", "seed", "scene"]
+    assert cli.ExperimentConfig().scene == ScenarioConfig(0)
+
+
+MOVED_OWNERS = {
+    "ExperimentConfig": functools.partial(
+        cli.ExperimentConfig, 7, 3, 8, ScenarioConfig(0, 800.0, 1.5, 12, 20.0, (7.0, 70.0))),
+    "DEFAULT_VAL_FRACTION": 0.4,
+    "DEFAULT_RATES": (150.0, 250.0),
+    "DEFAULT_TARGET_COUNTS": (1, 2),
+    "DEFAULT_SWEEP_RATE": 450.0,
+}
+
+
+@pytest.mark.parametrize("owners", ["as_built", "moved"])
+def test_parser_defaults_read_their_owners(monkeypatch, owners):
+    # with every owner moved, a default typed into the parser as a literal stays behind
+    if owners == "moved":
+        for name, value in MOVED_OWNERS.items():
+            monkeypatch.setattr(cli, name, value)
+    experiment = cli.ExperimentConfig()
+    scene = experiment.scene
+    parse = cli.build_parser().parse_args
+    generate = parse(["generate", "--out", "x"])
+    assert (generate.k_max, generate.streams_per_class, generate.seed) == (
+        experiment.k_max, experiment.streams_per_class, experiment.seed)
+    assert (generate.packet_rate, generate.duration, generate.subcarriers, generate.snr_db,
+            (generate.doppler_min, generate.doppler_max)) == (
+        scene.packet_rate, scene.duration, scene.num_subcarriers, scene.snr_db, scene.doppler_range)
+    assert parse(["train", "--dataset", "d", "--out", "b"]).val_fraction == cli.DEFAULT_VAL_FRACTION
+    assert parse(["eval-rate", "--bundle", "b", "--dataset", "d", "--out", "o"]).rates == list(
+        cli.DEFAULT_RATES)
+    targets = parse(["eval-targets", "--bundle", "b", "--dataset", "d", "--out", "o"])
+    assert (targets.counts, targets.rate) == (list(cli.DEFAULT_TARGET_COUNTS), cli.DEFAULT_SWEEP_RATE)
+    if owners == "as_built":
+        assert cli.DEFAULT_VAL_FRACTION == pipeline.DEFAULT_VAL_FRACTION
+
+
 # ---------------------------------------------------------------------------
 # train
 # ---------------------------------------------------------------------------
@@ -135,8 +201,7 @@ def test_train_duplicate_registry_id(dataset, tmp_path):
     assert rc == EXIT_CONFIG
 
 
-@pytest.mark.parametrize("rates", [{"required_rate": float("nan")},
-                                   {"required_rate": 300.0, "nominal_rate": -300.0}])
+@pytest.mark.parametrize("rates", [{"required_rate": float("nan")}, {"required_rate": -300.0}])
 def test_train_registry_with_bad_rate_is_config_error(dataset, tmp_path, rates):
     registry = {"experts": [{"id": "E1", "feature": "doppler", "classifier": "knn", **rates}]}
     reg_path = tmp_path / "registry.json"
@@ -168,6 +233,40 @@ def test_train_malformed_registry_is_config_error(dataset, tmp_path, case):
     rc = main(["train", "--dataset", str(dataset), "--out", str(tmp_path / "b.moe"),
                "--registry", str(reg_path)])
     assert rc == EXIT_CONFIG
+    assert not (tmp_path / "b.moe").exists()
+
+
+@pytest.mark.parametrize("field,value", [("hyperparameters", {"k": 50}), ("nominal_rate", 500.0)])
+def test_train_registry_entry_with_an_unknown_field_is_config_error(dataset, tmp_path, capsys,
+                                                                    field, value):
+    # a misspelt field used to be dropped, so this trained with k=5; a second
+    # rate is no field since an expert trains, qualifies and is served at one rate
+    entry = {"id": "S", "feature": "amp_stats", "classifier": "knn", "required_rate": 300.0,
+             field: value}
+    reg_path = tmp_path / "registry.json"
+    reg_path.write_text(json.dumps({"experts": [entry]}))
+    rc = main(["train", "--dataset", str(dataset), "--out", str(tmp_path / "b.moe"),
+               "--registry", str(reg_path)])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(field) in err
+    assert not (tmp_path / "b.moe").exists()
+
+
+def test_train_diverging_svm_is_training_error(dataset, tmp_path, capsys):
+    # the weights overflow; such a bundle used to be written, and then no load accepted it
+    registry = {"experts": [{"id": "S", "feature": "amp_stats", "classifier": "svm",
+                             "required_rate": 500.0,
+                             "hyperparams": {"epochs": 5, "step_size": 1e300}}]}
+    reg_path = tmp_path / "registry.json"
+    reg_path.write_text(json.dumps(registry))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # also in the forked training workers
+        rc = main(["train", "--dataset", str(dataset), "--out", str(tmp_path / "b.moe"),
+                   "--registry", str(reg_path)])
+    assert rc == EXIT_TRAINING
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "linear SVM diverged" in err
     assert not (tmp_path / "b.moe").exists()
 
 
@@ -844,13 +943,14 @@ def _is_hyperparam_value(value, default):
 @st.composite
 def malformed_registry_texts(draw):
     """TINY_REGISTRY's JSON with one fault that makes it no registry: cut
-    short, not UTF-8, not a list of entries, an entry without a field, or a
-    field with a value it does not take."""
+    short, not UTF-8, not a list of entries, an entry without a field or with
+    a field it does not have, or a field with a value it does not take."""
     registry = json.loads(json.dumps(TINY_REGISTRY))
     entry = registry["experts"][draw(st.integers(0, 2))]
     others = {e["id"] for e in registry["experts"]} - {entry["id"]}
     mutation = draw(st.sampled_from(["truncate", "not_utf8", "experts", "missing", "id",
-                                     "feature", "classifier", "rate", "hyperparams"]))
+                                     "feature", "classifier", "rate", "hyperparams",
+                                     "unknown_field"]))
     if mutation == "experts":
         registry = draw(st.one_of(
             JSON_VALUE.filter(lambda v: not isinstance(v, dict)),
@@ -865,8 +965,12 @@ def malformed_registry_texts(draw):
         valid = {"feature": ["doppler", "amp_stats"], "classifier": ["knn", "svm", "forest"]}
         entry[mutation] = draw(JSON_VALUE.filter(lambda v: v not in valid[mutation]))
     elif mutation == "rate":  # not a finite, positive JSON number
-        entry[draw(st.sampled_from(["required_rate", "nominal_rate"]))] = draw(JSON_VALUE.filter(
+        entry["required_rate"] = draw(JSON_VALUE.filter(
             lambda v: type(v) not in (int, float) or not 0 < v < math.inf))
+    elif mutation == "unknown_field":  # a misspelt field, or a second rate
+        name = draw(st.sampled_from(["hyperparameters", "nominal_rate"]) | TEXT.filter(
+            lambda k: k not in ("id", "feature", "classifier", "required_rate", "hyperparams")))
+        entry[name] = draw(JSON_VALUE)
     elif mutation == "hyperparams":
         defaults = HYPERPARAMS[entry["classifier"]]
         name = draw(st.sampled_from(sorted(defaults)) | TEXT)

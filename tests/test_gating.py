@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -472,19 +473,18 @@ def test_registry_malformed_json_rejected(tmp_path):
         load_registry(path)
 
 
-def test_spec_nominal_rate_defaults_to_required():
-    spec = ExpertSpec("X", D, ClassifierKind.FOREST, 250.0)
-    assert spec.nominal_rate == 250.0
-    clone = spec_from_jsonable(spec_to_jsonable(spec))
-    assert clone == spec
-
-
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -300.0])
-@pytest.mark.parametrize("field", ["required_rate", "nominal_rate"])
+@pytest.mark.parametrize("field", ["required_rate"])
 def test_spec_rejects_nonfinite_or_nonpositive_rates(field, bad):
-    rates = {"required_rate": 300.0, "nominal_rate": 300.0, field: bad}
-    with pytest.raises(ConfigurationError):
-        ExpertSpec("X", D, ClassifierKind.FOREST, **rates)
+    with pytest.raises(ConfigurationError, match=field):
+        ExpertSpec("X", D, ClassifierKind.FOREST, **{field: bad})
+
+
+def test_spec_has_one_rate():
+    assert [f.name for f in dataclasses.fields(ExpertSpec)] == [
+        "id", "feature_kind", "classifier_kind", "required_rate", "hyperparams"]
+    assert set(spec_to_jsonable(default_registry()[0])) == {
+        "id", "feature", "classifier", "required_rate", "hyperparams"}
 
 
 @pytest.mark.parametrize("kind,hyperparams,ok", [

@@ -36,8 +36,9 @@ OUTPUT_PINS = {
     # stdout of every detect call, streams outer and rates inner
     "detect_json": "f5916904e529c1a4fd6d3555f33b3ddeab96fc2aba1c2132f91f078e87b7d1ad",
 }
-# The bundle file, format version 4 (version 3 wrote df5e0a3c755c83c1...).
-BUNDLE_PIN = "112cfd51eeaadd77c0e8803c50ad8e30ee07c9bf832a64099407553c2cbf2939"
+# The bundle file, format version 5. Version 4 wrote 112cfd51eeaadd77... with a
+# `nominal_rate` in each registry entry, and version 3 df5e0a3c755c83c1...
+BUNDLE_PIN = "319c96808857ef2d706ca787f90a422ae722050f23570b821839436dc996c6dc"
 
 
 @pytest.fixture(scope="module")

@@ -47,6 +47,7 @@ from moesense.simulate import (
     ScenarioConfig,
     TargetPath,
     decimate,
+    decimation_stride,
     synthesize_stream,
 )
 
@@ -186,7 +187,7 @@ def test_feature_table_equals_decimate_then_extract():
     # 1000 pkts/s base: 400 and 500 share stride 2 (400 is not integral), 300 is stride 3
     streams, labels = make_streams(2, 2, seed=17)
     cfg = DopplerConfig()
-    needed = {(spec.nominal_rate, spec.feature_kind) for spec in default_registry()}
+    needed = {(spec.required_rate, spec.feature_kind) for spec in default_registry()}
     assert (400.0, D) in needed and (300.0, S) in needed
     table = _extract_feature_table(streams, labels, needed, cfg, hashlib.sha256())
     assert set(table) == needed
@@ -376,26 +377,58 @@ def test_detect_equals_manual_composition(small_bundle, probe_stream):
     assert report.predicted_count == predicted
 
 
-def test_expert_consumes_its_training_rate(small_bundle, probe_stream):
+# On 1000 pkts/s streams the required rates 200, 300 and 500 are strides 5, 3
+# and 2: the 300 pkts/s expert trains on every third packet, at 333.3 pkts/s.
+CUSTOM_REGISTRY = [
+    ExpertSpec("A", S, ClassifierKind.FOREST, 300.0, hyperparams={"num_trees": 3, "max_depth": 4}),
+    ExpertSpec("B", D, ClassifierKind.KNN, 200.0, hyperparams={"k": 3}),
+    ExpertSpec("C", D, ClassifierKind.FOREST, 500.0, hyperparams={"num_trees": 3, "max_depth": 4}),
+    ExpertSpec("D", S, ClassifierKind.LINEAR_SVM, 500.0, hyperparams={"epochs": 10}),
+]
+
+
+@pytest.fixture(scope="module")
+def custom_bundle():
+    streams, labels = make_streams(2, 12, seed=8)
+    tr_s, tr_l, va_s, va_l = split_train_val(streams, labels, seed=8)
+    return build_bundle(tr_s, tr_l, va_s, va_l, CUSTOM_REGISTRY, seed=8)
+
+
+def test_expert_consumes_its_training_rate(small_bundle, custom_bundle, probe_stream):
     # Decimating an already-decimated stream compounds the integer strides:
     # 1000 -> 500 -> 300 keeps every packet of the 500 pkts/s stream, whereas
     # training fed the 300 pkts/s experts every third packet (333.3 pkts/s).
-    cfg = small_bundle.doppler_config()
-    rates = (300.0, 400.0, 500.0, 600.0, 1000.0)
-    trained_on = {}
-    for spec in small_bundle.registry:
-        training_input = decimate(probe_stream, spec.nominal_rate)
-        trained_on[spec.id] = predict_posterior(
-            small_bundle.models[spec.id], extract_feature(training_input, spec.feature_kind, cfg))
+    # Each expert's input is built here by slicing, without `decimate`.
+    base = probe_stream.packet_rate
+    assert decimation_stride(base, 300.0) == 3
+    rates = (50.0, 100.0, 150.0, 199.0, 200.0, 250.0, 299.0, 300.0, 400.0, 500.0, 600.0, 1000.0)
+    for bundle in (small_bundle, custom_bundle):
+        cfg = bundle.doppler_config()
+
+        def posterior_at(spec, rate):
+            stride = decimation_stride(base, rate)
+            kept = CsiStream(probe_stream.samples[::stride].copy(), base / stride, 1, 99)
+            return predict_posterior(bundle.models[spec.id],
+                                     extract_feature(kept, spec.feature_kind, cfg)).tobytes()
+
+        lowest = min(spec.required_rate for spec in bundle.registry)
+        assert rates[0] < lowest  # the grid reaches fallback
+        for spec in bundle.registry:  # training saw the required rate's stride
+            trained_at = base / decimation_stride(base, spec.required_rate)
+            assert {c.source_rate for c in bundle.templates.centroids(spec.id).values()} == {
+                trained_at}, spec.id
         for rate in rates:
-            if rate >= spec.nominal_rate:
-                served = expert_posterior(probe_stream, rate, small_bundle, spec.id)
-                assert np.array_equal(served, trained_on[spec.id]), (spec.id, rate)
-    for rate in rates:
-        report = detect(probe_stream, rate, small_bundle)
-        for eid, served in report.expert_posteriors.items():
-            if rate >= small_bundle.spec(eid).nominal_rate:
-                assert np.array_equal(served, trained_on[eid]), (eid, rate)
+            for spec in bundle.registry:
+                served = expert_posterior(probe_stream, rate, bundle, spec.id)
+                assert served.tobytes() == posterior_at(spec, min(rate, spec.required_rate)), (
+                    spec.id, rate)
+            for report in (detect(probe_stream, rate, bundle),
+                           StreamFeatures(probe_stream, cfg, bundle).detect(rate)):
+                assert (report.mode is GatingMode.FALLBACK) == (rate < lowest)
+                for eid, served in report.expert_posteriors.items():
+                    spec = bundle.spec(eid)
+                    fed = spec.required_rate if report.mode is GatingMode.NORMAL else rate
+                    assert served.tobytes() == posterior_at(spec, fed), (eid, rate)
 
 
 def test_detect_rate_above_stream_rejected(small_bundle, probe_stream):
@@ -570,9 +603,10 @@ def test_bundle_version_mismatch(small_bundle):
     header = struct.Struct("<4sIQ")
     magic, version, length = header.unpack_from(data)
     # version 1 held forests as nested dicts, version 2 every array as JSON
-    # lists, and version 3 forests as full-width float columns
-    assert version == 4
-    for forged_version in (1, 2, 3, version + 1):
+    # lists, version 3 forests as full-width float columns, and version 4 a
+    # second rate, `nominal_rate`, in each registry entry
+    assert version == 5
+    for forged_version in (1, 2, 3, 4, version + 1):
         forged = header.pack(magic, forged_version, length) + data[header.size:]
         with pytest.raises(FormatError, match=f"version {forged_version}; retrain"):
             deserialize_bundle(forged)
@@ -800,6 +834,7 @@ DISAGREEING_PARTS = {
     "registry_entry_without_id": lambda payload: payload[0]["registry"][0].pop("id"),
     # a NaN required rate would drop the expert from every eligible set
     "required_rate_nan": _set(("registry", 2, "required_rate"), float("nan")),
+    # a version 4 entry's second rate is no registry entry field
     "nominal_rate_nan": _set(("registry", 2, "nominal_rate"), float("nan")),
     "nominal_rate_negative": _set(("registry", 2, "nominal_rate"), -500.0),
     # without scalers the gate would correlate raw vectors, near 1 for everyone
