@@ -95,23 +95,21 @@ class KnnModel:
 
     def to_jsonable(self, put: Put) -> dict[str, Any]:
         return {
-            "type": "knn",
             "k": self.k,
             "matrix": put(self.matrix, "<f8"),
             "labels": put(self.labels, "<i8"),
-            "kind": self.kind.value,
-            "num_classes": self.num_classes,
         }
 
     @classmethod
-    def from_jsonable(cls, d: dict[str, Any], get: Get) -> "KnnModel":
+    def from_jsonable(cls, d: dict[str, Any], get: Get, kind: FeatureKind, num_classes: int,
+                      n_features: int) -> "KnnModel":
         matrix = finite_array(get(d["matrix"], "<f8"), "knn matrix")
         labels = get(d["labels"], "<i8")
-        k, num_classes = int(d["k"]), int(d["num_classes"])
-        if (matrix.ndim != 2 or labels.shape != (len(matrix),) or not 1 <= k <= len(labels)
-                or np.any((labels < 0) | (labels >= num_classes))):
+        k = int(d["k"])
+        if (matrix.shape[1:] != (n_features,) or labels.shape != (len(matrix),)
+                or not 1 <= k <= len(labels) or np.any((labels < 0) | (labels >= num_classes))):
             raise ValueError("knn matrix, labels and k disagree")
-        return cls(k, matrix, labels, FeatureKind(d["kind"]), num_classes)
+        return cls(k, matrix, labels, kind, num_classes)
 
 
 def train_knn(data: LabeledDataset, k: int = KNN_DEFAULTS["k"]) -> KnnModel:
@@ -149,26 +147,23 @@ class LinearSvmModel:
 
     def to_jsonable(self, put: Put) -> dict[str, Any]:
         return {
-            "type": "svm",
             "weights": put(self.weights, "<f8"),
             "biases": put(self.biases, "<f8"),
             "mean": put(self.mean, "<f8"),
             "std": put(self.std, "<f8"),
-            "kind": self.kind.value,
-            "num_classes": self.num_classes,
         }
 
     @classmethod
-    def from_jsonable(cls, d: dict[str, Any], get: Get) -> "LinearSvmModel":
+    def from_jsonable(cls, d: dict[str, Any], get: Get, kind: FeatureKind, num_classes: int,
+                      n_features: int) -> "LinearSvmModel":
         weights, biases, mean, std = (finite_array(get(d[key], "<f8"), f"svm {key}")
                                       for key in ("weights", "biases", "mean", "std"))
-        num_classes = int(d["num_classes"])
-        if (weights.ndim != 2 or not biases.shape == (len(weights),) == (num_classes,)
-                or not mean.shape == std.shape == weights.shape[1:]):
+        if (weights.shape != (num_classes, n_features) or biases.shape != (num_classes,)
+                or not mean.shape == std.shape == (n_features,)):
             raise ValueError("svm weights, biases and standardization disagree")
         if not _svm_margins_bounded(weights, biases, mean, std):
             raise ValueError("svm numbers could make a prediction overflow")
-        return cls(weights, biases, mean, std, FeatureKind(d["kind"]), num_classes)
+        return cls(weights, biases, mean, std, kind, num_classes)
 
 
 def _svm_margins_bounded(weights: np.ndarray, biases: np.ndarray, mean: np.ndarray,
@@ -287,21 +282,17 @@ class ForestModel:
     def to_jsonable(self, put: Put) -> dict[str, Any]:
         inner = self.feature >= 0
         return {
-            "type": "forest",
             "nodes": list(self.nodes),
             "feature": put(self.feature, "<i1"),
             "threshold": put(self.threshold[inner], "<f8"),
             "right": put(self.right[inner], "<u2"),
             "counts": put(self.counts, "<u2"),
-            "kind": self.kind.value,
-            "num_classes": self.num_classes,
-            "n_features": self.n_features,
         }
 
     @classmethod
-    def from_jsonable(cls, d: dict[str, Any], get: Get) -> "ForestModel":
+    def from_jsonable(cls, d: dict[str, Any], get: Get, kind: FeatureKind, num_classes: int,
+                      n_features: int) -> "ForestModel":
         """Check every tree at once, so that every walk ends at a leaf."""
-        num_classes, n_features = int(d["num_classes"]), int(d["n_features"])
         nodes = d["nodes"]
         if not (type(nodes) is list and nodes and all(type(n) is int and 0 < n <= 65535
                                                       for n in nodes)):
@@ -312,9 +303,8 @@ class ForestModel:
         total = sum(nodes)
         if feature.shape != (total,):
             raise ValueError(f"tree features must be 1-D and hold all {total} nodes")
-        if not (feature.min() >= -1 and feature.max() < n_features <= FOREST_LIMITS["features"]):
-            raise ValueError(f"tree features must lie in [-1, {n_features}), with n_features "
-                             f"at most {FOREST_LIMITS['features']}")
+        if not (feature.min() >= -1 and feature.max() < n_features):
+            raise ValueError(f"tree features must lie in [-1, {n_features})")
         inner = np.flatnonzero(feature >= 0)
         if not threshold.shape == right.shape == inner.shape:
             raise ValueError(f"tree thresholds and right children must hold {len(inner)} inner nodes")
@@ -330,8 +320,8 @@ class ForestModel:
             raise ValueError(f"tree leaf rows must be {num_classes} wide, one per leaf")
         full_threshold, full_right = np.zeros(total), np.full(total, -1, np.int32)
         full_threshold[inner], full_right[inner] = threshold, right
-        return cls(nodes, feature, full_threshold, full_right, counts, FeatureKind(d["kind"]),
-                   num_classes, n_features)
+        return cls(nodes, feature, full_threshold, full_right, counts, kind, num_classes,
+                   n_features)
 
 
 def _best_split_on_feature(
@@ -463,5 +453,7 @@ def predict_posterior(model: Model, x: FeatureVector) -> np.ndarray:
 MODEL_TYPES = {"knn": KnnModel, "svm": LinearSvmModel, "forest": ForestModel}
 
 
-def model_from_jsonable(d: dict[str, Any], get: Get) -> Model:
-    return MODEL_TYPES[d["type"]].from_jsonable(d, get)
+def model_from_jsonable(d: dict[str, Any], get: Get, classifier: str, kind: FeatureKind,
+                        num_classes: int, n_features: int) -> Model:
+    """The model a bundle entry holds, given what its registry entry and bundle state."""
+    return MODEL_TYPES[classifier].from_jsonable(d, get, kind, num_classes, n_features)

@@ -172,7 +172,7 @@ def evaluate_rate_sweep(
     bundle: TrainedBundle,
     data: Iterable[tuple[CsiStream, int]],
     rates: Sequence[float],
-    seed: int = 42,
+    seed: int = ExperimentConfig.seed,
 ) -> ResultTable:
     """Framework, per-expert, and random-triple accuracy at each rate.
 
@@ -359,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True, help="dataset directory (with manifest.csv)")
     p.add_argument("--out", required=True, help="bundle output path")
     p.add_argument("--registry", default=None, help="registry JSON (default: built-in 8 experts)")
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=int, default=experiment.seed)
     p.add_argument("--val-fraction", type=float, default=DEFAULT_VAL_FRACTION)
     p.set_defaults(func=cmd_train)
 
@@ -368,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--rates", type=_float_list, default=list(DEFAULT_RATES))
     p.add_argument("--out", required=True, help="CSV output path")
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=int, default=experiment.seed)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("eval-targets", help="accuracy vs. number of targets")

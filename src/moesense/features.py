@@ -178,15 +178,6 @@ Put = Callable[[Any, str], dict]
 Get = Callable[[dict, str], np.ndarray]
 
 
-def feature_to_jsonable(fv: FeatureVector, put: Put) -> dict:
-    """`fv` as a JSON header entry; `put` stores its values as a block."""
-    return {
-        "kind": fv.kind.value,
-        "source_rate": float(fv.source_rate),
-        "values": put(fv.values, "<f8"),
-    }
-
-
 def finite_array(values, what: str) -> np.ndarray:
     """`values` as a float64 array; ValueError if any of them is NaN or infinite.
 
@@ -198,9 +189,3 @@ def finite_array(values, what: str) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError(f"{what} holds a non-finite number")
     return arr
-
-
-def feature_from_jsonable(d: dict, get: Get) -> FeatureVector:
-    """The inverse of `feature_to_jsonable`; `get` returns a block's array."""
-    return FeatureVector(FeatureKind(d["kind"]), finite_array(get(d["values"], "<f8"), "feature"),
-                         float(finite_array(d["source_rate"], "feature source rate")))

@@ -47,8 +47,6 @@ from .features import (
     doppler_from_series,
     extract_amp_stats,
     extract_doppler,
-    feature_from_jsonable,
-    feature_to_jsonable,
     finite_array,
     mean_amplitude_series,
 )
@@ -66,11 +64,14 @@ from .gating import (
 from .simulate import CsiStream, check_positive, decimate, decimation_stride
 
 BUNDLE_MAGIC = b"MOEB"
-BUNDLE_VERSION = 5
+BUNDLE_VERSION = 6
 _BUNDLE_HEADER = struct.Struct("<4sIQ")  # magic, version, JSON header length
 _BLOCK_ALIGN = 8  # every block starts at a multiple of this many bytes
 
 DEFAULT_VAL_FRACTION = 0.25
+# Each feature kind's vector width. A bundle's Doppler experts use `DopplerConfig()`.
+FEATURE_WIDTHS = {FeatureKind.DOPPLER_ENERGY: DopplerConfig().num_bins,
+                  FeatureKind.AMPLITUDE_STATS: AMP_STATS_LENGTH}
 
 # Streams hold real and imaginary parts below this in size. Features then stay below
 # `features.MAX_FEATURE`, 1e101 (the amplitude variance), and the squares later steps
@@ -95,11 +96,9 @@ class TrainedBundle:
                                ("template", self.templates.expert_ids())):
             if part_ids != ids:
                 raise ConfigurationError(f"registry/{part} mismatch: {ids} vs {part_ids}")
-        widths = {FeatureKind.DOPPLER_ENERGY: self.doppler_config().num_bins,
-                  FeatureKind.AMPLITUDE_STATS: AMP_STATS_LENGTH}
         num_classes = self.num_classes
         for spec in self.registry:
-            model, width = self.models[spec.id], widths[spec.feature_kind]
+            model, width = self.models[spec.id], FEATURE_WIDTHS[spec.feature_kind]
             if (type(model) is not MODEL_TYPES[spec.classifier_kind.value]
                     or model.kind is not spec.feature_kind
                     or model.n_features != width or model.num_classes != num_classes):
@@ -113,18 +112,15 @@ class TrainedBundle:
             if spec.feature_kind not in self.templates.scalers:
                 raise ConfigurationError(f"no scaler for the {spec.feature_kind.value} features")
         for kind, (mean, _) in self.templates.scalers.items():
-            if mean.shape != (widths[kind],):
-                raise ConfigurationError(f"{kind.value} scaler is not {widths[kind]} wide")
+            if mean.shape != (FEATURE_WIDTHS[kind],):
+                raise ConfigurationError(f"{kind.value} scaler is not {FEATURE_WIDTHS[kind]} wide")
 
     @property
     def num_classes(self) -> int:
         return int(self.metadata["k_max"]) + 1
 
     def doppler_config(self) -> DopplerConfig:
-        return DopplerConfig(
-            num_bins=int(self.metadata["doppler_num_bins"]),
-            max_freq_hz=float(self.metadata["doppler_max_freq_hz"]),
-        )
+        return DopplerConfig()  # what `build_bundle` trains every bundle with
 
     def spec(self, expert_id: str) -> ExpertSpec:
         for s in self.registry:
@@ -179,6 +175,8 @@ def split_train_val(
     """
     if len(items) != len(labels):
         raise InputError(f"{len(items)} items but {len(labels)} labels")
+    if not 0 < val_fraction < 1:
+        raise ConfigurationError(f"val_fraction must lie between 0 and 1, got {val_fraction}")
     rng = np.random.default_rng(seed)
     train_idx: list[int] = []
     val_idx: list[int] = []
@@ -326,8 +324,6 @@ def build_bundle(
         "seed": int(seed),
         "dataset_fingerprint": digest.hexdigest(),
         "k_max": k_max,
-        "doppler_num_bins": doppler_cfg.num_bins,
-        "doppler_max_freq_hz": float(doppler_cfg.max_freq_hz),
         "validation_accuracy": val_accuracy,
     }
     return TrainedBundle(tuple(ordered), models, TemplateLibrary(centroids, scalers), metadata)
@@ -417,8 +413,8 @@ class Blocks:
 
     `put` stores an array as the next block and returns the reference that
     the JSON header keeps in its place. `get` returns the array a reference
-    names, as a read-only view of its block, once the reference's dtype is
-    the one the caller expects and its shape fits the block.
+    names, in the dtype its caller expects, as a read-only view of its
+    block, once the reference's shape fits the block.
     """
 
     def __init__(self, data: Sequence[bytes | memoryview] = ()):
@@ -427,12 +423,10 @@ class Blocks:
     def put(self, array: Any, dtype: str) -> dict[str, Any]:
         arr = np.ascontiguousarray(array, dtype=dtype)
         self.data.append(arr.tobytes())
-        return {"block": len(self.data) - 1, "dtype": dtype, "shape": list(arr.shape)}
+        return {"block": len(self.data) - 1, "shape": list(arr.shape)}
 
     def get(self, ref: dict[str, Any], dtype: str) -> np.ndarray:
         block, shape = ref["block"], ref["shape"]
-        if ref["dtype"] != dtype:
-            raise ValueError(f"block dtype {ref['dtype']!r} where {dtype} belongs")
         if not (_is_count(block) and block < len(self.data)):
             raise ValueError(f"no block {block!r}")
         if not (type(shape) is list and all(_is_count(n) for n in shape)):
@@ -455,7 +449,7 @@ def bundle_to_jsonable(bundle: TrainedBundle, put: Put) -> dict[str, Any]:
         "models": {eid: m.to_jsonable(put) for eid, m in bundle.models.items()},
         "templates": {
             eid: {
-                str(label): feature_to_jsonable(fv, put)
+                str(label): {"source_rate": float(fv.source_rate), "values": put(fv.values, "<f8")}
                 for label, fv in bundle.templates.centroids(eid).items()
             }
             for eid in bundle.templates.expert_ids()
@@ -466,16 +460,26 @@ def bundle_to_jsonable(bundle: TrainedBundle, put: Put) -> dict[str, Any]:
 
 
 def bundle_from_jsonable(payload: dict[str, Any], get: Get) -> TrainedBundle:
-    """The inverse of `bundle_to_jsonable`; `get` returns a block's array."""
+    """The inverse of `bundle_to_jsonable`; `get` returns a block's array. A model
+    or centroid takes its classifier and kind from its expert's registry entry
+    (a KeyError if none), its class count from `k_max`, its width from `FEATURE_WIDTHS`."""
     registry = tuple(spec_from_jsonable(d) for d in payload["registry"])
-    models = {eid: model_from_jsonable(d, get) for eid, d in payload["models"].items()}
+    specs = {spec.id: spec for spec in registry}
+    metadata = copy.deepcopy(payload["metadata"])
+    finite_array([metadata["seed"], *metadata["validation_accuracy"].values()], "metadata")
+    num_classes = int(metadata["k_max"]) + 1
+    models = {eid: model_from_jsonable(d, get, specs[eid].classifier_kind.value,
+                                       specs[eid].feature_kind, num_classes,
+                                       FEATURE_WIDTHS[specs[eid].feature_kind])
+              for eid, d in payload["models"].items()}
     scalers = {FeatureKind(tag): (finite_array(get(s["mean"], "<f8"), f"{tag} scaler mean"),
                                   finite_array(get(s["std"], "<f8"), f"{tag} scaler std"))
                for tag, s in payload["scalers"].items()}
-    centroids = {eid: {int(label): feature_from_jsonable(d, get) for label, d in by_class.items()}
+    centroids = {eid: {int(label): FeatureVector(specs[eid].feature_kind,
+                                                 finite_array(get(d["values"], "<f8"), "centroid"),
+                                                 float(finite_array(d["source_rate"], "centroid rate")))
+                       for label, d in by_class.items()}
                  for eid, by_class in payload["templates"].items()}
-    metadata = copy.deepcopy(payload["metadata"])
-    finite_array([metadata["seed"], *metadata["validation_accuracy"].values()], "metadata")
     return TrainedBundle(registry, models, TemplateLibrary(centroids, scalers), metadata)
 
 
@@ -496,23 +500,20 @@ def deserialize_bundle(data: bytes) -> TrainedBundle:
 
 def _pack(header: dict[str, Any], blocks: Sequence[bytes]) -> bytes:
     """The container: magic, version and JSON header length; the canonical
-    JSON header with its block table of [offset, length] pairs; then the
-    blocks, each zero-padded to the next multiple of `_BLOCK_ALIGN` bytes.
-    Offsets count from the first block, which starts at such a multiple
-    of the file too."""
-    table, body = [], bytearray()
+    JSON header with its block table of lengths; then the blocks, each
+    starting at the next multiple of `_BLOCK_ALIGN` bytes of the file after
+    the header or the block before it, with zeros in between."""
+    body = bytearray()
     for block in blocks:
-        body += bytes(-len(body) % _BLOCK_ALIGN)
-        table.append([len(body), len(block)])
-        body += block
-    text = json.dumps({**header, "blocks": table}, sort_keys=True,
+        body += bytes(-len(body) % _BLOCK_ALIGN) + block
+    text = json.dumps({**header, "blocks": [len(block) for block in blocks]}, sort_keys=True,
                       separators=(",", ":")).encode("utf-8")
     head = _BUNDLE_HEADER.pack(BUNDLE_MAGIC, BUNDLE_VERSION, len(text)) + text
     return head + bytes(-len(head) % _BLOCK_ALIGN) + body
 
 
 def _unpack(data: bytes) -> tuple[dict[str, Any], list[memoryview]]:
-    """The JSON header and a view of each block, once the block table tiles
+    """The JSON header and a view of each block, once the block lengths tile
     the rest of the file exactly: each block at the first aligned offset
     after the one before it, and the last one ending the file."""
     if len(data) < _BUNDLE_HEADER.size:
@@ -530,15 +531,12 @@ def _unpack(data: bytes) -> tuple[dict[str, Any], list[memoryview]]:
                         parse_constant=_refuse_constant)
     area = memoryview(data)[end + -end % _BLOCK_ALIGN:]
     views, pos = [], 0
-    for i, (offset, nbytes) in enumerate(header.pop("blocks")):
-        if not (_is_count(offset) and _is_count(nbytes)):
-            raise ValueError(f"block {i} has offset {offset!r} and length {nbytes!r}")
-        if offset != pos + -pos % _BLOCK_ALIGN:
-            problem = ("is misaligned" if offset % _BLOCK_ALIGN
-                       else "overlaps the block before it" if offset < pos else "leaves a gap")
-            raise ValueError(f"block {i} at offset {offset} {problem}")
-        views.append(area[offset:offset + nbytes])
-        pos = offset + nbytes
+    for i, nbytes in enumerate(header.pop("blocks")):
+        if not _is_count(nbytes):
+            raise ValueError(f"block {i} has length {nbytes!r}")
+        pos += -pos % _BLOCK_ALIGN
+        views.append(area[pos:pos + nbytes])
+        pos += nbytes
     if pos != len(area):
         raise ValueError(f"the blocks end at byte {pos} of the {len(area)} after the header")
     return header, views

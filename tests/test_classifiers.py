@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from moesense.classifiers import (
     HYPERPARAMS,
+    MODEL_TYPES,
+    KnnModel,
     LabeledDataset,
     LinearSvmModel,
     model_from_jsonable,
@@ -318,7 +320,7 @@ def test_forest_predicts_bit_for_bit_as_the_per_tree_walk(seed):
     model = train_forest(data, num_trees=int(rng.integers(1, 40)),
                          max_depth=[None, 1, 3, 8][seed % 4], seed=seed, bootstrap=seed % 3 > 0)
     header, blocks = encoded(model)
-    clone = model_from_jsonable(header, Blocks(blocks).get)
+    clone = loaded(header, blocks, model)
     # training rows, new points, and points on a split's threshold
     on_split = matrix[rng.integers(0, len(matrix), 10)].copy()
     for q, i in zip(on_split, rng.permutation(np.flatnonzero(model.feature >= 0))):
@@ -358,7 +360,7 @@ def test_forest_counts_are_the_training_rows_each_leaf_holds(seed):
     assert model.counts.tolist() == [c.tolist() for c in expected_counts]
     v3 = np.array([(c := row.astype(np.float64)) / c.sum() for row in expected_counts])
     header, blocks = encoded(model)
-    clone = model_from_jsonable(header, Blocks(blocks).get)
+    clone = loaded(header, blocks, model)
     assert model.leaves.tobytes() == clone.leaves.tobytes() == v3.tobytes()
 
 
@@ -368,11 +370,9 @@ def test_forest_format_limits_hold_at_training():
     data, matrix, _ = random_dataset(rng, n=12, d=127, num_classes=2)
     model = train_forest(data, num_trees=3, seed=1)
     header, blocks = encoded(model)
-    clone = model_from_jsonable(header, Blocks(blocks).get)
+    clone = loaded(header, blocks, model)
     assert predict_forest(clone, fv(matrix[0])).tobytes() == predict_forest(
         model, fv(matrix[0])).tobytes()
-    with pytest.raises(ValueError, match="at most 127"):
-        model_from_jsonable({**header, "n_features": 128}, Blocks(blocks).get)
     wide = LabeledDataset(np.zeros((4, 128)), np.array([0, 1, 0, 1]),
                           FeatureKind.AMPLITUDE_STATS, 2)
     with pytest.raises(TrainingError, match="at most 127 features"):
@@ -387,7 +387,7 @@ def test_forest_format_limits_hold_at_training():
             continue
         model = train_forest(tall, num_trees=1, bootstrap=False)
         header, blocks = encoded(model)
-        assert model_from_jsonable(header, Blocks(blocks).get).counts.tolist() == [[n, 0]]
+        assert loaded(header, blocks, model).counts.tolist() == [[n, 0]]
 
 
 def test_forest_tree_over_65535_nodes_does_not_load():
@@ -400,17 +400,17 @@ def test_forest_tree_over_65535_nodes_does_not_load():
     feature = np.full(n, -1)
     feature[inner] = 0
     blocks = Blocks()
-    header = {"type": "forest", "nodes": [n], "kind": "amp_stats", "num_classes": 2,
-              "n_features": 1, "feature": blocks.put(feature, "<i1"),
+    header = {"nodes": [n], "feature": blocks.put(feature, "<i1"),
               "threshold": blocks.put(np.zeros(len(inner)), "<f8"),
               "right": blocks.put(inner + 2, "<u2"),
               "counts": blocks.put(np.ones((n - len(inner), 2)), "<u2")}
     with pytest.raises(ValueError, match="65535"):
-        model_from_jsonable(header, blocks.get)
+        model_from_jsonable(header, blocks.get, "forest", FeatureKind.AMPLITUDE_STATS, 2, 1)
     header["nodes"] = [n - 1]  # the same tree without its last, unreachable leaf loads
     header["feature"] = blocks.put(feature[:-1], "<i1")
     header["counts"] = blocks.put(np.ones((n - 1 - len(inner), 2)), "<u2")
-    assert model_from_jsonable(header, blocks.get).nodes == [n - 1]
+    assert model_from_jsonable(header, blocks.get, "forest", FeatureKind.AMPLITUDE_STATS, 2,
+                               1).nodes == [n - 1]
 
 
 def test_forest_dimension_mismatch():
@@ -436,6 +436,16 @@ def encoded(model):
     return model.to_jsonable(blocks.put), blocks.data
 
 
+def loaded(header, blocks, like, **changes):
+    """The model that the entry `header` over `blocks` loads as, given what a
+    bundle's registry and metadata state for `like`: its classifier, feature
+    kind, class count and width, each overridden by `changes`."""
+    facts = {"classifier": {cls: name for name, cls in MODEL_TYPES.items()}[type(like)],
+             "kind": like.kind, "num_classes": like.num_classes, "n_features": like.n_features,
+             **changes}
+    return model_from_jsonable(header, Blocks(blocks).get, **facts)
+
+
 def test_models_round_trip_jsonable():
     rng = np.random.default_rng(61)
     data, matrix, _ = random_dataset(rng, n=30, d=4, num_classes=3)
@@ -447,10 +457,22 @@ def test_models_round_trip_jsonable():
     q = fv(rng.normal(size=4))
     for model in models:
         header, data = encoded(model)
-        clone = model_from_jsonable(header, Blocks(data).get)
+        clone = loaded(header, data, model)
         assert type(clone) is type(model)
         assert encoded(clone) == (header, data)
         assert np.array_equal(predict_posterior(clone, q), predict_posterior(model, q))
+        # the entry states only the model's own numbers; the rest is passed in
+        assert not header.keys() & {"type", "kind", "num_classes", "n_features"}
+        assert loaded(header, data, model, kind=FeatureKind.DOPPLER_ENERGY).kind is (
+            FeatureKind.DOPPLER_ENERGY)
+        with pytest.raises(ValueError):  # each model reads a feature past the first
+            loaded(header, data, model, n_features=1)
+        if not isinstance(model, KnnModel):  # a KNN's labels only bound the class count
+            with pytest.raises(ValueError):
+                loaded(header, data, model, num_classes=4)
+        with pytest.raises(KeyError):  # another classifier's entry
+            loaded(header, data, model, classifier=next(
+                name for name, cls in MODEL_TYPES.items() if cls is not type(model)))
 
 
 @pytest.mark.parametrize("kind,trainer", [("knn", train_knn), ("svm", train_linear_svm),
@@ -463,13 +485,13 @@ def test_hyperparams_are_the_trainers_keyword_defaults(kind, trainer):
 
 def svm_with(**numbers):
     """A two-class SVM on one feature, given any of its numbers, as a bundle
-    stores it: its JSON header entry and its blocks' bytes."""
+    stores it: its JSON header entry and its blocks' bytes, and the model."""
     parts = {"weights": [[1.0], [-1.0]], "biases": [0.0, 0.0], "mean": [0.0], "std": [1.0],
              **numbers}
     model = LinearSvmModel(*(np.array(parts[key], np.float64)
                              for key in ("weights", "biases", "mean", "std")),
                            FeatureKind.AMPLITUDE_STATS, 2)
-    return encoded(model)
+    return (*encoded(model), model)
 
 
 # Just below MAX_FEATURE, the largest a feature gets.
@@ -484,15 +506,14 @@ LARGEST_FEATURE = np.nextafter(MAX_FEATURE, 0.0)
 ], ids=["zero_std", "negative_std", "tiny_std", "huge_mean", "huge_weights", "huge_biases",
         "tiny_std_zero_weights"])
 def test_svm_that_could_predict_a_non_finite_posterior_does_not_load(numbers):
-    header, blocks = svm_with(**numbers)
+    header, blocks, like = svm_with(**numbers)
     with pytest.raises(ValueError, match="svm numbers could make a prediction overflow"):
-        model_from_jsonable(header, Blocks(blocks).get)
+        loaded(header, blocks, like)
 
 
 def test_svm_just_inside_the_bound_loads_and_predicts_finitely():
     # each margin's size reaches 9e306, below the 1e307 bound
-    header, blocks = svm_with(weights=[[9e306 / MAX_FEATURE], [-9e306 / MAX_FEATURE]])
-    model = model_from_jsonable(header, Blocks(blocks).get)
+    model = loaded(*svm_with(weights=[[9e306 / MAX_FEATURE], [-9e306 / MAX_FEATURE]]))
     for q in (LARGEST_FEATURE, -LARGEST_FEATURE):
         posterior = predict_linear_svm(model, fv([q]))  # a RuntimeWarning fails the test
         assert np.isfinite(posterior).all() and posterior.sum() == pytest.approx(1.0)
@@ -501,8 +522,8 @@ def test_svm_just_inside_the_bound_loads_and_predicts_finitely():
 def test_trained_svm_loads_and_predicts_finitely_for_the_largest_features():
     rng = np.random.default_rng(75)
     data, _, _ = random_dataset(rng, n=40, d=4, num_classes=3)
-    header, blocks = encoded(train_linear_svm(data, epochs=20))
-    model = model_from_jsonable(header, Blocks(blocks).get)
+    trained = train_linear_svm(data, epochs=20)
+    model = loaded(*encoded(trained), trained)
     for signs in ([1, 1, 1, 1], [-1, 1, -1, 1], [-1, -1, -1, -1]):
         posterior = predict_linear_svm(model, fv(np.array(signs) * LARGEST_FEATURE))
         assert np.isfinite(posterior).all()
@@ -527,5 +548,4 @@ def test_a_trained_svm_loads(log_step, epochs, l2):
         model = train_linear_svm(data, epochs=epochs, step_size=10.0**log_step, l2=l2)
     except TrainingError:
         return
-    header, blocks = encoded(model)
-    model_from_jsonable(header, Blocks(blocks).get)
+    loaded(*encoded(model), model)

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import functools
+import inspect
 import json
 import math
 import os
@@ -158,13 +159,16 @@ def test_parser_defaults_read_their_owners(monkeypatch, owners):
     assert (generate.packet_rate, generate.duration, generate.subcarriers, generate.snr_db,
             (generate.doppler_min, generate.doppler_max)) == (
         scene.packet_rate, scene.duration, scene.num_subcarriers, scene.snr_db, scene.doppler_range)
-    assert parse(["train", "--dataset", "d", "--out", "b"]).val_fraction == cli.DEFAULT_VAL_FRACTION
-    assert parse(["eval-rate", "--bundle", "b", "--dataset", "d", "--out", "o"]).rates == list(
-        cli.DEFAULT_RATES)
+    train = parse(["train", "--dataset", "d", "--out", "b"])
+    assert (train.seed, train.val_fraction) == (experiment.seed, cli.DEFAULT_VAL_FRACTION)
+    rate = parse(["eval-rate", "--bundle", "b", "--dataset", "d", "--out", "o"])
+    assert (rate.seed, rate.rates) == (experiment.seed, list(cli.DEFAULT_RATES))
     targets = parse(["eval-targets", "--bundle", "b", "--dataset", "d", "--out", "o"])
     assert (targets.counts, targets.rate) == (list(cli.DEFAULT_TARGET_COUNTS), cli.DEFAULT_SWEEP_RATE)
     if owners == "as_built":
         assert cli.DEFAULT_VAL_FRACTION == pipeline.DEFAULT_VAL_FRACTION
+        sweep_seed = inspect.signature(cli.evaluate_rate_sweep).parameters["seed"].default
+        assert sweep_seed == cli.ExperimentConfig().seed
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +189,17 @@ def test_train_prints_accuracy_table(dataset, tmp_path, capsys):
     assert "val_acc" in out
     for eid in ("E1", "E8"):
         assert eid in out
+
+
+@pytest.mark.parametrize("fraction", ["nan", "inf", "-0.25", "0", "1.5"])
+def test_train_val_fraction_outside_zero_to_one_is_config_error(dataset, tmp_path, capsys,
+                                                                 fraction):
+    out = tmp_path / "b.moe"
+    rc = main(["train", "--dataset", str(dataset), "--out", str(out),
+               f"--val-fraction={fraction}"])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: val_fraction must lie between 0 and 1")
+    assert not out.exists()
 
 
 def test_train_duplicate_registry_id(dataset, tmp_path):
@@ -707,8 +722,9 @@ def test_detect_deeply_nested_bundle_is_format_error(dataset, tmp_path):
 @pytest.mark.parametrize("forge", [
     # a bundle written by the previous format version
     lambda data: data[:4] + struct.pack("<I", 2) + data[8:],
-    # the first block starts at offset 4, which is not a multiple of 8
-    lambda data: data.replace(b'"blocks":[[0,', b'"blocks":[[4,', 1),
+    # the first block, the 48-byte amp_stats scaler mean, 4 bytes longer: the
+    # next block moves on to the next multiple of 8, and the blocks overrun the file
+    lambda data: data.replace(b'"blocks":[48,', b'"blocks":[52,', 1),
 ], ids=["version_2", "misaligned_block"])
 def test_detect_hostile_bundle_container_is_format_error(dataset, bundle_path, tmp_path, forge):
     entry = read_manifest(dataset / "manifest.csv")[0]
@@ -780,7 +796,7 @@ def test_eval_on_empty_manifest_is_input_error(bundle_path, tmp_path, command):
 
 def test_bundle_with_a_zero_svm_std_is_format_error(dataset, bundle_path, tmp_path, capsys):
     def edit(header, blocks):
-        assert header["models"]["E2"]["type"] == "svm"
+        assert header["registry"][1]["id"] == "E2" and header["registry"][1]["classifier"] == "svm"
         np.frombuffer(blocks[header["models"]["E2"]["std"]["block"]], "<f8")[0] = 0.0
 
     bad = forged_bundle(bundle_path, tmp_path, edit)

@@ -9,14 +9,10 @@ from moesense.errors import ConfigurationError, InputError
 from moesense.features import (
     DopplerConfig,
     FeatureKind,
-    FeatureVector,
     extract_amp_stats,
     extract_doppler,
-    feature_from_jsonable,
-    feature_to_jsonable,
     pearson,
 )
-from moesense.pipeline import Blocks
 from moesense.simulate import CsiStream, ScenarioConfig, TargetPath, synthesize_stream
 
 
@@ -276,16 +272,3 @@ def test_pearson_equals_the_reference_bit_for_bit(ab):
             pearson(a, b)
         return
     assert repr(pearson(a, b)) == repr(expected)  # tells -0.0 from 0.0, and NaN equals NaN
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def test_feature_jsonable_round_trip():
-    fv = FeatureVector(FeatureKind.AMPLITUDE_STATS, np.array([1.0, 0.1, 0.2, 1.0, 0.9, 1.1]), 500.0)
-    blocks = Blocks()
-    back = feature_from_jsonable(feature_to_jsonable(fv, blocks.put), blocks.get)
-    assert back.kind is fv.kind and back.source_rate == fv.source_rate
-    assert back.values.tobytes() == fv.values.tobytes()
-

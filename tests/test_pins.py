@@ -36,9 +36,11 @@ OUTPUT_PINS = {
     # stdout of every detect call, streams outer and rates inner
     "detect_json": "f5916904e529c1a4fd6d3555f33b3ddeab96fc2aba1c2132f91f078e87b7d1ad",
 }
-# The bundle file, format version 5. Version 4 wrote 112cfd51eeaadd77... with a
+# The bundle file, format version 6. Version 5 wrote 319c96808857ef2d... with block
+# offsets, array dtypes, and model, centroid and Doppler fields that repeat the
+# registry or the metadata; version 4 wrote 112cfd51eeaadd77... with a
 # `nominal_rate` in each registry entry, and version 3 df5e0a3c755c83c1...
-BUNDLE_PIN = "319c96808857ef2d706ca787f90a422ae722050f23570b821839436dc996c6dc"
+BUNDLE_PIN = "e052b916699a6dd871a0688cfffc3a3808c1cbe585721e1fe0d8cfaec0f800a3"
 
 
 @pytest.fixture(scope="module")

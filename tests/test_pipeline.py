@@ -560,17 +560,20 @@ def test_blocks_are_aligned_little_endian_arrays(small_bundle):
     data = serialize_bundle(small_bundle)
     length = struct.unpack_from("<Q", data, 8)[0]
     header = json.loads(data[16:16 + length])
-    start = len(data) - header["blocks"][-1][0] - header["blocks"][-1][1]
-    assert start == 16 + length + -(16 + length) % 8
-    assert all((start + offset) % 8 == 0 for offset, _ in header["blocks"])
-    e6 = header["models"]["E6"]
-    (offset, nbytes), = [header["blocks"][e6["labels"]["block"]]]
-    assert e6["labels"]["dtype"] == "<i8"
+    # the table holds each block's length; each block starts at the first
+    # multiple of 8 after the header or the block before it
+    starts, end = [], 16 + length
+    for nbytes in header["blocks"]:
+        starts.append(end + -end % 8)
+        end = starts[-1] + nbytes
+    assert end == len(data)
+
+    def block(ref):
+        return data[starts[ref["block"]]:starts[ref["block"]] + header["blocks"][ref["block"]]]
+
     labels = small_bundle.models["E6"].labels
-    assert data[start + offset:start + offset + nbytes] == labels.astype("<i8").tobytes()
+    assert block(header["models"]["E6"]["labels"]) == labels.astype("<i8").tobytes()
     e3 = header["models"]["E3"]
-    assert [e3[c]["dtype"] for c in ("feature", "threshold", "right", "counts")] == [
-        "<i1", "<f8", "<u2", "<u2"]
     forest = small_bundle.models["E3"]
     assert e3["nodes"] == forest.nodes
     # threshold and right are stored for inner nodes only; at a leaf they are 0.0 and -1
@@ -580,8 +583,7 @@ def test_blocks_are_aligned_little_endian_arrays(small_bundle):
                            ("threshold", forest.threshold[inner]),
                            ("right", forest.right[inner].astype("<u2")),
                            ("counts", forest.counts.astype("<u2"))):
-        (offset, nbytes), = [header["blocks"][e3[column]["block"]]]
-        assert data[start + offset:start + offset + nbytes] == values.tobytes()
+        assert block(e3[column]) == values.tobytes()
 
 
 def test_bundle_bad_magic(small_bundle):
@@ -604,9 +606,11 @@ def test_bundle_version_mismatch(small_bundle):
     magic, version, length = header.unpack_from(data)
     # version 1 held forests as nested dicts, version 2 every array as JSON
     # lists, version 3 forests as full-width float columns, and version 4 a
-    # second rate, `nominal_rate`, in each registry entry
-    assert version == 5
-    for forged_version in (1, 2, 3, 4, version + 1):
+    # second rate, `nominal_rate`, in each registry entry, and version 5 block
+    # offsets, array dtypes, and model, centroid and Doppler fields that repeat
+    # the registry or the metadata
+    assert version == 6
+    for forged_version in (1, 2, 3, 4, 5, version + 1):
         forged = header.pack(magic, forged_version, length) + data[header.size:]
         with pytest.raises(FormatError, match=f"version {forged_version}; retrain"):
             deserialize_bundle(forged)
@@ -738,10 +742,6 @@ def _last_node_inner(payload, i, n, rank):
     _column("counts", lambda a, at, i, n: np.delete(a, leaves_before, axis=0))(payload, i, n, rank)
 
 
-def _forest_field(name, value):
-    return lambda payload, i, n, rank: payload[0]["models"]["E3"].__setitem__(name, value)
-
-
 # Each case edits the E3 forest, whose first tree has n nodes and whose
 # later trees follow them in each column; i is that tree's last inner node.
 HOSTILE_TREES = {
@@ -776,8 +776,6 @@ HOSTILE_TREES = {
     # the first tree's last leaf would become the second tree's root
     "tree_boundary_moved": _nodes(lambda nodes, n: nodes.__setitem__(
         slice(0, 2), [n - 1, nodes[1] + 1])),
-    # <i1 features reach 127 at most
-    "n_features_128": _forest_field("n_features", 128),
 }
 
 
@@ -786,7 +784,8 @@ def test_hostile_forest_is_format_error(small_bundle, case):
     payload = fresh_payload(small_bundle)
     header, blocks = payload
     forest = header["models"]["E3"]  # doppler forest over 25 bins
-    assert forest["type"] == "forest" and forest["n_features"] == 25
+    assert {key: header["registry"][2][key] for key in ("id", "classifier", "feature")} == {
+        "id": "E3", "classifier": "forest", "feature": "doppler"}
     n = forest["nodes"][0]
     feature = np.frombuffer(blocks[forest["feature"]["block"]], "<i1")
     inner = max(i for i in range(n) if feature[i] >= 0)
@@ -814,11 +813,8 @@ def _no_doppler_centroids(mutate):
 
 
 DISAGREEING_PARTS = {
-    # the models take 25 Doppler bins; detect would fail on a broadcast
-    "doppler_bins_20": _set(("metadata", "doppler_num_bins"), 20),
     "k_max_off_by_one": _set(("metadata", "k_max"), lambda k: k + 1),
     "k_max_infinite": _set(("metadata", "k_max"), float("inf")),
-    "doppler_max_freq_nan": _set(("metadata", "doppler_max_freq_hz"), float("nan")),
     "forest_registered_as_knn": _set(("registry", 2, "classifier"), "knn"),
     "doppler_expert_registered_as_amp_stats": _set(("registry", 0, "feature"), "amp_stats"),
     "centroid_too_short": _edit(("templates", "E1", "0", "values"), "<f8", lambda v: v[:-1]),
@@ -872,7 +868,7 @@ def test_short_centroid_or_scaler_is_named(small_bundle, case, names):
 # number's index in the array.
 HEADER_NUMBERS = {
     "centroid_source_rate": ("templates", "E4", "0", "source_rate"),
-    "doppler_max_freq_hz": ("metadata", "doppler_max_freq_hz"),
+    "k_max": ("metadata", "k_max"),
     "validation_accuracy": ("metadata", "validation_accuracy", "E5"),
     "seed": ("metadata", "seed"),
     "tree_node_count": ("models", "E4", "nodes", 0),
@@ -906,8 +902,12 @@ def test_non_finite_number_is_format_error(small_bundle, part, literal):
         deserialize_bundle(forge(payload, literal))
 
 
-def _table(change):
-    return lambda data: with_header(data, lambda header: change(header["blocks"]))
+def _length(i, change):
+    """A container mutation: `change` gives block i a new length in the table."""
+    def mutate(data):
+        return with_header(data, lambda header: header["blocks"].__setitem__(
+            i, change(header["blocks"][i])))
+    return mutate
 
 
 def _e6_labels(change):
@@ -917,20 +917,18 @@ def _e6_labels(change):
 HOSTILE_CONTAINERS = {
     "reference_to_missing_block": _e6_labels(lambda ref: ref.update(block=10_000)),
     "reference_to_negative_block": _e6_labels(lambda ref: ref.update(block=-1)),
-    "block_past_the_end": _table(lambda table: table[-1].__setitem__(1, table[-1][1] + 8)),
-    "blocks_overlap": _table(lambda table: table[1].__setitem__(0, 0)),
-    "gap_between_blocks": _table(lambda table: table[1].__setitem__(0, table[1][0] + 8)),
-    "misaligned_offset": _table(lambda table: table[1].__setitem__(0, table[1][0] + 4)),
-    "negative_length": _table(lambda table: table[0].__setitem__(1, -8)),
-    "table_entry_not_a_pair": _table(lambda table: table[0].pop()),
+    "block_past_the_end": _length(-1, lambda n: n + 8),
+    # the first block, a <f8 scaler, 4 bytes longer: the next block moves on
+    # to the next multiple of 8, and the blocks overrun the file
+    "misaligned_offset": _length(0, lambda n: n + 4),
+    # the padding after it would hide the lost byte; the <f8 reading does not
+    "length_one_byte_short": _length(0, lambda n: n - 1),
+    "negative_length": _length(0, lambda n: -8),
+    "length_is_a_bool": _length(0, lambda n: True),
+    # the same number, but not an integer
+    "length_is_a_float": _length(0, float),
     "table_missing": lambda data: with_header(data, lambda header: header.pop("blocks")),
     "trailing_bytes": lambda data: data + bytes(8),
-    "dtype_float32": _e6_labels(lambda ref: ref.update(dtype="<f4", shape=[2 * ref["shape"][0]])),
-    "dtype_big_endian": _e6_labels(lambda ref: ref.update(dtype=">i8")),
-    "dtype_object": _e6_labels(lambda ref: ref.update(dtype="|O")),
-    # in the whitelist, but labels are <i8
-    "dtype_of_another_array": _e6_labels(
-        lambda ref: ref.update(dtype="<i4", shape=[2 * ref["shape"][0]])),
     "shape_exceeds_block": _e6_labels(lambda ref: ref.update(shape=[ref["shape"][0] + 1])),
     "shape_short_of_block": _e6_labels(lambda ref: ref.update(shape=[ref["shape"][0] - 1])),
     # numpy's reshape would infer the -1
@@ -962,6 +960,43 @@ def tiny_bundle_bytes():
                                          registry, seed=43))
 
 
+def _array_references(node):
+    """Every array reference in a JSON header, wherever it sits."""
+    if isinstance(node, dict):
+        if "block" in node:
+            yield node
+            return
+        node = list(node.values())
+    for child in node if isinstance(node, list) else ():
+        yield from _array_references(child)
+
+
+def test_header_states_each_fact_once(tiny_bundle_bytes):
+    """The registry gives each model's classifier and feature kind, the
+    metadata the class count, the kind the width, and the format each
+    array's dtype and each block's offset; none is repeated in the header."""
+    length = struct.unpack_from("<Q", tiny_bundle_bytes, 8)[0]
+    header = json.loads(tiny_bundle_bytes[16:16 + length])
+    assert {spec["classifier"] for spec in header["registry"]} == {"knn", "svm", "forest"}
+    for eid, entry in header["models"].items():
+        repeated = sorted(entry.keys() & {"type", "kind", "num_classes", "n_features"})
+        assert not repeated, f"model {eid} repeats {repeated}"
+    centroids = [(eid, label, centroid) for eid, by_class in header["templates"].items()
+                 for label, centroid in by_class.items()]
+    assert centroids
+    for eid, label, centroid in centroids:
+        assert "kind" not in centroid, f"centroid {label} of {eid} repeats its feature kind"
+    references = list(_array_references(header))
+    assert len(references) == len(header["blocks"])
+    for ref in references:
+        assert set(ref) == {"block", "shape"}, (
+            f"array reference {ref} holds more than its block and shape")
+    assert header["blocks"] and all(type(n) is int for n in header["blocks"]), (
+        f"the block table holds more than lengths: {header['blocks'][:3]}")
+    doppler = [key for key in header["metadata"] if key.startswith("doppler_")]
+    assert not doppler, f"metadata repeats the Doppler settings: {doppler}"
+
+
 JSON_VALUES = st.one_of(st.integers(-2**70, 2**70), st.sampled_from(
     [None, True, 1.5, -0.0, "<f8", "<i4", "<i8", "<f4", "<i1", "<u2", "|O", [], [0], [1, 2],
      [-3], {}]))
@@ -970,8 +1005,8 @@ JSON_VALUES = st.one_of(st.integers(-2**70, 2**70), st.sampled_from(
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_mutated_bundle_loads_or_is_format_error(tiny_bundle_bytes, data):
-    """Flip, truncate or extend the bytes, or rewrite one block-table entry
-    or array reference: the bundle must load or raise FormatError."""
+    """Flip, truncate or extend the bytes, or rewrite one block length or
+    array reference: the bundle must load or raise FormatError."""
     raw = tiny_bundle_bytes
     header_end = 16 + struct.unpack_from("<Q", raw, 8)[0]
     mutation = data.draw(st.sampled_from(["flip", "flip_header", "truncate", "extend",
@@ -986,13 +1021,13 @@ def test_mutated_bundle_loads_or_is_format_error(tiny_bundle_bytes, data):
     else:
         def rewrite(header):
             if mutation == "table":
-                entries = header["blocks"]
+                entry, keys = header["blocks"], range(len(header["blocks"]))
             else:
                 models = header["models"]
                 entries = [models["K"]["matrix"], models["K"]["labels"], models["S"]["weights"],
                            models["T"]["feature"], models["T"]["right"], models["T"]["counts"]]
-            entry = entries[data.draw(st.integers(0, len(entries) - 1))]
-            keys = range(2) if mutation == "table" else ["block", "dtype", "shape"]
+                entry = entries[data.draw(st.integers(0, len(entries) - 1))]
+                keys = ["block", "shape"]
             entry[data.draw(st.sampled_from(list(keys)))] = data.draw(JSON_VALUES)
         raw = with_header(raw, rewrite)
     try:
