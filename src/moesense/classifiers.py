@@ -9,6 +9,7 @@ splits prefer the lower threshold) to keep predictions reproducible too.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -22,6 +23,13 @@ SVM_DEFAULTS = {"epochs": 200, "step_size": 0.01, "l2": 1e-3}
 FOREST_DEFAULTS = {"num_trees": 25, "max_depth": 8, "bootstrap": True}
 # The hyperparameters each classifier kind takes, and their defaults.
 HYPERPARAMS = {"knn": KNN_DEFAULTS, "svm": SVM_DEFAULTS, "forest": FOREST_DEFAULTS}
+# The closed range a registry's value of each hyperparameter must lie in. The caps
+# bound training time; step_size is positive. A registry SVM also needs
+# step_size * l2 < 1, so that its shrink factor 1 - eta * l2 stays positive.
+HYPERPARAM_RANGES = {"k": (1, 10_000), "epochs": (1, 10_000),
+                     "step_size": (math.ulp(0.0), sys.float_info.max),
+                     "l2": (0.0, sys.float_info.max), "num_trees": (1, 1000),
+                     "max_depth": (1, 64), "bootstrap": (False, True)}
 # What a bundle's forest columns hold: features as <i1, and leaf counts and child
 # indices as <u2, since a tree on n rows has at most 2n - 1 nodes.
 FOREST_LIMITS = {"features": 127, "rows": 32768}

@@ -21,7 +21,7 @@ from .errors import ConfigurationError, InputError
 from .simulate import CsiStream, check_positive
 
 AMP_STATS_LENGTH = 6
-MAX_FEATURE = 1e101  # what a feature of a stream `pipeline.check_samples` passes stays below
+MAX_FEATURE = 1e101  # what a feature of a stream `simulate.check_samples` passes stays below
 
 # Fixed bin count keeps feature vectors comparable across rates; the top
 # frequency clips to Nyquist when the stream rate is low. The default span
@@ -124,12 +124,29 @@ def doppler_from_series(
 
 
 def amp_stats_from_series(series: np.ndarray, packet_rate: float) -> FeatureVector:
-    """[mean, population variance, MAD, median, Q1, Q3] of the amplitude series."""
-    if len(series) < 2:
-        raise InputError(f"need at least 2 packets, got {len(series)}")
-    mean = series.mean()
-    q1, median, q3 = np.quantile(series, [0.25, 0.5, 0.75])
-    values = np.array([mean, series.var(), np.abs(series - mean).mean(), median, q1, q3])
+    """[mean, population variance, MAD, median, Q1, Q3] of the amplitude series.
+
+    Bit for bit what `series.mean()`, `series.var()`, `np.abs(series -
+    mean).mean()` and `np.quantile(series, [0.5, 0.25, 0.75])` return: the
+    moments are the same pairwise sums divided by the count, and the
+    quartiles are numpy's linear interpolation between the order statistics
+    one partition puts in place.
+    """
+    n = len(series)
+    if n < 2:
+        raise InputError(f"need at least 2 packets, got {n}")
+    mean = _sum(series) / n
+    deviation = series - mean
+    positions = [(n - 1) * q for q in (0.5, 0.25, 0.75)]  # exact for these q
+    lows = [int(p) for p in positions]
+    ordered = np.partition(series, sorted({*lows, *(i + 1 for i in lows)}))
+    quartiles = []
+    for p, i in zip(positions, lows):
+        a, b, g = ordered[i], ordered[i + 1], p - i
+        # numpy's interpolation rule: from the nearer of the two order statistics
+        quartiles.append(a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g))
+    values = np.array([mean, _sum(deviation * deviation) / n, _sum(np.abs(deviation)) / n,
+                       *quartiles])
     return FeatureVector(FeatureKind.AMPLITUDE_STATS, values, packet_rate)
 
 

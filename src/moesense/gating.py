@@ -20,7 +20,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .classifiers import HYPERPARAMS
+from .classifiers import HYPERPARAM_RANGES, HYPERPARAMS
 from .errors import ConfigurationError, InputError
 from .features import MAX_FEATURE, FeatureKind, FeatureVector, pearson
 from .simulate import check_positive
@@ -72,6 +72,14 @@ class ExpertSpec:
             if not _has_json_type(value, expected := type(defaults[name])):
                 raise ConfigurationError(f"hyperparameter {name} of {self.id} must be a JSON "
                                          f"{expected.__name__}, got {value!r}")
+            low, high = HYPERPARAM_RANGES[name]
+            if not low <= value <= high:
+                raise ConfigurationError(f"hyperparameter {name} of {self.id} must lie in "
+                                         f"[{low!r}, {high!r}], got {value!r}")
+        params = {**defaults, **self.hyperparams}
+        if params.get("step_size", 0.0) * params.get("l2", 0.0) >= 1.0:
+            raise ConfigurationError(f"step_size * l2 of {self.id} must be below 1, got "
+                                     f"{params['step_size']!r} * {params['l2']!r}")
 
 
 def default_registry() -> list[ExpertSpec]:

@@ -61,7 +61,7 @@ from .gating import (
     spec_to_jsonable,
     validate_registry,
 )
-from .simulate import CsiStream, check_positive, decimate, decimation_stride
+from .simulate import CsiStream, check_positive, check_samples, decimate, decimation_stride
 
 BUNDLE_MAGIC = b"MOEB"
 BUNDLE_VERSION = 6
@@ -72,11 +72,6 @@ DEFAULT_VAL_FRACTION = 0.25
 # Each feature kind's vector width. A bundle's Doppler experts use `DopplerConfig()`.
 FEATURE_WIDTHS = {FeatureKind.DOPPLER_ENERGY: DopplerConfig().num_bins,
                   FeatureKind.AMPLITUDE_STATS: AMP_STATS_LENGTH}
-
-# Streams hold real and imaginary parts below this in size. Features then stay below
-# `features.MAX_FEATURE`, 1e101 (the amplitude variance), and the squares later steps
-# take (spectral power, KNN distances) below 1e203, so none overflows, even over a small std.
-MAX_SAMPLE = 1e50
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,13 +135,6 @@ class DetectionReport:
     @property
     def mode(self):
         return self.decision.mode
-
-
-def check_samples(stream: CsiStream) -> None:
-    """InputError unless `stream` holds samples, all finite and below MAX_SAMPLE."""
-    values = np.ascontiguousarray(stream.samples, np.complex128).view(np.float64)
-    if not (values.size and -MAX_SAMPLE < values.min() and values.max() < MAX_SAMPLE):
-        raise InputError(f"stream must hold samples, all finite and below {MAX_SAMPLE:g} in size")
 
 
 def extract_feature(stream: CsiStream, kind: FeatureKind, doppler_cfg: DopplerConfig) -> FeatureVector:

@@ -36,6 +36,11 @@ PATH_DELAY_RANGE_NS = (5.0, 50.0)
 
 _MAX_SEED = 2**63
 
+# Streams hold real and imaginary parts below this in size. Features then stay below
+# `features.MAX_FEATURE`, 1e101 (the amplitude variance), and the squares later steps
+# take (spectral power, KNN distances) below 1e203, so none overflows, even over a small std.
+MAX_SAMPLE = 1e50
+
 STREAM_MAGIC = b"CSI1"
 _HEADER = struct.Struct("<4sQQdqq")  # magic, packets, subcarriers, rate, seed, true count
 
@@ -152,11 +157,12 @@ def synthesize_stream(config: ScenarioConfig, paths: Sequence[TargetPath] | None
                     f"path doppler {p.doppler_hz} Hz aliases at rate {config.packet_rate}"
                 )
 
-    samples = np.broadcast_to(static, (n, k)).astype(np.complex128).copy()
+    samples = np.full((n, k), static)
+    path_term = np.empty_like(samples)  # one buffer for every path's outer product
     for p in paths:
         time_phasor = p.amplitude * np.exp(1j * (2.0 * math.pi * p.doppler_hz * t + p.initial_phase))
         sub_phasor = np.exp(-2j * math.pi * f_sub * p.delay_ns * 1e-9)
-        samples += np.outer(time_phasor, sub_phasor)
+        samples += np.multiply.outer(time_phasor, sub_phasor, out=path_term)
 
     if math.isfinite(config.snr_db):
         # SNR is defined against the dynamic-path power (unit reference when
@@ -164,7 +170,8 @@ def synthesize_stream(config: ScenarioConfig, paths: Sequence[TargetPath] | None
         dyn_power = sum(p.amplitude**2 for p in paths) if paths else 1.0
         noise_var = dyn_power / 10.0 ** (config.snr_db / 10.0)
         sigma = math.sqrt(noise_var / 2.0)
-        samples += rng.normal(0.0, sigma, (n, k)) + 1j * rng.normal(0.0, sigma, (n, k))
+        samples.real += rng.normal(0.0, sigma, (n, k))  # the real part's draw comes first
+        samples.imag += rng.normal(0.0, sigma, (n, k))
 
     return CsiStream(
         samples=samples,
@@ -180,6 +187,13 @@ def check_positive(value: float, what: str, error: type[MoeSenseError] = InputEr
         raise error(f"{what} must be finite and positive, got {value}")
 
 
+def check_samples(stream: CsiStream, error: type[MoeSenseError] = InputError) -> None:
+    """`error` unless `stream` holds samples, all finite and below MAX_SAMPLE in size."""
+    values = np.ascontiguousarray(stream.samples, np.complex128).view(np.float64)
+    if not (values.size and -MAX_SAMPLE < values.min() and values.max() < MAX_SAMPLE):
+        raise error(f"stream must hold samples, all finite and below {MAX_SAMPLE:g} in size")
+
+
 def decimation_stride(packet_rate: float, target_rate: float) -> int:
     """The packet stride `decimate` keeps: floor(packet_rate / target_rate)."""
     check_positive(target_rate, "target_rate", ConfigurationError)
@@ -193,11 +207,15 @@ def decimate(stream: CsiStream, target_rate: float) -> CsiStream:
     """Keep every floor(packet_rate / target_rate)-th packet, starting at 0.
 
     The output rate is recomputed exactly from the integer stride, so it can
-    sit above `target_rate` when the ratio is not integral.
+    sit above `target_rate` when the ratio is not integral. The output's
+    samples are a read-only view of the input's, not a copy: a later write
+    to `stream.samples` shows through it.
     """
     stride = decimation_stride(stream.packet_rate, target_rate)
+    kept = stream.samples[::stride]
+    kept.flags.writeable = False
     return CsiStream(
-        samples=stream.samples[::stride].copy(),
+        samples=kept,
         packet_rate=stream.packet_rate / stride,
         true_target_count=stream.true_target_count,
         seed=stream.seed,
@@ -217,7 +235,7 @@ def serialize_stream(stream: CsiStream) -> bytes:
         int(stream.seed),
         int(stream.true_target_count),
     )
-    return header + np.ascontiguousarray(stream.samples, dtype="<c16").tobytes()
+    return b"".join((header, np.ascontiguousarray(stream.samples, dtype="<c16")))
 
 
 def deserialize_stream(data: bytes) -> CsiStream:
@@ -233,10 +251,10 @@ def deserialize_stream(data: bytes) -> CsiStream:
     if len(data) != expected:
         raise FormatError(f"stream container truncated: {len(data)} bytes, expected {expected}")
     samples = np.frombuffer(data, dtype="<c16", offset=_HEADER.size).reshape(n, k)
-    samples = samples.astype(np.complex128)
-    if not np.all(np.isfinite(samples.view(np.float64))):
-        raise FormatError("stream container holds non-finite samples")
-    return CsiStream(samples=samples, packet_rate=rate, true_target_count=true_count, seed=seed)
+    stream = CsiStream(samples=samples.astype(np.complex128), packet_rate=rate,
+                       true_target_count=true_count, seed=seed)
+    check_samples(stream, FormatError)
+    return stream
 
 
 def save_stream(stream: CsiStream, path: str | Path) -> None:

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moesense.classifiers import (
+    HYPERPARAM_RANGES,
     HYPERPARAMS,
     MODEL_TYPES,
+    SVM_DEFAULTS,
     KnnModel,
     LabeledDataset,
     LinearSvmModel,
@@ -481,6 +483,15 @@ def test_hyperparams_are_the_trainers_keyword_defaults(kind, trainer):
     params = inspect.signature(trainer).parameters
     assert HYPERPARAMS[kind] == {name: p.default for name, p in params.items()
                                  if name not in ("data", "seed")}
+
+
+def test_default_hyperparams_lie_in_their_ranges():
+    for defaults in HYPERPARAMS.values():
+        for name, default in defaults.items():
+            low, high = HYPERPARAM_RANGES[name]
+            assert low <= default <= high
+    assert SVM_DEFAULTS["step_size"] * SVM_DEFAULTS["l2"] < 1.0
+    assert set(HYPERPARAM_RANGES) == {name for d in HYPERPARAMS.values() for name in d}
 
 
 def svm_with(**numbers):

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moesense import cli, pipeline
-from moesense.classifiers import HYPERPARAMS
+from moesense.classifiers import HYPERPARAM_RANGES, HYPERPARAMS
 from moesense.cli import evaluate_rate_sweep, evaluate_target_sweep, main
 from moesense.errors import (
     EXIT_CONFIG,
@@ -238,6 +238,11 @@ MALFORMED_REGISTRIES = {
     "max_depth_null": {"experts": [{**FOREST_ENTRY, "hyperparams": {"max_depth": None}}]},
     # bool("false") is True, so a coerced string would train with bootstrap on
     "bootstrap_string": {"experts": [{**FOREST_ENTRY, "hyperparams": {"bootstrap": "false"}}]},
+    "k_zero": {"experts": [{**KNN_ENTRY, "hyperparams": {"k": 0}}]},
+    "num_trees_huge": {"experts": [{**FOREST_ENTRY, "hyperparams": {"num_trees": 10**6}}]},
+    # the default l2, 1e-3, makes the first step's shrink factor 1 - 1e3 * 1e-3 zero
+    "svm_shrink_not_positive": {"experts": [{**KNN_ENTRY, "classifier": "svm",
+                                             "hyperparams": {"step_size": 1e3}}]},
 }
 
 
@@ -269,10 +274,11 @@ def test_train_registry_entry_with_an_unknown_field_is_config_error(dataset, tmp
 
 
 def test_train_diverging_svm_is_training_error(dataset, tmp_path, capsys):
-    # the weights overflow; such a bundle used to be written, and then no load accepted it
+    # the weights overflow; such a bundle used to be written, and then no load accepted it.
+    # l2 is 0, so that this step size passes the registry's step_size * l2 < 1.
     registry = {"experts": [{"id": "S", "feature": "amp_stats", "classifier": "svm",
                              "required_rate": 500.0,
-                             "hyperparams": {"epochs": 5, "step_size": 1e300}}]}
+                             "hyperparams": {"epochs": 5, "step_size": 1e300, "l2": 0.0}}]}
     reg_path = tmp_path / "registry.json"
     reg_path.write_text(json.dumps(registry))
     with warnings.catch_warnings():
@@ -569,9 +575,9 @@ def test_detect_stream_without_subcarriers_is_format_error(bundle_path, tmp_path
     assert capsys.readouterr().out == ""
 
 
-def test_detect_stream_with_a_huge_sample_is_input_error(dataset, bundle_path, tmp_path, capsys):
-    # The reader takes any finite sample, but at 500 pkts/s a 1e200 would
-    # overflow the Doppler spectrum.
+def test_detect_stream_with_a_huge_sample_is_format_error(dataset, bundle_path, tmp_path, capsys):
+    # At 500 pkts/s a 1e200 would overflow the Doppler spectrum; the reader
+    # bounds samples as detect does.
     stream = load_stream(dataset / read_manifest(dataset / "manifest.csv")[4].path)
     samples = stream.samples.copy()
     samples[500, 2] = 1e200
@@ -579,12 +585,12 @@ def test_detect_stream_with_a_huge_sample_is_input_error(dataset, bundle_path, t
     save_stream(CsiStream(samples, stream.packet_rate, stream.true_target_count, stream.seed), huge)
     rc = main(["detect", "--bundle", str(bundle_path), "--stream", str(huge), "--rate", "500",
                "--json"])
-    assert rc == EXIT_INPUT
+    assert rc == EXIT_FORMAT
     assert capsys.readouterr().out == ""
 
 
-def test_train_stream_with_a_huge_sample_is_input_error(dataset, tmp_path, capsys):
-    # A 1e200 sample would train SVM weights that are not finite; training
+def test_train_stream_with_a_huge_sample_is_format_error(dataset, tmp_path, capsys):
+    # A 1e200 sample would train SVM weights that are not finite; the reader
     # bounds samples as detect does, before any feature is computed.
     copy = tmp_path / "ds"
     shutil.copytree(dataset, copy)
@@ -596,7 +602,7 @@ def test_train_stream_with_a_huge_sample_is_input_error(dataset, tmp_path, capsy
                 copy / entry.path)
     out = tmp_path / "bundle.moe"
     rc = main(["train", "--dataset", str(copy), "--out", str(out), "--seed", "3"])
-    assert rc == EXIT_INPUT
+    assert rc == EXIT_FORMAT
     assert not out.exists()
     assert "below 1e+50" in capsys.readouterr().err
 
@@ -751,7 +757,7 @@ def test_detect_version_3_bundle_says_retrain(dataset, bundle_path, tmp_path, ca
 
 
 @pytest.mark.parametrize("hyperparams", [{"bootstrap": "false"}, {"max_depth": None},
-                                         {"trees": 5}])
+                                         {"trees": 5}, {"max_depth": 0}])
 def test_detect_bundle_with_bad_hyperparams_is_format_error(dataset, bundle_path, tmp_path,
                                                             hyperparams):
     entry = read_manifest(dataset / "manifest.csv")[0]
@@ -948,12 +954,15 @@ JSON_VALUE = st.recursive(
     max_leaves=6)
 
 
-def _is_hyperparam_value(value, default):
+def _is_hyperparam_value(name, value, default):
     """The registry's rule: a float takes any finite JSON number, every other
-    default only a value of its own type."""
+    default only a value of its own type, and the value lies in its range."""
     if type(default) is float:
-        return type(value) in (int, float) and -math.inf < value < math.inf
-    return type(value) is type(default)
+        typed = type(value) in (int, float) and -math.inf < value < math.inf
+    else:
+        typed = type(value) is type(default)
+    low, high = HYPERPARAM_RANGES[name]
+    return typed and low <= value <= high
 
 
 @st.composite
@@ -990,8 +999,10 @@ def malformed_registry_texts(draw):
     elif mutation == "hyperparams":
         defaults = HYPERPARAMS[entry["classifier"]]
         name = draw(st.sampled_from(sorted(defaults)) | TEXT)
-        if name in defaults:  # then a value of the wrong type
-            value = draw(JSON_VALUE.filter(lambda v: not _is_hyperparam_value(v, defaults[name])))
+        if name in defaults:  # then a value of the wrong type, or out of range
+            low, high = HYPERPARAM_RANGES[name]
+            value = draw((JSON_VALUE | st.sampled_from([low - 1, high + 1, -high])).filter(
+                lambda v: not _is_hyperparam_value(name, v, defaults[name])))
         else:
             value = draw(JSON_VALUE)
         entry["hyperparams"] = draw(st.sampled_from([{name: value}, [name, value]]))

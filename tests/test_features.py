@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from moesense.errors import ConfigurationError, InputError
 from moesense.features import (
+    MAX_FEATURE,
     DopplerConfig,
     FeatureKind,
+    amp_stats_from_series,
     extract_amp_stats,
     extract_doppler,
     pearson,
@@ -162,6 +164,33 @@ def test_amp_stats_permutation_invariant_against_oracle():
     for _ in range(10):
         perm = rng.permutation(series)
         assert np.allclose(extract_amp_stats(stream_from_series(perm)).values, base, atol=1e-12)
+
+
+@st.composite
+def amplitude_series(draw):
+    """A nonnegative series of 2-2,100 values below MAX_FEATURE: spread over
+    one power-of-two scale from the subnormals up, ties among a few drawn
+    values, or constant runs of them."""
+    n = draw(st.integers(2, 2100))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["scaled", "ties", "runs"]))
+    if shape == "scaled":
+        scaled = rng.random(n) * 2.0 ** draw(st.integers(-1074, 336))
+        return np.minimum(scaled, np.nextafter(MAX_FEATURE, 0.0))
+    values = draw(st.lists(st.floats(0.0, MAX_FEATURE, exclude_max=True), min_size=1,
+                           max_size=6))
+    if shape == "ties":
+        return rng.choice(values, n)
+    return np.repeat(values, rng.multinomial(n, [1 / len(values)] * len(values)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(amplitude_series())
+def test_amp_stats_equals_numpy_bit_for_bit(series):
+    mean = series.mean()
+    expected = [mean, series.var(), np.abs(series - mean).mean(),
+                *np.quantile(series, [0.5, 0.25, 0.75])]
+    assert amp_stats_from_series(series, 100.0).values.tobytes() == np.array(expected).tobytes()
 
 
 # ---------------------------------------------------------------------------

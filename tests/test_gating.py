@@ -498,6 +498,18 @@ def test_spec_has_one_rate():
     (ClassifierKind.LINEAR_SVM, {"l2": "0.1"}, False),
     (ClassifierKind.FOREST, {"bootstrap": 0}, False),
     (ClassifierKind.FOREST, {"max_depth": None}, False),
+    (ClassifierKind.KNN, {"k": 1}, True),
+    (ClassifierKind.KNN, {"k": 0}, False),
+    (ClassifierKind.LINEAR_SVM, {"epochs": 10_000, "l2": 0.0, "step_size": 1e300}, True),
+    (ClassifierKind.LINEAR_SVM, {"epochs": 10_001}, False),
+    (ClassifierKind.LINEAR_SVM, {"step_size": 0.0}, False),
+    (ClassifierKind.LINEAR_SVM, {"l2": -1e-3}, False),
+    (ClassifierKind.LINEAR_SVM, {"step_size": 2, "l2": 0.5}, False),  # shrink factor 0
+    (ClassifierKind.LINEAR_SVM, {"step_size": 1e300, "l2": 1e300}, False),
+    (ClassifierKind.FOREST, {"num_trees": 0}, False),
+    (ClassifierKind.FOREST, {"num_trees": 1001}, False),
+    (ClassifierKind.FOREST, {"max_depth": 64}, True),
+    (ClassifierKind.FOREST, {"max_depth": 65}, False),
 ])
 def test_spec_checks_hyperparam_names_and_types(kind, hyperparams, ok):
     spec = {"id": "X", "feature": "doppler", "classifier": kind.value, "required_rate": 300.0,

@@ -43,6 +43,7 @@ from moesense.pipeline import (
     split_train_val,
 )
 from moesense.simulate import (
+    MAX_SAMPLE,
     CsiStream,
     ScenarioConfig,
     TargetPath,
@@ -454,7 +455,7 @@ def with_sample(stream, value):
     return CsiStream(samples, stream.packet_rate, stream.true_target_count, stream.seed)
 
 
-UNDER_BOUND = np.nextafter(pipeline.MAX_SAMPLE, 0.0)
+UNDER_BOUND = np.nextafter(MAX_SAMPLE, 0.0)
 
 
 @pytest.mark.parametrize("value", [UNDER_BOUND, -UNDER_BOUND, 1j * UNDER_BOUND,
@@ -469,8 +470,8 @@ def test_detect_takes_samples_just_under_the_bound(small_bundle, probe_stream, v
                 expert_posterior(stream, rate, small_bundle, spec.id)
 
 
-@pytest.mark.parametrize("value", [pipeline.MAX_SAMPLE, -pipeline.MAX_SAMPLE,
-                                   1j * pipeline.MAX_SAMPLE, 1e200, np.inf, np.nan])
+@pytest.mark.parametrize("value", [MAX_SAMPLE, -MAX_SAMPLE,
+                                   1j * MAX_SAMPLE, 1e200, np.inf, np.nan])
 def test_detect_rejects_samples_at_or_over_the_bound(small_bundle, probe_stream, value):
     with pytest.raises(InputError, match="samples"):
         detect(with_sample(probe_stream, value), 500.0, small_bundle)

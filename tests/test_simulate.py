@@ -7,6 +7,7 @@ from moesense.errors import ConfigurationError, FormatError, InputError, RateErr
 from moesense.features import DopplerConfig, FeatureKind, mean_amplitude_series
 from moesense.gating import ClassifierKind, ExpertSpec, default_registry, filter_by_rate
 from moesense.simulate import (
+    MAX_SAMPLE,
     CsiStream,
     ManifestEntry,
     ScenarioConfig,
@@ -144,6 +145,24 @@ def test_decimate_full_rate_is_identity():
     assert np.array_equal(out.samples, stream.samples)
 
 
+@pytest.mark.parametrize("rate", [500.0, 250.0, 100.0, 70.0])
+def test_decimate_returns_a_read_only_view(rate):
+    stream = synthesize_stream(make_config(packet_rate=500.0))
+    out = decimate(stream, rate)
+    assert np.array_equal(out.samples, stream.samples[::decimation_stride(500.0, rate)])
+    assert out.samples.base is not None and not out.samples.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        out.samples[0, 0] = 0.0
+    assert stream.samples.flags.writeable
+
+
+def test_a_write_to_the_source_shows_through_decimate():
+    stream = synthesize_stream(make_config(packet_rate=500.0))
+    out = decimate(stream, 100.0)
+    stream.samples[5, 2] = 7.0 + 1.0j
+    assert out.samples[1, 2] == 7.0 + 1.0j
+
+
 def test_decimate_above_rate_raises():
     stream = synthesize_stream(make_config(packet_rate=500.0))
     with pytest.raises(RateError):
@@ -246,6 +265,24 @@ def test_stream_bad_packet_rate(rate):
     forged = CsiStream(stream.samples, rate, stream.true_target_count, stream.seed)
     with pytest.raises(FormatError):
         deserialize_stream(serialize_stream(forged))
+
+
+@pytest.mark.parametrize("value", [MAX_SAMPLE, -MAX_SAMPLE, 1j * MAX_SAMPLE, 1e200, np.inf,
+                                   np.nan])
+def test_stream_reader_bounds_samples(value):
+    stream = synthesize_stream(make_config())
+    samples = stream.samples.copy()
+    samples[7, 3] = value
+    forged = CsiStream(samples, stream.packet_rate, stream.true_target_count, stream.seed)
+    with pytest.raises(FormatError, match="samples"):
+        deserialize_stream(serialize_stream(forged))
+    samples[7, 3] = np.nextafter(MAX_SAMPLE, 0.0) * (1 + 1j)
+    assert deserialize_stream(serialize_stream(forged)).samples[7, 3] == samples[7, 3]
+
+
+def test_stream_reader_rejects_a_stream_without_packets():
+    with pytest.raises(FormatError, match="samples"):
+        deserialize_stream(serialize_stream(CsiStream(np.zeros((0, 8), complex), 500.0, 0, 0)))
 
 
 def test_manifest_round_trip(tmp_path):
