@@ -278,19 +278,21 @@ class ForestModel:
         self.kind = kind
         self.num_classes = num_classes
         self.n_features = n_features
-        # What the walk reads, as plain lists, which keep the per-node steps
-        # cheap: each tree's root, and per forest node its feature, threshold,
-        # right child counted from the forest's first node, and leaf row.
+        # What the walk reads, as plain lists, which keep the per-node steps cheap:
+        # each tree's root, and per node its feature, threshold and next step: the
+        # right child, counted from the forest's first node, or a leaf's row of `leaves`.
         sizes = np.asarray(nodes)
         starts = np.cumsum(sizes) - sizes
+        leaf = self.feature < 0
         self._walk = (starts.tolist(), self.feature.tolist(), self.threshold.tolist(),
-                      (self.right + np.repeat(starts, sizes)).tolist(),
-                      (np.cumsum(self.feature == -1) - 1).tolist())
+                      np.where(leaf, np.cumsum(leaf) - 1,
+                               self.right + np.repeat(starts, sizes)).tolist())
 
     def to_jsonable(self, put: Put) -> dict[str, Any]:
         inner = self.feature >= 0
         return {
             "nodes": list(self.nodes),
+            "n_features": self.n_features,
             "feature": put(self.feature, "<i1"),
             "threshold": put(self.threshold[inner], "<f8"),
             "right": put(self.right[inner], "<u2"),
@@ -301,6 +303,8 @@ class ForestModel:
     def from_jsonable(cls, d: dict[str, Any], get: Get, kind: FeatureKind, num_classes: int,
                       n_features: int) -> "ForestModel":
         """Check every tree at once, so that every walk ends at a leaf."""
+        if d["n_features"] != n_features:
+            raise ValueError(f"a forest over {d['n_features']!r} features serves {n_features}")
         nodes = d["nodes"]
         if not (type(nodes) is list and nodes and all(type(n) is int and 0 < n <= 65535
                                                       for n in nodes)):
@@ -432,12 +436,12 @@ def train_forest(
 
 def predict_forest(model: ForestModel, x: FeatureVector) -> np.ndarray:
     q = _check_query(x, model.kind, model.n_features).tolist()
-    roots, feature, threshold, right, leaf_row = model._walk
+    roots, feature, threshold, step = model._walk
     rows = []
     for i in roots:
         while (f := feature[i]) >= 0:
-            i = i + 1 if q[f] <= threshold[i] else right[i]
-        rows.append(leaf_row[i])
+            i = i + 1 if q[f] <= threshold[i] else step[i]
+        rows.append(step[i])
     return model.leaves[rows].sum(axis=0) / len(rows)
 
 

@@ -198,9 +198,9 @@ Get = Callable[[dict, str], np.ndarray]
 def finite_array(values, what: str) -> np.ndarray:
     """`values` as a float64 array; ValueError if any of them is NaN or infinite.
 
-    Decoders call this on every float block and header number they read: a
-    block can hold NaN or infinity bit patterns, and json reads an
-    out-of-range literal such as 1e999 as an infinity.
+    Decoders call this on every float block and header number they read that
+    no tighter bound checks: a block can hold NaN or infinity bit patterns,
+    and json reads an out-of-range literal such as 1e999 as an infinity.
     """
     arr = np.asarray(values, dtype=np.float64)
     if not np.isfinite(arr).all():

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -122,19 +122,28 @@ class GatingDecision:
     mode: GatingMode
 
 
+class Template(NamedTuple):
+    """One expert's centroids: row i of `values` is the centroid of class
+    `labels[i]`, a mean of features observed at `source_rates[i]`."""
+    kind: FeatureKind
+    labels: list[int]
+    source_rates: np.ndarray
+    values: np.ndarray
+
+
 class TemplateLibrary:
-    """Per expert, per class: one centroid feature vector, and per feature
-    kind the standardization constants the gate scores with.
+    """Per expert, one `Template` of centroids, and per feature kind the
+    standardization constants the gate scores with.
 
     The scalers are fitted on validation features when the bundle is built.
     Scoring correlates z-scored vectors, which keeps heterogeneous-scale
     features such as the amplitude statistics from saturating every
     correlation near 1. A library is built once and never changes. Each
-    centroid is scaled, as `score_experts` correlates it, when the library
-    is built, never per request.
+    template is scaled, as `score_experts` correlates its rows, when the
+    library is built, never per request.
     """
 
-    def __init__(self, centroids: Mapping[str, Mapping[int, FeatureVector]],
+    def __init__(self, templates: Mapping[str, Template],
                  scalers: Mapping[FeatureKind, tuple[np.ndarray, np.ndarray]]):
         self._scalers: dict[FeatureKind, tuple[np.ndarray, np.ndarray]] = {}
         for kind, (mean, std) in scalers.items():
@@ -147,50 +156,48 @@ class TemplateLibrary:
                 if not np.isfinite(2 * ((MAX_FEATURE + np.abs(mean)) / std).sum()):
                     raise ConfigurationError(f"{kind.value} scaler could overflow a feature")
             self._scalers[kind] = (mean, std)
-        self._centroids = {eid: dict(by_class) for eid, by_class in centroids.items()}
-        for eid, by_class in self._centroids.items():
-            for label, c in by_class.items():
-                if c.kind not in self._scalers or c.values.shape != self._scalers[c.kind][0].shape:
-                    raise ConfigurationError(f"template centroid {label} of {eid} has no "
-                                             f"{c.kind.value} scaler of its shape {c.values.shape}")
-        values = [c.values for by_class in self._centroids.values() for c in by_class.values()]
-        if values and not np.abs(np.concatenate(values)).max(initial=0.0) < MAX_FEATURE:
-            raise ConfigurationError(f"a template centroid is not below {MAX_FEATURE:g} in size")
-        self._prescaled = {eid: [(c.kind, self._scaled(c.kind, c.values)) for c in by_class.values()]
-                           for eid, by_class in self._centroids.items()}
+        self._templates, self._prescaled = dict(templates), {}
+        for eid, t in self._templates.items():
+            if (t.kind not in self._scalers or t.values.shape[1:] != self._scalers[t.kind][0].shape
+                    or not len(set(t.labels)) == len(t.labels) == len(t.values)
+                    or t.source_rates.shape != (len(t.values),)):
+                raise ConfigurationError(f"template of {eid} {t.values.shape} needs a {t.kind.value} "
+                                         f"scaler of its width, and a distinct label and a rate per row")
+            if not np.abs(t.values).max(initial=0.0) < MAX_FEATURE:  # NaN fails it too
+                raise ConfigurationError(f"a centroid of {eid} is not below {MAX_FEATURE:g} in size")
+            self._prescaled[eid] = [(t.kind, row) for row in self._scaled(t.kind, t.values)]
 
     @property
     def scalers(self) -> Mapping[FeatureKind, tuple[np.ndarray, np.ndarray]]:
         """Per kind, the mean and std the gate standardizes by; a zero std is kept as 1."""
         return MappingProxyType(self._scalers)
 
-    def _scaled(self, kind: FeatureKind, values: np.ndarray) -> np.ndarray | None:
-        """`values` as the gate correlates them: None when the raw vector is
+    def _scaled(self, kind: FeatureKind, rows: np.ndarray) -> list[np.ndarray | None]:
+        """Each of `rows` as the gate correlates it: None when the raw row is
         constant, which scores 0.0 whatever it is matched with, and otherwise
         standardized by the scaler of `kind`."""
-        v = np.asarray(values, dtype=np.float64)
-        # The zero-variance convention applies to the raw vector, before scaling.
-        if np.ptp(v) == 0.0:
-            return None
         mean, std = self._scalers[kind]
-        return (v - mean) / std
+        constant = (np.ptp(rows, axis=1) == 0.0).tolist()
+        return [None if c else row for c, row in zip(constant, (rows - mean) / std)]
+
+    def template(self, expert_id: str) -> Template:
+        if expert_id not in self._templates:
+            raise ConfigurationError(f"no template entry for expert {expert_id}")
+        return self._templates[expert_id]
 
     def centroids(self, expert_id: str) -> dict[int, FeatureVector]:
-        self._check_known(expert_id)
-        return dict(self._centroids[expert_id])
+        t = self.template(expert_id)
+        return {label: FeatureVector(t.kind, row, rate)
+                for label, rate, row in zip(t.labels, t.source_rates.tolist(), t.values)}
 
     def scaled_centroids(self, expert_id: str) -> list[tuple[FeatureKind, np.ndarray | None]]:
         """Each centroid's kind and its vector as the gate correlates it
         (see `_scaled`), in the order of `centroids`."""
-        self._check_known(expert_id)
+        self.template(expert_id)
         return self._prescaled[expert_id]
 
-    def _check_known(self, expert_id: str) -> None:
-        if expert_id not in self._centroids:
-            raise ConfigurationError(f"no template entry for expert {expert_id}")
-
     def expert_ids(self) -> list[str]:
-        return sorted(self._centroids)
+        return sorted(self._templates)
 
 
 def filter_by_rate(registry: Sequence[ExpertSpec], current_rate: float) -> set[str]:
@@ -228,7 +235,7 @@ def score_experts(
             if kind not in features:
                 if kind not in stream_features:
                     raise InputError(f"no {kind.value} feature supplied for expert {eid}")
-                features[kind] = templates._scaled(kind, stream_features[kind].values)
+                features[kind] = templates._scaled(kind, stream_features[kind].values[None])[0]
             feature = features[kind]
             r = 0.0 if feature is None or centroid is None else pearson(feature, centroid)
             best = max(best, r)

@@ -54,6 +54,7 @@ from .gating import (
     ClassifierKind,
     ExpertSpec,
     GatingDecision,
+    Template,
     TemplateLibrary,
     decide,
     fuse,
@@ -64,7 +65,7 @@ from .gating import (
 from .simulate import CsiStream, check_positive, check_samples, decimate, decimation_stride
 
 BUNDLE_MAGIC = b"MOEB"
-BUNDLE_VERSION = 6
+BUNDLE_VERSION = 7
 _BUNDLE_HEADER = struct.Struct("<4sIQ")  # magic, version, JSON header length
 _BLOCK_ALIGN = 8  # every block starts at a multiple of this many bytes
 
@@ -99,13 +100,10 @@ class TrainedBundle:
                     or model.n_features != width or model.num_classes != num_classes):
                 raise ConfigurationError(
                     f"model {spec.id} disagrees with its registry entry or the metadata")
-            for label, centroid in self.templates.centroids(spec.id).items():
-                if (centroid.kind is not spec.feature_kind or centroid.values.shape != (width,)
-                        or not 0 <= label < num_classes):
-                    raise ConfigurationError(
-                        f"template centroid {label} of {spec.id} does not fit its model")
-            if spec.feature_kind not in self.templates.scalers:
-                raise ConfigurationError(f"no scaler for the {spec.feature_kind.value} features")
+            kind, labels, _, values = self.templates.template(spec.id)
+            if (kind is not spec.feature_kind or values.shape[1:] != (width,)
+                    or not all(type(c) is int and 0 <= c < num_classes for c in labels)):
+                raise ConfigurationError(f"template of {spec.id} does not fit its model")
         for kind, (mean, _) in self.templates.scalers.items():
             if mean.shape != (FEATURE_WIDTHS[kind],):
                 raise ConfigurationError(f"{kind.value} scaler is not {FEATURE_WIDTHS[kind]} wide")
@@ -291,7 +289,7 @@ def build_bundle(
             for spec in ordered]
     models = {spec.id: model for spec, model in zip(ordered, _train_experts(jobs))}
 
-    centroids: dict[str, dict[int, FeatureVector]] = {}
+    templates: dict[str, Template] = {}
     for spec in ordered:
         model = models[spec.id]
         val_features = val_table[(spec.required_rate, spec.feature_kind)]
@@ -299,14 +297,12 @@ def build_bundle(
         correct = preds == val_label_arr
         val_accuracy[spec.id] = float(correct.mean())
 
-        centroids[spec.id] = {}
-        for cls in range(num_classes):
-            mask = correct & (val_label_arr == cls)
-            if not mask.any():
-                continue
-            stacked = np.stack([val_features[i].values for i in np.flatnonzero(mask)])
-            rate = val_features[int(np.flatnonzero(mask)[0])].source_rate
-            centroids[spec.id][cls] = FeatureVector(spec.feature_kind, stacked.mean(axis=0), rate)
+        kept = [np.flatnonzero(correct & (val_label_arr == cls)) for cls in range(num_classes)]
+        labels = [cls for cls in range(num_classes) if kept[cls].size]
+        rows = [np.stack([val_features[i].values for i in kept[cls]]).mean(axis=0) for cls in labels]
+        templates[spec.id] = Template(
+            spec.feature_kind, labels, np.array([val_features[kept[c][0]].source_rate for c in labels]),
+            np.reshape(rows, (len(labels), FEATURE_WIDTHS[spec.feature_kind])))
 
     metadata = {
         "seed": int(seed),
@@ -314,7 +310,7 @@ def build_bundle(
         "k_max": k_max,
         "validation_accuracy": val_accuracy,
     }
-    return TrainedBundle(tuple(ordered), models, TemplateLibrary(centroids, scalers), metadata)
+    return TrainedBundle(tuple(ordered), models, TemplateLibrary(templates, scalers), metadata)
 
 
 def expert_posterior(
@@ -435,13 +431,10 @@ def bundle_to_jsonable(bundle: TrainedBundle, put: Put) -> dict[str, Any]:
     return {
         "registry": [spec_to_jsonable(s) for s in bundle.registry],
         "models": {eid: m.to_jsonable(put) for eid, m in bundle.models.items()},
-        "templates": {
-            eid: {
-                str(label): {"source_rate": float(fv.source_rate), "values": put(fv.values, "<f8")}
-                for label, fv in bundle.templates.centroids(eid).items()
-            }
-            for eid in bundle.templates.expert_ids()
-        },
+        "templates": {eid: {"labels": list(t.labels), "source_rates": t.source_rates.tolist(),
+                            "values": put(t.values, "<f8")}
+                      for eid in bundle.templates.expert_ids()
+                      for t in (bundle.templates.template(eid),)},
         "scalers": scalers,
         "metadata": copy.deepcopy(bundle.metadata),
     }
@@ -449,7 +442,7 @@ def bundle_to_jsonable(bundle: TrainedBundle, put: Put) -> dict[str, Any]:
 
 def bundle_from_jsonable(payload: dict[str, Any], get: Get) -> TrainedBundle:
     """The inverse of `bundle_to_jsonable`; `get` returns a block's array. A model
-    or centroid takes its classifier and kind from its expert's registry entry
+    or template takes its classifier and kind from its expert's registry entry
     (a KeyError if none), its class count from `k_max`, its width from `FEATURE_WIDTHS`."""
     registry = tuple(spec_from_jsonable(d) for d in payload["registry"])
     specs = {spec.id: spec for spec in registry}
@@ -463,12 +456,11 @@ def bundle_from_jsonable(payload: dict[str, Any], get: Get) -> TrainedBundle:
     scalers = {FeatureKind(tag): (finite_array(get(s["mean"], "<f8"), f"{tag} scaler mean"),
                                   finite_array(get(s["std"], "<f8"), f"{tag} scaler std"))
                for tag, s in payload["scalers"].items()}
-    centroids = {eid: {int(label): FeatureVector(specs[eid].feature_kind,
-                                                 finite_array(get(d["values"], "<f8"), "centroid"),
-                                                 float(finite_array(d["source_rate"], "centroid rate")))
-                       for label, d in by_class.items()}
-                 for eid, by_class in payload["templates"].items()}
-    return TrainedBundle(registry, models, TemplateLibrary(centroids, scalers), metadata)
+    # The library bounds every centroid below MAX_FEATURE, which rejects NaN and infinity.
+    templates = {eid: Template(specs[eid].feature_kind, list(d["labels"]), finite_array(
+                     d["source_rates"], "template rates"), get(d["values"], "<f8"))
+                 for eid, d in payload["templates"].items()}
+    return TrainedBundle(registry, models, TemplateLibrary(templates, scalers), metadata)
 
 
 def serialize_bundle(bundle: TrainedBundle) -> bytes:

@@ -10,6 +10,7 @@ from moesense.classifiers import (
     HYPERPARAMS,
     MODEL_TYPES,
     SVM_DEFAULTS,
+    ForestModel,
     KnnModel,
     LabeledDataset,
     LinearSvmModel,
@@ -402,7 +403,7 @@ def test_forest_tree_over_65535_nodes_does_not_load():
     feature = np.full(n, -1)
     feature[inner] = 0
     blocks = Blocks()
-    header = {"nodes": [n], "feature": blocks.put(feature, "<i1"),
+    header = {"nodes": [n], "n_features": 1, "feature": blocks.put(feature, "<i1"),
               "threshold": blocks.put(np.zeros(len(inner)), "<f8"),
               "right": blocks.put(inner + 2, "<u2"),
               "counts": blocks.put(np.ones((n - len(inner), 2)), "<u2")}
@@ -463,8 +464,10 @@ def test_models_round_trip_jsonable():
         assert type(clone) is type(model)
         assert encoded(clone) == (header, data)
         assert np.array_equal(predict_posterior(clone, q), predict_posterior(model, q))
-        # the entry states only the model's own numbers; the rest is passed in
-        assert not header.keys() & {"type", "kind", "num_classes", "n_features"}
+        # the entry states only the model's own numbers; the rest is passed in,
+        # except a forest's width, which no array of it shows
+        stated = header.keys() & {"type", "kind", "num_classes", "n_features"}
+        assert stated == ({"n_features"} if isinstance(model, ForestModel) else set())
         assert loaded(header, data, model, kind=FeatureKind.DOPPLER_ENERGY).kind is (
             FeatureKind.DOPPLER_ENERGY)
         with pytest.raises(ValueError):  # each model reads a feature past the first

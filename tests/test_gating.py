@@ -13,6 +13,7 @@ from moesense.gating import (
     ClassifierKind,
     ExpertSpec,
     GatingMode,
+    Template,
     TemplateLibrary,
     candidates,
     decide,
@@ -81,6 +82,21 @@ def test_rate_monotonicity():
 # score_experts
 # ---------------------------------------------------------------------------
 
+def template(kind, rows, labels=None):
+    """A `Template` of `kind` whose centroids are `rows`, of classes
+    0, 1, ... unless `labels` are given."""
+    labels = list(range(len(rows))) if labels is None else labels
+    return Template(kind, labels, np.full(len(rows), 500.0), np.array(rows, dtype=float))
+
+
+def templates(entries):
+    """`{eid: {label: FeatureVector}}`, each expert's centroids of one kind,
+    as the library's templates."""
+    return {eid: template(next(iter(by_class.values())).kind,
+                          [c.values for c in by_class.values()], list(by_class))
+            for eid, by_class in entries.items()}
+
+
 def identity_scalers(entries):
     """Per kind, mean 0 and std 1 at its centroids' width: the gate then
     correlates the raw vectors, since (v - 0) / 1 == v bit for bit."""
@@ -89,7 +105,8 @@ def identity_scalers(entries):
 
 
 def library(entries, scalers=None):
-    return TemplateLibrary(entries, identity_scalers(entries) if scalers is None else scalers)
+    return TemplateLibrary(templates(entries),
+                           identity_scalers(entries) if scalers is None else scalers)
 
 
 def test_score_identical_to_centroid_is_one():
@@ -128,7 +145,7 @@ def test_score_missing_template_is_config_error():
 
 
 def test_score_empty_centroids_sentinel():
-    lib = library({"E1": {}})
+    lib = TemplateLibrary({"E1": template(D, np.zeros((0, 2)))}, {D: (np.zeros(2), np.ones(2))})
     scores = score_experts({D: fv([0.2, 0.8])}, lib, ["E1"])
     assert scores["E1"] == -1.0
 
@@ -212,13 +229,16 @@ def scalers(draw, kind):
 
 @st.composite
 def gates(draw):
-    """A library (experts of either kind, some with no centroids, and a
-    scaler for each kind) and the stream's features."""
+    """A library (experts of either kind, some with no centroids, rows
+    constant about half of the time, and a scaler for each kind) and the
+    stream's features."""
     entries = {}
     for i in range(draw(st.integers(1, 5))):
         kind = draw(st.sampled_from([D, S]))
         classes = draw(st.lists(st.integers(0, 5), max_size=4, unique=True))
-        entries[f"E{i}"] = {c: fv(draw(vectors(WIDTHS[kind])), kind) for c in classes}
+        rows = np.reshape([draw(vectors(WIDTHS[kind])) for _ in classes],
+                          (len(classes), WIDTHS[kind]))
+        entries[f"E{i}"] = template(kind, rows, classes)
     features = {kind: fv(draw(vectors(WIDTHS[kind])), kind) for kind in (D, S)}
     lib = TemplateLibrary(entries, {kind: draw(scalers(kind)) for kind in (D, S)})
     return lib, features, sorted(entries)
@@ -227,7 +247,17 @@ def gates(draw):
 @settings(max_examples=300, deadline=None)
 @given(gates())
 def test_scores_equal_the_reference_exactly(gate):
+    """Every pre-scaled row is `(v - mean) / std` of its raw row bit for bit,
+    or None when that row is constant, and the scores are their definition."""
     lib, features, ids = gate
+    for eid in ids:
+        kind = lib.template(eid).kind
+        mean, std = lib.scalers[kind]
+        expected = [None if np.ptp(c.values) == 0.0 else ((c.values - mean) / std).tobytes()
+                    for c in lib.centroids(eid).values()]
+        assert [None if row is None else row.tobytes()
+                for _, row in lib.scaled_centroids(eid)] == expected
+        assert all(k is kind for k, _ in lib.scaled_centroids(eid))
     assert score_experts(features, lib, ids) == reference_scores(features, lib, ids)
 
 
@@ -240,7 +270,7 @@ def test_scores_equal_the_reference_exactly(gate):
         "mean_and_std_differ_in_shape", "scaler_not_a_vector"])
 def test_library_rejects_centroids_and_scalers_that_disagree(centroids, scalers):
     with pytest.raises(ConfigurationError, match="scaler"):
-        TemplateLibrary(centroids, scalers)
+        TemplateLibrary(templates(centroids), scalers)
 
 
 @pytest.mark.parametrize("centroids,scalers", [
@@ -252,14 +282,15 @@ def test_library_rejects_centroids_and_scalers_that_disagree(centroids, scalers)
         "centroid_not_below_the_largest_feature"])
 def test_library_rejects_numbers_that_could_scale_a_feature_to_infinity(centroids, scalers):
     with pytest.raises(ConfigurationError, match="could overflow a feature|not below 1e\\+101"):
-        TemplateLibrary(centroids, scalers)
+        TemplateLibrary(templates(centroids), scalers)
 
 
 def test_library_at_its_bounds_scores_the_largest_features():
     largest = np.nextafter(MAX_FEATURE, 0.0)
     # each feature value scales to about 4e307, and twice their sum, 1.6e308, is finite
     std = np.full(2, (MAX_FEATURE + 1.0) / 4e307)
-    lib = TemplateLibrary({"E1": {0: fv([-largest, largest])}}, {D: (np.array([1.0, -1.0]), std)})
+    lib = TemplateLibrary({"E1": template(D, [[-largest, largest]])},
+                          {D: (np.array([1.0, -1.0]), std)})
     scores = score_experts({D: fv([largest, -largest])}, lib, ["E1"])  # no RuntimeWarning
     assert scores == {"E1": -1.0}
 

@@ -36,11 +36,13 @@ OUTPUT_PINS = {
     # stdout of every detect call, streams outer and rates inner
     "detect_json": "f5916904e529c1a4fd6d3555f33b3ddeab96fc2aba1c2132f91f078e87b7d1ad",
 }
-# The bundle file, format version 6. Version 5 wrote 319c96808857ef2d... with block
-# offsets, array dtypes, and model, centroid and Doppler fields that repeat the
-# registry or the metadata; version 4 wrote 112cfd51eeaadd77... with a
-# `nominal_rate` in each registry entry, and version 3 df5e0a3c755c83c1...
-BUNDLE_PIN = "e052b916699a6dd871a0688cfffc3a3808c1cbe585721e1fe0d8cfaec0f800a3"
+# The bundle file, format version 7. Version 6 wrote e052b916699a6dd8... with one
+# block per centroid and forest entries without their width; version 5 wrote
+# 319c96808857ef2d... with block offsets, array dtypes, and model, centroid and
+# Doppler fields that repeat the registry or the metadata; version 4 wrote
+# 112cfd51eeaadd77... with a `nominal_rate` in each registry entry, and version 3
+# df5e0a3c755c83c1...
+BUNDLE_PIN = "58f60f4be2bf0c1faca5ce69d12b5291e2278fd764e5b426f5da50d89b58c830"
 
 
 @pytest.fixture(scope="module")

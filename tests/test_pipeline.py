@@ -523,7 +523,7 @@ def test_loaded_arrays_are_read_only_views(small_bundle, probe_stream):
     buffer[:] = bytes(len(buffer))  # the caller's buffer is not what the arrays view
     arrays = [mean for mean, _ in loaded.templates.scalers.values()]
     for eid, model in loaded.models.items():
-        arrays += [fv.values for fv in loaded.templates.centroids(eid).values()]
+        arrays.append(loaded.templates.template(eid).values)
         arrays += [a for a in vars(model).values() if isinstance(a, np.ndarray)]
     # A forest's feature, threshold and right blocks load into full <i4, <f8
     # and <i4 columns, and its leaves are derived from its counts.
@@ -532,8 +532,9 @@ def test_loaded_arrays_are_read_only_views(small_bundle, probe_stream):
                for column in ("feature", "threshold", "right", "leaves")}
     views = [a for a in arrays if id(a) not in derived]
     assert len(derived) == 4 * len(forests) == len(arrays) - len(views)
-    # One view per block, except the scaler stds, which the library replaces,
-    # and the three forest blocks that load into columns of their own.
+    # One view per block, one template block per expert among them, except
+    # the scaler stds, which the library replaces, and the three forest
+    # blocks that load into columns of their own.
     blocks = Blocks()
     bundle_to_jsonable(loaded, blocks.put)
     assert len(views) == len(blocks.data) - len(loaded.templates.scalers) - 3 * len(forests)
@@ -609,9 +610,10 @@ def test_bundle_version_mismatch(small_bundle):
     # lists, version 3 forests as full-width float columns, and version 4 a
     # second rate, `nominal_rate`, in each registry entry, and version 5 block
     # offsets, array dtypes, and model, centroid and Doppler fields that repeat
-    # the registry or the metadata
-    assert version == 6
-    for forged_version in (1, 2, 3, 4, 5, version + 1):
+    # the registry or the metadata, and version 6 one block per centroid and
+    # forest entries without their width
+    assert version == 7
+    for forged_version in (1, 2, 3, 4, 5, 6, version + 1):
         forged = header.pack(magic, forged_version, length) + data[header.size:]
         with pytest.raises(FormatError, match=f"version {forged_version}; retrain"):
             deserialize_bundle(forged)
@@ -804,13 +806,39 @@ def _set(path, value):
     return mutate
 
 
+def _empty_template(eid, width):
+    """A payload mutation: expert `eid` keeps no centroids, its template an
+    empty block of rows `width` wide."""
+    def mutate(payload):
+        payload[0]["templates"][eid].update(labels=[], source_rates=[])
+        _edit(("templates", eid, "values"), "<f8", lambda v: np.zeros((0, width)))(payload)
+    return mutate
+
+
 def _no_doppler_centroids(mutate):
     """`mutate`, on a payload whose Doppler experts (E1, E3, E6) have no
-    centroids, so only the bundle's own check sees the Doppler scaler."""
+    centroids, so only their empty templates' kind and width meet the
+    Doppler scaler."""
     def both(payload):
-        payload[0]["templates"].update(E1={}, E3={}, E6={})
+        for eid in ("E1", "E3", "E6"):
+            _empty_template(eid, 25)(payload)
         mutate(payload)
     return both
+
+
+def _template_list(eid, key, change):
+    """A payload mutation: `change(values, k_max)` edits the list `key`
+    (labels or source_rates) of expert `eid`'s template in place."""
+    def mutate(payload):
+        change(payload[0]["templates"][eid][key], payload[0]["metadata"]["k_max"])
+    return mutate
+
+
+def _doppler_forest_from_amp_stats(payload):
+    # E4, an amp_stats forest, splits on features 0-5, all below the Doppler
+    # width 25: only the width its entry states tells the two apart.
+    _set(("registry", 3, "feature"), "doppler")(payload)
+    _empty_template("E4", 25)(payload)
 
 
 DISAGREEING_PARTS = {
@@ -818,7 +846,17 @@ DISAGREEING_PARTS = {
     "k_max_infinite": _set(("metadata", "k_max"), float("inf")),
     "forest_registered_as_knn": _set(("registry", 2, "classifier"), "knn"),
     "doppler_expert_registered_as_amp_stats": _set(("registry", 0, "feature"), "amp_stats"),
-    "centroid_too_short": _edit(("templates", "E1", "0", "values"), "<f8", lambda v: v[:-1]),
+    "centroid_too_short": _edit(("templates", "E1", "values"), "<f8", lambda v: v[:, :-1]),
+    "template_label_past_k_max": _template_list("E1", "labels",
+                                                lambda labels, k: labels.__setitem__(-1, k + 1)),
+    "template_label_repeated": _template_list("E1", "labels",
+                                              lambda labels, k: labels.__setitem__(1, labels[0])),
+    "template_label_missing": _template_list("E1", "labels", lambda labels, k: labels.pop()),
+    "template_source_rate_missing": _template_list("E1", "source_rates",
+                                                   lambda rates, k: rates.pop()),
+    "template_value_nan": _edit(("templates", "E1", "values"), "<f8",
+                                lambda v: v.__setitem__((0, 2), np.nan)),
+    "amp_stats_forest_registered_as_doppler": _doppler_forest_from_amp_stats,
     "scaler_too_short": _edit(("scalers", "amp_stats", "mean"), "<f8", lambda v: v[:-1]),
     "svm_bias_missing": _edit(("models", "E1", "biases"), "<f8", lambda v: v[:-1]),
     "knn_label_out_of_range": _edit(("models", "E6", "labels"), "<i8",
@@ -854,7 +892,7 @@ def test_bundle_parts_disagree_is_format_error(small_bundle, case):
         deserialize_bundle(forge(payload))
 
 
-@pytest.mark.parametrize("case,names", [("centroid_too_short", "template centroid 0 of E1"),
+@pytest.mark.parametrize("case,names", [("centroid_too_short", "template of E1"),
                                         ("scaler_too_short", "amp_stats scaler")])
 def test_short_centroid_or_scaler_is_named(small_bundle, case, names):
     payload = fresh_payload(small_bundle)
@@ -868,7 +906,7 @@ def test_short_centroid_or_scaler_is_named(small_bundle, case, names):
 # their path; those in a block by the path of the array's reference and the
 # number's index in the array.
 HEADER_NUMBERS = {
-    "centroid_source_rate": ("templates", "E4", "0", "source_rate"),
+    "centroid_source_rate": ("templates", "E4", "source_rates", 0),
     "k_max": ("metadata", "k_max"),
     "validation_accuracy": ("metadata", "validation_accuracy", "E5"),
     "seed": ("metadata", "seed"),
@@ -882,7 +920,7 @@ BLOCK_NUMBERS = {
     "svm_mean": (("models", "E2", "mean"), 2),
     "tree_threshold": (("models", "E3", "threshold"), 0),
     "knn_matrix_value": (("models", "E6", "matrix"), (3, 4)),
-    "centroid_value": (("templates", "E1", "0", "values"), 2),
+    "centroid_value": (("templates", "E1", "values"), (0, 2)),
 }
 
 
@@ -975,18 +1013,21 @@ def _array_references(node):
 def test_header_states_each_fact_once(tiny_bundle_bytes):
     """The registry gives each model's classifier and feature kind, the
     metadata the class count, the kind the width, and the format each
-    array's dtype and each block's offset; none is repeated in the header."""
+    array's dtype and each block's offset; none is repeated in the header.
+    A forest states its width, which none of its arrays shows."""
     length = struct.unpack_from("<Q", tiny_bundle_bytes, 8)[0]
     header = json.loads(tiny_bundle_bytes[16:16 + length])
-    assert {spec["classifier"] for spec in header["registry"]} == {"knn", "svm", "forest"}
+    classifiers = {spec["id"]: spec["classifier"] for spec in header["registry"]}
+    assert set(classifiers.values()) == {"knn", "svm", "forest"}
     for eid, entry in header["models"].items():
-        repeated = sorted(entry.keys() & {"type", "kind", "num_classes", "n_features"})
+        stated = {"n_features"} if classifiers[eid] == "forest" else set()
+        repeated = sorted(entry.keys() & {"type", "kind", "num_classes", "n_features"} - stated)
         assert not repeated, f"model {eid} repeats {repeated}"
-    centroids = [(eid, label, centroid) for eid, by_class in header["templates"].items()
-                 for label, centroid in by_class.items()]
-    assert centroids
-    for eid, label, centroid in centroids:
-        assert "kind" not in centroid, f"centroid {label} of {eid} repeats its feature kind"
+        assert stated <= entry.keys(), f"forest {eid} does not state its width"
+    assert any(template["labels"] for template in header["templates"].values())
+    for eid, template in header["templates"].items():
+        assert set(template) == {"labels", "source_rates", "values"}, (
+            f"template of {eid} holds more than its labels, rates and rows")
     references = list(_array_references(header))
     assert len(references) == len(header["blocks"])
     for ref in references:
@@ -1026,7 +1067,8 @@ def test_mutated_bundle_loads_or_is_format_error(tiny_bundle_bytes, data):
             else:
                 models = header["models"]
                 entries = [models["K"]["matrix"], models["K"]["labels"], models["S"]["weights"],
-                           models["T"]["feature"], models["T"]["right"], models["T"]["counts"]]
+                           models["T"]["feature"], models["T"]["right"], models["T"]["counts"],
+                           header["templates"]["T"]["values"]]
                 entry = entries[data.draw(st.integers(0, len(entries) - 1))]
                 keys = ["block", "shape"]
             entry[data.draw(st.sampled_from(list(keys)))] = data.draw(JSON_VALUES)
