@@ -113,9 +113,10 @@ class KnnModel:
                       n_features: int) -> "KnnModel":
         matrix = finite_array(get(d["matrix"], "<f8"), "knn matrix")
         labels = get(d["labels"], "<i8")
-        k = int(d["k"])
+        k = d["k"]
         if (matrix.shape[1:] != (n_features,) or labels.shape != (len(matrix),)
-                or not 1 <= k <= len(labels) or np.any((labels < 0) | (labels >= num_classes))):
+                or type(k) is not int or not 1 <= k <= len(labels)
+                or np.any((labels < 0) | (labels >= num_classes))):
             raise ValueError("knn matrix, labels and k disagree")
         return cls(k, matrix, labels, kind, num_classes)
 
@@ -254,22 +255,47 @@ def predict_linear_svm(model: LinearSvmModel, x: FeatureVector) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class ForestModel:
-    """CART trees as node columns, trees one after another.
+    """CART trees as the columns a bundle stores, trees one after another.
 
-    Tree t has nodes[t] nodes, in preorder. Counted from the tree's first
-    node, node i's left child is node i + 1 and its right child right[i]. A
-    leaf has feature and right -1 and the next row of `counts`, its training
-    samples per class, which `leaves` holds as class posteriors.
+    Tree t has nodes[t] nodes, in preorder, and `feature` holds each node's
+    split feature, or -1 at a leaf. `threshold` and `right` hold one entry per
+    inner node, in node order: inner node i splits at its threshold, its left
+    child is node i + 1, and its right child is node `right`, both counted from
+    the tree's first node. `counts` holds one row per leaf, in node order: its
+    training samples per class, which `leaves` holds as class posteriors.
     """
 
     def __init__(self, nodes: list[int], feature: Sequence[int], threshold: Sequence[float],
                  right: Sequence[int], counts: Sequence[np.ndarray], kind: FeatureKind,
                  num_classes: int, n_features: int):
+        """Check every tree at once, so that every walk ends at a leaf, and
+        derive the leaf posteriors and what the walk reads."""
+        if not (type(nodes) is list and nodes and all(type(n) is int and 0 < n <= 65535
+                                                      for n in nodes)):
+            raise ValueError("a forest's tree node counts must be integers in [1, 65535]")
         self.nodes = nodes
-        self.feature = np.asarray(feature, np.int32)
+        self.feature = np.asarray(feature, np.int8)
         self.threshold = np.asarray(threshold, np.float64)
-        self.right = np.asarray(right, np.int32)
+        self.right = np.asarray(right, np.uint16)
         self.counts = np.asarray(counts, np.uint16)
+        total = sum(nodes)
+        if self.feature.shape != (total,):
+            raise ValueError(f"tree features must be 1-D and hold all {total} nodes")
+        if not (self.feature.min() >= -1 and self.feature.max() < n_features):
+            raise ValueError(f"tree features must lie in [-1, {n_features})")
+        inner = np.flatnonzero(self.feature >= 0)
+        if not self.threshold.shape == self.right.shape == inner.shape:
+            raise ValueError(f"tree thresholds and right children must hold {len(inner)} inner nodes")
+        # Children come strictly after their parent and inside its tree, so
+        # every walk ends at a leaf.
+        sizes = np.asarray(nodes)
+        starts = np.cumsum(sizes) - sizes
+        tree = np.searchsorted(starts, inner, side="right") - 1
+        local = inner - starts[tree]
+        if not np.all((self.right > local + 1) & (self.right < sizes[tree])):
+            raise ValueError("tree child index not after its parent or outside the tree")
+        if self.counts.shape != (total - len(inner), num_classes):
+            raise ValueError(f"tree leaf rows must be {num_classes} wide, one per leaf")
         totals = self.counts @ np.ones(num_classes)  # exact sums of small integers
         if not totals.all():
             raise ValueError("a tree leaf holds no samples")
@@ -279,61 +305,32 @@ class ForestModel:
         self.num_classes = num_classes
         self.n_features = n_features
         # What the walk reads, as plain lists, which keep the per-node steps cheap:
-        # each tree's root, and per node its feature, threshold and next step: the
-        # right child, counted from the forest's first node, or a leaf's row of `leaves`.
-        sizes = np.asarray(nodes)
-        starts = np.cumsum(sizes) - sizes
-        leaf = self.feature < 0
-        self._walk = (starts.tolist(), self.feature.tolist(), self.threshold.tolist(),
-                      np.where(leaf, np.cumsum(leaf) - 1,
-                               self.right + np.repeat(starts, sizes)).tolist())
+        # each tree's root, and per node its feature, threshold (0.0 at a leaf) and
+        # next step: the right child, counted from the forest's first node, or a
+        # leaf's row of `leaves`.
+        threshold, step = np.zeros(total), np.cumsum(self.feature < 0) - 1
+        threshold[inner], step[inner] = self.threshold, self.right + starts[tree]
+        self._walk = (starts.tolist(), self.feature.tolist(), threshold.tolist(), step.tolist())
 
     def to_jsonable(self, put: Put) -> dict[str, Any]:
-        inner = self.feature >= 0
         return {
             "nodes": list(self.nodes),
             "n_features": self.n_features,
             "feature": put(self.feature, "<i1"),
-            "threshold": put(self.threshold[inner], "<f8"),
-            "right": put(self.right[inner], "<u2"),
+            "threshold": put(self.threshold, "<f8"),
+            "right": put(self.right, "<u2"),
             "counts": put(self.counts, "<u2"),
         }
 
     @classmethod
     def from_jsonable(cls, d: dict[str, Any], get: Get, kind: FeatureKind, num_classes: int,
                       n_features: int) -> "ForestModel":
-        """Check every tree at once, so that every walk ends at a leaf."""
         if d["n_features"] != n_features:
             raise ValueError(f"a forest over {d['n_features']!r} features serves {n_features}")
-        nodes = d["nodes"]
-        if not (type(nodes) is list and nodes and all(type(n) is int and 0 < n <= 65535
-                                                      for n in nodes)):
-            raise ValueError("a forest's tree node counts must be integers in [1, 65535]")
         feature, right, counts = (get(d[key], dtype) for key, dtype in
                                   (("feature", "<i1"), ("right", "<u2"), ("counts", "<u2")))
         threshold = finite_array(get(d["threshold"], "<f8"), "tree threshold")
-        total = sum(nodes)
-        if feature.shape != (total,):
-            raise ValueError(f"tree features must be 1-D and hold all {total} nodes")
-        if not (feature.min() >= -1 and feature.max() < n_features):
-            raise ValueError(f"tree features must lie in [-1, {n_features})")
-        inner = np.flatnonzero(feature >= 0)
-        if not threshold.shape == right.shape == inner.shape:
-            raise ValueError(f"tree thresholds and right children must hold {len(inner)} inner nodes")
-        # Children come strictly after their parent and inside its tree, so
-        # every walk ends at a leaf.
-        sizes = np.asarray(nodes)
-        ends = np.cumsum(sizes)
-        tree = np.searchsorted(ends, inner, side="right")
-        local = inner - (ends - sizes)[tree]
-        if not np.all((right > local + 1) & (right < sizes[tree])):
-            raise ValueError("tree child index not after its parent or outside the tree")
-        if counts.shape != (total - len(inner), num_classes):
-            raise ValueError(f"tree leaf rows must be {num_classes} wide, one per leaf")
-        full_threshold, full_right = np.zeros(total), np.full(total, -1, np.int32)
-        full_threshold[inner], full_right[inner] = threshold, right
-        return cls(nodes, feature, full_threshold, full_right, counts, kind, num_classes,
-                   n_features)
+        return cls(d["nodes"], feature, threshold, right, counts, kind, num_classes, n_features)
 
 
 def _best_split_on_feature(
@@ -368,12 +365,13 @@ def _grow_tree(matrix: np.ndarray, labels: np.ndarray, num_classes: int,
                max_depth: int | None, rng: np.random.Generator,
                columns: tuple[list, list, list, list]) -> int:
     """Append one tree in preorder to the forest's `columns` (feature, threshold,
-    right, counts) and return its node count. A node's left subtree is finished
-    before its right one starts, so the RNG draws follow the node order."""
+    right, counts; see `ForestModel`) and return its node count. A node's left
+    subtree is finished before its right one starts, so the RNG draws follow
+    the node order."""
     feature, threshold, right, counts = columns
     first = len(feature)
     m_try = math.ceil(math.sqrt(matrix.shape[1]))
-    stack = [(matrix, labels, 0, -1)]  # (samples, labels, depth, parent of a right child)
+    stack = [(matrix, labels, 0, -1)]  # (samples, labels, depth, parent's `right` entry)
     while stack:
         m, y, depth, parent = stack.pop()
         if parent >= 0:
@@ -390,15 +388,15 @@ def _grow_tree(matrix: np.ndarray, labels: np.ndarray, num_classes: int,
                     break
         if best is None:
             counts.append(np.bincount(y, minlength=num_classes))
-            node = (-1, 0.0, -1)
-        else:
-            _, split, f = best
-            node = (f, split, -1)
-            mask = m[:, f] <= split
-            stack.append((m[~mask], y[~mask], depth + 1, len(feature)))
-            stack.append((m[mask], y[mask], depth + 1, -1))
-        for column, value in zip((feature, threshold, right), node):
-            column.append(value)
+            feature.append(-1)
+            continue
+        _, split, f = best
+        mask = m[:, f] <= split
+        stack.append((m[~mask], y[~mask], depth + 1, len(right)))
+        stack.append((m[mask], y[mask], depth + 1, -1))
+        feature.append(f)
+        threshold.append(split)
+        right.append(-1)  # set when the right child is reached
     return len(feature) - first
 
 
@@ -463,9 +461,3 @@ def predict_posterior(model: Model, x: FeatureVector) -> np.ndarray:
 
 
 MODEL_TYPES = {"knn": KnnModel, "svm": LinearSvmModel, "forest": ForestModel}
-
-
-def model_from_jsonable(d: dict[str, Any], get: Get, classifier: str, kind: FeatureKind,
-                        num_classes: int, n_features: int) -> Model:
-    """The model a bundle entry holds, given what its registry entry and bundle state."""
-    return MODEL_TYPES[classifier].from_jsonable(d, get, kind, num_classes, n_features)

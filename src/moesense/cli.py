@@ -139,7 +139,7 @@ def _count_hits(
             for c, r in conditions.items()}
 
     for stream, label in data:
-        cache = StreamFeatures(stream, bundle.doppler_config(), bundle)
+        cache = StreamFeatures(stream, bundle)
         for r in rates:
             counts = hits.get(condition_of(r, label))
             if counts is None:

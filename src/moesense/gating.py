@@ -76,10 +76,15 @@ class ExpertSpec:
             if not low <= value <= high:
                 raise ConfigurationError(f"hyperparameter {name} of {self.id} must lie in "
                                          f"[{low!r}, {high!r}], got {value!r}")
-        params = {**defaults, **self.hyperparams}
+        params = self.params
         if params.get("step_size", 0.0) * params.get("l2", 0.0) >= 1.0:
             raise ConfigurationError(f"step_size * l2 of {self.id} must be below 1, got "
                                      f"{params['step_size']!r} * {params['l2']!r}")
+
+    @property
+    def params(self) -> dict[str, Any]:
+        """The hyperparameters the expert trains with: its own, else the defaults."""
+        return {**HYPERPARAMS[self.classifier_kind.value], **self.hyperparams}
 
 
 def default_registry() -> list[ExpertSpec]:

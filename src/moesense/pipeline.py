@@ -29,7 +29,6 @@ from .classifiers import (
     MODEL_TYPES,
     LabeledDataset,
     Model,
-    model_from_jsonable,
     predict_posterior,
     train_forest,
     train_knn,
@@ -84,8 +83,8 @@ class TrainedBundle:
 
     def __post_init__(self) -> None:
         """Reject a bundle whose models, centroids or scalers disagree with its
-        registry and metadata, so that a bundle fails when it is built or
-        loaded rather than in `detect`."""
+        registry and metadata, a KNN's k or a forest's tree count included, so
+        that a bundle fails when it is built or loaded rather than in `detect`."""
         validate_registry(self.registry)
         ids = sorted(spec.id for spec in self.registry)
         for part, part_ids in (("model", sorted(self.models)),
@@ -95,9 +94,13 @@ class TrainedBundle:
         num_classes = self.num_classes
         for spec in self.registry:
             model, width = self.models[spec.id], FEATURE_WIDTHS[spec.feature_kind]
-            if (type(model) is not MODEL_TYPES[spec.classifier_kind.value]
+            classifier, params = spec.classifier_kind, spec.params
+            if (type(model) is not MODEL_TYPES[classifier.value]
                     or model.kind is not spec.feature_kind
-                    or model.n_features != width or model.num_classes != num_classes):
+                    or model.n_features != width or model.num_classes != num_classes
+                    or classifier is ClassifierKind.KNN and model.k != params["k"]
+                    or classifier is ClassifierKind.FOREST
+                    and len(model.nodes) != params["num_trees"]):
                 raise ConfigurationError(
                     f"model {spec.id} disagrees with its registry entry or the metadata")
             kind, labels, _, values = self.templates.template(spec.id)
@@ -215,7 +218,6 @@ def _extract_feature_table(
     streams: Iterable[CsiStream],
     labels: Sequence[int],
     needed: set[tuple[float, FeatureKind]],
-    doppler_cfg: DopplerConfig,
     fingerprint: "hashlib._Hash",
 ) -> dict[tuple[float, FeatureKind], list[FeatureVector]]:
     """One pass over the streams, extracting every (required rate, kind) combo
@@ -225,7 +227,7 @@ def _extract_feature_table(
     table: dict[tuple[float, FeatureKind], list[FeatureVector]] = {key: [] for key in needed}
     count = 0
     for stream, label in zip(streams, labels):
-        cache = StreamFeatures(stream, doppler_cfg)
+        cache = StreamFeatures(stream)
         fingerprint.update(struct.pack("<dq", stream.packet_rate, len(cache.series)))
         fingerprint.update(cache.series.astype("<f8", copy=False))
         fingerprint.update(struct.pack("<q", label))
@@ -260,12 +262,11 @@ def build_bundle(
     if missing:
         raise TrainingError(f"training data missing classes {missing} of 0..{k_max}")
     num_classes = k_max + 1
-    doppler_cfg = DopplerConfig()
 
     needed = {(spec.required_rate, spec.feature_kind) for spec in registry}
     digest = hashlib.sha256()
-    train_table = _extract_feature_table(train_streams, train_labels, needed, doppler_cfg, digest)
-    val_table = _extract_feature_table(val_streams, val_labels, needed, doppler_cfg, digest)
+    train_table = _extract_feature_table(train_streams, train_labels, needed, digest)
+    val_table = _extract_feature_table(val_streams, val_labels, needed, digest)
 
     ordered = sorted(registry, key=lambda s: s.id)
     master = np.random.default_rng(seed)
@@ -351,9 +352,8 @@ def _detect(bundle: TrainedBundle, current_rate: float, features: Callable[[], d
 class StreamFeatures:
     """A stream's features and, given a `bundle`, posteriors, each computed once."""
 
-    def __init__(self, stream: CsiStream, doppler_cfg: DopplerConfig,
-                 bundle: TrainedBundle | None = None):
-        self.stream, self.doppler_cfg, self.bundle = stream, doppler_cfg, bundle
+    def __init__(self, stream: CsiStream, bundle: TrainedBundle | None = None):
+        self.stream, self.bundle = stream, bundle
         self._memo: dict[tuple, Any] = {}  # (stride, kind) features, (id, rate) posteriors
 
     @functools.cached_property
@@ -367,8 +367,8 @@ class StreamFeatures:
         if (stride, kind) not in self._memo:
             kept, kept_rate = np.ascontiguousarray(series[::stride]), self.stream.packet_rate / stride
             self._memo[(stride, kind)] = (
-                doppler_from_series(kept, kept_rate, self.doppler_cfg.clipped_to_rate(kept_rate))
-                if kind is FeatureKind.DOPPLER_ENERGY else amp_stats_from_series(kept, kept_rate))
+                doppler_from_series(kept, kept_rate) if kind is FeatureKind.DOPPLER_ENERGY
+                else amp_stats_from_series(kept, kept_rate))
         return self._memo[(stride, kind)]
 
     def posterior(self, expert_id: str, current_rate: float) -> np.ndarray:
@@ -449,9 +449,9 @@ def bundle_from_jsonable(payload: dict[str, Any], get: Get) -> TrainedBundle:
     metadata = copy.deepcopy(payload["metadata"])
     finite_array([metadata["seed"], *metadata["validation_accuracy"].values()], "metadata")
     num_classes = int(metadata["k_max"]) + 1
-    models = {eid: model_from_jsonable(d, get, specs[eid].classifier_kind.value,
-                                       specs[eid].feature_kind, num_classes,
-                                       FEATURE_WIDTHS[specs[eid].feature_kind])
+    models = {eid: MODEL_TYPES[specs[eid].classifier_kind.value].from_jsonable(
+                  d, get, specs[eid].feature_kind, num_classes,
+                  FEATURE_WIDTHS[specs[eid].feature_kind])
               for eid, d in payload["models"].items()}
     scalers = {FeatureKind(tag): (finite_array(get(s["mean"], "<f8"), f"{tag} scaler mean"),
                                   finite_array(get(s["std"], "<f8"), f"{tag} scaler std"))

@@ -14,7 +14,6 @@ from moesense.classifiers import (
     KnnModel,
     LabeledDataset,
     LinearSvmModel,
-    model_from_jsonable,
     predict_forest,
     predict_knn,
     predict_linear_svm,
@@ -267,7 +266,8 @@ def test_forest_pure_class_single_leaf():
     model = train_forest(data, num_trees=3, max_depth=4, seed=1)
     # each tree's root is its only node, and it is a leaf
     assert model.nodes == [1, 1, 1]
-    assert model.feature.tolist() == model.right.tolist() == [-1, -1, -1]
+    assert model.feature.tolist() == [-1, -1, -1]
+    assert model.threshold.tolist() == model.right.tolist() == []  # no inner nodes
     assert model.counts.tolist() == [[0, 0, 3, 0]] * 3
     assert model.leaves.tolist() == [[0.0, 0.0, 1.0, 0.0]] * 3
     post = predict_forest(model, fv([9.0, 9.0]))
@@ -294,6 +294,16 @@ def test_forest_posterior_valid():
         assert np.all(post >= 0.0)
 
 
+def full_columns(model):
+    """The forest's threshold and right columns with an entry at every node,
+    0.0 and -1 at a leaf, as forests kept them before they kept the inner-node
+    columns a bundle stores."""
+    thresholds, rights = iter(model.threshold.tolist()), iter(model.right.tolist())
+    feature = model.feature.tolist()
+    return ([next(thresholds) if f >= 0 else 0.0 for f in feature],
+            [next(rights) if f >= 0 else -1 for f in feature])
+
+
 def per_tree_walk(model, x):
     """The reference forest predict: the forest cut into per-tree lists with
     a posterior per node (None at inner nodes), walked tree by tree with a
@@ -303,7 +313,7 @@ def per_tree_walk(model, x):
     starts = np.cumsum(model.nodes) - model.nodes
     rows = iter(model.leaves)
     posterior = [next(rows) if f == -1 else None for f in model.feature.tolist()]
-    columns = (model.feature.tolist(), model.threshold.tolist(), model.right.tolist(), posterior)
+    columns = (model.feature.tolist(), *full_columns(model), posterior)
     trees = [[column[a:a + n] for column in columns] for a, n in zip(starts, model.nodes)]
     acc = np.zeros(model.num_classes)
     for feature, threshold, right, posterior in trees:
@@ -326,8 +336,9 @@ def test_forest_predicts_bit_for_bit_as_the_per_tree_walk(seed):
     clone = loaded(header, blocks, model)
     # training rows, new points, and points on a split's threshold
     on_split = matrix[rng.integers(0, len(matrix), 10)].copy()
+    threshold, _ = full_columns(model)
     for q, i in zip(on_split, rng.permutation(np.flatnonzero(model.feature >= 0))):
-        q[model.feature[i]] = model.threshold[i]
+        q[model.feature[i]] = threshold[i]
     for q in [*matrix[:10], *rng.normal(size=(10, d)), *on_split]:
         expected = per_tree_walk(model, fv(q)).tobytes()
         assert predict_forest(model, fv(q)).tobytes() == expected
@@ -337,9 +348,10 @@ def test_forest_predicts_bit_for_bit_as_the_per_tree_walk(seed):
 def leaf_row(model, tree, q):
     """The leaf row that tree `tree` routes query `q` to, walking the node columns."""
     first = int(np.sum(model.nodes[:tree]))
+    threshold, right = full_columns(model)
     i = first
     while (f := model.feature[i]) >= 0:
-        i = i + 1 if q[f] <= model.threshold[i] else first + model.right[i]
+        i = i + 1 if q[f] <= threshold[i] else first + right[i]
     return int(np.sum(model.feature[:i] == -1))
 
 
@@ -408,12 +420,22 @@ def test_forest_tree_over_65535_nodes_does_not_load():
               "right": blocks.put(inner + 2, "<u2"),
               "counts": blocks.put(np.ones((n - len(inner), 2)), "<u2")}
     with pytest.raises(ValueError, match="65535"):
-        model_from_jsonable(header, blocks.get, "forest", FeatureKind.AMPLITUDE_STATS, 2, 1)
+        ForestModel.from_jsonable(header, blocks.get, FeatureKind.AMPLITUDE_STATS, 2, 1)
     header["nodes"] = [n - 1]  # the same tree without its last, unreachable leaf loads
     header["feature"] = blocks.put(feature[:-1], "<i1")
     header["counts"] = blocks.put(np.ones((n - 1 - len(inner), 2)), "<u2")
-    assert model_from_jsonable(header, blocks.get, "forest", FeatureKind.AMPLITUDE_STATS, 2,
-                               1).nodes == [n - 1]
+    assert ForestModel.from_jsonable(header, blocks.get, FeatureKind.AMPLITUDE_STATS, 2,
+                                     1).nodes == [n - 1]
+
+
+def test_forest_child_before_its_parent_does_not_construct():
+    # node 0 splits into nodes 1 and 4, node 1 into nodes 2 and 3
+    tree = dict(nodes=[5], feature=[0, 0, -1, -1, -1], threshold=[0.5, 0.25],
+                counts=[[1, 0], [0, 1], [1, 1]], kind=FeatureKind.AMPLITUDE_STATS,
+                num_classes=2, n_features=1)
+    assert predict_forest(ForestModel(right=[4, 3], **tree), fv([0.3])).tolist() == [0.0, 1.0]
+    with pytest.raises(ValueError, match="after its parent"):
+        ForestModel(right=[4, 0], **tree)  # node 1's right child is the root
 
 
 def test_forest_dimension_mismatch():
@@ -446,7 +468,7 @@ def loaded(header, blocks, like, **changes):
     facts = {"classifier": {cls: name for name, cls in MODEL_TYPES.items()}[type(like)],
              "kind": like.kind, "num_classes": like.num_classes, "n_features": like.n_features,
              **changes}
-    return model_from_jsonable(header, Blocks(blocks).get, **facts)
+    return MODEL_TYPES[facts.pop("classifier")].from_jsonable(header, Blocks(blocks).get, **facts)
 
 
 def test_models_round_trip_jsonable():

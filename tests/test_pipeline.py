@@ -190,7 +190,7 @@ def test_feature_table_equals_decimate_then_extract():
     cfg = DopplerConfig()
     needed = {(spec.required_rate, spec.feature_kind) for spec in default_registry()}
     assert (400.0, D) in needed and (300.0, S) in needed
-    table = _extract_feature_table(streams, labels, needed, cfg, hashlib.sha256())
+    table = _extract_feature_table(streams, labels, needed, hashlib.sha256())
     assert set(table) == needed
     for (rate, kind), features in table.items():
         assert len(features) == len(streams)
@@ -214,7 +214,7 @@ def test_stream_features_equal_detect_and_expert_posterior(small_bundle):
     # integral and shares stride 3 with 300
     streams, _ = make_streams(2, 2, seed=23)
     for stream in streams:
-        cache = StreamFeatures(stream, small_bundle.doppler_config(), small_bundle)
+        cache = StreamFeatures(stream, small_bundle)
         for rate in (50.0, 100.0, 300.0, 400.0, 500.0, 333.3):
             want, want_posteriors = reference_pair(stream, rate, small_bundle)
             got = cache.detect(rate)
@@ -238,14 +238,14 @@ def test_stream_features_check_the_rate_before_the_stream(small_bundle):
     bad = CsiStream(np.full((64, 2), np.nan + 0j), 1000.0, 0, 0)
     for rate in (0.0, -5.0, float("nan")):
         with pytest.raises(InputError, match="current_rate must be finite and positive"):
-            StreamFeatures(bad, small_bundle.doppler_config(), small_bundle).detect(rate)
+            StreamFeatures(bad, small_bundle).detect(rate)
     with pytest.raises(InputError, match="stream must hold samples"):
-        StreamFeatures(bad, small_bundle.doppler_config(), small_bundle).detect(300.0)
+        StreamFeatures(bad, small_bundle).detect(300.0)
 
 
 def fingerprint(streams, labels):
     digest = hashlib.sha256()
-    _extract_feature_table(streams, labels, {(500.0, S)}, DopplerConfig(), digest)
+    _extract_feature_table(streams, labels, {(500.0, S)}, digest)
     return digest.hexdigest()
 
 
@@ -424,7 +424,7 @@ def test_expert_consumes_its_training_rate(small_bundle, custom_bundle, probe_st
                 assert served.tobytes() == posterior_at(spec, min(rate, spec.required_rate)), (
                     spec.id, rate)
             for report in (detect(probe_stream, rate, bundle),
-                           StreamFeatures(probe_stream, cfg, bundle).detect(rate)):
+                           StreamFeatures(probe_stream, bundle).detect(rate)):
                 assert (report.mode is GatingMode.FALLBACK) == (rate < lowest)
                 for eid, served in report.expert_posteriors.items():
                     spec = bundle.spec(eid)
@@ -525,23 +525,21 @@ def test_loaded_arrays_are_read_only_views(small_bundle, probe_stream):
     for eid, model in loaded.models.items():
         arrays.append(loaded.templates.template(eid).values)
         arrays += [a for a in vars(model).values() if isinstance(a, np.ndarray)]
-    # A forest's feature, threshold and right blocks load into full <i4, <f8
-    # and <i4 columns, and its leaves are derived from its counts.
+    # A forest keeps its four blocks as its columns; only its leaves are
+    # derived, from its counts.
     forests = [m for m in loaded.models.values() if isinstance(m, ForestModel)]
-    derived = {id(getattr(forest, column)) for forest in forests
-               for column in ("feature", "threshold", "right", "leaves")}
+    derived = {id(forest.leaves) for forest in forests}
     views = [a for a in arrays if id(a) not in derived]
-    assert len(derived) == 4 * len(forests) == len(arrays) - len(views)
+    assert len(derived) == len(forests) == len(arrays) - len(views)
     # One view per block, one template block per expert among them, except
-    # the scaler stds, which the library replaces, and the three forest
-    # blocks that load into columns of their own.
+    # the scaler stds, which the library replaces.
     blocks = Blocks()
     bundle_to_jsonable(loaded, blocks.put)
-    assert len(views) == len(blocks.data) - len(loaded.templates.scalers) - 3 * len(forests)
+    assert len(views) == len(blocks.data) - len(loaded.templates.scalers)
     # Views of the bundle's immutable bytes: a write into one would raise.
     assert not any(a.flags.writeable or a.flags.owndata for a in views)
-    # The derived columns view nothing: they own their memory. The leaves,
-    # which predict reads, are read-only too.
+    # The leaves view nothing: they own their memory. Predict reads them, and
+    # they are read-only too.
     assert all(a.flags.owndata for a in arrays if id(a) in derived)
     assert not any(forest.leaves.flags.writeable for forest in forests)
     for rate in (50.0, 300.0, 500.0, 1000.0):
@@ -578,14 +576,14 @@ def test_blocks_are_aligned_little_endian_arrays(small_bundle):
     e3 = header["models"]["E3"]
     forest = small_bundle.models["E3"]
     assert e3["nodes"] == forest.nodes
-    # threshold and right are stored for inner nodes only; at a leaf they are 0.0 and -1
-    inner = forest.feature >= 0
-    assert np.all(forest.threshold[~inner] == 0.0) and np.all(forest.right[~inner] == -1)
-    for column, values in (("feature", forest.feature.astype("<i1")),
-                           ("threshold", forest.threshold[inner]),
-                           ("right", forest.right[inner].astype("<u2")),
-                           ("counts", forest.counts.astype("<u2"))):
-        assert block(e3[column]) == values.tobytes()
+    # each block holds the model's own column: threshold and right one entry
+    # per inner node, counts one row per leaf
+    inner = int(np.sum(forest.feature >= 0))
+    assert len(forest.threshold) == len(forest.right) == inner < len(forest.feature)
+    assert len(forest.counts) == len(forest.feature) - inner
+    for column, dtype in (("feature", "<i1"), ("threshold", "<f8"), ("right", "<u2"),
+                          ("counts", "<u2")):
+        assert block(e3[column]) == getattr(forest, column).astype(dtype).tobytes()
 
 
 def test_bundle_bad_magic(small_bundle):
@@ -841,6 +839,17 @@ def _doppler_forest_from_amp_stats(payload):
     _empty_template("E4", 25)(payload)
 
 
+def _forest_without_last_tree(payload):
+    # E3's first 24 trees: a well-formed forest, one tree short of its num_trees 25
+    header, blocks = payload
+    forest = header["models"]["E3"]
+    n = forest["nodes"].pop()
+    inner = int(np.sum(np.frombuffer(blocks[forest["feature"]["block"]], "<i1")[-n:] >= 0))
+    for name, dtype, cut in (("feature", "<i1", n), ("threshold", "<f8", inner),
+                             ("right", "<u2", inner), ("counts", "<u2", n - inner)):
+        _edit(("models", "E3", name), dtype, lambda a: a[:len(a) - cut])(payload)
+
+
 DISAGREEING_PARTS = {
     "k_max_off_by_one": _set(("metadata", "k_max"), lambda k: k + 1),
     "k_max_infinite": _set(("metadata", "k_max"), float("inf")),
@@ -862,6 +871,10 @@ DISAGREEING_PARTS = {
     "knn_label_out_of_range": _edit(("models", "E6", "labels"), "<i8",
                                     lambda v: v.__setitem__(0, 7)),
     "forest_without_trees": _set(("models", "E3", "nodes"), []),
+    # the registry's defaults, k 5 and 25 trees, are what E6 and E3 trained with
+    "knn_k_not_the_registry_k": _set(("models", "E6", "k"), 1),
+    "knn_k_a_float": _set(("models", "E6", "k"), float),
+    "forest_tree_missing": _forest_without_last_tree,
     # no gate call can reach an expert outside the registry
     "template_outside_registry": lambda payload: payload[0]["templates"].update(
         E9=payload[0]["templates"]["E1"]),
