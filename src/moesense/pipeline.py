@@ -205,8 +205,10 @@ def _train_experts(jobs: Sequence[tuple[ExpertSpec, LabeledDataset, int]]) -> li
     the first failing job in that order. No worker outlives the call.
     """
     workers = min(len(jobs), len(os.sched_getaffinity(0)))
-    # Forked workers start without re-importing numpy and moesense.
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+    # Forked workers start without re-importing numpy and moesense. At niceness
+    # 19 they yield a CPU at once to any process that wakes, the caller included.
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=os.nice, initargs=(19,)) as pool:
         try:
             futures = [pool.submit(_train_expert, *job) for job in jobs]
             return [future.result() for future in futures]

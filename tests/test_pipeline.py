@@ -172,6 +172,16 @@ def test_dead_training_worker_is_training_error(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def test_training_workers_run_at_the_lowest_priority(monkeypatch):
+    def reports_niceness(data, **kwargs):
+        raise TrainingError(f"trained at niceness {os.nice(0)}")
+
+    use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(pipeline, "train_forest", reports_niceness)
+    with pytest.raises(TrainingError, match="trained at niceness 19"):
+        build_bundle(*small_split(25), default_registry(), seed=1)
+
+
 def test_pool_broken_while_submitting_is_training_error(monkeypatch):
     class BreaksOnSubmit(pipeline.ProcessPoolExecutor):
         def submit(self, fn, *args, **kwargs):
