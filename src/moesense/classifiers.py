@@ -49,7 +49,7 @@ class LabeledDataset:
         cls,
         features: Sequence[FeatureVector],
         labels: Sequence[int],
-        num_classes: int | None = None,
+        num_classes: int,
     ) -> "LabeledDataset":
         if len(features) == 0:
             raise TrainingError("empty dataset")
@@ -64,9 +64,7 @@ class LabeledDataset:
         label_arr = np.asarray(labels, dtype=np.int64)
         if label_arr.min() < 0:
             raise TrainingError("labels must be non-negative target counts")
-        if num_classes is None:
-            num_classes = int(label_arr.max()) + 1
-        elif label_arr.max() >= num_classes:
+        if label_arr.max() >= num_classes:
             raise TrainingError(
                 f"label {label_arr.max()} out of range for num_classes={num_classes}"
             )
@@ -362,7 +360,7 @@ def _best_split_on_feature(
 
 
 def _grow_tree(matrix: np.ndarray, labels: np.ndarray, num_classes: int,
-               max_depth: int | None, rng: np.random.Generator,
+               max_depth: int, rng: np.random.Generator,
                columns: tuple[list, list, list, list]) -> int:
     """Append one tree in preorder to the forest's `columns` (feature, threshold,
     right, counts; see `ForestModel`) and return its node count. A node's left
@@ -377,7 +375,7 @@ def _grow_tree(matrix: np.ndarray, labels: np.ndarray, num_classes: int,
         if parent >= 0:
             right[parent] = len(feature) - first
         best: tuple[float, float, int] | None = None
-        if len(y) >= 2 and (max_depth is None or depth < max_depth) and not np.all(y == y[0]):
+        if len(y) >= 2 and depth < max_depth and not np.all(y == y[0]):
             # Evaluate m_try candidate features; if none of them splits, keep walking
             # the permutation until one does so unique points always separate.
             for rank, f in enumerate(rng.permutation(m.shape[1])):
@@ -403,14 +401,14 @@ def _grow_tree(matrix: np.ndarray, labels: np.ndarray, num_classes: int,
 def train_forest(
     data: LabeledDataset,
     num_trees: int = FOREST_DEFAULTS["num_trees"],
-    max_depth: int | None = FOREST_DEFAULTS["max_depth"],
+    max_depth: int = FOREST_DEFAULTS["max_depth"],
     seed: int = 0,
     bootstrap: bool = FOREST_DEFAULTS["bootstrap"],
 ) -> ForestModel:
-    """CART trees on seeded bootstrap samples, ceil(sqrt(d)) features per split.
+    """CART trees on seeded bootstrap samples, ceil(sqrt(d)) features per split,
+    no deeper than `max_depth`, which a registry bounds by `HYPERPARAM_RANGES`.
 
-    `bootstrap=False` trains every tree on the full sample (used when a
-    single fully-grown tree should memorize the training set).
+    `bootstrap=False` trains every tree on the full sample.
     """
     if len(data) == 0:
         raise TrainingError("empty dataset")

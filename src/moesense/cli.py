@@ -117,7 +117,7 @@ class ResultTable:
 def _count_hits(
     bundle: TrainedBundle,
     data: Iterable[tuple[CsiStream, int]],
-    conditions: dict,
+    conditions: Sequence[tuple[object, float]],
     condition_of: Callable[[float, int], object],
     triple_seed: int | None = None,
 ) -> dict:
@@ -125,10 +125,13 @@ def _count_hits(
     "framework" (`detect`'s prediction), "random3" when `triple_seed` is given,
     then each pool expert (rate-eligible, or all at fallback rates).
 
-    `conditions` maps each condition to its rate; `condition_of(rate, label)`
-    names the one a pair counts toward, and pairs outside it are skipped.
+    `conditions` pairs each condition with its rate, in row order; it must
+    name at least one condition, and none twice. `condition_of(rate, label)`
+    names the one a pair counts toward, and pairs outside them are skipped.
     """
-    rates = list(dict.fromkeys(conditions.values()))
+    if not conditions or len(dict(conditions)) != len(conditions):
+        raise InputError(f"a sweep needs distinct conditions, got {[c for c, _ in conditions]}")
+    rates = list(dict.fromkeys(r for _, r in conditions))
     pools = {r: candidates(bundle.registry, r)[1] for r in rates}
     # One generator per rate draws a fresh random triple per stream, so the
     # baseline shows the average random combination, not one lucky draw.
@@ -136,7 +139,7 @@ def _count_hits(
         r: np.random.default_rng([triple_seed, i]) for i, r in enumerate(sorted(rates))}
     random3 = ["random3"] if triple_rngs else []
     hits = {c: dict.fromkeys(["n_samples", "framework", *random3, *pools[r]], 0)
-            for c, r in conditions.items()}
+            for c, r in conditions}
 
     for stream, label in data:
         cache = StreamFeatures(stream, bundle)
@@ -179,9 +182,7 @@ def evaluate_rate_sweep(
     Every expert has a column; its cell is blank at rates where it is
     outside the pool.
     """
-    if len(set(rates)) != len(rates):
-        raise InputError(f"rates {list(rates)} repeat a rate")
-    hits = _count_hits(bundle, data, {r: r for r in rates}, lambda r, label: r, triple_seed=seed)
+    hits = _count_hits(bundle, data, [(r, r) for r in rates], lambda r, label: r, triple_seed=seed)
     experts = sorted(s.id for s in bundle.registry)
     return _result_table(("rate", "n_samples", "framework", "random3", *experts), hits,
                          CSV_FLOAT_FMT.format)
@@ -195,7 +196,7 @@ def evaluate_target_sweep(
 ) -> ResultTable:
     """Exact-count accuracy per target count at one communication rate."""
     _, pool = candidates(bundle.registry, rate)
-    hits = _count_hits(bundle, data, {c: rate for c in sorted(set(int(c) for c in target_counts))},
+    hits = _count_hits(bundle, data, [(c, rate) for c in sorted(target_counts)],
                        lambda r, label: int(label))
     missing = [c for c, counts in hits.items() if not counts["n_samples"]]
     if missing:

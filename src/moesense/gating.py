@@ -170,7 +170,7 @@ class TemplateLibrary:
                                          f"scaler of its width, and a distinct label and a rate per row")
             if not np.abs(t.values).max(initial=0.0) < MAX_FEATURE:  # NaN fails it too
                 raise ConfigurationError(f"a centroid of {eid} is not below {MAX_FEATURE:g} in size")
-            self._prescaled[eid] = [(t.kind, row) for row in self._scaled(t.kind, t.values)]
+            self._prescaled[eid] = self._scaled(t.kind, t.values)
 
     @property
     def scalers(self) -> Mapping[FeatureKind, tuple[np.ndarray, np.ndarray]]:
@@ -195,9 +195,9 @@ class TemplateLibrary:
         return {label: FeatureVector(t.kind, row, rate)
                 for label, rate, row in zip(t.labels, t.source_rates.tolist(), t.values)}
 
-    def scaled_centroids(self, expert_id: str) -> list[tuple[FeatureKind, np.ndarray | None]]:
-        """Each centroid's kind and its vector as the gate correlates it
-        (see `_scaled`), in the order of `centroids`."""
+    def scaled_centroids(self, expert_id: str) -> list[np.ndarray | None]:
+        """Each centroid as the gate correlates it (see `_scaled`), in the
+        order of `centroids`; `template` holds their one kind."""
         self.template(expert_id)
         return self._prescaled[expert_id]
 
@@ -226,7 +226,7 @@ def score_experts(
     """Max-over-class Pearson correlation against each candidate's centroids.
 
     The library holds its centroids already scaled; each stream feature is
-    scaled once, when the first centroid of its kind needs it.
+    scaled once, when the first expert of its kind needs it.
     """
     scores: dict[str, float] = {}
     features: dict[FeatureKind, np.ndarray | None] = {}
@@ -235,16 +235,14 @@ def score_experts(
         if not centroids:
             scores[eid] = NO_TEMPLATE_SCORE
             continue
-        best = -np.inf
-        for kind, centroid in centroids:
-            if kind not in features:
-                if kind not in stream_features:
-                    raise InputError(f"no {kind.value} feature supplied for expert {eid}")
-                features[kind] = templates._scaled(kind, stream_features[kind].values[None])[0]
-            feature = features[kind]
-            r = 0.0 if feature is None or centroid is None else pearson(feature, centroid)
-            best = max(best, r)
-        scores[eid] = float(best)
+        kind = templates.template(eid).kind
+        if kind not in features:
+            if kind not in stream_features:
+                raise InputError(f"no {kind.value} feature supplied for expert {eid}")
+            features[kind] = templates._scaled(kind, stream_features[kind].values[None])[0]
+        feature = features[kind]
+        scores[eid] = float(max(0.0 if feature is None or row is None else pearson(feature, row)
+                                for row in centroids))
     return scores
 
 

@@ -34,6 +34,8 @@ def fv(values, kind=FeatureKind.AMPLITUDE_STATS, rate=500.0):
 
 def dataset(matrix, labels, num_classes=None, kind=FeatureKind.AMPLITUDE_STATS):
     feats = [fv(row, kind) for row in matrix]
+    if num_classes is None:
+        num_classes = int(max(labels)) + 1
     return LabeledDataset.build(feats, labels, num_classes)
 
 
@@ -49,23 +51,23 @@ def random_dataset(rng, n=50, d=4, num_classes=3):
 
 def test_dataset_rejects_empty():
     with pytest.raises(TrainingError):
-        LabeledDataset.build([], [])
+        LabeledDataset.build([], [], 2)
 
 
 def test_dataset_rejects_mixed_kinds():
     feats = [fv([1, 2]), fv([3, 4], kind=FeatureKind.DOPPLER_ENERGY)]
     with pytest.raises(TrainingError):
-        LabeledDataset.build(feats, [0, 1])
+        LabeledDataset.build(feats, [0, 1], 2)
 
 
 def test_dataset_rejects_count_mismatch():
     with pytest.raises(TrainingError):
-        LabeledDataset.build([fv([1, 2])], [0, 1])
+        LabeledDataset.build([fv([1, 2])], [0, 1], 2)
 
 
 def test_dataset_rejects_mixed_lengths():
     with pytest.raises(TrainingError):
-        LabeledDataset.build([fv([1, 2]), fv([1, 2, 3])], [0, 1])
+        LabeledDataset.build([fv([1, 2]), fv([1, 2, 3])], [0, 1], 2)
 
 
 def test_dataset_rejects_label_out_of_range():
@@ -256,7 +258,7 @@ def test_forest_single_tree_full_sample_memorizes():
     matrix = rng.normal(size=(40, 5))  # unique rows almost surely
     labels = rng.integers(0, 3, 40).tolist()
     data = dataset(matrix, labels, num_classes=3)
-    model = train_forest(data, num_trees=1, max_depth=None, seed=9, bootstrap=False)
+    model = train_forest(data, num_trees=1, max_depth=64, seed=9, bootstrap=False)
     preds = [int(np.argmax(predict_forest(model, fv(row)))) for row in matrix]
     assert preds == labels
 
@@ -331,7 +333,7 @@ def test_forest_predicts_bit_for_bit_as_the_per_tree_walk(seed):
     data, matrix, _ = random_dataset(rng, n=int(rng.integers(2, 60)), d=d,
                                      num_classes=num_classes)
     model = train_forest(data, num_trees=int(rng.integers(1, 40)),
-                         max_depth=[None, 1, 3, 8][seed % 4], seed=seed, bootstrap=seed % 3 > 0)
+                         max_depth=[64, 1, 3, 8][seed % 4], seed=seed, bootstrap=seed % 3 > 0)
     header, blocks = encoded(model)
     clone = loaded(header, blocks, model)
     # training rows, new points, and points on a split's threshold
@@ -366,7 +368,7 @@ def test_forest_counts_are_the_training_rows_each_leaf_holds(seed):
     data, matrix, labels = random_dataset(rng, n=int(rng.integers(2, 80)),
                                           d=int(rng.integers(1, 6)), num_classes=num_classes)
     model = train_forest(data, num_trees=int(rng.integers(1, 8)),
-                         max_depth=[None, 1, 2, 4][seed % 4], seed=seed, bootstrap=False)
+                         max_depth=[64, 1, 2, 4][seed % 4], seed=seed, bootstrap=False)
     routed = [[] for _ in model.counts]
     for q, label in zip(matrix, labels):
         for tree in range(len(model.nodes)):

@@ -4,6 +4,7 @@ import functools
 import inspect
 import json
 import math
+import multiprocessing
 import os
 import shutil
 import struct
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moesense import cli, pipeline
-from moesense.classifiers import HYPERPARAM_RANGES, HYPERPARAMS
+from moesense.classifiers import HYPERPARAM_RANGES, HYPERPARAMS, LabeledDataset
 from moesense.cli import evaluate_rate_sweep, evaluate_target_sweep, main
 from moesense.errors import (
     EXIT_CONFIG,
@@ -33,6 +34,8 @@ from moesense.errors import (
     RateError,
     TrainingError,
 )
+from moesense.features import FeatureVector
+from moesense.gating import spec_from_jsonable
 from moesense.pipeline import BUNDLE_MAGIC, BUNDLE_VERSION, load_bundle
 from moesense.simulate import (
     CsiStream,
@@ -316,6 +319,31 @@ def test_train_reports_the_first_failing_expert_in_id_order(dataset, tmp_path, m
     assert not (tmp_path / "b.moe").exists()
 
 
+def dies_in_its_worker(spec, data, seed):
+    """A training job whose worker process exits at once; a forked worker
+    unpickles a job's function by name, so it is defined at module level."""
+    os._exit(1)
+
+
+def test_dead_training_worker_is_exit_6_and_writes_no_bundle(dataset, tmp_path, monkeypatch,
+                                                              capsys):
+    monkeypatch.setattr(pipeline, "_train_expert", dies_in_its_worker)
+    spec = spec_from_jsonable(KNN_ENTRY)
+    data = LabeledDataset.build([FeatureVector(spec.feature_kind, np.zeros(2), 100.0)], [0], 1)
+    with pytest.raises(TrainingError, match="worker died"):
+        pipeline._train_experts([(spec, data, 0)])
+    assert multiprocessing.active_children() == []
+
+    reg_path = tmp_path / "registry.json"
+    reg_path.write_text(json.dumps({"experts": [KNN_ENTRY]}))
+    rc = main(["train", "--dataset", str(dataset), "--out", str(tmp_path / "b.moe"),
+               "--registry", str(reg_path)])  # one expert, so one worker
+    assert rc == EXIT_TRAINING
+    assert "an expert training worker died" in capsys.readouterr().err
+    assert not (tmp_path / "b.moe").exists()
+    assert multiprocessing.active_children() == []
+
+
 # Entry fields whose JSON type is wrong, each of which used to be converted.
 MISTYPED_ENTRY_FIELDS = {
     "id_null": {"id": None},
@@ -380,6 +408,22 @@ def test_eval_rate_repeated_rate_is_input_error(dataset, bundle_path, tmp_path):
     rc = main(["eval-rate", "--bundle", str(bundle_path), "--dataset", str(dataset),
                "--rates", "100,300,100.0", "--out", str(out)])
     assert rc == EXIT_INPUT
+    assert not out.exists()
+
+
+# Each used to exit 0: the empty lists with a header-only CSV, and the repeated
+# count with one row for the two.
+@pytest.mark.parametrize("command", [["eval-rate", "--rates", ""],
+                                     ["eval-targets", "--counts", ""],
+                                     ["eval-targets", "--counts", "1,1"]],
+                         ids=["no_rate", "no_count", "repeated_count"])
+def test_empty_or_repeated_sweep_conditions_are_input_error(dataset, bundle_path, tmp_path,
+                                                            capsys, command):
+    out = tmp_path / "sweep.csv"
+    rc = main([command[0], "--bundle", str(bundle_path), "--dataset", str(dataset),
+               "--out", str(out), *command[1:]])
+    assert rc == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: a sweep needs distinct conditions")
     assert not out.exists()
 
 

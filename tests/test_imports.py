@@ -1,5 +1,7 @@
-"""Every name a `moesense` module imports is used in that module."""
+"""Every name a `moesense` module imports is used in that module, and every
+module-level function and class is named outside its own definition."""
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -9,6 +11,12 @@ SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "moesense").glob
 # Imported only so that the benchmark's tracer (perfbench/tracer.py) can wrap
 # them where `cli` would call them; nothing in `cli` calls them itself.
 UNUSED_ON_PURPOSE = {"cli.py": {"decide", "decimate", "predict_posterior"}}
+
+# Module-level definitions that nothing in `moesense` names, each with the
+# caller outside it that keeps it.
+CALLED_FROM_OUTSIDE = {
+    "classifiers.svm_objective": "tests/test_classifiers.py, the SVM tests' objective oracle",
+}
 
 
 def unused_imports(tree: ast.Module) -> set[str]:
@@ -32,3 +40,37 @@ def test_every_imported_name_is_used(path):
 def test_the_guard_sees_an_unused_import():
     tree = ast.parse("import math\nimport numpy as np\nfrom x import a, b\nprint(np, a)\n")
     assert unused_imports(tree) == {"math", "b"}
+
+
+def named(node: ast.AST) -> Counter:
+    """How often each name is used, read as an attribute, or imported under `node`."""
+    found = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            found[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            found[n.attr] += 1
+        elif isinstance(n, (ast.Import, ast.ImportFrom)):
+            found.update(alias.name.split(".")[-1] for alias in n.names)
+    return found
+
+
+def uncalled(modules: dict[str, ast.Module]) -> set[str]:
+    """The module-level functions and classes, as "module.name", that no
+    module names outside their own definition."""
+    everywhere = sum((named(tree) for tree in modules.values()), Counter())
+    return {f"{module}.{node.name}" for module, tree in modules.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and everywhere[node.name] == named(node)[node.name]}
+
+
+def test_every_helper_has_a_caller():
+    modules = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    assert uncalled(modules) == set(CALLED_FROM_OUTSIDE)
+
+
+def test_the_guard_sees_a_helper_without_a_caller():
+    modules = {"a": ast.parse("def f(n):\n    return f(n - 1)\n\ndef g():\n    pass\n\n"
+                              "class C:\n    pass\n\nclass D:\n    pass\n"),
+               "b": ast.parse("from .a import g\nimport a\n\ndef h():\n    return g(), a.C\n")}
+    assert uncalled(modules) == {"a.f", "a.D", "b.h"}
