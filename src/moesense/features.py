@@ -5,15 +5,15 @@ energy distribution of the temporal amplitude variation, and order/moment
 statistics of the amplitude series. Both operate on the subcarrier-averaged
 amplitude, so a stream reduces to one real time series before analysis.
 
-The Pearson correlation here is also the gating primitive used to match
-incoming features against per-expert template centroids.
+The Pearson correlation here is the gate's primitive: `centre_rows` prepares
+each template centroid and stream feature once, and `pearson` correlates two.
 """
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,7 +36,7 @@ _ZERO_ENERGY_EPS = 1e-15
 # and overflow, so its denominator is computed at full precision.
 _SAFE_SUMSQ = (2.0**-500, 2.0**500)
 
-_max, _min, _sum = np.maximum.reduce, np.minimum.reduce, np.add.reduce
+_sum = np.add.reduce
 
 
 class FeatureKind(enum.Enum):
@@ -150,26 +150,42 @@ def amp_stats_from_series(series: np.ndarray, packet_rate: float) -> FeatureVect
     return FeatureVector(FeatureKind.AMPLITUDE_STATS, values, packet_rate)
 
 
-def pearson(a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarray) -> float:
-    """Pearson correlation coefficient; 0.0 when either input has zero variance."""
-    x = np.asarray(a, dtype=np.float64)
-    y = np.asarray(b, dtype=np.float64)
+class Centred(NamedTuple):
+    """One `pearson` operand, prepared once: the vector less its mean,
+    whether its range is zero, and its centred sum of squares."""
+    values: np.ndarray
+    constant: bool
+    sumsq: float
+
+
+def centre_rows(rows: np.ndarray) -> list[Centred]:
+    """Each row of the 2-D `rows` prepared for `pearson`, by one block pass
+    that gives every row the bits preparing it alone gives, its values a view
+    into one centred block. A zero range catches a constant row exactly,
+    before mean-subtraction rounding can manufacture a spurious variance."""
+    centred = list(rows - (_sum(rows, axis=1) / rows.shape[1])[:, None])
+    with np.errstate(over="ignore", under="ignore"):
+        sumsq = list(map(float, map(np.ndarray.dot, centred, centred)))
+    return list(map(Centred, centred, (np.ptp(rows, axis=1) == 0.0).tolist(), sumsq))
+
+
+def pearson(a: Sequence[float] | np.ndarray | Centred,
+            b: Sequence[float] | np.ndarray | Centred) -> float:
+    """Pearson correlation coefficient; 0.0 when either input has zero variance.
+
+    A vector input is prepared here; an operand from `centre_rows` is prepared
+    once, and each correlation with it is one dot product."""
+    x = a.values if isinstance(a, Centred) else np.asarray(a, dtype=np.float64)
+    y = b.values if isinstance(b, Centred) else np.asarray(b, dtype=np.float64)
     if x.shape != y.shape:
         raise InputError(f"length mismatch: {x.shape} vs {y.shape}")
     if x.size < 2:
         raise InputError(f"need at least 2 points, got {x.size}")
-    # A zero range catches constant inputs exactly, before mean-subtraction
-    # rounding can manufacture a spurious nonzero variance. The bare ufunc
-    # reductions compute what np.ptp and ndarray.mean do, without their
-    # dispatch overhead: the gate calls this once per scored centroid.
-    if (_max(x, axis=None) - _min(x, axis=None) == 0.0
-            or _max(y, axis=None) - _min(y, axis=None) == 0.0):
+    a = a if isinstance(a, Centred) else centre_rows(x.reshape(1, -1))[0]
+    b = b if isinstance(b, Centred) else centre_rows(y.reshape(1, -1))[0]
+    if a.constant or b.constant:
         return 0.0
-    xc = x - _sum(x, axis=None) / x.size
-    yc = y - _sum(y, axis=None) / y.size
-    with np.errstate(over="ignore", under="ignore"):
-        vx = float(xc @ xc)
-        vy = float(yc @ yc)
+    xc, yc, vx, vy = a.values, b.values, a.sumsq, b.sumsq
     if not (_SAFE_SUMSQ[0] < vx < _SAFE_SUMSQ[1] and _SAFE_SUMSQ[0] < vy < _SAFE_SUMSQ[1]):
         # Tiny or huge inputs would underflow or overflow the sums. Scaling by
         # a power of two is exact, and the correlation is scale-invariant.
@@ -177,11 +193,11 @@ def pearson(a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarray) ->
         # scale factor 2**-exp would itself overflow) is handled too.
         xc = np.ldexp(xc, -math.frexp(float(np.abs(xc).max()))[1])
         yc = np.ldexp(yc, -math.frexp(float(np.abs(yc).max()))[1])
-        vx = float(xc @ xc)
-        vy = float(yc @ yc)
+        vx = float(xc.dot(xc))
+        vy = float(yc.dot(yc))
     if vx <= 0.0 or vy <= 0.0:
         return 0.0
-    return float(xc @ yc) / math.sqrt(vx * vy)
+    return float(xc.dot(yc)) / math.sqrt(vx * vy)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import numpy as np
 
 from .classifiers import HYPERPARAM_RANGES, HYPERPARAMS
 from .errors import ConfigurationError, InputError
-from .features import MAX_FEATURE, FeatureKind, FeatureVector, pearson
+from .features import MAX_FEATURE, Centred, FeatureKind, FeatureVector, centre_rows, pearson
 from .simulate import check_positive
 
 # Score assigned to an expert whose template has no centroids at all
@@ -143,9 +143,8 @@ class TemplateLibrary:
     The scalers are fitted on validation features when the bundle is built.
     Scoring correlates z-scored vectors, which keeps heterogeneous-scale
     features such as the amplitude statistics from saturating every
-    correlation near 1. A library is built once and never changes. Each
-    template is scaled, as `score_experts` correlates its rows, when the
-    library is built, never per request.
+    correlation near 1. A library is built once and never changes. `operands`
+    holds each expert's centroids as one `prepare` pass per kind made them.
     """
 
     def __init__(self, templates: Mapping[str, Template],
@@ -161,7 +160,7 @@ class TemplateLibrary:
                 if not np.isfinite(2 * ((MAX_FEATURE + np.abs(mean)) / std).sum()):
                     raise ConfigurationError(f"{kind.value} scaler could overflow a feature")
             self._scalers[kind] = (mean, std)
-        self._templates, self._prescaled = dict(templates), {}
+        self._templates = dict(templates)
         for eid, t in self._templates.items():
             if (t.kind not in self._scalers or t.values.shape[1:] != self._scalers[t.kind][0].shape
                     or not len(set(t.labels)) == len(t.labels) == len(t.values)
@@ -170,20 +169,25 @@ class TemplateLibrary:
                                          f"scaler of its width, and a distinct label and a rate per row")
             if not np.abs(t.values).max(initial=0.0) < MAX_FEATURE:  # NaN fails it too
                 raise ConfigurationError(f"a centroid of {eid} is not below {MAX_FEATURE:g} in size")
-            self._prescaled[eid] = self._scaled(t.kind, t.values)
+        operands: dict[str, list[Centred | None]] = {}
+        for kind in {t.kind for t in self._templates.values()}:
+            owners = [(eid, t) for eid, t in self._templates.items() if t.kind is kind]
+            ops = iter(self.prepare(kind, np.concatenate([t.values for _, t in owners])))
+            operands.update((eid, [next(ops) for _ in range(len(t.values))]) for eid, t in owners)
+        self.operands: Mapping[str, list[Centred | None]] = MappingProxyType(operands)
 
     @property
     def scalers(self) -> Mapping[FeatureKind, tuple[np.ndarray, np.ndarray]]:
         """Per kind, the mean and std the gate standardizes by; a zero std is kept as 1."""
         return MappingProxyType(self._scalers)
 
-    def _scaled(self, kind: FeatureKind, rows: np.ndarray) -> list[np.ndarray | None]:
+    def prepare(self, kind: FeatureKind, rows: np.ndarray) -> list[Centred | None]:
         """Each of `rows` as the gate correlates it: None when the raw row is
         constant, which scores 0.0 whatever it is matched with, and otherwise
-        standardized by the scaler of `kind`."""
+        standardized by the scaler of `kind` and prepared for `pearson`."""
         mean, std = self._scalers[kind]
         constant = (np.ptp(rows, axis=1) == 0.0).tolist()
-        return [None if c else row for c, row in zip(constant, (rows - mean) / std)]
+        return [None if c else op for c, op in zip(constant, centre_rows((rows - mean) / std))]
 
     def template(self, expert_id: str) -> Template:
         if expert_id not in self._templates:
@@ -194,12 +198,6 @@ class TemplateLibrary:
         t = self.template(expert_id)
         return {label: FeatureVector(t.kind, row, rate)
                 for label, rate, row in zip(t.labels, t.source_rates.tolist(), t.values)}
-
-    def scaled_centroids(self, expert_id: str) -> list[np.ndarray | None]:
-        """Each centroid as the gate correlates it (see `_scaled`), in the
-        order of `centroids`; `template` holds their one kind."""
-        self.template(expert_id)
-        return self._prescaled[expert_id]
 
     def expert_ids(self) -> list[str]:
         return sorted(self._templates)
@@ -225,21 +223,21 @@ def score_experts(
 ) -> dict[str, float]:
     """Max-over-class Pearson correlation against each candidate's centroids.
 
-    The library holds its centroids already scaled; each stream feature is
-    scaled once, when the first expert of its kind needs it.
+    The library holds its centroids already prepared; each stream feature is
+    prepared once, when the first expert of its kind needs it.
     """
     scores: dict[str, float] = {}
-    features: dict[FeatureKind, np.ndarray | None] = {}
+    features: dict[FeatureKind, Centred | None] = {}
     for eid in candidate_ids:
-        centroids = templates.scaled_centroids(eid)
+        kind = templates.template(eid).kind
+        centroids = templates.operands[eid]
         if not centroids:
             scores[eid] = NO_TEMPLATE_SCORE
             continue
-        kind = templates.template(eid).kind
         if kind not in features:
             if kind not in stream_features:
                 raise InputError(f"no {kind.value} feature supplied for expert {eid}")
-            features[kind] = templates._scaled(kind, stream_features[kind].values[None])[0]
+            features[kind] = templates.prepare(kind, stream_features[kind].values[None])[0]
         feature = features[kind]
         scores[eid] = float(max(0.0 if feature is None or row is None else pearson(feature, row)
                                 for row in centroids))

@@ -11,6 +11,7 @@ from moesense.features import (
     DopplerConfig,
     FeatureKind,
     amp_stats_from_series,
+    centre_rows,
     extract_amp_stats,
     extract_doppler,
     pearson,
@@ -270,9 +271,9 @@ def pearson_reference(a, b):
 
 
 @st.composite
-def pearson_inputs(draw):
-    """Two vectors of one length: scaled far into the tiny or the huge range,
-    constant, integer, or any floats at all (NaN, infinities, subnormals)."""
+def pearson_inputs(draw, count=2):
+    """`count` vectors of one length: each scaled far into the tiny or the huge
+    range, constant, integer, or any floats at all (NaN, infinities, subnormals)."""
     n = draw(st.integers(1, 12))
 
     def vector():
@@ -286,7 +287,7 @@ def pearson_inputs(draw):
         unit = draw(st.lists(st.floats(-1, 1), min_size=n, max_size=n))
         return np.ldexp(unit, draw(st.integers(-1074, 1023)))
 
-    return vector(), vector()
+    return tuple(vector() for _ in range(count))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN and inf inputs warn in both
@@ -301,3 +302,42 @@ def test_pearson_equals_the_reference_bit_for_bit(ab):
             pearson(a, b)
         return
     assert repr(pearson(a, b)) == repr(expected)  # tells -0.0 from 0.0, and NaN equals NaN
+
+
+def prepared(v):
+    """`v` as a `pearson` operand, prepared alone."""
+    return centre_rows(np.asarray(v, dtype=np.float64).reshape(1, -1))[0]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=500, deadline=None)
+@given(pearson_inputs(count=4))
+def test_prepared_operands_correlate_as_the_reference_bit_for_bit(vectors):
+    """One prepared operand reused against several partners, each given as a
+    vector or prepared, with the vector or the prepared operand on either side."""
+    a, *partners = vectors
+    pa = prepared(a)
+    for b in partners:
+        pb = prepared(b)
+        calls = [(pa, b), (b, pa), (a, pb), (pb, a), (pa, pb), (pb, pa)]
+        try:
+            expected = [pearson_reference(a, b), pearson_reference(b, a)] * 3
+        except InputError:  # fewer than 2 points
+            for x, y in calls:
+                with pytest.raises(InputError):
+                    pearson(x, y)
+            continue
+        assert [repr(pearson(x, y)) for x, y in calls] == [repr(r) for r in expected]
+        # a width mismatch is an InputError, even against a constant operand
+        wider = prepared([*b, b[0]])
+        for x, y in [(pa, wider), (wider, pa), (a, wider), (prepared([0.0] * (len(b) + 1)), pa)]:
+            with pytest.raises(InputError):
+                pearson(x, y)
+
+
+def test_prepared_operand_views_one_centred_block():
+    rows = np.array([[1.0, 2.0, 6.0], [3.0, 3.0, 3.0]])
+    ops = centre_rows(rows)
+    assert [op.constant for op in ops] == [False, True]
+    assert ops[0].values.base is ops[1].values.base is not None
+    assert ops[0].values.tolist() == [-2.0, -1.0, 3.0] and ops[0].sumsq == 14.0

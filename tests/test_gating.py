@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moesense import gating
 from moesense.errors import ConfigurationError, InputError
 from moesense.features import MAX_FEATURE, FeatureKind, FeatureVector, pearson
 from moesense.gating import (
@@ -135,7 +136,7 @@ def test_score_matches_max_over_class_pearson_oracle():
     scores = score_experts({D: x}, lib, ["E1", "E2", "E3"])
     for eid, by_class in lib_entries.items():
         expected = max(pearson(x.values, c.values) for c in by_class.values())
-        assert scores[eid] == pytest.approx(expected, abs=1e-12)
+        assert scores[eid] == expected
 
 
 def test_score_missing_template_is_config_error():
@@ -203,9 +204,6 @@ def reference_scores(stream_features, lib, candidate_ids):
     return scores
 
 
-WIDTHS = {D: 5, S: 6}
-
-
 def vectors(width):
     """Feature values, constant about half of the time."""
     return st.one_of(
@@ -215,10 +213,9 @@ def vectors(width):
 
 
 @st.composite
-def scalers(draw, kind):
-    """A scaler for `kind`, the identity about half of the time; its std may
+def scalers(draw, width):
+    """A scaler of `width`, the identity about half of the time; its std may
     have zero dimensions."""
-    width = WIDTHS[kind]
     if draw(st.booleans()):
         return np.zeros(width), np.ones(width)
     mean = draw(st.lists(st.floats(-5, 5), min_size=width, max_size=width))
@@ -231,33 +228,78 @@ def scalers(draw, kind):
 def gates(draw):
     """A library (experts of either kind, some with no centroids, rows
     constant about half of the time, and a scaler for each kind) and the
-    stream's features."""
+    stream's features. Doppler rows are 5 wide or, as served, 25 wide, which
+    numpy sums with its eight-accumulator pairwise loop; amp_stats rows are 6."""
+    widths = {D: draw(st.sampled_from([5, 25])), S: 6}
     entries = {}
     for i in range(draw(st.integers(1, 5))):
         kind = draw(st.sampled_from([D, S]))
         classes = draw(st.lists(st.integers(0, 5), max_size=4, unique=True))
-        rows = np.reshape([draw(vectors(WIDTHS[kind])) for _ in classes],
-                          (len(classes), WIDTHS[kind]))
+        rows = np.reshape([draw(vectors(widths[kind])) for _ in classes],
+                          (len(classes), widths[kind]))
         entries[f"E{i}"] = template(kind, rows, classes)
-    features = {kind: fv(draw(vectors(WIDTHS[kind])), kind) for kind in (D, S)}
-    lib = TemplateLibrary(entries, {kind: draw(scalers(kind)) for kind in (D, S)})
+    features = {kind: fv(draw(vectors(widths[kind])), kind) for kind in (D, S)}
+    lib = TemplateLibrary(entries, {kind: draw(scalers(widths[kind])) for kind in (D, S)})
     return lib, features, sorted(entries)
+
+
+def prepared_alone(raw, mean, std):
+    """(values, sumsq) of the operand the gate correlates for the raw vector
+    `raw`, by numpy's own mean and product on that row alone, or None when
+    `raw` is constant."""
+    if np.ptp(raw) == 0.0:
+        return None
+    x = (raw - mean) / std
+    xc = x - x.mean()
+    with np.errstate(over="ignore", under="ignore"):
+        return xc.tobytes(), repr(float(xc @ xc))
 
 
 @settings(max_examples=300, deadline=None)
 @given(gates())
 def test_scores_equal_the_reference_exactly(gate):
-    """Every pre-scaled row is `(v - mean) / std` of its raw row bit for bit,
-    or None when that row is constant, and the scores are their definition."""
+    """Every operand of the library's stacked pass is what preparing
+    `(v - mean) / std` of its raw row alone gives, bit for bit, or None when
+    that row is constant, and the scores are their definition."""
     lib, features, ids = gate
     for eid in ids:
-        kind = lib.template(eid).kind
-        mean, std = lib.scalers[kind]
-        expected = [None if np.ptp(c.values) == 0.0 else ((c.values - mean) / std).tobytes()
-                    for c in lib.centroids(eid).values()]
-        assert [None if row is None else row.tobytes()
-                for row in lib.scaled_centroids(eid)] == expected
+        mean, std = lib.scalers[lib.template(eid).kind]
+        expected = [prepared_alone(c.values, mean, std) for c in lib.centroids(eid).values()]
+        assert [None if op is None else (op.values.tobytes(), repr(op.sumsq))
+                for op in lib.operands[eid]] == expected
     assert score_experts(features, lib, ids) == reference_scores(features, lib, ids)
+
+
+def test_pearson_is_called_once_per_pair_of_non_constant_raw_vectors(monkeypatch):
+    """The rule the benchmark's call-count pin relies on: the gate calls
+    `pearson` once for each candidate centroid whose raw row is not constant,
+    when the stream's raw feature of that kind is not constant either. A
+    row that is constant only after scaling is still correlated, and scores
+    0.0."""
+    calls = []
+
+    def counting(a, b):
+        calls.append(r := pearson(a, b))
+        return r
+
+    monkeypatch.setattr(gating, "pearson", counting)
+    mean = np.arange(6.0)
+    lib = TemplateLibrary(
+        {"E1": template(S, [[2.0] * 6, mean + 1.0, [1.0, 0.0, 3.0, 2.0, 5.0, 4.0]]),
+         "E2": template(S, [mean + 3.0]),  # constant once scaled
+         "E3": template(S, np.zeros((0, 6))),
+         "E4": template(D, [[0.1, 0.2, 0.3, 0.4, 0.5], [0.5, 0.1, 0.1, 0.1, 0.2]])},
+        {S: (mean, np.ones(6)), D: (np.zeros(5), np.ones(5))})
+    ids = ["E1", "E2", "E3", "E4"]
+    for doppler, expected_calls in (([0.2] * 5, 3), ([0.3, 0.1, 0.2, 0.2, 0.2], 5)):
+        features = {S: fv([1.0, 3.0, 2.0, 5.0, 4.0, 6.0], S), D: fv(doppler)}
+        calls.clear()
+        scores = score_experts(features, lib, ids)
+        rule = sum(1 for eid in ids for c in lib.centroids(eid).values()
+                   if np.ptp(c.values) > 0 and np.ptp(features[c.kind].values) > 0)
+        assert len(calls) == rule == expected_calls
+        assert scores["E2"] == 0.0 and calls[2] == 0.0  # E2's call
+        assert scores["E3"] == NO_TEMPLATE_SCORE
 
 
 @pytest.mark.parametrize("centroids,scalers", [
