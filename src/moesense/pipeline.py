@@ -61,7 +61,7 @@ from .gating import (
     spec_to_jsonable,
     validate_registry,
 )
-from .simulate import CsiStream, check_positive, check_samples, decimate, decimation_stride
+from .simulate import CsiStream, check_positive, check_samples, check_seed, decimate, decimation_stride
 
 BUNDLE_MAGIC = b"MOEB"
 BUNDLE_VERSION = 7
@@ -166,6 +166,7 @@ def split_train_val(
         raise InputError(f"{len(items)} items but {len(labels)} labels")
     if not 0 < val_fraction < 1:
         raise ConfigurationError(f"val_fraction must lie between 0 and 1, got {val_fraction}")
+    check_seed(seed, "seed")
     rng = np.random.default_rng(seed)
     train_idx: list[int] = []
     val_idx: list[int] = []
@@ -257,6 +258,7 @@ def build_bundle(
     never gets right have no centroid.
     """
     validate_registry(registry)
+    check_seed(seed, "seed")
     if len(train_labels) == 0 or len(val_labels) == 0:
         raise TrainingError("train and validation sets must be non-empty")
     k_max = int(max(max(train_labels), max(val_labels)))

@@ -34,8 +34,6 @@ SUBCARRIER_SPACING_HZ = 312_500.0
 PATH_AMPLITUDE_RANGE = (0.7, 1.0)
 PATH_DELAY_RANGE_NS = (5.0, 50.0)
 
-_MAX_SEED = 2**63
-
 # Streams hold real and imaginary parts below this in size. Features then stay below
 # `features.MAX_FEATURE`, 1e101 (the amplitude variance), and the squares later steps
 # take (spectral power, KNN distances) below 1e203, so none overflows, even over a small std.
@@ -73,8 +71,7 @@ class ScenarioConfig:
             raise ConfigurationError(
                 f"doppler_range max {hi} Hz would alias at packet_rate {self.packet_rate} pkts/s"
             )
-        if not (0 <= self.rng_seed < _MAX_SEED):
-            raise ConfigurationError("rng_seed must fit in a 64-bit integer")
+        check_seed(self.rng_seed, "rng_seed")
 
     @property
     def num_packets(self) -> int:
@@ -187,6 +184,13 @@ def check_positive(value: float, what: str, error: type[MoeSenseError] = InputEr
         raise error(f"{what} must be finite and positive, got {value}")
 
 
+def check_seed(seed: int, what: str) -> None:
+    """ConfigurationError unless `seed` lies in [0, 2**63): a stream stores its
+    seed as an i64, and bundle metadata must read its seed back as a float."""
+    if not 0 <= seed < 2**63:
+        raise ConfigurationError(f"{what} must be an integer in [0, 2**63)")
+
+
 def check_samples(stream: CsiStream, error: type[MoeSenseError] = InputError) -> None:
     """`error` unless `stream` holds samples, all finite and below MAX_SAMPLE in size."""
     values = np.ascontiguousarray(stream.samples, np.complex128).view(np.float64)
@@ -276,7 +280,7 @@ def write_manifest(path: str | Path, entries: Iterable[ManifestEntry]) -> None:
         writer = csv.writer(fh)
         writer.writerow(["path", "label", "rate"])
         for e in entries:
-            writer.writerow([e.path, e.label, f"{e.rate:.4f}"])
+            writer.writerow([e.path, e.label, repr(float(e.rate))])
 
 
 def read_manifest(path: str | Path) -> list[ManifestEntry]:

@@ -19,13 +19,13 @@ from moesense.classifiers import (
     train_knn,
     train_linear_svm,
 )
-from moesense.cli import (
+from moesense.cli import main
+from moesense.evaluate import (
     ExperimentConfig,
     dataset_configs,
     evaluate_rate_sweep,
     evaluate_target_sweep,
     iter_dataset,
-    main,
 )
 from moesense.features import FeatureKind, FeatureVector, extract_doppler, pearson
 from moesense.gating import GatingMode, default_registry, filter_by_rate

@@ -17,9 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moesense import cli, pipeline
+from moesense import cli, evaluate, pipeline
 from moesense.classifiers import HYPERPARAM_RANGES, HYPERPARAMS, LabeledDataset
-from moesense.cli import evaluate_rate_sweep, evaluate_target_sweep, main
+from moesense.cli import main
+from moesense.evaluate import evaluate_rate_sweep, evaluate_target_sweep
 from moesense.errors import (
     EXIT_CONFIG,
     EXIT_FORMAT,
@@ -124,7 +125,7 @@ def test_generate_flags_set_every_scene_field(tmp_path):
                "--snr-db", "20", "--doppler-min", "10", "--doppler-max", "30"])
     assert rc == EXIT_OK
     scene = ScenarioConfig(0, 400.0, 0.5, 3, 20.0, (10.0, 30.0))
-    configs = cli.dataset_configs(cli.ExperimentConfig(1, 2, 9, scene))
+    configs = evaluate.dataset_configs(evaluate.ExperimentConfig(1, 2, 9, scene))
     entries = read_manifest(out / "manifest.csv")
     assert len(entries) == len(configs) == 4
     for entry, config in zip(entries, configs):
@@ -132,14 +133,14 @@ def test_generate_flags_set_every_scene_field(tmp_path):
 
 
 def test_experiment_config_keeps_one_scene():
-    assert [f.name for f in dataclasses.fields(cli.ExperimentConfig)] == [
+    assert [f.name for f in dataclasses.fields(evaluate.ExperimentConfig)] == [
         "k_max", "streams_per_class", "seed", "scene"]
-    assert cli.ExperimentConfig().scene == ScenarioConfig(0)
+    assert evaluate.ExperimentConfig().scene == ScenarioConfig(0)
 
 
 MOVED_OWNERS = {
     "ExperimentConfig": functools.partial(
-        cli.ExperimentConfig, 7, 3, 8, ScenarioConfig(0, 800.0, 1.5, 12, 20.0, (7.0, 70.0))),
+        evaluate.ExperimentConfig, 7, 3, 8, ScenarioConfig(0, 800.0, 1.5, 12, 20.0, (7.0, 70.0))),
     "DEFAULT_VAL_FRACTION": 0.4,
     "DEFAULT_RATES": (150.0, 250.0),
     "DEFAULT_TARGET_COUNTS": (1, 2),
@@ -170,8 +171,8 @@ def test_parser_defaults_read_their_owners(monkeypatch, owners):
     assert (targets.counts, targets.rate) == (list(cli.DEFAULT_TARGET_COUNTS), cli.DEFAULT_SWEEP_RATE)
     if owners == "as_built":
         assert cli.DEFAULT_VAL_FRACTION == pipeline.DEFAULT_VAL_FRACTION
-        sweep_seed = inspect.signature(cli.evaluate_rate_sweep).parameters["seed"].default
-        assert sweep_seed == cli.ExperimentConfig().seed
+        sweep_seed = inspect.signature(evaluate.evaluate_rate_sweep).parameters["seed"].default
+        assert sweep_seed == evaluate.ExperimentConfig().seed
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +204,32 @@ def test_train_val_fraction_outside_zero_to_one_is_config_error(dataset, tmp_pat
     assert rc == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("error: val_fraction must lie between 0 and 1")
     assert not out.exists()
+
+
+# numpy refuses a negative seed, and a bundle's metadata must read its seed
+# back as a float; 2**63 is the first seed past the range.
+@pytest.mark.parametrize("command,seed", [("generate", -1), ("train", -1), ("eval-rate", -1),
+                                          ("train", 2**63), ("train", int("9" * 400))],
+                         ids=["generate-1", "train-1", "eval-rate-1", "train-2**63", "train-400-nines"])
+def test_seed_outside_zero_to_2_63_is_config_error(dataset, bundle_path, tmp_path, capsys,
+                                                   command, seed):
+    out = tmp_path / "out"
+    inputs = {"generate": GEN_ARGS,
+              "train": ["--dataset", str(dataset)],
+              "eval-rate": ["--bundle", str(bundle_path), "--dataset", str(dataset), "--rates", "100"]}
+    capsys.readouterr()
+    rc = main([command, *inputs[command], "--out", str(out), f"--seed={seed}"])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: seed must be an integer in [0, 2**63)")
+    assert not out.exists()
+
+
+def test_largest_seed_trains_a_bundle_that_loads(dataset, tmp_path):
+    out = tmp_path / "b.moe"
+    assert main(["train", "--dataset", str(dataset), "--out", str(out),
+                 "--seed", str(2**63 - 1)]) == EXIT_OK
+    stream = dataset / read_manifest(dataset / "manifest.csv")[0].path
+    assert main(["detect", "--bundle", str(out), "--stream", str(stream), "--rate", "300"]) == EXIT_OK
 
 
 def test_train_duplicate_registry_id(dataset, tmp_path):
@@ -401,6 +428,19 @@ def test_eval_rate_above_base_rejected(dataset, bundle_path, tmp_path):
     rc = main(["eval-rate", "--bundle", str(bundle_path), "--dataset", str(dataset),
                "--rates", "2000", "--out", str(tmp_path / "r.csv")])
     assert rc == EXIT_INPUT
+
+
+def test_eval_rate_at_the_streams_own_rate(bundle_path, tmp_path):
+    # the dataset's base rate, read from its manifest, is the streams' own rate
+    data = tmp_path / "ds"
+    assert main(["generate", "--out", str(data), "--k-max", "1", "--streams-per-class", "2",
+                 "--subcarriers", "4", "--duration", "1.0", "--packet-rate", "333.33333"]) == EXIT_OK
+    out = tmp_path / "r.csv"
+    rc = main(["eval-rate", "--bundle", str(bundle_path), "--dataset", str(data),
+               "--rates", "333.33333", "--out", str(out)])
+    assert rc == EXIT_OK
+    (row,) = read_csv(out)
+    assert (row["rate"], row["n_samples"]) == ("333.3333", "4")
 
 
 def test_eval_rate_repeated_rate_is_input_error(dataset, bundle_path, tmp_path):

@@ -10,7 +10,7 @@ SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "moesense").glob
 
 # Imported only so that the benchmark's tracer (perfbench/tracer.py) can wrap
 # them where `cli` would call them; nothing in `cli` calls them itself.
-UNUSED_ON_PURPOSE = {"cli.py": {"decide", "decimate", "predict_posterior"}}
+UNUSED_ON_PURPOSE = {"cli.py": {"decide", "decimate", "fuse", "predict_posterior"}}
 
 # Module-level definitions that nothing in `moesense` names, each with the
 # caller outside it that keeps it.
@@ -35,6 +35,16 @@ def unused_imports(tree: ast.Module) -> set[str]:
 def test_every_imported_name_is_used(path):
     unused = unused_imports(ast.parse(path.read_text(encoding="utf-8")))
     assert unused == UNUSED_ON_PURPOSE.get(path.name, set())
+
+
+def test_cli_only_parses_and_formats():
+    # the experiments live in `evaluate`; `cli` holds the commands and the parser
+    tree = ast.parse((SOURCES[0].parent / "cli.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert not {name for name in imported if name and name.split(".")[0] == "numpy"}
+    assert not [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
 
 
 def test_the_guard_sees_an_unused_import():

@@ -29,8 +29,10 @@ DETECT_RATES = ("50", "300", "500")
 DETECT_STREAMS = range(0, 36, 6)  # manifest rows: two streams of each class
 
 OUTPUT_PINS = {
-    # manifest.csv, then every stream file in manifest order
-    "dataset": "f717d1d4a6e1f24414344d78b81a891bbb6c48c3089b026d465c608c2f0e1d64",
+    # manifest.csv, then every stream file in manifest order. The manifest writes
+    # each rate as `repr(float(rate))` ("1000.0"); with "1000.0000" the same
+    # streams gave f717d1d4a6e1f244...
+    "dataset": "c63e7382d314c0c07fa52e0383bb98e7e64f5d1c1317a1b79787a8f9b47598f4",
     "eval_rate_csv": "15208e1352f5a940bd988a6bfa0bb832a8d42dc1b1c3dce294a38bba7647f5b0",
     "eval_targets_csv": "a0e608193e21be95b8cc3165121ab6f2adae636f78ed474df5c2db8f4cdcaef0",
     # stdout of every detect call, streams outer and rates inner

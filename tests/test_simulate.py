@@ -286,7 +286,10 @@ def test_stream_reader_rejects_a_stream_without_packets():
 
 
 def test_manifest_round_trip(tmp_path):
-    entries = [ManifestEntry("a.csi", 0, 1000.0), ManifestEntry("b.csi", 3, 500.0)]
+    # every rate reads back as written: rounded to 4 places, 333.33333 would
+    # fall below its streams' own rate, and 0.00004 to 0
+    entries = [ManifestEntry("a.csi", 0, 1000.0), ManifestEntry("b.csi", 3, 500.0),
+               ManifestEntry("c.csi", 1, 333.33333), ManifestEntry("d.csi", 2, 0.00004)]
     path = tmp_path / "manifest.csv"
     write_manifest(path, entries)
     loaded = read_manifest(path)
