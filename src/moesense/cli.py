@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .errors import EXIT_IO, EXIT_OK, InputError, MoeSenseError, TrainingError
+from .errors import EXIT_IO, EXIT_OK, InputError, MoeSenseError
 from .evaluate import (
     DEFAULT_SWEEP_RATE,
     ExperimentConfig,
@@ -92,7 +92,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         per_class_counter[label] = idx + 1
         name = f"class{label}_{idx:04d}.csi"
         save_stream(stream, out_dir / name)
-        entries.append(ManifestEntry(name, label, stream.packet_rate))
+        entries.append(ManifestEntry(name, label))
     write_manifest(out_dir / "manifest.csv", entries)
     print(f"wrote {len(entries)} streams to {out_dir}")
     return EXIT_OK
@@ -101,8 +101,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     dataset_dir = Path(args.dataset)
     entries = _load_dataset_entries(dataset_dir)
-    if not entries:
-        raise TrainingError(f"dataset {dataset_dir} is empty")
     registry = load_registry(args.registry) if args.registry else default_registry()
 
     labels = [e.label for e in entries]
@@ -131,17 +129,11 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    """eval-rate and eval-targets: load, check the rates, sweep, write the CSV."""
+    """eval-rate and eval-targets: load, sweep, write the CSV."""
     bundle = load_bundle(args.bundle)
     dataset_dir = Path(args.dataset)
     entries = _load_dataset_entries(dataset_dir)
-    if not entries:
-        raise InputError("dataset manifest lists no streams")
     by_rate = args.command == "eval-rate"
-    base = min(e.rate for e in entries)
-    too_high = [r for r in (args.rates if by_rate else [args.rate]) if r > base]
-    if too_high:
-        raise InputError(f"rates {too_high} above dataset base rate {base}")
     data = ((load_stream(dataset_dir / e.path), e.label) for e in entries)
     if by_rate:
         table = evaluate_rate_sweep(bundle, data, args.rates, seed=args.seed)

@@ -83,8 +83,8 @@ def _count_hits(
     "framework" (`detect`'s prediction), "random3" when `triple_seed` is given,
     then each pool expert (rate-eligible, or all at fallback rates).
 
-    `conditions` pairs each condition with its rate, in row order; it must
-    name at least one condition, and none twice. `condition_of(rate, label)`
+    `data` must hold a stream, and `conditions` at least one condition, none
+    twice, each paired with its rate, in row order. `condition_of(rate, label)`
     names the one a pair counts toward, and pairs outside them are skipped.
     """
     if not conditions or len(dict(conditions)) != len(conditions):
@@ -99,7 +99,8 @@ def _count_hits(
     hits = {c: dict.fromkeys(["n_samples", "framework", *random3, *pools[r]], 0)
             for c, r in conditions}
 
-    for stream, label in data:
+    streams = 0
+    for streams, (stream, label) in enumerate(data, 1):
         cache = StreamFeatures(stream, bundle)
         for r in rates:
             counts = hits.get(condition_of(r, label))
@@ -115,6 +116,8 @@ def _count_hits(
                 counts["random3"] += int(rand_pred == label)
             for eid in pool:
                 counts[eid] += int(np.argmax(cache.posterior(eid, r)) == label)
+    if not streams:
+        raise InputError("a sweep needs at least one stream")
     return hits
 
 

@@ -103,8 +103,8 @@ class TrainedBundle:
                     and len(model.nodes) != params["num_trees"]):
                 raise ConfigurationError(
                     f"model {spec.id} disagrees with its registry entry or the metadata")
-            kind, labels, _, values = self.templates.template(spec.id)
-            if (kind is not spec.feature_kind or values.shape[1:] != (width,)
+            kind, labels, _, _ = self.templates.template(spec.id)
+            if (kind is not spec.feature_kind
                     or not all(type(c) is int and 0 <= c < num_classes for c in labels)):
                 raise ConfigurationError(f"template of {spec.id} does not fit its model")
         for kind, (mean, _) in self.templates.scalers.items():

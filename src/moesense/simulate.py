@@ -8,7 +8,7 @@ as the amount and spread of temporal amplitude variation, which is what the
 downstream feature extractors measure.
 
 Streams round-trip through a small binary container ("CSI1") and datasets
-are described by a plain CSV manifest (path, label, rate).
+are described by a plain CSV manifest (path, label).
 """
 from __future__ import annotations
 
@@ -38,6 +38,7 @@ PATH_DELAY_RANGE_NS = (5.0, 50.0)
 # `features.MAX_FEATURE`, 1e101 (the amplitude variance), and the squares later steps
 # take (spectral power, KNN distances) below 1e203, so none overflows, even over a small std.
 MAX_SAMPLE = 1e50
+SNR_DB_RANGE = (-100.0, 300.0)  # finite snr_db, well inside finite noise below MAX_SAMPLE
 
 STREAM_MAGIC = b"CSI1"
 _HEADER = struct.Struct("<4sQQdqq")  # magic, packets, subcarriers, rate, seed, true count
@@ -71,6 +72,8 @@ class ScenarioConfig:
             raise ConfigurationError(
                 f"doppler_range max {hi} Hz would alias at packet_rate {self.packet_rate} pkts/s"
             )
+        if not (self.snr_db == math.inf or SNR_DB_RANGE[0] <= self.snr_db <= SNR_DB_RANGE[1]):
+            raise ConfigurationError(f"snr_db must be inf or lie in {list(SNR_DB_RANGE)}, got {self.snr_db}")
         check_seed(self.rng_seed, "rng_seed")
 
     @property
@@ -270,17 +273,16 @@ def load_stream(path: str | Path) -> CsiStream:
 
 
 class ManifestEntry(NamedTuple):
+    """One stream file and its label; the stream's rate is in its own header."""
     path: str
     label: int
-    rate: float
 
 
 def write_manifest(path: str | Path, entries: Iterable[ManifestEntry]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["path", "label", "rate"])
-        for e in entries:
-            writer.writerow([e.path, e.label, repr(float(e.rate))])
+        writer.writerow(ManifestEntry._fields)
+        writer.writerows(entries)
 
 
 def read_manifest(path: str | Path) -> list[ManifestEntry]:
@@ -288,14 +290,14 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
         reader = csv.reader(fh)
         try:  # a ValueError includes text that is not UTF-8
             header = next(reader, None)
-            if header != ["path", "label", "rate"]:
-                raise FormatError(f"unexpected manifest header {header}")
-            entries = [ManifestEntry(row[0], int(row[1]), float(row[2])) for row in reader if row]
-        except (IndexError, ValueError, csv.Error) as exc:
+            if header != list(ManifestEntry._fields):
+                raise FormatError(f"manifest header is {header}, expected "
+                                  f"{','.join(ManifestEntry._fields)}")
+            entries = [ManifestEntry(name, int(label)) for name, label in filter(None, reader)]
+        except (ValueError, csv.Error) as exc:
             raise FormatError(f"malformed manifest row: {exc}") from exc
     for e in entries:
         if e.label < 0 or "\0" in e.path:
             raise FormatError(f"manifest row {e.path!r}: label must be >= 0 and path free of "
                               f"NUL, got label {e.label}")
-        check_positive(e.rate, f"manifest row {e.path!r}: rate", FormatError)
     return entries

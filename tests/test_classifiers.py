@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moesense import classifiers
 from moesense.classifiers import (
     HYPERPARAM_RANGES,
     HYPERPARAMS,
@@ -68,6 +69,11 @@ def test_dataset_rejects_count_mismatch():
 def test_dataset_rejects_mixed_lengths():
     with pytest.raises(TrainingError):
         LabeledDataset.build([fv([1, 2]), fv([1, 2, 3])], [0, 1], 2)
+
+
+def test_dataset_rejects_negative_label():
+    with pytest.raises(TrainingError, match="labels must be non-negative"):
+        LabeledDataset.build([fv([1, 2]), fv([3, 4])], [0, -1], num_classes=2)
 
 
 def test_dataset_rejects_label_out_of_range():
@@ -274,6 +280,22 @@ def test_forest_pure_class_single_leaf():
     assert model.leaves.tolist() == [[0.0, 0.0, 1.0, 0.0]] * 3
     post = predict_forest(model, fv([9.0, 9.0]))
     assert post[2] == 1.0
+
+
+def test_forest_never_splits_on_a_constant_column(monkeypatch):
+    unsplittable = []
+
+    def spy(values, labels, num_classes, best_split=classifiers._best_split_on_feature):
+        result = best_split(values, labels, num_classes)
+        if result is None:
+            unsplittable.append(values)
+        return result
+
+    monkeypatch.setattr(classifiers, "_best_split_on_feature", spy)
+    data = _with_constant_column(np.random.default_rng(43))
+    model = train_forest(data, num_trees=5, max_depth=6, seed=2)
+    assert any((values == 3.25).all() for values in unsplittable)  # the constant column's value
+    assert 2 not in model.feature.tolist()
 
 
 def test_forest_deterministic_retraining():

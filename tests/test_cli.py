@@ -8,6 +8,8 @@ import multiprocessing
 import os
 import shutil
 import struct
+import subprocess
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -81,7 +83,7 @@ def test_generate_counts_and_manifest(dataset):
     assert len(entries) == 18  # 3 classes x 6 streams
     assert sorted({e.label for e in entries}) == [0, 1, 2]
     assert all((dataset / e.path).exists() for e in entries)
-    assert all(e.rate == 1000.0 for e in entries)
+    assert all(load_stream(dataset / e.path).packet_rate == 1000.0 for e in entries)
 
 
 def test_generate_deterministic(tmp_path):
@@ -116,6 +118,34 @@ def test_generate_overflowing_scenario_length_is_config_error(tmp_path, capsys):
     assert rc == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.out == ""
+
+
+@pytest.mark.parametrize("flags", [["--k-max", "-1"], ["--streams-per-class", "0"]])
+def test_generate_without_classes_or_streams_is_config_error(tmp_path, capsys, flags):
+    out = tmp_path / "x"
+    assert main(["generate", "--out", str(out), *GEN_ARGS, *flags]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: k_max must be >= 0 and streams_per_class")
+    assert not out.exists()
+
+
+# 4000 dB overflowed 10**(snr/10) and -4000 divided by zero, each a traceback;
+# -1100 wrote streams with 1e55 samples that `train` refused; nan and -inf
+# wrote noise-free streams, as inf does.
+@pytest.mark.parametrize("snr", ["4000", "-4000", "-1100", "nan", "-inf", "-100.5", "300.5"])
+def test_generate_snr_outside_its_range_is_config_error(tmp_path, capsys, snr):
+    out = tmp_path / "x"
+    assert main(["generate", "--out", str(out), *GEN_ARGS, f"--snr-db={snr}"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: snr_db must be inf or lie in [-100.0, 300.0]")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("snr", ["inf", "-100", "300"])
+def test_generate_snr_at_the_ends_of_its_range_writes_streams(tmp_path, snr):
+    out = tmp_path / "x"
+    assert main(["generate", "--out", str(out), "--k-max", "1", "--streams-per-class", "1",
+                 "--subcarriers", "4", "--duration", "1.0", f"--snr-db={snr}"]) == EXIT_OK
+    assert [load_stream(out / e.path).num_packets for e in read_manifest(out / "manifest.csv")] \
+        == [1000, 1000]
 
 
 def test_generate_flags_set_every_scene_field(tmp_path):
@@ -244,6 +274,17 @@ def test_train_duplicate_registry_id(dataset, tmp_path):
     rc = main(["train", "--dataset", str(dataset), "--out", str(tmp_path / "b.moe"),
                "--registry", str(reg_path)])
     assert rc == EXIT_CONFIG
+
+
+def test_train_registry_with_an_empty_id_is_config_error(dataset, tmp_path, capsys):
+    reg_path = tmp_path / "registry.json"
+    reg_path.write_text(json.dumps({"experts": [{"id": "", "feature": "doppler",
+                                                 "classifier": "knn", "required_rate": 100.0}]}))
+    rc = main(["train", "--dataset", str(dataset), "--out", str(tmp_path / "b.moe"),
+               "--registry", str(reg_path)])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: expert id must be non-empty")
+    assert not (tmp_path / "b.moe").exists()
 
 
 @pytest.mark.parametrize("rates", [{"required_rate": float("nan")}, {"required_rate": -300.0}])
@@ -395,6 +436,14 @@ def test_train_registry_with_mistyped_field_is_config_error(dataset, tmp_path, c
     assert not (tmp_path / "b.moe").exists()
 
 
+def test_module_help_exits_0():
+    src = Path(cli.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-m", "moesense.cli", "--help"], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert done.returncode == EXIT_OK
+    assert done.stdout.startswith("usage: moesense") and "eval-targets" in done.stdout
+
+
 def test_train_missing_dataset(tmp_path):
     rc = main(["train", "--dataset", str(tmp_path / "nope"), "--out", str(tmp_path / "b.moe")])
     assert rc == EXIT_INPUT
@@ -424,14 +473,53 @@ def test_eval_rate_schema_and_ranges(dataset, bundle_path, tmp_path):
         assert 0.0 <= float(row["random3"]) <= 1.0
 
 
-def test_eval_rate_above_base_rejected(dataset, bundle_path, tmp_path):
+def test_eval_rate_above_base_rejected(dataset, bundle_path, tmp_path, capsys):
+    out = tmp_path / "r.csv"
     rc = main(["eval-rate", "--bundle", str(bundle_path), "--dataset", str(dataset),
-               "--rates", "2000", "--out", str(tmp_path / "r.csv")])
+               "--rates", "2000", "--out", str(out)])
     assert rc == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: target_rate 2000.0 exceeds stream rate 1000.0")
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def mixed_rates(tmp_path_factory, dataset):
+    """`dataset` plus three class-0 streams at 200 pkts/s."""
+    slow, out = tmp_path_factory.mktemp("slow"), tmp_path_factory.mktemp("mixed")
+    assert main(["generate", "--out", str(slow), "--k-max", "0", "--streams-per-class", "3",
+                 "--subcarriers", "8", "--duration", "1.0", "--packet-rate", "200"]) == EXIT_OK
+    entries = []
+    for folder, prefix in ((dataset, ""), (slow, "slow_")):
+        for e in read_manifest(folder / "manifest.csv"):
+            shutil.copy(folder / e.path, out / (prefix + e.path))
+            entries.append(e._replace(path=prefix + e.path))
+    write_manifest(out / "manifest.csv", entries)
+    return out
+
+
+def test_eval_targets_counts_only_the_streams_of_its_counts(mixed_rates, bundle_path, tmp_path):
+    # each stream states its own rate: the 200 pkts/s streams are all class 0,
+    # which this sweep skips, so they bar no rate
+    out = tmp_path / "t.csv"
+    rc = main(["eval-targets", "--bundle", str(bundle_path), "--dataset", str(mixed_rates),
+               "--counts", "1,2", "--rate", "300", "--out", str(out)])
+    assert rc == EXIT_OK
+    assert [(row["target_count"], row["n_samples"]) for row in read_csv(out)] == [("1", "6"),
+                                                                                  ("2", "6")]
+
+
+def test_eval_rate_above_a_counted_streams_rate_is_input_error(mixed_rates, bundle_path,
+                                                               tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    rc = main(["eval-rate", "--bundle", str(bundle_path), "--dataset", str(mixed_rates),
+               "--rates", "300", "--out", str(out)])
+    assert rc == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: target_rate 300.0 exceeds stream rate 200.0")
+    assert not out.exists()
 
 
 def test_eval_rate_at_the_streams_own_rate(bundle_path, tmp_path):
-    # the dataset's base rate, read from its manifest, is the streams' own rate
+    # the streams' own rate, as their headers state it
     data = tmp_path / "ds"
     assert main(["generate", "--out", str(data), "--k-max", "1", "--streams-per-class", "2",
                  "--subcarriers", "4", "--duration", "1.0", "--packet-rate", "333.33333"]) == EXIT_OK
@@ -799,6 +887,31 @@ def test_detect_bundle_with_non_finite_scaler_is_format_error(dataset, bundle_pa
     assert rc == EXIT_FORMAT
 
 
+def test_detect_bundle_with_a_wider_amp_stats_scaler_is_format_error(dataset, bundle_path,
+                                                                     tmp_path, capsys):
+    # the scaler and every amp_stats centroid one column wider, so they agree with each other
+    def widen(header, blocks, ref, fill):
+        values = np.frombuffer(blocks[ref["block"]], "<f8").reshape(ref["shape"])
+        values = np.concatenate([values, np.full((*values.shape[:-1], 1), fill)], axis=-1)
+        blocks[ref["block"]][:] = values.astype("<f8").tobytes()
+        ref["shape"] = list(values.shape)
+
+    def edit(header, blocks):
+        scaler = header["scalers"]["amp_stats"]
+        widen(header, blocks, scaler["mean"], 0.0)
+        widen(header, blocks, scaler["std"], 1.0)
+        for spec in header["registry"]:
+            if spec["feature"] == "amp_stats":
+                widen(header, blocks, header["templates"][spec["id"]]["values"], 0.0)
+
+    bad = forged_bundle(bundle_path, tmp_path, edit)
+    entry = read_manifest(dataset / "manifest.csv")[0]
+    rc = main(["detect", "--bundle", str(bad), "--stream", str(dataset / entry.path),
+               "--rate", "300"])
+    assert rc == EXIT_FORMAT
+    assert "amp_stats scaler is not 6 wide" in capsys.readouterr().err
+
+
 def test_detect_deeply_nested_bundle_is_format_error(dataset, tmp_path):
     entry = read_manifest(dataset / "manifest.csv")[0]
     body = b"[" * 200_000
@@ -875,13 +988,41 @@ def test_detect_bundle_with_mistyped_registry_field_is_format_error(dataset, bun
     ["eval-rate", "--rates", "100"],
     ["eval-targets", "--counts", "0", "--rate", "300"],
 ])
-def test_eval_on_empty_manifest_is_input_error(bundle_path, tmp_path, command):
+def test_eval_on_empty_manifest_is_input_error(bundle_path, tmp_path, capsys, command):
     empty = tmp_path / "empty"
     empty.mkdir()
-    (empty / "manifest.csv").write_text("path,label,rate\n")
+    (empty / "manifest.csv").write_text("path,label\n")
     rc = main([command[0], "--bundle", str(bundle_path), "--dataset", str(empty),
                "--out", str(tmp_path / "out.csv"), *command[1:]])
     assert rc == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: a sweep needs at least one stream")
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_train_on_empty_manifest_is_training_error(tmp_path, capsys):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    (empty / "manifest.csv").write_text("path,label\n")
+    out = tmp_path / "out" / "b.moe"
+    rc = main(["train", "--dataset", str(empty), "--out", str(out)])
+    assert rc == EXIT_TRAINING
+    assert capsys.readouterr().err.startswith("error: train and validation sets must be non-empty")
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval-rate", "eval-targets"])
+def test_manifest_with_a_rate_column_is_format_error(bundle_path, tmp_path, capsys, command):
+    # what an older `generate` wrote: each stream's rate is in its own header now
+    old = tmp_path / "old"
+    old.mkdir()
+    (old / "manifest.csv").write_text("path,label,rate\nclass0_0000.csi,0,1000.0\n")
+    out = tmp_path / "out"
+    sweep = [] if command == "train" else ["--bundle", str(bundle_path)]
+    rc = main([command, *sweep, "--dataset", str(old), "--out", str(out)])
+    assert rc == EXIT_FORMAT
+    assert capsys.readouterr().err.startswith(
+        "error: manifest header is ['path', 'label', 'rate'], expected path,label")
+    assert not out.exists()
 
 
 def test_bundle_with_a_zero_svm_std_is_format_error(dataset, bundle_path, tmp_path, capsys):
@@ -997,26 +1138,24 @@ def test_malformed_manifest_exits_with_a_documented_code(bundle_path, two_stream
     each is a manifest `moesense eval-rate` must refuse with a documented
     code, never exit 0 or print a traceback."""
     folder = tmp_path_factory.mktemp("fuzz_manifest")
-    rows = [["path", "label", "rate"],
-            *([e.path, str(e.label), repr(e.rate)] for e in read_manifest(two_streams /
-                                                                         "manifest.csv"))]
+    rows = [["path", "label"],
+            *([e.path, str(e.label)] for e in read_manifest(two_streams / "manifest.csv"))]
     row = rows[data.draw(st.integers(1, 2))]
-    mutation = data.draw(st.sampled_from(["header", "path", "label", "rate", "short_row",
+    mutation = data.draw(st.sampled_from(["header", "path", "label", "extra_cell", "short_row",
                                           "huge_cell", "not_utf8"]))
     if mutation == "header":
         rows[0] = data.draw(st.lists(TEXT, max_size=4).filter(
-            lambda cells: cells != ["path", "label", "rate"]))
+            lambda cells: cells != ["path", "label"]))
     elif mutation == "path":  # a path that names no stream file, or holds a NUL
         row[0] = data.draw(TEXT.filter(lambda text: not (two_streams / text).is_file()))
     elif mutation == "label":  # not a count
         row[1] = data.draw(TEXT.filter(lambda text: (n := _read_as(int, text)) is None or n < 0))
-    elif mutation == "rate":  # not a rate at or above the sweep's 600 pkts/s
-        row[2] = data.draw(st.one_of(TEXT, st.floats().map(repr)).filter(
-            lambda text: not 600 <= (_read_as(float, text) or 0.0) < math.inf))
+    elif mutation == "extra_cell":  # such as the rate column an older `generate` wrote
+        row.append(data.draw(st.one_of(TEXT, st.floats().map(repr))))
     elif mutation == "short_row":
-        del row[data.draw(st.integers(1, 2)):]
+        del row[1:]
     elif mutation == "huge_cell":  # over the csv module's field size limit
-        row[data.draw(st.integers(0, 2))] = "9" * (csv.field_size_limit() + 1)
+        row[data.draw(st.integers(0, 1))] = "9" * (csv.field_size_limit() + 1)
     with open(folder / "manifest.csv", "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows(rows)
     if mutation == "not_utf8":

@@ -45,6 +45,12 @@ def test_cli_only_parses_and_formats():
     imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     assert not {name for name in imported if name and name.split(".")[0] == "numpy"}
     assert not [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    # and it checks no dataset rule of its own: its one raise is the missing manifest
+    raises = [node for node in ast.walk(tree) if isinstance(node, ast.Raise)]
+    assert [ast.unparse(node.exc.func) for node in raises] == ["InputError"]
+    assert "no manifest.csv" in ast.unparse(raises[0])
+    assert "TrainingError" not in {alias.name for node in ast.walk(tree)
+                                   if isinstance(node, ast.ImportFrom) for alias in node.names}
 
 
 def test_the_guard_sees_an_unused_import():

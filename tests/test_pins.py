@@ -29,10 +29,11 @@ DETECT_RATES = ("50", "300", "500")
 DETECT_STREAMS = range(0, 36, 6)  # manifest rows: two streams of each class
 
 OUTPUT_PINS = {
-    # manifest.csv, then every stream file in manifest order. The manifest writes
-    # each rate as `repr(float(rate))` ("1000.0"); with "1000.0000" the same
-    # streams gave f717d1d4a6e1f244...
-    "dataset": "c63e7382d314c0c07fa52e0383bb98e7e64f5d1c1317a1b79787a8f9b47598f4",
+    # manifest.csv, then every stream file in manifest order. The manifest is
+    # `path,label`; with a third column holding each stream's rate the same streams
+    # gave c63e7382d314c0c0... (rates written "1000.0") and f717d1d4a6e1f244...
+    # ("1000.0000")
+    "dataset": "ac80ac137d459f17bebaaa643466cdf0ee1732da2033d12444753b54e9710b9d",
     "eval_rate_csv": "15208e1352f5a940bd988a6bfa0bb832a8d42dc1b1c3dce294a38bba7647f5b0",
     "eval_targets_csv": "a0e608193e21be95b8cc3165121ab6f2adae636f78ed474df5c2db8f4cdcaef0",
     # stdout of every detect call, streams outer and rates inner

@@ -97,6 +97,11 @@ def test_split_is_stratified_and_seeded():
     assert [s.seed for s in again[0]] == [s.seed for s in tr_s]
 
 
+def test_split_refuses_more_items_than_labels():
+    with pytest.raises(InputError, match="3 items but 2 labels"):
+        split_train_val(["a", "b", "c"], [0, 1])
+
+
 # ---------------------------------------------------------------------------
 # build_bundle
 # ---------------------------------------------------------------------------
@@ -107,6 +112,11 @@ def test_bundle_has_model_and_template_per_expert(small_bundle):
     assert small_bundle.templates.expert_ids() == sorted(ids)
     assert set(small_bundle.metadata["validation_accuracy"]) == ids
     assert small_bundle.metadata["k_max"] == 2
+
+
+def test_bundle_spec_of_an_unknown_id_raises(small_bundle):
+    with pytest.raises(ConfigurationError, match="unknown expert id nope"):
+        small_bundle.spec("nope")
 
 
 def test_bundle_build_deterministic():

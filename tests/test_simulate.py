@@ -62,6 +62,12 @@ def test_forced_paths_must_match_target_count():
         synthesize_stream(cfg, [TargetPath(20.0, 0.5)])
 
 
+@pytest.mark.parametrize("kw", [dict(amplitude=-0.5), dict(delay_ns=-1.0)])
+def test_negative_path_amplitude_or_delay_rejected(kw):
+    with pytest.raises(ConfigurationError, match="path (amplitude|delay) must be >= 0"):
+        TargetPath(**{"doppler_hz": 20.0, "amplitude": 0.5, **kw})
+
+
 def test_forced_path_aliasing_rejected():
     cfg = make_config(num_targets=1)
     with pytest.raises(ConfigurationError):
@@ -286,12 +292,10 @@ def test_stream_reader_rejects_a_stream_without_packets():
 
 
 def test_manifest_round_trip(tmp_path):
-    # every rate reads back as written: rounded to 4 places, 333.33333 would
-    # fall below its streams' own rate, and 0.00004 to 0
-    entries = [ManifestEntry("a.csi", 0, 1000.0), ManifestEntry("b.csi", 3, 500.0),
-               ManifestEntry("c.csi", 1, 333.33333), ManifestEntry("d.csi", 2, 0.00004)]
+    entries = [ManifestEntry("a.csi", 0), ManifestEntry("b.csi", 3), ManifestEntry("c d.csi", 1)]
     path = tmp_path / "manifest.csv"
     write_manifest(path, entries)
+    assert path.read_text().splitlines()[0] == "path,label"
     loaded = read_manifest(path)
     assert loaded == entries
 
@@ -299,23 +303,26 @@ def test_manifest_round_trip(tmp_path):
 def test_manifest_bad_header(tmp_path):
     path = tmp_path / "manifest.csv"
     path.write_text("foo,bar\n1,2\n")
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="expected path,label"):
         read_manifest(path)
 
 
+# A row that still carries a rate cell is malformed, whatever the rate or label it holds.
 @pytest.mark.parametrize("row", ["a.csi,0,nan", "a.csi,0,inf", "a.csi,0,0", "a.csi,0,-3",
                                  "a.csi,-1,1000.0", "a.csi,-3,nan", "a\0.csi,0,1000.0"])
 def test_manifest_bad_rate_or_label(tmp_path, row):
     path = tmp_path / "manifest.csv"
-    path.write_text(f"path,label,rate\nb.csi,1,1000.0\n{row}\n")
-    with pytest.raises(FormatError):
+    path.write_text(f"path,label\nb.csi,1\n{row}\n")
+    with pytest.raises(FormatError, match="malformed manifest row"):
         read_manifest(path)
 
 
-def _manifest_with_rate(rate, tmp_path):
+@pytest.mark.parametrize("row", ["a.csi,-1", "a.csi,-3", "a\0.csi,0", "a.csi,x", "a.csi"])
+def test_manifest_bad_label_or_path(tmp_path, row):
     path = tmp_path / "manifest.csv"
-    path.write_text(f"path,label,rate\na.csi,0,{rate}\n")
-    return read_manifest(path)
+    path.write_text(f"path,label\nb.csi,1\n{row}\n")
+    with pytest.raises(FormatError, match="manifest row"):
+        read_manifest(path)
 
 
 def _stream_with_rate(rate):
@@ -334,7 +341,6 @@ POSITIVE_NUMBER_SITES = {
     "decimation": (lambda v, tmp: decimation_stride(1000.0, v), ConfigurationError,
                    "target_rate"),
     "stream_container": (lambda v, tmp: _stream_with_rate(v), FormatError, "stream packet rate"),
-    "manifest": (_manifest_with_rate, FormatError, "manifest row 'a.csi': rate"),
     "doppler_config": (lambda v, tmp: DopplerConfig(10, v), ConfigurationError, "max_freq_hz"),
     "expert_spec": (lambda v, tmp: ExpertSpec("X", FeatureKind.DOPPLER_ENERGY,
                                               ClassifierKind.FOREST, v),
