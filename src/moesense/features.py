@@ -48,7 +48,6 @@ class FeatureKind(enum.Enum):
 class FeatureVector:
     kind: FeatureKind
     values: np.ndarray
-    source_rate: float
 
     def __len__(self) -> int:
         return len(self.values)
@@ -83,7 +82,7 @@ def extract_doppler(stream: CsiStream, cfg: DopplerConfig | None = None) -> Feat
 
 def extract_amp_stats(stream: CsiStream) -> FeatureVector:
     """Amplitude statistics of `stream`; see `amp_stats_from_series`."""
-    return amp_stats_from_series(mean_amplitude_series(stream), stream.packet_rate)
+    return amp_stats_from_series(mean_amplitude_series(stream))
 
 
 def doppler_from_series(
@@ -120,10 +119,10 @@ def doppler_from_series(
         energy /= total
     else:
         energy[:] = 0.0
-    return FeatureVector(FeatureKind.DOPPLER_ENERGY, energy, packet_rate)
+    return FeatureVector(FeatureKind.DOPPLER_ENERGY, energy)
 
 
-def amp_stats_from_series(series: np.ndarray, packet_rate: float) -> FeatureVector:
+def amp_stats_from_series(series: np.ndarray) -> FeatureVector:
     """[mean, population variance, MAD, median, Q1, Q3] of the amplitude series.
 
     Bit for bit what `series.mean()`, `series.var()`, `np.abs(series -
@@ -147,7 +146,7 @@ def amp_stats_from_series(series: np.ndarray, packet_rate: float) -> FeatureVect
         quartiles.append(a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g))
     values = np.array([mean, _sum(deviation * deviation) / n, _sum(np.abs(deviation)) / n,
                        *quartiles])
-    return FeatureVector(FeatureKind.AMPLITUDE_STATS, values, packet_rate)
+    return FeatureVector(FeatureKind.AMPLITUDE_STATS, values)
 
 
 class Centred(NamedTuple):

@@ -128,11 +128,9 @@ class GatingDecision:
 
 
 class Template(NamedTuple):
-    """One expert's centroids: row i of `values` is the centroid of class
-    `labels[i]`, a mean of features observed at `source_rates[i]`."""
+    """One expert's centroids: row i of `values` is the centroid of class `labels[i]`."""
     kind: FeatureKind
     labels: list[int]
-    source_rates: np.ndarray
     values: np.ndarray
 
 
@@ -163,10 +161,9 @@ class TemplateLibrary:
         self._templates = dict(templates)
         for eid, t in self._templates.items():
             if (t.kind not in self._scalers or t.values.shape[1:] != self._scalers[t.kind][0].shape
-                    or not len(set(t.labels)) == len(t.labels) == len(t.values)
-                    or t.source_rates.shape != (len(t.values),)):
+                    or not len(set(t.labels)) == len(t.labels) == len(t.values)):
                 raise ConfigurationError(f"template of {eid} {t.values.shape} needs a {t.kind.value} "
-                                         f"scaler of its width, and a distinct label and a rate per row")
+                                         f"scaler of its width, and a distinct label per row")
             if not np.abs(t.values).max(initial=0.0) < MAX_FEATURE:  # NaN fails it too
                 raise ConfigurationError(f"a centroid of {eid} is not below {MAX_FEATURE:g} in size")
         operands: dict[str, list[Centred | None]] = {}
@@ -196,8 +193,7 @@ class TemplateLibrary:
 
     def centroids(self, expert_id: str) -> dict[int, FeatureVector]:
         t = self.template(expert_id)
-        return {label: FeatureVector(t.kind, row, rate)
-                for label, rate, row in zip(t.labels, t.source_rates.tolist(), t.values)}
+        return {label: FeatureVector(t.kind, row) for label, row in zip(t.labels, t.values)}
 
     def expert_ids(self) -> list[str]:
         return sorted(self._templates)
@@ -244,12 +240,9 @@ def score_experts(
     return scores
 
 
-def select_top_k(scores: Mapping[str, float], k: int) -> list[str]:
-    """Top-k ids by score, descending; ties break lexicographically."""
-    if k < 1:
-        raise ConfigurationError(f"k must be >= 1, got {k}")
-    ranked = sorted(scores, key=lambda eid: (-scores[eid], eid))
-    return ranked[:k]
+def select_top_k(scores: Mapping[str, float]) -> list[str]:
+    """Top-`TOP_K` ids by score, descending; ties break lexicographically."""
+    return sorted(scores, key=lambda eid: (-scores[eid], eid))[:TOP_K]
 
 
 def decide(
@@ -266,7 +259,7 @@ def decide(
     validate_registry(registry)
     eligible, scored = candidates(registry, current_rate)
     scores = score_experts(stream_features, templates, scored)
-    selected = tuple(select_top_k(scores, TOP_K))
+    selected = tuple(select_top_k(scores))
 
     clipped = np.maximum([scores[eid] for eid in selected], 0.0)
     total = clipped.sum()

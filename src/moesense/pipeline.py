@@ -13,6 +13,7 @@ from __future__ import annotations
 import copy
 import functools
 import hashlib
+import itertools
 import json
 import multiprocessing
 import os
@@ -64,7 +65,7 @@ from .gating import (
 from .simulate import CsiStream, check_positive, check_samples, check_seed, decimate, decimation_stride
 
 BUNDLE_MAGIC = b"MOEB"
-BUNDLE_VERSION = 7
+BUNDLE_VERSION = 8
 _BUNDLE_HEADER = struct.Struct("<4sIQ")  # magic, version, JSON header length
 _BLOCK_ALIGN = 8  # every block starts at a multiple of this many bytes
 
@@ -103,7 +104,7 @@ class TrainedBundle:
                     and len(model.nodes) != params["num_trees"]):
                 raise ConfigurationError(
                     f"model {spec.id} disagrees with its registry entry or the metadata")
-            kind, labels, _, _ = self.templates.template(spec.id)
+            kind, labels, _ = self.templates.template(spec.id)
             if (kind is not spec.feature_kind
                     or not all(type(c) is int and 0 <= c < num_classes for c in labels)):
                 raise ConfigurationError(f"template of {spec.id} does not fit its model")
@@ -262,9 +263,10 @@ def build_bundle(
     if len(train_labels) == 0 or len(val_labels) == 0:
         raise TrainingError("train and validation sets must be non-empty")
     k_max = int(max(max(train_labels), max(val_labels)))
-    missing = sorted(set(range(k_max + 1)) - set(int(l) for l in train_labels))
-    if missing:
-        raise TrainingError(f"training data missing classes {missing} of 0..{k_max}")
+    present = set(map(int, train_labels))
+    if len(present) != k_max + 1:  # counts, so that a label of 10**22 builds no huge range
+        missing = list(itertools.islice((c for c in range(k_max + 1) if c not in present), 3))
+        raise TrainingError(f"training data misses classes of 0..{k_max}, first {missing}")
     num_classes = k_max + 1
 
     needed = {(spec.required_rate, spec.feature_kind) for spec in registry}
@@ -305,9 +307,8 @@ def build_bundle(
         kept = [np.flatnonzero(correct & (val_label_arr == cls)) for cls in range(num_classes)]
         labels = [cls for cls in range(num_classes) if kept[cls].size]
         rows = [np.stack([val_features[i].values for i in kept[cls]]).mean(axis=0) for cls in labels]
-        templates[spec.id] = Template(
-            spec.feature_kind, labels, np.array([val_features[kept[c][0]].source_rate for c in labels]),
-            np.reshape(rows, (len(labels), FEATURE_WIDTHS[spec.feature_kind])))
+        templates[spec.id] = Template(spec.feature_kind, labels,
+                                      np.reshape(rows, (len(labels), FEATURE_WIDTHS[spec.feature_kind])))
 
     metadata = {
         "seed": int(seed),
@@ -358,7 +359,7 @@ class StreamFeatures:
 
     def __init__(self, stream: CsiStream, bundle: TrainedBundle | None = None):
         self.stream, self.bundle = stream, bundle
-        self._memo: dict[tuple, Any] = {}  # (stride, kind) features, (id, rate) posteriors
+        self._memo: dict[tuple, Any] = {}  # (stride, kind) features, (id, stride) posteriors
 
     @functools.cached_property
     def series(self) -> np.ndarray:
@@ -367,21 +368,24 @@ class StreamFeatures:
 
     def feature(self, rate: float, kind: FeatureKind) -> FeatureVector:
         """`extract_feature(decimate(stream, rate), ...)`, from every stride-th series value."""
-        series, stride = self.series, decimation_stride(self.stream.packet_rate, rate)
+        return self._feature(decimation_stride(self.stream.packet_rate, rate), kind)
+
+    def _feature(self, stride: int, kind: FeatureKind) -> FeatureVector:
         if (stride, kind) not in self._memo:
-            kept, kept_rate = np.ascontiguousarray(series[::stride]), self.stream.packet_rate / stride
+            kept = np.ascontiguousarray(self.series[::stride])
             self._memo[(stride, kind)] = (
-                doppler_from_series(kept, kept_rate) if kind is FeatureKind.DOPPLER_ENERGY
-                else amp_stats_from_series(kept, kept_rate))
+                doppler_from_series(kept, self.stream.packet_rate / stride)
+                if kind is FeatureKind.DOPPLER_ENERGY else amp_stats_from_series(kept))
         return self._memo[(stride, kind)]
 
     def posterior(self, expert_id: str, current_rate: float) -> np.ndarray:
         """`expert_posterior(stream, current_rate, bundle, expert_id)`, read-only."""
         spec = self.bundle.spec(expert_id)
-        fv = self.feature(expert_input_rate(spec, current_rate), spec.feature_kind)
-        key = (expert_id, fv.source_rate)
+        key = (expert_id, decimation_stride(self.stream.packet_rate,
+                                            expert_input_rate(spec, current_rate)))
         if key not in self._memo:
-            self._memo[key] = predict_posterior(self.bundle.models[expert_id], fv)
+            self._memo[key] = predict_posterior(self.bundle.models[expert_id],
+                                                self._feature(key[1], spec.feature_kind))
             self._memo[key].setflags(write=False)
         return self._memo[key]
 
@@ -435,8 +439,7 @@ def bundle_to_jsonable(bundle: TrainedBundle, put: Put) -> dict[str, Any]:
     return {
         "registry": [spec_to_jsonable(s) for s in bundle.registry],
         "models": {eid: m.to_jsonable(put) for eid, m in bundle.models.items()},
-        "templates": {eid: {"labels": list(t.labels), "source_rates": t.source_rates.tolist(),
-                            "values": put(t.values, "<f8")}
+        "templates": {eid: {"labels": list(t.labels), "values": put(t.values, "<f8")}
                       for eid in bundle.templates.expert_ids()
                       for t in (bundle.templates.template(eid),)},
         "scalers": scalers,
@@ -461,8 +464,7 @@ def bundle_from_jsonable(payload: dict[str, Any], get: Get) -> TrainedBundle:
                                   finite_array(get(s["std"], "<f8"), f"{tag} scaler std"))
                for tag, s in payload["scalers"].items()}
     # The library bounds every centroid below MAX_FEATURE, which rejects NaN and infinity.
-    templates = {eid: Template(specs[eid].feature_kind, list(d["labels"]), finite_array(
-                     d["source_rates"], "template rates"), get(d["values"], "<f8"))
+    templates = {eid: Template(specs[eid].feature_kind, list(d["labels"]), get(d["values"], "<f8"))
                  for eid, d in payload["templates"].items()}
     return TrainedBundle(registry, models, TemplateLibrary(templates, scalers), metadata)
 

@@ -7,7 +7,7 @@ Gaussian noise scaled against the dynamic-path power. Target count shows up
 as the amount and spread of temporal amplitude variation, which is what the
 downstream feature extractors measure.
 
-Streams round-trip through a small binary container ("CSI1") and datasets
+Streams round-trip through a small binary container ("CSI2") and datasets
 are described by a plain CSV manifest (path, label).
 """
 from __future__ import annotations
@@ -40,8 +40,8 @@ PATH_DELAY_RANGE_NS = (5.0, 50.0)
 MAX_SAMPLE = 1e50
 SNR_DB_RANGE = (-100.0, 300.0)  # finite snr_db, well inside finite noise below MAX_SAMPLE
 
-STREAM_MAGIC = b"CSI1"
-_HEADER = struct.Struct("<4sQQdqq")  # magic, packets, subcarriers, rate, seed, true count
+STREAM_MAGIC = b"CSI2"
+_HEADER = struct.Struct("<4sQQd")  # magic, packets, subcarriers, rate
 
 
 @dataclass(frozen=True)
@@ -99,12 +99,10 @@ class TargetPath:
 
 @dataclass(frozen=True, eq=False)
 class CsiStream:
-    """Complex channel matrix [num_packets x num_subcarriers] plus scene metadata."""
+    """Complex channel matrix [num_packets x num_subcarriers] and its packet rate."""
 
     samples: np.ndarray
     packet_rate: float
-    true_target_count: int
-    seed: int
 
     @property
     def num_packets(self) -> int:
@@ -173,12 +171,7 @@ def synthesize_stream(config: ScenarioConfig, paths: Sequence[TargetPath] | None
         samples.real += rng.normal(0.0, sigma, (n, k))  # the real part's draw comes first
         samples.imag += rng.normal(0.0, sigma, (n, k))
 
-    return CsiStream(
-        samples=samples,
-        packet_rate=float(config.packet_rate),
-        true_target_count=config.num_targets,
-        seed=config.rng_seed,
-    )
+    return CsiStream(samples, float(config.packet_rate))
 
 
 def check_positive(value: float, what: str, error: type[MoeSenseError] = InputError) -> None:
@@ -188,8 +181,9 @@ def check_positive(value: float, what: str, error: type[MoeSenseError] = InputEr
 
 
 def check_seed(seed: int, what: str) -> None:
-    """ConfigurationError unless `seed` lies in [0, 2**63): a stream stores its
-    seed as an i64, and bundle metadata must read its seed back as a float."""
+    """ConfigurationError unless `seed` lies in [0, 2**63), where every stream
+    seed `evaluate.dataset_configs` draws lies: numpy takes no negative seed,
+    and bundle metadata must read its seed back as a float."""
     if not 0 <= seed < 2**63:
         raise ConfigurationError(f"{what} must be an integer in [0, 2**63)")
 
@@ -221,12 +215,7 @@ def decimate(stream: CsiStream, target_rate: float) -> CsiStream:
     stride = decimation_stride(stream.packet_rate, target_rate)
     kept = stream.samples[::stride]
     kept.flags.writeable = False
-    return CsiStream(
-        samples=kept,
-        packet_rate=stream.packet_rate / stride,
-        true_target_count=stream.true_target_count,
-        seed=stream.seed,
-    )
+    return CsiStream(kept, stream.packet_rate / stride)
 
 
 # ---------------------------------------------------------------------------
@@ -234,23 +223,17 @@ def decimate(stream: CsiStream, target_rate: float) -> CsiStream:
 # ---------------------------------------------------------------------------
 
 def serialize_stream(stream: CsiStream) -> bytes:
-    header = _HEADER.pack(
-        STREAM_MAGIC,
-        stream.num_packets,
-        stream.num_subcarriers,
-        float(stream.packet_rate),
-        int(stream.seed),
-        int(stream.true_target_count),
-    )
+    header = _HEADER.pack(STREAM_MAGIC, stream.num_packets, stream.num_subcarriers,
+                          float(stream.packet_rate))
     return b"".join((header, np.ascontiguousarray(stream.samples, dtype="<c16")))
 
 
 def deserialize_stream(data: bytes) -> CsiStream:
     if len(data) < _HEADER.size:
         raise FormatError("stream container shorter than its header")
-    magic, n, k, rate, seed, true_count = _HEADER.unpack_from(data)
+    magic, n, k, rate = _HEADER.unpack_from(data)
     if magic != STREAM_MAGIC:
-        raise FormatError(f"bad stream magic {magic!r}")
+        raise FormatError(f"bad stream magic {magic!r}, expected {STREAM_MAGIC!r}")
     check_positive(rate, "stream packet rate", FormatError)
     if k < 1:
         raise FormatError("stream container holds no subcarriers")
@@ -258,8 +241,7 @@ def deserialize_stream(data: bytes) -> CsiStream:
     if len(data) != expected:
         raise FormatError(f"stream container truncated: {len(data)} bytes, expected {expected}")
     samples = np.frombuffer(data, dtype="<c16", offset=_HEADER.size).reshape(n, k)
-    stream = CsiStream(samples=samples.astype(np.complex128), packet_rate=rate,
-                       true_target_count=true_count, seed=seed)
+    stream = CsiStream(samples.astype(np.complex128), rate)
     check_samples(stream, FormatError)
     return stream
 

@@ -145,7 +145,7 @@ def test_criterion_5_oracle_equivalences():
         for _ in range(100):
             matrix = rng.normal(size=(50, 4))
             labels = rng.integers(0, 4, 50)
-            feats = [FeatureVector(FeatureKind.AMPLITUDE_STATS, row, 500.0) for row in matrix]
+            feats = [FeatureVector(FeatureKind.AMPLITUDE_STATS, row) for row in matrix]
             data = LabeledDataset.build(feats, labels.tolist(), 4)
             model = train_knn(data, k=5)
             for _ in range(5):
@@ -153,7 +153,7 @@ def test_criterion_5_oracle_equivalences():
                 d2 = ((matrix - q) ** 2).sum(axis=1)
                 order = sorted(range(50), key=lambda i: (d2[i], i))[:5]
                 expected = np.bincount(labels[order], minlength=4) / 5
-                got = predict_knn(model, FeatureVector(FeatureKind.AMPLITUDE_STATS, q, 500.0))
+                got = predict_knn(model, FeatureVector(FeatureKind.AMPLITUDE_STATS, q))
                 assert np.array_equal(got, expected)
 
         # quantiles vs sort-and-interpolate oracle
@@ -169,7 +169,7 @@ def test_criterion_5_oracle_equivalences():
         # every posterior sums to one
         matrix = rng.normal(size=(60, 5))
         labels = rng.integers(0, 3, 60)
-        feats = [FeatureVector(FeatureKind.AMPLITUDE_STATS, row, 500.0) for row in matrix]
+        feats = [FeatureVector(FeatureKind.AMPLITUDE_STATS, row) for row in matrix]
         data = LabeledDataset.build(feats, labels.tolist(), 3)
         predictors = [
             (train_knn(data, 5), predict_knn),
@@ -177,7 +177,7 @@ def test_criterion_5_oracle_equivalences():
             (train_forest(data, 10, 6, seed=3), predict_forest),
         ]
         for _ in range(100):
-            q = FeatureVector(FeatureKind.AMPLITUDE_STATS, rng.normal(size=5), 500.0)
+            q = FeatureVector(FeatureKind.AMPLITUDE_STATS, rng.normal(size=5))
             for model, predict in predictors:
                 post = predict(model, q)
                 assert post.sum() == pytest.approx(1.0, abs=1e-9)

@@ -29,8 +29,8 @@ from moesense.features import MAX_FEATURE, FeatureKind, FeatureVector
 from moesense.pipeline import Blocks
 
 
-def fv(values, kind=FeatureKind.AMPLITUDE_STATS, rate=500.0):
-    return FeatureVector(kind, np.asarray(values, dtype=float), rate)
+def fv(values, kind=FeatureKind.AMPLITUDE_STATS):
+    return FeatureVector(kind, np.asarray(values, dtype=float))
 
 
 def dataset(matrix, labels, num_classes=None, kind=FeatureKind.AMPLITUDE_STATS):

@@ -397,7 +397,7 @@ def test_dead_training_worker_is_exit_6_and_writes_no_bundle(dataset, tmp_path, 
                                                               capsys):
     monkeypatch.setattr(pipeline, "_train_expert", dies_in_its_worker)
     spec = spec_from_jsonable(KNN_ENTRY)
-    data = LabeledDataset.build([FeatureVector(spec.feature_kind, np.zeros(2), 100.0)], [0], 1)
+    data = LabeledDataset.build([FeatureVector(spec.feature_kind, np.zeros(2))], [0], 1)
     with pytest.raises(TrainingError, match="worker died"):
         pipeline._train_experts([(spec, data, 0)])
     assert multiprocessing.active_children() == []
@@ -740,7 +740,7 @@ def test_detect_corrupt_stream_is_format_error(bundle_path, tmp_path):
 
 def test_detect_stream_without_subcarriers_is_format_error(bundle_path, tmp_path, capsys):
     empty = tmp_path / "empty.csi"
-    save_stream(CsiStream(np.zeros((1000, 0), complex), 1000.0, 0, 0), empty)
+    save_stream(CsiStream(np.zeros((1000, 0), complex), 1000.0), empty)
     rc = main(["detect", "--bundle", str(bundle_path), "--stream", str(empty), "--rate", "500",
                "--json"])
     assert rc == EXIT_FORMAT
@@ -754,7 +754,7 @@ def test_detect_stream_with_a_huge_sample_is_format_error(dataset, bundle_path, 
     samples = stream.samples.copy()
     samples[500, 2] = 1e200
     huge = tmp_path / "huge.csi"
-    save_stream(CsiStream(samples, stream.packet_rate, stream.true_target_count, stream.seed), huge)
+    save_stream(CsiStream(samples, stream.packet_rate), huge)
     rc = main(["detect", "--bundle", str(bundle_path), "--stream", str(huge), "--rate", "500",
                "--json"])
     assert rc == EXIT_FORMAT
@@ -770,8 +770,7 @@ def test_train_stream_with_a_huge_sample_is_format_error(dataset, tmp_path, caps
     stream = load_stream(copy / entry.path)
     samples = stream.samples.copy()
     samples[500, 2] = 1e200
-    save_stream(CsiStream(samples, stream.packet_rate, stream.true_target_count, stream.seed),
-                copy / entry.path)
+    save_stream(CsiStream(samples, stream.packet_rate), copy / entry.path)
     out = tmp_path / "bundle.moe"
     rc = main(["train", "--dataset", str(copy), "--out", str(out), "--seed", "3"])
     assert rc == EXIT_FORMAT
@@ -779,7 +778,7 @@ def test_train_stream_with_a_huge_sample_is_format_error(dataset, tmp_path, caps
     assert "below 1e+50" in capsys.readouterr().err
 
 
-STREAM_HEADER = struct.Struct("<4sQQdqq")  # magic, packets, subcarriers, rate, seed, count
+STREAM_HEADER = struct.Struct("<4sQQd")  # magic, packets, subcarriers, rate
 
 
 @pytest.fixture(scope="module")
@@ -792,7 +791,7 @@ def fuzzed_stream_path(tmp_path_factory):
 def test_mutated_stream_detects_or_is_input_or_format_error(dataset, bundle_path,
                                                             fuzzed_stream_path, data):
     """Flip header bytes, set edge header values, truncate, or flip payload
-    bytes of a CSI1 stream: `moesense detect` must exit 0, 3 or 5."""
+    bytes of a CSI2 stream: `moesense detect` must exit 0, 3 or 5."""
     raw = (dataset / read_manifest(dataset / "manifest.csv")[4].path).read_bytes()
     size = STREAM_HEADER.size
     mutation = data.draw(st.sampled_from(["flip_header", "edge_header", "truncate",
@@ -805,7 +804,7 @@ def test_mutated_stream_detects_or_is_input_or_format_error(dataset, bundle_path
         raw = raw[:data.draw(st.integers(0, len(raw) - 1))]
     else:
         # the payload is cut to the packets and subcarriers the header names
-        magic, n, k, rate, seed, count = STREAM_HEADER.unpack_from(raw)
+        magic, n, k, rate = STREAM_HEADER.unpack_from(raw)
         edge = data.draw(st.sampled_from(["packets", "subcarriers", "rate"]))
         if edge == "packets":
             n = data.draw(st.sampled_from([0, 1, 7, 8]))
@@ -813,7 +812,7 @@ def test_mutated_stream_detects_or_is_input_or_format_error(dataset, bundle_path
             k = 0
         else:
             rate = data.draw(st.sampled_from([5e-324, 1e-300, 1e300]))
-        raw = STREAM_HEADER.pack(magic, n, k, rate, seed, count) + raw[size:size + n * k * 16]
+        raw = STREAM_HEADER.pack(magic, n, k, rate) + raw[size:size + n * k * 16]
     fuzzed_stream_path.write_bytes(raw)
     rate = data.draw(st.sampled_from(["50", "300", "500"]))
     assert main(["detect", "--bundle", str(bundle_path), "--stream", str(fuzzed_stream_path),
@@ -1008,6 +1007,55 @@ def test_train_on_empty_manifest_is_training_error(tmp_path, capsys):
     assert rc == EXIT_TRAINING
     assert capsys.readouterr().err.startswith("error: train and validation sets must be non-empty")
     assert not out.parent.exists()
+
+
+@pytest.fixture(scope="module")
+def csi1_dataset(dataset, tmp_path_factory):
+    """`dataset` with every stream in the retired CSI1 container, whose header
+    also held the scene's seed and true target count after the rate."""
+    old = tmp_path_factory.mktemp("csi1") / "ds"
+    shutil.copytree(dataset, old)
+    for entry in read_manifest(old / "manifest.csv"):
+        stream = load_stream(old / entry.path)
+        header = struct.pack("<4sQQdqq", b"CSI1", *stream.samples.shape, stream.packet_rate,
+                             11, entry.label)
+        (old / entry.path).write_bytes(header + stream.samples.astype("<c16").tobytes())
+    return old
+
+
+@pytest.mark.parametrize("command", ["detect", "train", "eval-rate"])
+def test_csi1_stream_is_format_error(csi1_dataset, bundle_path, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    args = {"detect": ["--bundle", str(bundle_path), "--stream",
+                       str(csi1_dataset / "class0_0000.csi"), "--rate", "500", "--json"],
+            "train": ["--dataset", str(csi1_dataset), "--out", str(out)],
+            "eval-rate": ["--bundle", str(bundle_path), "--dataset", str(csi1_dataset),
+                          "--out", str(out)]}[command]
+    assert main([command, *args]) == EXIT_FORMAT
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: bad stream magic b'CSI1', expected b'CSI2'")
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_train_with_a_huge_label_is_training_error_without_a_huge_allocation(tmp_path):
+    # Under a 1 GiB address-space limit, any allocation that grows with the
+    # largest label fails with MemoryError instead of exhausting the host.
+    generate(tmp_path / "ds", ["--k-max", "1", "--streams-per-class", "8", "--subcarriers", "4"])
+    manifest = tmp_path / "ds" / "manifest.csv"
+    entries = read_manifest(manifest)
+    write_manifest(manifest, [*entries[:-1], entries[-1]._replace(label=10**22)])
+    out = tmp_path / "b.moe"
+    script = ("import resource, sys\nfrom moesense.cli import main\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+              f"sys.exit(main(['train', '--dataset', {str(tmp_path / 'ds')!r}, "
+              f"'--out', {str(out)!r}]))\n")
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert proc.returncode == EXIT_TRAINING, proc.stderr
+    assert proc.stderr.startswith(f"error: training data misses classes of 0..{10**22}")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["train", "eval-rate", "eval-targets"])

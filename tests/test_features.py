@@ -22,7 +22,7 @@ from moesense.simulate import CsiStream, ScenarioConfig, TargetPath, synthesize_
 def stream_from_series(series, packet_rate=100.0):
     """Single-subcarrier stream whose mean amplitude equals `series`."""
     samples = np.asarray(series, dtype=float).reshape(-1, 1).astype(complex)
-    return CsiStream(samples, packet_rate, 0, 0)
+    return CsiStream(samples, packet_rate)
 
 
 def single_path_stream(freq, rate=500.0, amplitude=0.8):
@@ -70,8 +70,7 @@ def test_doppler_normalization():
 
 def test_doppler_invariant_under_amplitude_scaling():
     stream = single_path_stream(30.0)
-    scaled = CsiStream(stream.samples * 3.7, stream.packet_rate,
-                       stream.true_target_count, stream.seed)
+    scaled = CsiStream(stream.samples * 3.7, stream.packet_rate)
     a = extract_doppler(stream, DopplerConfig(25, 125.0))
     b = extract_doppler(scaled, DopplerConfig(25, 125.0))
     assert np.allclose(a.values, b.values, atol=1e-9)
@@ -191,7 +190,7 @@ def test_amp_stats_equals_numpy_bit_for_bit(series):
     mean = series.mean()
     expected = [mean, series.var(), np.abs(series - mean).mean(),
                 *np.quantile(series, [0.5, 0.25, 0.75])]
-    assert amp_stats_from_series(series, 100.0).values.tobytes() == np.array(expected).tobytes()
+    assert amp_stats_from_series(series).values.tobytes() == np.array(expected).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from moesense.errors import ConfigurationError, InputError
 from moesense.features import MAX_FEATURE, FeatureKind, FeatureVector, pearson
 from moesense.gating import (
     NO_TEMPLATE_SCORE,
+    TOP_K,
     ClassifierKind,
     ExpertSpec,
     GatingMode,
@@ -33,8 +34,8 @@ D = FeatureKind.DOPPLER_ENERGY
 S = FeatureKind.AMPLITUDE_STATS
 
 
-def fv(values, kind=D, rate=500.0):
-    return FeatureVector(kind, np.asarray(values, dtype=float), rate)
+def fv(values, kind=D):
+    return FeatureVector(kind, np.asarray(values, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +88,7 @@ def template(kind, rows, labels=None):
     """A `Template` of `kind` whose centroids are `rows`, of classes
     0, 1, ... unless `labels` are given."""
     labels = list(range(len(rows))) if labels is None else labels
-    return Template(kind, labels, np.full(len(rows), 500.0), np.array(rows, dtype=float))
+    return Template(kind, labels, np.array(rows, dtype=float))
 
 
 def templates(entries):
@@ -349,21 +350,20 @@ def test_library_keeps_a_zero_std_as_one_and_its_scalers_read_only():
 # ---------------------------------------------------------------------------
 
 def test_select_orders_by_score_desc():
-    scores = {"E3": 0.9, "E5": 0.7, "E7": 0.8, "E8": 0.6}
-    assert select_top_k(scores, 3) == ["E3", "E7", "E5"]
+    scores = {"E1": 0.6, "E2": 0.9, "E3": 0.7, "E4": 0.8, "E5": 0.5, "E6": 0.4}
+    assert 1 <= TOP_K < len(scores)
+    assert select_top_k(scores) == ["E2", "E4", "E3", "E1", "E5", "E6"][:TOP_K]
 
 
 def test_select_fewer_candidates_than_k():
-    assert select_top_k({"E4": 0.2, "E1": 0.5}, 3) == ["E1", "E4"]
+    scores = {f"E{i}": 0.1 * i for i in range(TOP_K - 1)}
+    assert select_top_k(scores) == sorted(scores, key=scores.get, reverse=True)
 
 
 def test_select_tie_breaks_lexicographically():
-    assert select_top_k({"E4": 0.5, "E2": 0.5}, 1) == ["E2"]
-
-
-def test_select_k_must_be_positive():
-    with pytest.raises(ConfigurationError):
-        select_top_k({"E1": 0.5}, 0)
+    scores = dict.fromkeys([f"E{i}" for i in range(TOP_K + 8, 0, -1)], 0.5)  # E11 .. E1
+    assert select_top_k(scores) == sorted(scores)[:TOP_K]
+    assert select_top_k(scores)[:2] == ["E1", "E10"]
 
 
 # ---------------------------------------------------------------------------

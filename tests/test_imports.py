@@ -1,5 +1,6 @@
-"""Every name a `moesense` module imports is used in that module, and every
-module-level function and class is named outside its own definition."""
+"""Every name a `moesense` module imports is used in that module, every
+module-level function and class is named outside its own definition, and
+every parameter of every function is read in its body."""
 import ast
 from collections import Counter
 from pathlib import Path
@@ -90,3 +91,29 @@ def test_the_guard_sees_a_helper_without_a_caller():
                               "class C:\n    pass\n\nclass D:\n    pass\n"),
                "b": ast.parse("from .a import g\nimport a\n\ndef h():\n    return g(), a.C\n")}
     assert uncalled(modules) == {"a.f", "a.D", "b.h"}
+
+
+def unread_parameters(tree: ast.Module) -> set[str]:
+    """The parameters, as "function.parameter", that no name in their
+    function's body reads; `self`, `cls`, `*args` and `**kwargs` aside."""
+    unread = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread |= {f"{node.name}.{a.arg}" for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)
+                       if a.arg not in {"self", "cls", *read}}
+    return unread
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_every_parameter_is_read(path):
+    assert unread_parameters(ast.parse(path.read_text(encoding="utf-8"))) == set()
+
+
+def test_the_guard_sees_a_parameter_never_read():
+    tree = ast.parse("def f(a, b, *args, c, d=1, **kw):\n    b = a\n    return lambda e: d\n\n"
+                     "class C:\n    def m(self, x, y):\n        def inner():\n            return x\n"
+                     "        return inner\n\n    @classmethod\n    def k(cls, z):\n        return z\n")
+    assert unread_parameters(tree) == {"f.b", "f.c", "m.y"}

@@ -29,23 +29,26 @@ DETECT_RATES = ("50", "300", "500")
 DETECT_STREAMS = range(0, 36, 6)  # manifest rows: two streams of each class
 
 OUTPUT_PINS = {
-    # manifest.csv, then every stream file in manifest order. The manifest is
-    # `path,label`; with a third column holding each stream's rate the same streams
-    # gave c63e7382d314c0c0... (rates written "1000.0") and f717d1d4a6e1f244...
-    # ("1000.0000")
-    "dataset": "ac80ac137d459f17bebaaa643466cdf0ee1732da2033d12444753b54e9710b9d",
+    # manifest.csv, then every stream file in manifest order. Streams are CSI2
+    # (magic, packets, subcarriers, rate); as CSI1, whose header also held each
+    # stream's seed and true target count, the same samples gave ac80ac137d459f17...
+    # The manifest is `path,label`; with a third column holding each stream's rate
+    # the CSI1 streams gave c63e7382d314c0c0... (rates written "1000.0") and
+    # f717d1d4a6e1f244... ("1000.0000")
+    "dataset": "f362bc8752e38c1aa64f7f8db82524ce262f6a1031a3de8a87b249912da54b7a",
     "eval_rate_csv": "15208e1352f5a940bd988a6bfa0bb832a8d42dc1b1c3dce294a38bba7647f5b0",
     "eval_targets_csv": "a0e608193e21be95b8cc3165121ab6f2adae636f78ed474df5c2db8f4cdcaef0",
     # stdout of every detect call, streams outer and rates inner
     "detect_json": "f5916904e529c1a4fd6d3555f33b3ddeab96fc2aba1c2132f91f078e87b7d1ad",
 }
-# The bundle file, format version 7. Version 6 wrote e052b916699a6dd8... with one
+# The bundle file, format version 8. Version 7 wrote 58f60f4be2bf0c1f... with a
+# `source_rates` list in each template entry; version 6 wrote e052b916699a6dd8... with one
 # block per centroid and forest entries without their width; version 5 wrote
 # 319c96808857ef2d... with block offsets, array dtypes, and model, centroid and
 # Doppler fields that repeat the registry or the metadata; version 4 wrote
 # 112cfd51eeaadd77... with a `nominal_rate` in each registry entry, and version 3
 # df5e0a3c755c83c1...
-BUNDLE_PIN = "58f60f4be2bf0c1faca5ce69d12b5291e2278fd764e5b426f5da50d89b58c830"
+BUNDLE_PIN = "3b8614757dcbec2084c3b2b1db00375c2d6e664cc75746376e1c73bf7f41a2ac"
 
 
 @pytest.fixture(scope="module")

@@ -69,11 +69,15 @@ def make_streams(k_max, per_class, seed, **cfg_kw):
     return streams, labels
 
 
+def bundle_split(seed):
+    """The train/validation split the seed-`seed` module bundles are built from."""
+    streams, labels = make_streams(2, 12, seed=seed)
+    return split_train_val(streams, labels, seed=seed)
+
+
 @pytest.fixture(scope="module")
 def small_bundle():
-    streams, labels = make_streams(2, 12, seed=7)
-    tr_s, tr_l, va_s, va_l = split_train_val(streams, labels, seed=7)
-    return build_bundle(tr_s, tr_l, va_s, va_l, default_registry(), seed=7)
+    return build_bundle(*bundle_split(7), default_registry(), seed=7)
 
 
 @pytest.fixture(scope="module")
@@ -94,7 +98,7 @@ def test_split_is_stratified_and_seeded():
     for cls in range(3):
         assert tr_l.count(cls) == 6 and va_l.count(cls) == 2
     again = split_train_val(streams, labels, val_fraction=0.25, seed=3)
-    assert [s.seed for s in again[0]] == [s.seed for s in tr_s]
+    assert [s.samples.tobytes() for s in again[0]] == [s.samples.tobytes() for s in tr_s]
 
 
 def test_split_refuses_more_items_than_labels():
@@ -218,7 +222,6 @@ def test_feature_table_equals_decimate_then_extract():
             want = extract_feature(decimate(stream, rate), kind, cfg)
             assert got.kind is want.kind
             assert got.values.tobytes() == want.values.tobytes(), (rate, kind)
-            assert got.source_rate == want.source_rate
 
 
 def reference_pair(stream, rate, bundle):
@@ -255,7 +258,7 @@ def test_stream_features_equal_detect_and_expert_posterior(small_bundle):
 
 
 def test_stream_features_check_the_rate_before_the_stream(small_bundle):
-    bad = CsiStream(np.full((64, 2), np.nan + 0j), 1000.0, 0, 0)
+    bad = CsiStream(np.full((64, 2), np.nan + 0j), 1000.0)
     for rate in (0.0, -5.0, float("nan")):
         with pytest.raises(InputError, match="current_rate must be finite and positive"):
             StreamFeatures(bad, small_bundle).detect(rate)
@@ -280,9 +283,8 @@ def test_feature_table_fingerprint_hashes_what_training_reads():
     assert fingerprint(streams, labels) == want.hexdigest()
     # Each of the rate, the samples and the label is part of what it identifies.
     first = streams[0]
-    faster = pipeline.CsiStream(first.samples, 2000.0, first.true_target_count, first.seed)
-    louder = pipeline.CsiStream(first.samples * 1.5, first.packet_rate,
-                                first.true_target_count, first.seed)
+    faster = pipeline.CsiStream(first.samples, 2000.0)
+    louder = pipeline.CsiStream(first.samples * 1.5, first.packet_rate)
     digests = {fingerprint(streams, labels), fingerprint(streams, [1, *labels[1:]]),
                fingerprint([faster, *streams[1:]], labels),
                fingerprint([louder, *streams[1:]], labels)}
@@ -410,9 +412,7 @@ CUSTOM_REGISTRY = [
 
 @pytest.fixture(scope="module")
 def custom_bundle():
-    streams, labels = make_streams(2, 12, seed=8)
-    tr_s, tr_l, va_s, va_l = split_train_val(streams, labels, seed=8)
-    return build_bundle(tr_s, tr_l, va_s, va_l, CUSTOM_REGISTRY, seed=8)
+    return build_bundle(*bundle_split(8), CUSTOM_REGISTRY, seed=8)
 
 
 def test_expert_consumes_its_training_rate(small_bundle, custom_bundle, probe_stream):
@@ -423,21 +423,30 @@ def test_expert_consumes_its_training_rate(small_bundle, custom_bundle, probe_st
     base = probe_stream.packet_rate
     assert decimation_stride(base, 300.0) == 3
     rates = (50.0, 100.0, 150.0, 199.0, 200.0, 250.0, 299.0, 300.0, 400.0, 500.0, 600.0, 1000.0)
-    for bundle in (small_bundle, custom_bundle):
+    for bundle, seed in ((small_bundle, 7), (custom_bundle, 8)):
         cfg = bundle.doppler_config()
 
         def posterior_at(spec, rate):
             stride = decimation_stride(base, rate)
-            kept = CsiStream(probe_stream.samples[::stride].copy(), base / stride, 1, 99)
+            kept = CsiStream(probe_stream.samples[::stride].copy(), base / stride)
             return predict_posterior(bundle.models[spec.id],
                                      extract_feature(kept, spec.feature_kind, cfg)).tobytes()
 
         lowest = min(spec.required_rate for spec in bundle.registry)
         assert rates[0] < lowest  # the grid reaches fallback
-        for spec in bundle.registry:  # training saw the required rate's stride
-            trained_at = base / decimation_stride(base, spec.required_rate)
-            assert {c.source_rate for c in bundle.templates.centroids(spec.id).values()} == {
-                trained_at}, spec.id
+        # Training saw the required rate: each centroid is the mean of the validation
+        # features, decimated to that rate, that the expert classified correctly.
+        _, _, val_s, val_l = bundle_split(seed)
+        for spec in bundle.registry:
+            model, template = bundle.models[spec.id], bundle.templates.template(spec.id)
+            right = {}
+            for stream, label in zip(val_s, val_l):
+                fv = extract_feature(decimate(stream, spec.required_rate), spec.feature_kind, cfg)
+                if np.argmax(predict_posterior(model, fv)) == label:
+                    right.setdefault(label, []).append(fv.values)
+            assert template.kind is spec.feature_kind and template.labels == sorted(right)
+            for label, row in zip(template.labels, template.values):
+                assert row.tobytes() == np.stack(right[label]).mean(axis=0).tobytes(), spec.id
         for rate in rates:
             for spec in bundle.registry:
                 served = expert_posterior(probe_stream, rate, bundle, spec.id)
@@ -465,14 +474,14 @@ def test_detect_stream_without_samples_is_input_error(small_bundle, monkeypatch,
 
     monkeypatch.setattr(pipeline, "extract_feature", extract)
     with pytest.raises(InputError, match="samples"):
-        detect(CsiStream(np.zeros(shape, complex), 1000.0, 0, 0), 500.0, small_bundle)
+        detect(CsiStream(np.zeros(shape, complex), 1000.0), 500.0, small_bundle)
 
 
 def with_sample(stream, value):
     """`stream` with one of its samples set to `value`."""
     samples = stream.samples.copy()
     samples[421, 3] = value
-    return CsiStream(samples, stream.packet_rate, stream.true_target_count, stream.seed)
+    return CsiStream(samples, stream.packet_rate)
 
 
 UNDER_BOUND = np.nextafter(MAX_SAMPLE, 0.0)
@@ -503,9 +512,9 @@ def test_detect_bounds_the_parts_of_any_sample_layout(small_bundle, probe_stream
     samples = probe_stream.samples.astype(np.complex64)
     samples[5, 1] = np.inf
     with pytest.raises(InputError, match="finite"):
-        detect(CsiStream(samples, probe_stream.packet_rate, 1, 0), 500.0, small_bundle)
+        detect(CsiStream(samples, probe_stream.packet_rate), 500.0, small_bundle)
     wide = np.repeat(probe_stream.samples, 2, axis=1)
-    strided = detect(CsiStream(wide[:, ::2], probe_stream.packet_rate, 1, 0), 500.0, small_bundle)
+    strided = detect(CsiStream(wide[:, ::2], probe_stream.packet_rate), 500.0, small_bundle)
     assert strided.fused.tobytes() == detect(probe_stream, 500.0, small_bundle).fused.tobytes()
 
 
@@ -629,11 +638,11 @@ def test_bundle_version_mismatch(small_bundle):
     # second rate, `nominal_rate`, in each registry entry, and version 5 block
     # offsets, array dtypes, and model, centroid and Doppler fields that repeat
     # the registry or the metadata, and version 6 one block per centroid and
-    # forest entries without their width
-    assert version == 7
-    for forged_version in (1, 2, 3, 4, 5, 6, version + 1):
+    # forest entries without their width, and version 7 a source rate per centroid
+    assert version == 8
+    for forged_version in (1, 2, 3, 4, 5, 6, 7, version + 1):
         forged = header.pack(magic, forged_version, length) + data[header.size:]
-        with pytest.raises(FormatError, match=f"version {forged_version}; retrain"):
+        with pytest.raises(FormatError, match=f"version {forged_version}; retrain to get version 8"):
             deserialize_bundle(forged)
 
 
@@ -828,7 +837,7 @@ def _empty_template(eid, width):
     """A payload mutation: expert `eid` keeps no centroids, its template an
     empty block of rows `width` wide."""
     def mutate(payload):
-        payload[0]["templates"][eid].update(labels=[], source_rates=[])
+        payload[0]["templates"][eid]["labels"] = []
         _edit(("templates", eid, "values"), "<f8", lambda v: np.zeros((0, width)))(payload)
     return mutate
 
@@ -844,11 +853,11 @@ def _no_doppler_centroids(mutate):
     return both
 
 
-def _template_list(eid, key, change):
-    """A payload mutation: `change(values, k_max)` edits the list `key`
-    (labels or source_rates) of expert `eid`'s template in place."""
+def _template_labels(eid, change):
+    """A payload mutation: `change(labels, k_max)` edits the labels of expert
+    `eid`'s template in place."""
     def mutate(payload):
-        change(payload[0]["templates"][eid][key], payload[0]["metadata"]["k_max"])
+        change(payload[0]["templates"][eid]["labels"], payload[0]["metadata"]["k_max"])
     return mutate
 
 
@@ -876,13 +885,11 @@ DISAGREEING_PARTS = {
     "forest_registered_as_knn": _set(("registry", 2, "classifier"), "knn"),
     "doppler_expert_registered_as_amp_stats": _set(("registry", 0, "feature"), "amp_stats"),
     "centroid_too_short": _edit(("templates", "E1", "values"), "<f8", lambda v: v[:, :-1]),
-    "template_label_past_k_max": _template_list("E1", "labels",
-                                                lambda labels, k: labels.__setitem__(-1, k + 1)),
-    "template_label_repeated": _template_list("E1", "labels",
-                                              lambda labels, k: labels.__setitem__(1, labels[0])),
-    "template_label_missing": _template_list("E1", "labels", lambda labels, k: labels.pop()),
-    "template_source_rate_missing": _template_list("E1", "source_rates",
-                                                   lambda rates, k: rates.pop()),
+    "template_label_past_k_max": _template_labels("E1",
+                                                  lambda labels, k: labels.__setitem__(-1, k + 1)),
+    "template_label_repeated": _template_labels("E1",
+                                                lambda labels, k: labels.__setitem__(1, labels[0])),
+    "template_label_missing": _template_labels("E1", lambda labels, k: labels.pop()),
     "template_value_nan": _edit(("templates", "E1", "values"), "<f8",
                                 lambda v: v.__setitem__((0, 2), np.nan)),
     "amp_stats_forest_registered_as_doppler": _doppler_forest_from_amp_stats,
@@ -939,7 +946,7 @@ def test_short_centroid_or_scaler_is_named(small_bundle, case, names):
 # their path; those in a block by the path of the array's reference and the
 # number's index in the array.
 HEADER_NUMBERS = {
-    "centroid_source_rate": ("templates", "E4", "source_rates", 0),
+    "template_label": ("templates", "E4", "labels", 0),
     "k_max": ("metadata", "k_max"),
     "validation_accuracy": ("metadata", "validation_accuracy", "E5"),
     "seed": ("metadata", "seed"),
@@ -1059,8 +1066,8 @@ def test_header_states_each_fact_once(tiny_bundle_bytes):
         assert stated <= entry.keys(), f"forest {eid} does not state its width"
     assert any(template["labels"] for template in header["templates"].values())
     for eid, template in header["templates"].items():
-        assert set(template) == {"labels", "source_rates", "values"}, (
-            f"template of {eid} holds more than its labels, rates and rows")
+        assert set(template) == {"labels", "values"}, (
+            f"template of {eid} holds more than its labels and rows")
     references = list(_array_references(header))
     assert len(references) == len(header["blocks"])
     for ref in references:

@@ -1,4 +1,5 @@
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -116,8 +117,6 @@ def test_packet_count_and_metadata():
     stream = synthesize_stream(cfg)
     assert stream.samples.shape == (2000, 30)
     assert stream.packet_rate == 1000.0
-    assert stream.true_target_count == 3
-    assert stream.seed == cfg.rng_seed
     assert np.all(np.isfinite(stream.samples.view(np.float64)))
 
 
@@ -140,8 +139,6 @@ def test_decimate_stride_five():
     assert out.num_packets == 200
     assert out.packet_rate == 100.0
     assert np.array_equal(out.samples, stream.samples[::5])
-    assert out.true_target_count == stream.true_target_count
-    assert out.seed == stream.seed
 
 
 def test_decimate_full_rate_is_identity():
@@ -215,19 +212,18 @@ def test_decimate_non_integral_ratio_keeps_exact_rate():
 # ---------------------------------------------------------------------------
 
 def test_amplitude_pythagorean():
-    stream = CsiStream(np.array([[3 + 4j, 6 - 8j]]), 100.0, 0, 0)
+    stream = CsiStream(np.array([[3 + 4j, 6 - 8j]]), 100.0)
     assert mean_amplitude_series(stream)[0] == 7.5
 
 
 def test_amplitude_zero_stream():
-    stream = CsiStream(np.zeros((4, 3), dtype=complex), 100.0, 0, 0)
+    stream = CsiStream(np.zeros((4, 3), dtype=complex), 100.0)
     assert np.all(mean_amplitude_series(stream) == 0.0)
 
 
 def test_amplitude_conjugation_invariant():
     stream = synthesize_stream(make_config())
-    conj = CsiStream(np.conj(stream.samples), stream.packet_rate,
-                     stream.true_target_count, stream.seed)
+    conj = CsiStream(np.conj(stream.samples), stream.packet_rate)
     assert np.array_equal(mean_amplitude_series(stream), mean_amplitude_series(conj))
 
 
@@ -242,8 +238,6 @@ def test_stream_round_trip(tmp_path):
     loaded = load_stream(path)
     assert np.array_equal(loaded.samples, stream.samples)
     assert loaded.packet_rate == stream.packet_rate
-    assert loaded.true_target_count == stream.true_target_count
-    assert loaded.seed == stream.seed
 
 
 def test_stream_serialization_is_canonical():
@@ -253,8 +247,14 @@ def test_stream_serialization_is_canonical():
 
 def test_stream_bad_magic():
     data = serialize_stream(synthesize_stream(make_config()))
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="bad stream magic b'XXXX', expected b'CSI2'"):
         deserialize_stream(b"XXXX" + data[4:])
+
+
+def test_stream_container_is_its_header_and_samples():
+    stream = synthesize_stream(make_config(num_subcarriers=3))
+    header = struct.pack("<4sQQd", b"CSI2", stream.num_packets, 3, stream.packet_rate)
+    assert serialize_stream(stream) == header + stream.samples.astype("<c16").tobytes()
 
 
 def test_stream_truncated():
@@ -268,7 +268,7 @@ def test_stream_truncated():
 @pytest.mark.parametrize("rate", [float("nan"), float("inf"), 0.0, -500.0])
 def test_stream_bad_packet_rate(rate):
     stream = synthesize_stream(make_config())
-    forged = CsiStream(stream.samples, rate, stream.true_target_count, stream.seed)
+    forged = CsiStream(stream.samples, rate)
     with pytest.raises(FormatError):
         deserialize_stream(serialize_stream(forged))
 
@@ -279,7 +279,7 @@ def test_stream_reader_bounds_samples(value):
     stream = synthesize_stream(make_config())
     samples = stream.samples.copy()
     samples[7, 3] = value
-    forged = CsiStream(samples, stream.packet_rate, stream.true_target_count, stream.seed)
+    forged = CsiStream(samples, stream.packet_rate)
     with pytest.raises(FormatError, match="samples"):
         deserialize_stream(serialize_stream(forged))
     samples[7, 3] = np.nextafter(MAX_SAMPLE, 0.0) * (1 + 1j)
@@ -288,7 +288,7 @@ def test_stream_reader_bounds_samples(value):
 
 def test_stream_reader_rejects_a_stream_without_packets():
     with pytest.raises(FormatError, match="samples"):
-        deserialize_stream(serialize_stream(CsiStream(np.zeros((0, 8), complex), 500.0, 0, 0)))
+        deserialize_stream(serialize_stream(CsiStream(np.zeros((0, 8), complex), 500.0)))
 
 
 def test_manifest_round_trip(tmp_path):
@@ -327,8 +327,7 @@ def test_manifest_bad_label_or_path(tmp_path, row):
 
 def _stream_with_rate(rate):
     stream = synthesize_stream(make_config())
-    return deserialize_stream(serialize_stream(
-        CsiStream(stream.samples, rate, stream.true_target_count, stream.seed)))
+    return deserialize_stream(serialize_stream(CsiStream(stream.samples, rate)))
 
 
 # Each place that takes a rate or another positive number, the error class it
