@@ -207,22 +207,29 @@ def train_linear_svm(
     # +1 for the sample's own class, -1 for the rest.
     y = np.where(np.arange(c)[None, :] == data.labels[:, None], 1.0, -1.0)
 
-    margins = np.empty(c)
+    # A step allocates nothing: each call's last argument is its output buffer, the
+    # rows are views split once, and array operands (`shrink`, `ones`) cost less
+    # per call than Python floats.
+    margins, step, violated, ones = np.empty(c), np.empty(c), np.empty(c, bool), np.ones(c)
+    outer, eta_y = np.empty((c, d)), np.empty((n, c))
+    rows, step_col = list(zip(z, y, eta_y)), step[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(epochs):
             eta = step_size / (epoch + 1)
-            shrink = 1.0 - eta * l2
-            for i in range(n):
-                zi, yi = z[i], y[i]
-                np.dot(weights, zi, out=margins)
+            shrink = np.array(1.0 - eta * l2)
+            np.multiply(eta, y, eta_y)
+            for zi, yi, eta_yi in rows:
+                np.dot(weights, zi, margins)
                 margins += biases
                 margins *= yi
                 weights *= shrink
                 # Rows whose margin holds get a step of +-0.0, which leaves them
                 # bit-identical unless a weight is -0.0. Weights start at +0.0, and
                 # with a positive shrink factor only an underflow could make one -0.0.
-                step = (eta * yi) * (margins < 1.0)
-                weights += step[:, None] * zi
+                np.less(margins, ones, violated)
+                np.multiply(eta_yi, violated, step)
+                np.multiply(step_col, zi, outer)
+                weights += outer
                 biases += step
     if not _svm_margins_bounded(weights, biases, mean, std):
         raise TrainingError(f"linear SVM diverged at step_size {step_size:g}; lower it")
@@ -331,32 +338,29 @@ class ForestModel:
         return cls(d["nodes"], feature, threshold, right, counts, kind, num_classes, n_features)
 
 
-def _best_split_on_feature(
-    values: np.ndarray, labels: np.ndarray, num_classes: int
-) -> tuple[float, float] | None:
-    """Return (weighted Gini, midpoint threshold) or None if unsplittable."""
-    order = np.argsort(values, kind="stable")
-    v = values[order]
-    boundaries = np.nonzero(v[:-1] < v[1:])[0]
-    if boundaries.size == 0:
-        return None
-    onehot = np.zeros((len(v), num_classes))
-    onehot[np.arange(len(v)), labels[order]] = 1.0
-    cum = np.cumsum(onehot, axis=0)
-    total = cum[-1]
+def _best_splits(block: np.ndarray, labels: np.ndarray,
+                 num_classes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Search every column of `block` (rows x candidate features) in one pass.
 
-    n = len(v)
-    n_left = (boundaries + 1).astype(np.float64)
+    Return each column's lowest weighted Gini, inf if it cannot split, and the
+    midpoint threshold of its first minimum, so ties take the lowest threshold.
+    Classes lie on the last axis, so each class sum is one row's reduction.
+    """
+    n, columns = len(labels), np.arange(block.shape[1])
+    order = block.argsort(axis=0, kind="stable")
+    v = block[order, columns]
+    onehot = labels[order.T][:, :, None] == np.arange(num_classes)
+    cum = onehot.cumsum(axis=1, dtype=np.float64)  # (columns, rows, classes)
+    n_left = np.arange(1.0, n)
     n_right = n - n_left
-    left = cum[boundaries]
-    right = total - left
-    gini_left = 1.0 - ((left / n_left[:, None]) ** 2).sum(axis=1)
-    gini_right = 1.0 - ((right / n_right[:, None]) ** 2).sum(axis=1)
+    left = cum[:, :-1]
+    right = cum[:, -1:] - left
+    gini_left = 1.0 - ((left / n_left[:, None]) ** 2).sum(axis=2)
+    gini_right = 1.0 - ((right / n_right[:, None]) ** 2).sum(axis=2)
     weighted = (n_left * gini_left + n_right * gini_right) / n
-
-    best = int(np.argmin(weighted))  # ties resolve to the lowest threshold
-    thr = (v[boundaries[best]] + v[boundaries[best] + 1]) / 2.0
-    return float(weighted[best]), float(thr)
+    weighted[~(v[:-1] < v[1:]).T] = np.inf  # a boundary lies between distinct values
+    best = weighted.argmin(axis=1)
+    return weighted[columns, best], (v[best, columns] + v[best + 1, columns]) / 2.0
 
 
 def _grow_tree(matrix: np.ndarray, labels: np.ndarray, num_classes: int,
@@ -374,21 +378,24 @@ def _grow_tree(matrix: np.ndarray, labels: np.ndarray, num_classes: int,
         m, y, depth, parent = stack.pop()
         if parent >= 0:
             right[parent] = len(feature) - first
-        best: tuple[float, float, int] | None = None
-        if len(y) >= 2 and depth < max_depth and not np.all(y == y[0]):
-            # Evaluate m_try candidate features; if none of them splits, keep walking
-            # the permutation until one does so unique points always separate.
-            for rank, f in enumerate(rng.permutation(m.shape[1])):
-                res = _best_split_on_feature(m[:, f], y, num_classes)
-                if res is not None and (best is None or res[0] < best[0]):
-                    best = (res[0], res[1], int(f))
-                if rank + 1 >= m_try and best is not None:
+        best: tuple[float, int] | None = None
+        if len(y) >= 2 and depth < max_depth and not (y == y[0]).all():
+            # The first m_try features of the permutation give the lowest Gini, the
+            # earliest on a tie. If none of them splits, the first later feature that
+            # splits wins, searched m_try at a time, so unique points always separate.
+            perm = rng.permutation(m.shape[1])
+            for start in range(0, len(perm), m_try):
+                candidates = perm[start:start + m_try]
+                gini, thresholds = _best_splits(m[:, candidates], y, num_classes)
+                j = int(np.argmin(gini) if start == 0 else np.argmax(gini < np.inf))
+                if gini[j] < np.inf:
+                    best = (float(thresholds[j]), int(candidates[j]))
                     break
         if best is None:
             counts.append(np.bincount(y, minlength=num_classes))
             feature.append(-1)
             continue
-        _, split, f = best
+        split, f = best
         mask = m[:, f] <= split
         stack.append((m[~mask], y[~mask], depth + 1, len(right)))
         stack.append((m[mask], y[mask], depth + 1, -1))

@@ -1,4 +1,5 @@
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -232,14 +233,41 @@ def _separable(rng):
     return dataset(matrix, labels)
 
 
-@pytest.mark.parametrize("make", [_with_constant_column, _separable])
-@pytest.mark.parametrize("epochs, step_size, l2", [(40, 0.01, 1e-3), (15, 0.3, 0.05)])
+def _single_feature(rng):
+    labels = np.repeat(np.arange(3), 12)
+    return dataset(labels[:, None] + rng.normal(scale=0.8, size=(36, 1)), labels)
+
+
+def _many_classes(rng):
+    # more weight rows than one BLAS gemv block
+    data, _, _ = random_dataset(rng, n=110, d=6, num_classes=11)
+    return data
+
+
+def _margins_exactly_one(rng):
+    return dataset([[0.0, 0.0], [1.0, 1.0]], [0, 1])
+
+
+@pytest.mark.parametrize("make", [_with_constant_column, _separable, _single_feature,
+                                  _many_classes, _margins_exactly_one])
+@pytest.mark.parametrize("epochs, step_size, l2", [(40, 0.01, 1e-3), (15, 0.3, 0.05),
+                                                   (25, 0.05, 0.0), (1, 1.0, 0.0)])
 def test_svm_matches_per_sample_reference_bytes(make, epochs, step_size, l2):
     data = make(np.random.default_rng(41))
     model = train_linear_svm(data, epochs=epochs, step_size=step_size, l2=l2)
     weights, biases = per_sample_svm_reference(data, epochs, step_size, l2)
     assert model.weights.tobytes() == weights.tobytes()
     assert model.biases.tobytes() == biases.tobytes()
+
+
+def test_svm_margin_of_exactly_one_holds():
+    """Only a margin strictly below 1 takes a step. After the first step the
+    weights are [[-1, -1], [1, 1]] and the biases [1, -1]; at the second
+    sample, z = [1, 1], both margins are exactly 1.0, so nothing moves. A rule
+    of margin <= 1 would step again to [[-2, -2], [2, 2]] and [0, 0]."""
+    model = train_linear_svm(_margins_exactly_one(None), epochs=1, step_size=1.0, l2=0.0)
+    assert model.weights.tolist() == [[-1.0, -1.0], [1.0, 1.0]]
+    assert model.biases.tolist() == [1.0, -1.0]
 
 
 def test_svm_posterior_follows_margins():
@@ -285,17 +313,128 @@ def test_forest_pure_class_single_leaf():
 def test_forest_never_splits_on_a_constant_column(monkeypatch):
     unsplittable = []
 
-    def spy(values, labels, num_classes, best_split=classifiers._best_split_on_feature):
-        result = best_split(values, labels, num_classes)
-        if result is None:
-            unsplittable.append(values)
-        return result
+    def spy(block, labels, num_classes, best_splits=classifiers._best_splits):
+        gini, thresholds = best_splits(block, labels, num_classes)
+        unsplittable.extend(block[:, gini == np.inf].T)
+        return gini, thresholds
 
-    monkeypatch.setattr(classifiers, "_best_split_on_feature", spy)
+    monkeypatch.setattr(classifiers, "_best_splits", spy)
     data = _with_constant_column(np.random.default_rng(43))
     model = train_forest(data, num_trees=5, max_depth=6, seed=2)
     assert any((values == 3.25).all() for values in unsplittable)  # the constant column's value
     assert 2 not in model.feature.tolist()
+
+
+def _best_split_on_feature(
+    values: np.ndarray, labels: np.ndarray, num_classes: int
+) -> tuple[float, float] | None:
+    """Return (weighted Gini, midpoint threshold) or None if unsplittable."""
+    order = np.argsort(values, kind="stable")
+    v = values[order]
+    boundaries = np.nonzero(v[:-1] < v[1:])[0]
+    if boundaries.size == 0:
+        return None
+    onehot = np.zeros((len(v), num_classes))
+    onehot[np.arange(len(v)), labels[order]] = 1.0
+    cum = np.cumsum(onehot, axis=0)
+    total = cum[-1]
+
+    n = len(v)
+    n_left = (boundaries + 1).astype(np.float64)
+    n_right = n - n_left
+    left = cum[boundaries]
+    right = total - left
+    gini_left = 1.0 - ((left / n_left[:, None]) ** 2).sum(axis=1)
+    gini_right = 1.0 - ((right / n_right[:, None]) ** 2).sum(axis=1)
+    weighted = (n_left * gini_left + n_right * gini_right) / n
+
+    best = int(np.argmin(weighted))  # ties resolve to the lowest threshold
+    thr = (v[boundaries[best]] + v[boundaries[best] + 1]) / 2.0
+    return float(weighted[best]), float(thr)
+
+
+def _grow_tree(matrix: np.ndarray, labels: np.ndarray, num_classes: int,
+               max_depth: int, rng: np.random.Generator,
+               columns: tuple[list, list, list, list]) -> int:
+    """Append one tree in preorder to the forest's `columns` (feature, threshold,
+    right, counts; see `ForestModel`) and return its node count. A node's left
+    subtree is finished before its right one starts, so the RNG draws follow
+    the node order."""
+    feature, threshold, right, counts = columns
+    first = len(feature)
+    m_try = math.ceil(math.sqrt(matrix.shape[1]))
+    stack = [(matrix, labels, 0, -1)]  # (samples, labels, depth, parent's `right` entry)
+    while stack:
+        m, y, depth, parent = stack.pop()
+        if parent >= 0:
+            right[parent] = len(feature) - first
+        best: tuple[float, float, int] | None = None
+        if len(y) >= 2 and depth < max_depth and not np.all(y == y[0]):
+            # Evaluate m_try candidate features; if none of them splits, keep walking
+            # the permutation until one does so unique points always separate.
+            for rank, f in enumerate(rng.permutation(m.shape[1])):
+                res = _best_split_on_feature(m[:, f], y, num_classes)
+                if res is not None and (best is None or res[0] < best[0]):
+                    best = (res[0], res[1], int(f))
+                if rank + 1 >= m_try and best is not None:
+                    break
+        if best is None:
+            counts.append(np.bincount(y, minlength=num_classes))
+            feature.append(-1)
+            continue
+        _, split, f = best
+        mask = m[:, f] <= split
+        stack.append((m[~mask], y[~mask], depth + 1, len(right)))
+        stack.append((m[mask], y[mask], depth + 1, -1))
+        feature.append(f)
+        threshold.append(split)
+        right.append(-1)  # set when the right child is reached
+    return len(feature) - first
+
+
+def per_feature_forest_reference(data, num_trees, max_depth, seed, bootstrap):
+    """The forest as trained when a node searched its candidate features one
+    call at a time: `_best_split_on_feature` and `_grow_tree` above are that
+    search, unchanged, and this is `train_forest`'s seeding around them."""
+    master = np.random.default_rng(seed)
+    tree_seeds = [int(s) for s in master.integers(0, 2**63, num_trees)]
+    n = len(data)
+    nodes, columns = [], ([], [], [], [])
+    for ts in tree_seeds:
+        rng = np.random.default_rng(ts)
+        idx = rng.integers(0, n, n) if bootstrap else np.arange(n)
+        nodes.append(_grow_tree(data.matrix[idx], data.labels[idx], data.num_classes,
+                                max_depth, rng, columns))
+    return ForestModel(nodes, *columns, data.kind, data.num_classes, data.matrix.shape[1])
+
+
+def forest_case(seed):
+    """A seeded forest training set with 1-20 classes, up to 127 features, ties
+    from rounding, and constant columns that often leave the first m_try
+    candidates without a split."""
+    rng = np.random.default_rng(seed)
+    num_classes = 1 + seed % 20
+    d = int(rng.choice([1, 2, 3, 4, 5, 7, 9, 16, 30, 127]))
+    n = int(rng.integers(2, 90))
+    matrix = rng.normal(size=(n, d))
+    matrix = np.round(matrix, int(rng.integers(0, 3)))  # ties within a column
+    constant = rng.random(d) < rng.choice([0.0, 0.5, 0.9, 1.0])
+    matrix[:, constant] = rng.normal(size=int(constant.sum()))
+    labels = rng.integers(0, num_classes, n)
+    return dataset(matrix, labels.tolist(), num_classes)
+
+
+@pytest.mark.parametrize("group", range(8))
+def test_forest_matches_the_per_feature_search_bit_for_bit(group):
+    for seed in range(group, 240, 8):
+        data = forest_case(seed)
+        params = dict(num_trees=1 + seed % 3, max_depth=[1, 3, 8, 64][seed // 20 % 4],
+                      seed=seed, bootstrap=seed % 7 != 0)
+        model = train_forest(data, **params)
+        expected = per_feature_forest_reference(data, **params)
+        assert np.asarray(model.nodes).tobytes() == np.asarray(expected.nodes).tobytes()
+        for column in ("feature", "threshold", "right", "counts"):
+            assert getattr(model, column).tobytes() == getattr(expected, column).tobytes()
 
 
 def test_forest_deterministic_retraining():
