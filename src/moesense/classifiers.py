@@ -11,12 +11,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import InputError, TrainingError
-from .features import MAX_FEATURE, FeatureKind, FeatureVector, Get, Put, finite_array
+from .features import MAX_FEATURE, FeatureKind, FeatureVector
 
 KNN_DEFAULTS = {"k": 5}
 SVM_DEFAULTS = {"epochs": 200, "step_size": 0.01, "l2": 1e-3}
@@ -92,31 +92,17 @@ class KnnModel:
 
     def __init__(self, k: int, matrix: np.ndarray, labels: np.ndarray,
                  kind: FeatureKind, num_classes: int):
+        """Check that `k`, the rows and their labels fit each other and the class count."""
+        if (matrix.ndim != 2 or labels.shape != (len(matrix),)
+                or type(k) is not int or not 1 <= k <= len(labels)
+                or np.any((labels < 0) | (labels >= num_classes))):
+            raise ValueError("knn matrix, labels and k disagree")
         self.k = k
         self.matrix = matrix
         self.n_features = matrix.shape[1]
         self.labels = labels
         self.kind = kind
         self.num_classes = num_classes
-
-    def to_jsonable(self, put: Put) -> dict[str, Any]:
-        return {
-            "k": self.k,
-            "matrix": put(self.matrix, "<f8"),
-            "labels": put(self.labels, "<i8"),
-        }
-
-    @classmethod
-    def from_jsonable(cls, d: dict[str, Any], get: Get, kind: FeatureKind, num_classes: int,
-                      n_features: int) -> "KnnModel":
-        matrix = finite_array(get(d["matrix"], "<f8"), "knn matrix")
-        labels = get(d["labels"], "<i8")
-        k = d["k"]
-        if (matrix.shape[1:] != (n_features,) or labels.shape != (len(matrix),)
-                or type(k) is not int or not 1 <= k <= len(labels)
-                or np.any((labels < 0) | (labels >= num_classes))):
-            raise ValueError("knn matrix, labels and k disagree")
-        return cls(k, matrix, labels, kind, num_classes)
 
 
 def train_knn(data: LabeledDataset, k: int = KNN_DEFAULTS["k"]) -> KnnModel:
@@ -144,6 +130,16 @@ class LinearSvmModel:
 
     def __init__(self, weights: np.ndarray, biases: np.ndarray, mean: np.ndarray,
                  std: np.ndarray, kind: FeatureKind, num_classes: int):
+        """Check the shapes, and that every std is positive and features below
+        MAX_FEATURE give margins below `reach`, and so below 1e307: then softmax
+        is finite. A NaN fails."""
+        if not (weights.ndim == 2 and biases.shape == (num_classes,) == weights.shape[:1]
+                and mean.shape == std.shape == weights.shape[1:]):
+            raise ValueError("svm weights, biases and standardization disagree")
+        with np.errstate(all="ignore"):
+            reach = np.abs(weights) @ ((MAX_FEATURE + np.abs(mean)) / std) + np.abs(biases)
+        if not (np.all(std > 0) and np.all(reach < 1e307)):
+            raise ValueError("svm numbers could make a prediction overflow")
         self.weights = weights  # (num_classes, n_features)
         self.n_features = weights.shape[1]
         self.biases = biases
@@ -151,35 +147,6 @@ class LinearSvmModel:
         self.std = std
         self.kind = kind
         self.num_classes = num_classes
-
-    def to_jsonable(self, put: Put) -> dict[str, Any]:
-        return {
-            "weights": put(self.weights, "<f8"),
-            "biases": put(self.biases, "<f8"),
-            "mean": put(self.mean, "<f8"),
-            "std": put(self.std, "<f8"),
-        }
-
-    @classmethod
-    def from_jsonable(cls, d: dict[str, Any], get: Get, kind: FeatureKind, num_classes: int,
-                      n_features: int) -> "LinearSvmModel":
-        weights, biases, mean, std = (finite_array(get(d[key], "<f8"), f"svm {key}")
-                                      for key in ("weights", "biases", "mean", "std"))
-        if (weights.shape != (num_classes, n_features) or biases.shape != (num_classes,)
-                or not mean.shape == std.shape == (n_features,)):
-            raise ValueError("svm weights, biases and standardization disagree")
-        if not _svm_margins_bounded(weights, biases, mean, std):
-            raise ValueError("svm numbers could make a prediction overflow")
-        return cls(weights, biases, mean, std, kind, num_classes)
-
-
-def _svm_margins_bounded(weights: np.ndarray, biases: np.ndarray, mean: np.ndarray,
-                         std: np.ndarray) -> bool:
-    """Whether every std is positive and features below MAX_FEATURE give margins
-    below `reach`, and so below 1e307: then softmax is finite. A NaN fails."""
-    with np.errstate(all="ignore"):
-        reach = np.abs(weights) @ ((MAX_FEATURE + np.abs(mean)) / std) + np.abs(biases)
-    return bool(np.all(std > 0) and np.all(reach < 1e307))
 
 
 def train_linear_svm(
@@ -231,19 +198,10 @@ def train_linear_svm(
                 np.multiply(step_col, zi, outer)
                 weights += outer
                 biases += step
-    if not _svm_margins_bounded(weights, biases, mean, std):
-        raise TrainingError(f"linear SVM diverged at step_size {step_size:g}; lower it")
-    return LinearSvmModel(weights, biases, mean, std, data.kind, data.num_classes)
-
-
-def svm_objective(model: LinearSvmModel, data: LabeledDataset, l2: float) -> float:
-    """Regularized mean hinge loss summed over the one-vs-rest problems."""
-    z = (data.matrix - model.mean) / model.std
-    y = np.where(np.arange(model.num_classes)[None, :] == data.labels[:, None], 1.0, -1.0)
-    margins = (z @ model.weights.T + model.biases) * y
-    hinge = np.maximum(0.0, 1.0 - margins).mean(axis=0).sum()
-    reg = 0.5 * l2 * float((model.weights**2).sum())
-    return hinge + reg
+    try:  # the shapes fit, so only the margin bound can fail
+        return LinearSvmModel(weights, biases, mean, std, data.kind, data.num_classes)
+    except ValueError as exc:
+        raise TrainingError(f"linear SVM diverged at step_size {step_size:g}; lower it") from exc
 
 
 def predict_linear_svm(model: LinearSvmModel, x: FeatureVector) -> np.ndarray:
@@ -286,7 +244,8 @@ class ForestModel:
         total = sum(nodes)
         if self.feature.shape != (total,):
             raise ValueError(f"tree features must be 1-D and hold all {total} nodes")
-        if not (self.feature.min() >= -1 and self.feature.max() < n_features):
+        if not (type(n_features) is int and self.feature.min() >= -1
+                and self.feature.max() < n_features):
             raise ValueError(f"tree features must lie in [-1, {n_features})")
         inner = np.flatnonzero(self.feature >= 0)
         if not self.threshold.shape == self.right.shape == inner.shape:
@@ -316,26 +275,6 @@ class ForestModel:
         threshold, step = np.zeros(total), np.cumsum(self.feature < 0) - 1
         threshold[inner], step[inner] = self.threshold, self.right + starts[tree]
         self._walk = (starts.tolist(), self.feature.tolist(), threshold.tolist(), step.tolist())
-
-    def to_jsonable(self, put: Put) -> dict[str, Any]:
-        return {
-            "nodes": list(self.nodes),
-            "n_features": self.n_features,
-            "feature": put(self.feature, "<i1"),
-            "threshold": put(self.threshold, "<f8"),
-            "right": put(self.right, "<u2"),
-            "counts": put(self.counts, "<u2"),
-        }
-
-    @classmethod
-    def from_jsonable(cls, d: dict[str, Any], get: Get, kind: FeatureKind, num_classes: int,
-                      n_features: int) -> "ForestModel":
-        if d["n_features"] != n_features:
-            raise ValueError(f"a forest over {d['n_features']!r} features serves {n_features}")
-        feature, right, counts = (get(d[key], dtype) for key, dtype in
-                                  (("feature", "<i1"), ("right", "<u2"), ("counts", "<u2")))
-        threshold = finite_array(get(d["threshold"], "<f8"), "tree threshold")
-        return cls(d["nodes"], feature, threshold, right, counts, kind, num_classes, n_features)
 
 
 def _best_splits(block: np.ndarray, labels: np.ndarray,
@@ -463,6 +402,3 @@ _PREDICTORS = {
 
 def predict_posterior(model: Model, x: FeatureVector) -> np.ndarray:
     return _PREDICTORS[type(model)](model, x)
-
-
-MODEL_TYPES = {"knn": KnnModel, "svm": LinearSvmModel, "forest": ForestModel}

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -197,27 +197,3 @@ def pearson(a: Sequence[float] | np.ndarray | Centred,
     if vx <= 0.0 or vy <= 0.0:
         return 0.0
     return float(xc.dot(yc)) / math.sqrt(vx * vy)
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-# An encoder stores each array with `put(array, dtype)` and keeps the
-# reference it returns in its JSON header entry; the decoder reads the array
-# back with `get(reference, dtype)`.
-Put = Callable[[Any, str], dict]
-Get = Callable[[dict, str], np.ndarray]
-
-
-def finite_array(values, what: str) -> np.ndarray:
-    """`values` as a float64 array; ValueError if any of them is NaN or infinite.
-
-    Decoders call this on every float block and header number they read that
-    no tighter bound checks: a block can hold NaN or infinity bit patterns,
-    and json reads an out-of-range literal such as 1e999 as an infinity.
-    """
-    arr = np.asarray(values, dtype=np.float64)
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{what} holds a non-finite number")
-    return arr

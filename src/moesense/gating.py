@@ -183,6 +183,8 @@ class TemplateLibrary:
         constant, which scores 0.0 whatever it is matched with, and otherwise
         standardized by the scaler of `kind` and prepared for `pearson`."""
         mean, std = self._scalers[kind]
+        if rows.shape[1:] != mean.shape:
+            raise InputError(f"{kind.value} rows must be {len(mean)} wide, got {rows.shape[1:]}")
         constant = (np.ptp(rows, axis=1) == 0.0).tolist()
         return [None if c else op for c, op in zip(constant, centre_rows((rows - mean) / std))]
 

@@ -27,8 +27,10 @@ from typing import Any, Callable, Iterable, Sequence
 import numpy as np
 
 from .classifiers import (
-    MODEL_TYPES,
+    ForestModel,
+    KnnModel,
     LabeledDataset,
+    LinearSvmModel,
     Model,
     predict_posterior,
     train_forest,
@@ -41,13 +43,10 @@ from .features import (
     DopplerConfig,
     FeatureKind,
     FeatureVector,
-    Get,
-    Put,
     amp_stats_from_series,
     doppler_from_series,
     extract_amp_stats,
     extract_doppler,
-    finite_array,
     mean_amplitude_series,
 )
 from .gating import (
@@ -96,7 +95,7 @@ class TrainedBundle:
         for spec in self.registry:
             model, width = self.models[spec.id], FEATURE_WIDTHS[spec.feature_kind]
             classifier, params = spec.classifier_kind, spec.params
-            if (type(model) is not MODEL_TYPES[classifier.value]
+            if (type(model) is not MODEL_FORMATS[classifier.value][0]
                     or model.kind is not spec.feature_kind
                     or model.n_features != width or model.num_classes != num_classes
                     or classifier is ClassifierKind.KNN and model.k != params["k"]
@@ -400,13 +399,31 @@ class StreamFeatures:
 # Bundle container
 # ---------------------------------------------------------------------------
 
+# An encoder stores each array with `put(array, dtype)` and keeps the
+# reference it returns in its JSON header entry; the decoder reads the array
+# back with `get(reference, dtype)`.
+Put = Callable[[Any, str], dict]
+Get = Callable[[dict, str], np.ndarray]
+
+# Each classifier's model entry: its class, its arrays with their block dtypes
+# in block order, and its JSON numbers. Each of these is an attribute of the
+# class's models and a keyword of its constructor, which checks them.
+MODEL_FORMATS = {
+    "knn": (KnnModel, {"matrix": "<f8", "labels": "<i8"}, ("k",)),
+    "svm": (LinearSvmModel, {"weights": "<f8", "biases": "<f8", "mean": "<f8", "std": "<f8"}, ()),
+    "forest": (ForestModel, {"feature": "<i1", "threshold": "<f8", "right": "<u2",
+                             "counts": "<u2"}, ("nodes", "n_features")),
+}
+
+
 class Blocks:
     """A bundle's numeric arrays, one little-endian byte block each.
 
     `put` stores an array as the next block and returns the reference that
     the JSON header keeps in its place. `get` returns the array a reference
     names, in the dtype its caller expects, as a read-only view of its
-    block, once the reference's shape fits the block.
+    block, once the reference's shape fits the block and, for a float
+    dtype, every value is finite.
     """
 
     def __init__(self, data: Sequence[bytes | memoryview] = ()):
@@ -424,7 +441,18 @@ class Blocks:
         if not (type(shape) is list and all(_is_count(n) for n in shape)):
             raise ValueError(f"bad block shape {shape!r}")
         # reshape raises ValueError when the shape's size is not the block's
-        return np.frombuffer(self.data[block], dtype).reshape(shape)
+        array = np.frombuffer(self.data[block], dtype).reshape(shape)
+        return finite_array(array, f"block {block}") if array.dtype.kind == "f" else array
+
+
+def finite_array(values: Any, what: str) -> np.ndarray:
+    """`values` as a float64 array; ValueError if any of them is NaN or infinite:
+    a block can hold their bit patterns, and json reads an out-of-range
+    literal such as 1e999 as an infinity."""
+    arr = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} holds a non-finite number")
+    return arr
 
 
 def _is_count(value: Any) -> bool:
@@ -438,7 +466,7 @@ def bundle_to_jsonable(bundle: TrainedBundle, put: Put) -> dict[str, Any]:
                                                key=lambda item: item[0].value)}
     return {
         "registry": [spec_to_jsonable(s) for s in bundle.registry],
-        "models": {eid: m.to_jsonable(put) for eid, m in bundle.models.items()},
+        "models": {eid: model_to_jsonable(m, put) for eid, m in bundle.models.items()},
         "templates": {eid: {"labels": list(t.labels), "values": put(t.values, "<f8")}
                       for eid in bundle.templates.expert_ids()
                       for t in (bundle.templates.template(eid),)},
@@ -450,23 +478,37 @@ def bundle_to_jsonable(bundle: TrainedBundle, put: Put) -> dict[str, Any]:
 def bundle_from_jsonable(payload: dict[str, Any], get: Get) -> TrainedBundle:
     """The inverse of `bundle_to_jsonable`; `get` returns a block's array. A model
     or template takes its classifier and kind from its expert's registry entry
-    (a KeyError if none), its class count from `k_max`, its width from `FEATURE_WIDTHS`."""
+    (a KeyError if none), and a model its class count from `k_max`."""
     registry = tuple(spec_from_jsonable(d) for d in payload["registry"])
     specs = {spec.id: spec for spec in registry}
     metadata = copy.deepcopy(payload["metadata"])
     finite_array([metadata["seed"], *metadata["validation_accuracy"].values()], "metadata")
     num_classes = int(metadata["k_max"]) + 1
-    models = {eid: MODEL_TYPES[specs[eid].classifier_kind.value].from_jsonable(
-                  d, get, specs[eid].feature_kind, num_classes,
-                  FEATURE_WIDTHS[specs[eid].feature_kind])
+    models = {eid: model_from_jsonable(d, get, specs[eid], num_classes)
               for eid, d in payload["models"].items()}
-    scalers = {FeatureKind(tag): (finite_array(get(s["mean"], "<f8"), f"{tag} scaler mean"),
-                                  finite_array(get(s["std"], "<f8"), f"{tag} scaler std"))
+    scalers = {FeatureKind(tag): (get(s["mean"], "<f8"), get(s["std"], "<f8"))
                for tag, s in payload["scalers"].items()}
-    # The library bounds every centroid below MAX_FEATURE, which rejects NaN and infinity.
     templates = {eid: Template(specs[eid].feature_kind, list(d["labels"]), get(d["values"], "<f8"))
                  for eid, d in payload["templates"].items()}
     return TrainedBundle(registry, models, TemplateLibrary(templates, scalers), metadata)
+
+
+def model_to_jsonable(model: Model, put: Put) -> dict[str, Any]:
+    """The model's header entry: its JSON numbers, and a reference to each
+    of its arrays, which `put` stores as a block."""
+    _, arrays, numbers = next(f for f in MODEL_FORMATS.values() if f[0] is type(model))
+    return {**{name: copy.deepcopy(getattr(model, name)) for name in numbers},
+            **{name: put(getattr(model, name), dtype) for name, dtype in arrays.items()}}
+
+
+def model_from_jsonable(d: dict[str, Any], get: Get, spec: ExpertSpec,
+                        num_classes: int) -> Model:
+    """The model that the entry `d` holds for the expert `spec` over `num_classes`
+    classes; a KeyError if `d` lacks a field of the spec's classifier."""
+    cls, arrays, numbers = MODEL_FORMATS[spec.classifier_kind.value]
+    return cls(**{name: get(d[name], dtype) for name, dtype in arrays.items()},
+               **{name: d[name] for name in numbers}, kind=spec.feature_kind,
+               num_classes=num_classes)
 
 
 def serialize_bundle(bundle: TrainedBundle) -> bytes:

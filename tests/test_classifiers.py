@@ -10,7 +10,6 @@ from moesense import classifiers
 from moesense.classifiers import (
     HYPERPARAM_RANGES,
     HYPERPARAMS,
-    MODEL_TYPES,
     SVM_DEFAULTS,
     ForestModel,
     KnnModel,
@@ -20,14 +19,14 @@ from moesense.classifiers import (
     predict_knn,
     predict_linear_svm,
     predict_posterior,
-    svm_objective,
     train_forest,
     train_knn,
     train_linear_svm,
 )
 from moesense.errors import InputError, TrainingError
 from moesense.features import MAX_FEATURE, FeatureKind, FeatureVector
-from moesense.pipeline import Blocks
+from moesense.gating import ClassifierKind, ExpertSpec
+from moesense.pipeline import MODEL_FORMATS, Blocks, model_from_jsonable, model_to_jsonable
 
 
 def fv(values, kind=FeatureKind.AMPLITUDE_STATS):
@@ -182,6 +181,16 @@ def test_svm_deterministic_retraining():
     b = train_linear_svm(data)
     assert np.array_equal(a.weights, b.weights)
     assert np.array_equal(a.biases, b.biases)
+
+
+def svm_objective(model, data, l2):
+    """Regularized mean hinge loss summed over the one-vs-rest problems."""
+    z = (data.matrix - model.mean) / model.std
+    y = np.where(np.arange(model.num_classes)[None, :] == data.labels[:, None], 1.0, -1.0)
+    margins = (z @ model.weights.T + model.biases) * y
+    hinge = np.maximum(0.0, 1.0 - margins).mean(axis=0).sum()
+    reg = 0.5 * l2 * float((model.weights**2).sum())
+    return hinge + reg
 
 
 def test_svm_objective_non_increasing_over_epochs():
@@ -496,7 +505,7 @@ def test_forest_predicts_bit_for_bit_as_the_per_tree_walk(seed):
     model = train_forest(data, num_trees=int(rng.integers(1, 40)),
                          max_depth=[64, 1, 3, 8][seed % 4], seed=seed, bootstrap=seed % 3 > 0)
     header, blocks = encoded(model)
-    clone = loaded(header, blocks, model)
+    clone = loaded(header, blocks, **facts(model))
     # training rows, new points, and points on a split's threshold
     on_split = matrix[rng.integers(0, len(matrix), 10)].copy()
     threshold, _ = full_columns(model)
@@ -538,7 +547,7 @@ def test_forest_counts_are_the_training_rows_each_leaf_holds(seed):
     assert model.counts.tolist() == [c.tolist() for c in expected_counts]
     v3 = np.array([(c := row.astype(np.float64)) / c.sum() for row in expected_counts])
     header, blocks = encoded(model)
-    clone = loaded(header, blocks, model)
+    clone = loaded(header, blocks, **facts(model))
     assert model.leaves.tobytes() == clone.leaves.tobytes() == v3.tobytes()
 
 
@@ -548,7 +557,7 @@ def test_forest_format_limits_hold_at_training():
     data, matrix, _ = random_dataset(rng, n=12, d=127, num_classes=2)
     model = train_forest(data, num_trees=3, seed=1)
     header, blocks = encoded(model)
-    clone = loaded(header, blocks, model)
+    clone = loaded(header, blocks, **facts(model))
     assert predict_forest(clone, fv(matrix[0])).tobytes() == predict_forest(
         model, fv(matrix[0])).tobytes()
     wide = LabeledDataset(np.zeros((4, 128)), np.array([0, 1, 0, 1]),
@@ -565,7 +574,7 @@ def test_forest_format_limits_hold_at_training():
             continue
         model = train_forest(tall, num_trees=1, bootstrap=False)
         header, blocks = encoded(model)
-        assert loaded(header, blocks, model).counts.tolist() == [[n, 0]]
+        assert loaded(header, blocks, **facts(model)).counts.tolist() == [[n, 0]]
 
 
 def test_forest_tree_over_65535_nodes_does_not_load():
@@ -583,12 +592,11 @@ def test_forest_tree_over_65535_nodes_does_not_load():
               "right": blocks.put(inner + 2, "<u2"),
               "counts": blocks.put(np.ones((n - len(inner), 2)), "<u2")}
     with pytest.raises(ValueError, match="65535"):
-        ForestModel.from_jsonable(header, blocks.get, FeatureKind.AMPLITUDE_STATS, 2, 1)
+        loaded(header, blocks.data, "forest", FeatureKind.AMPLITUDE_STATS, 2)
     header["nodes"] = [n - 1]  # the same tree without its last, unreachable leaf loads
     header["feature"] = blocks.put(feature[:-1], "<i1")
     header["counts"] = blocks.put(np.ones((n - 1 - len(inner), 2)), "<u2")
-    assert ForestModel.from_jsonable(header, blocks.get, FeatureKind.AMPLITUDE_STATS, 2,
-                                     1).nodes == [n - 1]
+    assert loaded(header, blocks.data, "forest", FeatureKind.AMPLITUDE_STATS, 2).nodes == [n - 1]
 
 
 def test_forest_child_before_its_parent_does_not_construct():
@@ -599,6 +607,8 @@ def test_forest_child_before_its_parent_does_not_construct():
     assert predict_forest(ForestModel(right=[4, 3], **tree), fv([0.3])).tolist() == [0.0, 1.0]
     with pytest.raises(ValueError, match="after its parent"):
         ForestModel(right=[4, 0], **tree)  # node 1's right child is the root
+    with pytest.raises(ValueError, match="tree features must lie"):
+        ForestModel(right=[4, 3], **{**tree, "n_features": 1.0})  # a width is an integer
 
 
 def test_forest_dimension_mismatch():
@@ -621,17 +631,23 @@ def test_forest_rejects_bad_tree_count():
 def encoded(model):
     """The model's JSON header entry and its blocks' bytes."""
     blocks = Blocks()
-    return model.to_jsonable(blocks.put), blocks.data
+    return model_to_jsonable(model, blocks.put), blocks.data
 
 
-def loaded(header, blocks, like, **changes):
+def loaded(header, blocks, classifier, kind, num_classes):
     """The model that the entry `header` over `blocks` loads as, given what a
-    bundle's registry and metadata state for `like`: its classifier, feature
-    kind, class count and width, each overridden by `changes`."""
-    facts = {"classifier": {cls: name for name, cls in MODEL_TYPES.items()}[type(like)],
-             "kind": like.kind, "num_classes": like.num_classes, "n_features": like.n_features,
-             **changes}
-    return MODEL_TYPES[facts.pop("classifier")].from_jsonable(header, Blocks(blocks).get, **facts)
+    bundle's registry and metadata state: its expert's classifier and
+    feature kind, and the class count."""
+    spec = ExpertSpec("X", kind, ClassifierKind(classifier), 100.0)
+    return model_from_jsonable(header, Blocks(blocks).get, spec, num_classes)
+
+
+def facts(model, **changes):
+    """What a bundle states for `model`: its classifier, feature kind and
+    class count, each overridden by `changes`."""
+    classifier = next(name for name, (cls, _, _) in MODEL_FORMATS.items() if cls is type(model))
+    return {"classifier": classifier, "kind": model.kind, "num_classes": model.num_classes,
+            **changes}
 
 
 def test_models_round_trip_jsonable():
@@ -645,7 +661,7 @@ def test_models_round_trip_jsonable():
     q = fv(rng.normal(size=4))
     for model in models:
         header, data = encoded(model)
-        clone = loaded(header, data, model)
+        clone = loaded(header, data, **facts(model))
         assert type(clone) is type(model)
         assert encoded(clone) == (header, data)
         assert np.array_equal(predict_posterior(clone, q), predict_posterior(model, q))
@@ -653,16 +669,41 @@ def test_models_round_trip_jsonable():
         # except a forest's width, which no array of it shows
         stated = header.keys() & {"type", "kind", "num_classes", "n_features"}
         assert stated == ({"n_features"} if isinstance(model, ForestModel) else set())
-        assert loaded(header, data, model, kind=FeatureKind.DOPPLER_ENERGY).kind is (
+        assert loaded(header, data, **facts(model, kind=FeatureKind.DOPPLER_ENERGY)).kind is (
             FeatureKind.DOPPLER_ENERGY)
-        with pytest.raises(ValueError):  # each model reads a feature past the first
-            loaded(header, data, model, n_features=1)
         if not isinstance(model, KnnModel):  # a KNN's labels only bound the class count
             with pytest.raises(ValueError):
-                loaded(header, data, model, num_classes=4)
+                loaded(header, data, **facts(model, num_classes=4))
         with pytest.raises(KeyError):  # another classifier's entry
-            loaded(header, data, model, classifier=next(
-                name for name, cls in MODEL_TYPES.items() if cls is not type(model)))
+            loaded(header, data, **facts(model, classifier=next(
+                name for name, (cls, _, _) in MODEL_FORMATS.items() if cls is not type(model))))
+
+
+KNN_PARTS = {"k": 2, "matrix": np.zeros((3, 2)), "labels": np.array([0, 1, 1])}
+
+
+@pytest.mark.parametrize("change", [
+    {"k": 0}, {"k": 4}, {"k": 2.0}, {"k": True}, {"labels": np.array([0, 1, 2])},
+    {"labels": np.array([-1, 1, 1])}, {"labels": np.array([0, 1])},
+    {"labels": np.array([[0, 1, 1]])}, {"matrix": np.zeros(3)},
+], ids=["k_zero", "k_past_the_rows", "k_a_float", "k_a_bool", "label_past_the_classes",
+        "label_negative", "labels_short", "labels_2d", "matrix_1d"])
+def test_knn_checks_its_numbers_trained_or_loaded(change):
+    KnnModel(**KNN_PARTS, kind=FeatureKind.AMPLITUDE_STATS, num_classes=2)
+    with pytest.raises(ValueError, match="knn matrix, labels and k disagree"):
+        KnnModel(**{**KNN_PARTS, **change}, kind=FeatureKind.AMPLITUDE_STATS, num_classes=2)
+
+
+@pytest.mark.parametrize("change", [
+    {"biases": [0.0, 0.0, 0.0]}, {"weights": [1.0, -1.0]}, {"weights": [[1.0], [-1.0], [0.0]]},
+    {"mean": [0.0, 0.0]}, {"std": [1.0, 1.0]},
+    {"weights": [[[1.0]], [[-1.0]]], "mean": [[0.0]], "std": [[1.0]]},
+], ids=["biases_past_the_classes", "weights_1d", "weights_past_the_classes", "mean_too_wide",
+        "std_too_wide", "weights_3d"])
+def test_svm_checks_its_shapes_trained_or_loaded(change):
+    arrays = {key: np.array(value, np.float64) for key, value in {**SVM_PARTS, **change}.items()}
+    with pytest.raises(ValueError, match="svm weights, biases and standardization disagree"):
+        LinearSvmModel(**arrays, kind=FeatureKind.AMPLITUDE_STATS, num_classes=2)
 
 
 @pytest.mark.parametrize("kind,trainer", [("knn", train_knn), ("svm", train_linear_svm),
@@ -682,15 +723,16 @@ def test_default_hyperparams_lie_in_their_ranges():
     assert set(HYPERPARAM_RANGES) == {name for d in HYPERPARAMS.values() for name in d}
 
 
+SVM_PARTS = {"weights": [[1.0], [-1.0]], "biases": [0.0, 0.0], "mean": [0.0], "std": [1.0]}
+SVM_FACTS = {"classifier": "svm", "kind": FeatureKind.AMPLITUDE_STATS, "num_classes": 2}
+
+
 def svm_with(**numbers):
     """A two-class SVM on one feature, given any of its numbers, as a bundle
-    stores it: its JSON header entry and its blocks' bytes, and the model."""
-    parts = {"weights": [[1.0], [-1.0]], "biases": [0.0, 0.0], "mean": [0.0], "std": [1.0],
-             **numbers}
-    model = LinearSvmModel(*(np.array(parts[key], np.float64)
-                             for key in ("weights", "biases", "mean", "std")),
-                           FeatureKind.AMPLITUDE_STATS, 2)
-    return (*encoded(model), model)
+    stores it: its JSON header entry and its blocks' bytes."""
+    blocks = Blocks()
+    return {key: blocks.put(value, "<f8") for key, value in {**SVM_PARTS, **numbers}.items()}, (
+        blocks.data)
 
 
 # Just below MAX_FEATURE, the largest a feature gets.
@@ -705,14 +747,17 @@ LARGEST_FEATURE = np.nextafter(MAX_FEATURE, 0.0)
 ], ids=["zero_std", "negative_std", "tiny_std", "huge_mean", "huge_weights", "huge_biases",
         "tiny_std_zero_weights"])
 def test_svm_that_could_predict_a_non_finite_posterior_does_not_load(numbers):
-    header, blocks, like = svm_with(**numbers)
     with pytest.raises(ValueError, match="svm numbers could make a prediction overflow"):
-        loaded(header, blocks, like)
+        loaded(*svm_with(**numbers), **SVM_FACTS)
+    arrays = {key: np.array(value, np.float64) for key, value in {**SVM_PARTS, **numbers}.items()}
+    with pytest.raises(ValueError, match="svm numbers could make a prediction overflow"):
+        LinearSvmModel(**arrays, kind=FeatureKind.AMPLITUDE_STATS, num_classes=2)
 
 
 def test_svm_just_inside_the_bound_loads_and_predicts_finitely():
     # each margin's size reaches 9e306, below the 1e307 bound
-    model = loaded(*svm_with(weights=[[9e306 / MAX_FEATURE], [-9e306 / MAX_FEATURE]]))
+    model = loaded(*svm_with(weights=[[9e306 / MAX_FEATURE], [-9e306 / MAX_FEATURE]]),
+                   **SVM_FACTS)
     for q in (LARGEST_FEATURE, -LARGEST_FEATURE):
         posterior = predict_linear_svm(model, fv([q]))  # a RuntimeWarning fails the test
         assert np.isfinite(posterior).all() and posterior.sum() == pytest.approx(1.0)
@@ -722,7 +767,7 @@ def test_trained_svm_loads_and_predicts_finitely_for_the_largest_features():
     rng = np.random.default_rng(75)
     data, _, _ = random_dataset(rng, n=40, d=4, num_classes=3)
     trained = train_linear_svm(data, epochs=20)
-    model = loaded(*encoded(trained), trained)
+    model = loaded(*encoded(trained), **facts(trained))
     for signs in ([1, 1, 1, 1], [-1, 1, -1, 1], [-1, -1, -1, -1]):
         posterior = predict_linear_svm(model, fv(np.array(signs) * LARGEST_FEATURE))
         assert np.isfinite(posterior).all()
@@ -747,4 +792,4 @@ def test_a_trained_svm_loads(log_step, epochs, l2):
         model = train_linear_svm(data, epochs=epochs, step_size=10.0**log_step, l2=l2)
     except TrainingError:
         return
-    loaded(*encoded(model), model)
+    loaded(*encoded(model), **facts(model))

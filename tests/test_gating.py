@@ -158,6 +158,19 @@ def test_score_missing_feature_kind_is_input_error():
         score_experts({D: fv([0.5, 0.5])}, lib, ["E1"])
 
 
+@pytest.mark.parametrize("width", [1, 3, 7])
+def test_feature_of_another_width_is_input_error(width):
+    # Against six-wide centroids, a 3- or 7-wide feature would fail to
+    # broadcast, and a 1-wide one would broadcast and score 0.0.
+    lib = library({"E1": {0: fv([1.0, 0.1, 0.2, 1.0, 0.9, 1.1], S),
+                          1: fv([0.4, 0.8, 0.3, 0.2, 0.6, 0.5], S)}})
+    features = {S: fv(np.linspace(0.2, 0.9, width), S)}
+    with pytest.raises(InputError, match=rf"amp_stats rows must be 6 wide, got \({width},\)"):
+        score_experts(features, lib, ["E1"])
+    with pytest.raises(InputError, match="amp_stats rows must be 6 wide"):
+        decide([ExpertSpec("E1", S, ClassifierKind.FOREST, 100.0)], lib, features, 100.0)
+
+
 def test_score_with_scaler_identical_still_one_and_constant_still_zero():
     centroid = fv([1.0, 0.01, 0.02, 1.0, 0.99, 1.01], kind=S)
     lib = library({"E1": {0: centroid}}, {S: (np.array([0.9, 0.02, 0.01, 0.95, 0.9, 0.95]),

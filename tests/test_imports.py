@@ -1,5 +1,6 @@
 """Every name a `moesense` module imports is used in that module, every
-module-level function and class is named outside its own definition, and
+module-level function and class is named outside its own definition, every
+method and property is read as an attribute outside its own definition, and
 every parameter of every function is read in its body."""
 import ast
 from collections import Counter
@@ -13,10 +14,12 @@ SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "moesense").glob
 # them where `cli` would call them; nothing in `cli` calls them itself.
 UNUSED_ON_PURPOSE = {"cli.py": {"decide", "decimate", "fuse", "predict_posterior"}}
 
-# Module-level definitions that nothing in `moesense` names, each with the
-# caller outside it that keeps it.
+# Module-level definitions that nothing in `moesense` names, and methods and
+# properties that nothing in it reads, each with the caller outside it that keeps it.
 CALLED_FROM_OUTSIDE = {
-    "classifiers.svm_objective": "tests/test_classifiers.py, the SVM tests' objective oracle",
+    "evaluate.ResultTable.fieldnames": "perfbench/workloads.py, which digests a sweep table",
+    "gating.TemplateLibrary.centroids": "perfbench/tests/test_tracer.py and tests/test_gating.py, "
+                                        "which count the gate's pearson calls",
 }
 
 
@@ -72,13 +75,32 @@ def named(node: ast.AST) -> Counter:
     return found
 
 
+def read_attributes(node: ast.AST) -> Counter:
+    """How often each attribute is read under `node`."""
+    return Counter(n.attr for n in ast.walk(node)
+                   if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+
+
 def uncalled(modules: dict[str, ast.Module]) -> set[str]:
     """The module-level functions and classes, as "module.name", that no
-    module names outside their own definition."""
+    module names outside their own definition, and the methods and
+    properties, as "module.Class.name", that no module reads as an attribute
+    outside their own definition; a bare name, such as a local variable of
+    the same name, does not count. Dunder methods are called by Python."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     everywhere = sum((named(tree) for tree in modules.values()), Counter())
-    return {f"{module}.{node.name}" for module, tree in modules.items() for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and everywhere[node.name] == named(node)[node.name]}
+    read = sum((read_attributes(tree) for tree in modules.values()), Counter())
+    found = set()
+    for module, tree in modules.items():
+        for node in tree.body:
+            if (isinstance(node, (*functions, ast.ClassDef))
+                    and everywhere[node.name] == named(node)[node.name]):
+                found.add(f"{module}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                found |= {f"{module}.{node.name}.{m.name}" for m in node.body
+                          if isinstance(m, functions) and not m.name.startswith("__")
+                          and read[m.name] == read_attributes(m)[m.name]}
+    return found
 
 
 def test_every_helper_has_a_caller():
@@ -91,6 +113,18 @@ def test_the_guard_sees_a_helper_without_a_caller():
                               "class C:\n    pass\n\nclass D:\n    pass\n"),
                "b": ast.parse("from .a import g\nimport a\n\ndef h():\n    return g(), a.C\n")}
     assert uncalled(modules) == {"a.f", "a.D", "b.h"}
+
+
+def test_the_guard_sees_a_method_without_a_caller():
+    source = ("class C:\n    def __init__(self):\n        self.used()\n\n"
+              "    def used(self):\n        pass\n\n"
+              "    def recursive(self, n):\n        return self.recursive(n - 1)\n\n"
+              "    @property\n    def size(self):\n        return 0\n\n"
+              "    def hidden(self):\n        pass\n\n"
+              "    def _private(self):\n        pass\n\n"
+              "def f(c):\n    hidden = c\n    return C().size, hidden\n\nf(None)\n")
+    modules = {"a": ast.parse(source)}
+    assert uncalled(modules) == {"a.C.recursive", "a.C.hidden", "a.C._private"}
 
 
 def unread_parameters(tree: ast.Module) -> set[str]:

@@ -981,6 +981,56 @@ def test_non_finite_number_is_format_error(small_bundle, part, literal):
         deserialize_bundle(forge(payload, literal))
 
 
+def test_every_float_block_is_checked_finite_where_it_is_read(small_bundle):
+    """Each `<f8` block, found by walking the header rather than from a list,
+    fails to load with a NaN or +inf in it, at the one check that reads it."""
+    blocks, dtypes = Blocks(), []
+
+    def put(array, dtype):
+        dtypes.append(dtype)
+        return blocks.put(array, dtype)
+    header = bundle_to_jsonable(small_bundle, put)
+    assert pipeline._pack(header, blocks.data) == serialize_bundle(small_bundle)
+    floats = [ref["block"] for ref in _array_references(fresh_payload(small_bundle)[0])
+              if dtypes[ref["block"]] == "<f8" and math.prod(ref["shape"])]
+    # every SVM's std among them, and every non-empty float block
+    assert {header["models"][eid]["std"]["block"] for eid in ("E1", "E2")} <= set(floats)
+    assert len(floats) == sum(dtype == "<f8" and len(block) > 0
+                              for dtype, block in zip(dtypes, blocks.data))
+    for block in floats:
+        for value in (math.nan, math.inf):
+            header, data = fresh_payload(small_bundle)
+            array = np.frombuffer(data[block], "<f8").copy()
+            array[-1] = value
+            data[block] = array.tobytes()
+            with pytest.raises(FormatError, match=f"block {block} holds a non-finite number"):
+                deserialize_bundle(forge((header, data)))
+
+
+def _narrowed(eid, names):
+    """A payload mutation: the arrays `names` of expert `eid` lose their last column."""
+    def mutate(payload):
+        for name in names:
+            _edit(("models", eid, name), "<f8", lambda a: a[..., :-1])(payload)
+    return mutate
+
+
+# Each model is well formed, but not as wide as its expert's feature kind.
+MODELS_OF_ANOTHER_WIDTH = {
+    "knn_matrix_narrower": _narrowed("E6", ["matrix"]),
+    "svm_narrower": _narrowed("E1", ["weights", "mean", "std"]),
+    "forest_wider": _set(("models", "E3", "n_features"), lambda n: n + 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MODELS_OF_ANOTHER_WIDTH))
+def test_model_of_another_width_is_format_error(small_bundle, case):
+    payload = fresh_payload(small_bundle)
+    MODELS_OF_ANOTHER_WIDTH[case](payload)
+    with pytest.raises(FormatError, match="disagrees with its registry entry or the metadata"):
+        deserialize_bundle(forge(payload))
+
+
 def _length(i, change):
     """A container mutation: `change` gives block i a new length in the table."""
     def mutate(data):
