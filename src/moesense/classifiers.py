@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError, TrainingError
-from .features import MAX_FEATURE, FeatureKind, FeatureVector
+from .features import MAX_FEATURE, FeatureVector
 
 KNN_DEFAULTS = {"k": 5}
 SVM_DEFAULTS = {"epochs": 200, "step_size": 0.01, "l2": 1e-3}
@@ -37,11 +37,10 @@ FOREST_LIMITS = {"features": 127, "rows": 32768}
 
 @dataclass(frozen=True, eq=False)
 class LabeledDataset:
-    """Feature matrix + integer target counts, uniform in kind and length."""
+    """Feature matrix + integer target counts, built from features of one kind and length."""
 
     matrix: np.ndarray
     labels: np.ndarray
-    kind: FeatureKind
     num_classes: int
 
     @classmethod
@@ -69,15 +68,13 @@ class LabeledDataset:
                 f"label {label_arr.max()} out of range for num_classes={num_classes}"
             )
         matrix = np.stack([np.asarray(fv.values, dtype=np.float64) for fv in features])
-        return cls(matrix=matrix, labels=label_arr, kind=kinds.pop(), num_classes=num_classes)
+        return cls(matrix=matrix, labels=label_arr, num_classes=num_classes)
 
     def __len__(self) -> int:
         return len(self.labels)
 
 
-def _check_query(x: FeatureVector, kind: FeatureKind, n_features: int) -> np.ndarray:
-    if x.kind is not kind:
-        raise InputError(f"expected {kind.value} features, got {x.kind.value}")
+def _check_query(x: FeatureVector, n_features: int) -> np.ndarray:
     if len(x) != n_features:
         raise InputError(f"expected {n_features} dims, got {len(x)}")
     return np.asarray(x.values, dtype=np.float64)
@@ -90,8 +87,7 @@ def _check_query(x: FeatureVector, kind: FeatureKind, n_features: int) -> np.nda
 class KnnModel:
     """Stores the training data verbatim; Euclidean metric."""
 
-    def __init__(self, k: int, matrix: np.ndarray, labels: np.ndarray,
-                 kind: FeatureKind, num_classes: int):
+    def __init__(self, k: int, matrix: np.ndarray, labels: np.ndarray, num_classes: int):
         """Check that `k`, the rows and their labels fit each other and the class count."""
         if (matrix.ndim != 2 or labels.shape != (len(matrix),)
                 or type(k) is not int or not 1 <= k <= len(labels)
@@ -101,18 +97,17 @@ class KnnModel:
         self.matrix = matrix
         self.n_features = matrix.shape[1]
         self.labels = labels
-        self.kind = kind
         self.num_classes = num_classes
 
 
 def train_knn(data: LabeledDataset, k: int = KNN_DEFAULTS["k"]) -> KnnModel:
     if not (1 <= k <= len(data)):
         raise TrainingError(f"k={k} out of range for {len(data)} samples")
-    return KnnModel(k, data.matrix.copy(), data.labels.copy(), data.kind, data.num_classes)
+    return KnnModel(k, data.matrix.copy(), data.labels.copy(), data.num_classes)
 
 
 def predict_knn(model: KnnModel, x: FeatureVector) -> np.ndarray:
-    q = _check_query(x, model.kind, model.n_features)
+    q = _check_query(x, model.n_features)
     diff = model.matrix - q
     d2 = np.einsum("ij,ij->i", diff, diff)
     # Stable sort: equidistant neighbours resolve to the lower training index.
@@ -129,7 +124,7 @@ class LinearSvmModel:
     """Per-class hyperplanes over z-scored features; softmax of margins."""
 
     def __init__(self, weights: np.ndarray, biases: np.ndarray, mean: np.ndarray,
-                 std: np.ndarray, kind: FeatureKind, num_classes: int):
+                 std: np.ndarray, num_classes: int):
         """Check the shapes, and that every std is positive and features below
         MAX_FEATURE give margins below `reach`, and so below 1e307: then softmax
         is finite. A NaN fails."""
@@ -145,7 +140,6 @@ class LinearSvmModel:
         self.biases = biases
         self.mean = mean
         self.std = std
-        self.kind = kind
         self.num_classes = num_classes
 
 
@@ -199,13 +193,13 @@ def train_linear_svm(
                 weights += outer
                 biases += step
     try:  # the shapes fit, so only the margin bound can fail
-        return LinearSvmModel(weights, biases, mean, std, data.kind, data.num_classes)
+        return LinearSvmModel(weights, biases, mean, std, data.num_classes)
     except ValueError as exc:
         raise TrainingError(f"linear SVM diverged at step_size {step_size:g}; lower it") from exc
 
 
 def predict_linear_svm(model: LinearSvmModel, x: FeatureVector) -> np.ndarray:
-    q = _check_query(x, model.kind, model.n_features)
+    q = _check_query(x, model.n_features)
     z = (q - model.mean) / model.std
     margins = model.weights @ z + model.biases
     shifted = margins - margins.max()
@@ -229,8 +223,8 @@ class ForestModel:
     """
 
     def __init__(self, nodes: list[int], feature: Sequence[int], threshold: Sequence[float],
-                 right: Sequence[int], counts: Sequence[np.ndarray], kind: FeatureKind,
-                 num_classes: int, n_features: int):
+                 right: Sequence[int], counts: Sequence[np.ndarray], num_classes: int,
+                 n_features: int):
         """Check every tree at once, so that every walk ends at a leaf, and
         derive the leaf posteriors and what the walk reads."""
         if not (type(nodes) is list and nodes and all(type(n) is int and 0 < n <= 65535
@@ -265,7 +259,6 @@ class ForestModel:
             raise ValueError("a tree leaf holds no samples")
         self.leaves = self.counts / totals[:, None]
         self.leaves.flags.writeable = False  # predict reads it; like block views, it is fixed
-        self.kind = kind
         self.num_classes = num_classes
         self.n_features = n_features
         # What the walk reads, as plain lists, which keep the per-node steps cheap:
@@ -373,11 +366,11 @@ def train_forest(
         idx = rng.integers(0, n, n) if bootstrap else np.arange(n)
         nodes.append(_grow_tree(data.matrix[idx], data.labels[idx], data.num_classes,
                                 max_depth, rng, columns))
-    return ForestModel(nodes, *columns, data.kind, data.num_classes, data.matrix.shape[1])
+    return ForestModel(nodes, *columns, data.num_classes, data.matrix.shape[1])
 
 
 def predict_forest(model: ForestModel, x: FeatureVector) -> np.ndarray:
-    q = _check_query(x, model.kind, model.n_features).tolist()
+    q = _check_query(x, model.n_features).tolist()
     roots, feature, threshold, step = model._walk
     rows = []
     for i in roots:

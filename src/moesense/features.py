@@ -55,7 +55,7 @@ class FeatureVector:
 
 @dataclass(frozen=True)
 class DopplerConfig:
-    """Uniform energy bins over [0, max_freq_hz]."""
+    """Uniform energy bins over [0, max_freq_hz], the top clipped to a stream's Nyquist."""
 
     num_bins: int = DEFAULT_DOPPLER_BINS
     max_freq_hz: float = DEFAULT_DOPPLER_MAX_HZ
@@ -64,10 +64,6 @@ class DopplerConfig:
         if self.num_bins < 2:
             raise ConfigurationError(f"num_bins must be >= 2, got {self.num_bins}")
         check_positive(self.max_freq_hz, "max_freq_hz", ConfigurationError)
-
-    def clipped_to_rate(self, packet_rate: float) -> "DopplerConfig":
-        """Same bin count with the top frequency clipped to Nyquist."""
-        return DopplerConfig(self.num_bins, min(self.max_freq_hz, packet_rate / 2.0))
 
 
 def mean_amplitude_series(stream: CsiStream) -> np.ndarray:
@@ -92,24 +88,20 @@ def doppler_from_series(
 
     The mean-removed subcarrier-averaged amplitude is Fourier transformed,
     its magnitude-squared spectrum accumulated into `cfg.num_bins` uniform
-    bins over [0, cfg.max_freq_hz], and the result normalized to sum 1.
+    bins over [0, min(cfg.max_freq_hz, Nyquist)], normalized to sum 1.
     A constant stream has no dynamic energy and yields the all-zero vector.
     """
-    if cfg is None:
-        cfg = DopplerConfig().clipped_to_rate(packet_rate)
+    cfg = DopplerConfig() if cfg is None else cfg
     if len(series) < 8:
         raise InputError(f"need at least 8 packets, got {len(series)}")
-    if cfg.max_freq_hz > packet_rate / 2.0:
-        raise ConfigurationError(
-            f"max_freq_hz {cfg.max_freq_hz} above Nyquist for rate {packet_rate}"
-        )
+    top = min(cfg.max_freq_hz, packet_rate / 2.0)
 
     centered = series - series.mean()
     spectrum = np.abs(np.fft.rfft(centered)) ** 2
     freqs = np.fft.rfftfreq(len(centered), d=1.0 / packet_rate)
 
-    bin_width = cfg.max_freq_hz / cfg.num_bins
-    in_band = freqs <= cfg.max_freq_hz
+    bin_width = top / cfg.num_bins
+    in_band = freqs <= top
     idx = np.minimum((freqs[in_band] / bin_width).astype(int), cfg.num_bins - 1)
     energy = np.zeros(cfg.num_bins)
     np.add.at(energy, idx, spectrum[in_band])

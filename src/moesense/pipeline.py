@@ -91,12 +91,11 @@ class TrainedBundle:
                                ("template", self.templates.expert_ids())):
             if part_ids != ids:
                 raise ConfigurationError(f"registry/{part} mismatch: {ids} vs {part_ids}")
-        num_classes = self.num_classes
+        num_classes = _class_count(self.metadata)
         for spec in self.registry:
             model, width = self.models[spec.id], FEATURE_WIDTHS[spec.feature_kind]
             classifier, params = spec.classifier_kind, spec.params
             if (type(model) is not MODEL_FORMATS[classifier.value][0]
-                    or model.kind is not spec.feature_kind
                     or model.n_features != width or model.num_classes != num_classes
                     or classifier is ClassifierKind.KNN and model.k != params["k"]
                     or classifier is ClassifierKind.FOREST
@@ -110,10 +109,6 @@ class TrainedBundle:
         for kind, (mean, _) in self.templates.scalers.items():
             if mean.shape != (FEATURE_WIDTHS[kind],):
                 raise ConfigurationError(f"{kind.value} scaler is not {FEATURE_WIDTHS[kind]} wide")
-
-    @property
-    def num_classes(self) -> int:
-        return int(self.metadata["k_max"]) + 1
 
     def doppler_config(self) -> DopplerConfig:
         return DopplerConfig()  # what `build_bundle` trains every bundle with
@@ -140,7 +135,7 @@ class DetectionReport:
 
 def extract_feature(stream: CsiStream, kind: FeatureKind, doppler_cfg: DopplerConfig) -> FeatureVector:
     if kind is FeatureKind.DOPPLER_ENERGY:
-        return extract_doppler(stream, doppler_cfg.clipped_to_rate(stream.packet_rate))
+        return extract_doppler(stream, doppler_cfg)
     return extract_amp_stats(stream)
 
 
@@ -261,6 +256,9 @@ def build_bundle(
     check_seed(seed, "seed")
     if len(train_labels) == 0 or len(val_labels) == 0:
         raise TrainingError("train and validation sets must be non-empty")
+    for split, split_labels in (("training", train_labels), ("validation", val_labels)):
+        if min(split_labels) < 0:
+            raise TrainingError(f"{split} label {min(split_labels)} is negative; labels are counts")
     k_max = int(max(max(train_labels), max(val_labels)))
     present = set(map(int, train_labels))
     if len(present) != k_max + 1:  # counts, so that a label of 10**22 builds no huge range
@@ -459,6 +457,14 @@ def _is_count(value: Any) -> bool:
     return type(value) is int and value >= 0
 
 
+def _class_count(metadata: dict[str, Any]) -> int:
+    """`k_max` + 1, once `k_max` is an integer >= 0, not a bool; a bundle that
+    fails is a ConfigurationError when built, and a FormatError when loaded."""
+    if not _is_count(k_max := metadata["k_max"]):
+        raise ConfigurationError(f"k_max must be an integer >= 0, got {k_max!r}")
+    return k_max + 1
+
+
 def bundle_to_jsonable(bundle: TrainedBundle, put: Put) -> dict[str, Any]:
     """The bundle's JSON header; `put` stores each numeric array as a block."""
     scalers = {kind.value: {"mean": put(mean, "<f8"), "std": put(std, "<f8")}
@@ -477,14 +483,14 @@ def bundle_to_jsonable(bundle: TrainedBundle, put: Put) -> dict[str, Any]:
 
 def bundle_from_jsonable(payload: dict[str, Any], get: Get) -> TrainedBundle:
     """The inverse of `bundle_to_jsonable`; `get` returns a block's array. A model
-    or template takes its classifier and kind from its expert's registry entry
-    (a KeyError if none), and a model its class count from `k_max`."""
+    takes its classifier, and a template its kind, from its expert's registry
+    entry (a KeyError if none), and a model its class count from `k_max`."""
     registry = tuple(spec_from_jsonable(d) for d in payload["registry"])
     specs = {spec.id: spec for spec in registry}
     metadata = copy.deepcopy(payload["metadata"])
     finite_array([metadata["seed"], *metadata["validation_accuracy"].values()], "metadata")
-    num_classes = int(metadata["k_max"]) + 1
-    models = {eid: model_from_jsonable(d, get, specs[eid], num_classes)
+    num_classes = _class_count(metadata)
+    models = {eid: model_from_jsonable(d, get, specs[eid].classifier_kind.value, num_classes)
               for eid, d in payload["models"].items()}
     scalers = {FeatureKind(tag): (get(s["mean"], "<f8"), get(s["std"], "<f8"))
                for tag, s in payload["scalers"].items()}
@@ -501,14 +507,12 @@ def model_to_jsonable(model: Model, put: Put) -> dict[str, Any]:
             **{name: put(getattr(model, name), dtype) for name, dtype in arrays.items()}}
 
 
-def model_from_jsonable(d: dict[str, Any], get: Get, spec: ExpertSpec,
-                        num_classes: int) -> Model:
-    """The model that the entry `d` holds for the expert `spec` over `num_classes`
-    classes; a KeyError if `d` lacks a field of the spec's classifier."""
-    cls, arrays, numbers = MODEL_FORMATS[spec.classifier_kind.value]
+def model_from_jsonable(d: dict[str, Any], get: Get, classifier: str, num_classes: int) -> Model:
+    """The `classifier` model that the entry `d` holds over `num_classes` classes;
+    a KeyError if `d` lacks a field of that classifier."""
+    cls, arrays, numbers = MODEL_FORMATS[classifier]
     return cls(**{name: get(d[name], dtype) for name, dtype in arrays.items()},
-               **{name: d[name] for name in numbers}, kind=spec.feature_kind,
-               num_classes=num_classes)
+               **{name: d[name] for name in numbers}, num_classes=num_classes)
 
 
 def serialize_bundle(bundle: TrainedBundle) -> bytes:

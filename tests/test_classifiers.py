@@ -25,7 +25,6 @@ from moesense.classifiers import (
 )
 from moesense.errors import InputError, TrainingError
 from moesense.features import MAX_FEATURE, FeatureKind, FeatureVector
-from moesense.gating import ClassifierKind, ExpertSpec
 from moesense.pipeline import MODEL_FORMATS, Blocks, model_from_jsonable, model_to_jsonable
 
 
@@ -33,8 +32,8 @@ def fv(values, kind=FeatureKind.AMPLITUDE_STATS):
     return FeatureVector(kind, np.asarray(values, dtype=float))
 
 
-def dataset(matrix, labels, num_classes=None, kind=FeatureKind.AMPLITUDE_STATS):
-    feats = [fv(row, kind) for row in matrix]
+def dataset(matrix, labels, num_classes=None):
+    feats = [fv(row) for row in matrix]
     if num_classes is None:
         num_classes = int(max(labels)) + 1
     return LabeledDataset.build(feats, labels, num_classes)
@@ -138,11 +137,9 @@ def test_knn_matches_bruteforce_oracle():
             assert np.array_equal(predict_knn(model, fv(q)), expected)
 
 
-def test_knn_kind_and_length_mismatch():
+def test_knn_length_mismatch():
     data = dataset([[0, 0], [1, 1]], [0, 1])
     model = train_knn(data, k=1)
-    with pytest.raises(InputError):
-        predict_knn(model, fv([0, 0], kind=FeatureKind.DOPPLER_ENERGY))
     with pytest.raises(InputError):
         predict_knn(model, fv([0, 0, 0]))
 
@@ -414,7 +411,7 @@ def per_feature_forest_reference(data, num_trees, max_depth, seed, bootstrap):
         idx = rng.integers(0, n, n) if bootstrap else np.arange(n)
         nodes.append(_grow_tree(data.matrix[idx], data.labels[idx], data.num_classes,
                                 max_depth, rng, columns))
-    return ForestModel(nodes, *columns, data.kind, data.num_classes, data.matrix.shape[1])
+    return ForestModel(nodes, *columns, data.num_classes, data.matrix.shape[1])
 
 
 def forest_case(seed):
@@ -560,14 +557,12 @@ def test_forest_format_limits_hold_at_training():
     clone = loaded(header, blocks, **facts(model))
     assert predict_forest(clone, fv(matrix[0])).tobytes() == predict_forest(
         model, fv(matrix[0])).tobytes()
-    wide = LabeledDataset(np.zeros((4, 128)), np.array([0, 1, 0, 1]),
-                          FeatureKind.AMPLITUDE_STATS, 2)
+    wide = LabeledDataset(np.zeros((4, 128)), np.array([0, 1, 0, 1]), 2)
     with pytest.raises(TrainingError, match="at most 127 features"):
         train_forest(wide, num_trees=1)
     # <u2 counts and child indices: 32768 rows train and load, 32769 do not train
     for n, trains in ((32768, True), (32769, False)):
-        tall = LabeledDataset(np.zeros((n, 1)), np.zeros(n, np.int64),
-                              FeatureKind.AMPLITUDE_STATS, 2)
+        tall = LabeledDataset(np.zeros((n, 1)), np.zeros(n, np.int64), 2)
         if not trains:
             with pytest.raises(TrainingError, match="at most 32768 rows"):
                 train_forest(tall, num_trees=1)
@@ -592,18 +587,17 @@ def test_forest_tree_over_65535_nodes_does_not_load():
               "right": blocks.put(inner + 2, "<u2"),
               "counts": blocks.put(np.ones((n - len(inner), 2)), "<u2")}
     with pytest.raises(ValueError, match="65535"):
-        loaded(header, blocks.data, "forest", FeatureKind.AMPLITUDE_STATS, 2)
+        loaded(header, blocks.data, "forest", 2)
     header["nodes"] = [n - 1]  # the same tree without its last, unreachable leaf loads
     header["feature"] = blocks.put(feature[:-1], "<i1")
     header["counts"] = blocks.put(np.ones((n - 1 - len(inner), 2)), "<u2")
-    assert loaded(header, blocks.data, "forest", FeatureKind.AMPLITUDE_STATS, 2).nodes == [n - 1]
+    assert loaded(header, blocks.data, "forest", 2).nodes == [n - 1]
 
 
 def test_forest_child_before_its_parent_does_not_construct():
     # node 0 splits into nodes 1 and 4, node 1 into nodes 2 and 3
     tree = dict(nodes=[5], feature=[0, 0, -1, -1, -1], threshold=[0.5, 0.25],
-                counts=[[1, 0], [0, 1], [1, 1]], kind=FeatureKind.AMPLITUDE_STATS,
-                num_classes=2, n_features=1)
+                counts=[[1, 0], [0, 1], [1, 1]], num_classes=2, n_features=1)
     assert predict_forest(ForestModel(right=[4, 3], **tree), fv([0.3])).tolist() == [0.0, 1.0]
     with pytest.raises(ValueError, match="after its parent"):
         ForestModel(right=[4, 0], **tree)  # node 1's right child is the root
@@ -634,20 +628,18 @@ def encoded(model):
     return model_to_jsonable(model, blocks.put), blocks.data
 
 
-def loaded(header, blocks, classifier, kind, num_classes):
+def loaded(header, blocks, classifier, num_classes):
     """The model that the entry `header` over `blocks` loads as, given what a
-    bundle's registry and metadata state: its expert's classifier and
-    feature kind, and the class count."""
-    spec = ExpertSpec("X", kind, ClassifierKind(classifier), 100.0)
-    return model_from_jsonable(header, Blocks(blocks).get, spec, num_classes)
+    bundle's registry and metadata state: its expert's classifier and the
+    class count."""
+    return model_from_jsonable(header, Blocks(blocks).get, classifier, num_classes)
 
 
 def facts(model, **changes):
-    """What a bundle states for `model`: its classifier, feature kind and
-    class count, each overridden by `changes`."""
+    """What a bundle states for `model`: its classifier and class count, each
+    overridden by `changes`."""
     classifier = next(name for name, (cls, _, _) in MODEL_FORMATS.items() if cls is type(model))
-    return {"classifier": classifier, "kind": model.kind, "num_classes": model.num_classes,
-            **changes}
+    return {"classifier": classifier, "num_classes": model.num_classes, **changes}
 
 
 def test_models_round_trip_jsonable():
@@ -669,8 +661,6 @@ def test_models_round_trip_jsonable():
         # except a forest's width, which no array of it shows
         stated = header.keys() & {"type", "kind", "num_classes", "n_features"}
         assert stated == ({"n_features"} if isinstance(model, ForestModel) else set())
-        assert loaded(header, data, **facts(model, kind=FeatureKind.DOPPLER_ENERGY)).kind is (
-            FeatureKind.DOPPLER_ENERGY)
         if not isinstance(model, KnnModel):  # a KNN's labels only bound the class count
             with pytest.raises(ValueError):
                 loaded(header, data, **facts(model, num_classes=4))
@@ -689,9 +679,9 @@ KNN_PARTS = {"k": 2, "matrix": np.zeros((3, 2)), "labels": np.array([0, 1, 1])}
 ], ids=["k_zero", "k_past_the_rows", "k_a_float", "k_a_bool", "label_past_the_classes",
         "label_negative", "labels_short", "labels_2d", "matrix_1d"])
 def test_knn_checks_its_numbers_trained_or_loaded(change):
-    KnnModel(**KNN_PARTS, kind=FeatureKind.AMPLITUDE_STATS, num_classes=2)
+    KnnModel(**KNN_PARTS, num_classes=2)
     with pytest.raises(ValueError, match="knn matrix, labels and k disagree"):
-        KnnModel(**{**KNN_PARTS, **change}, kind=FeatureKind.AMPLITUDE_STATS, num_classes=2)
+        KnnModel(**{**KNN_PARTS, **change}, num_classes=2)
 
 
 @pytest.mark.parametrize("change", [
@@ -703,7 +693,7 @@ def test_knn_checks_its_numbers_trained_or_loaded(change):
 def test_svm_checks_its_shapes_trained_or_loaded(change):
     arrays = {key: np.array(value, np.float64) for key, value in {**SVM_PARTS, **change}.items()}
     with pytest.raises(ValueError, match="svm weights, biases and standardization disagree"):
-        LinearSvmModel(**arrays, kind=FeatureKind.AMPLITUDE_STATS, num_classes=2)
+        LinearSvmModel(**arrays, num_classes=2)
 
 
 @pytest.mark.parametrize("kind,trainer", [("knn", train_knn), ("svm", train_linear_svm),
@@ -724,7 +714,7 @@ def test_default_hyperparams_lie_in_their_ranges():
 
 
 SVM_PARTS = {"weights": [[1.0], [-1.0]], "biases": [0.0, 0.0], "mean": [0.0], "std": [1.0]}
-SVM_FACTS = {"classifier": "svm", "kind": FeatureKind.AMPLITUDE_STATS, "num_classes": 2}
+SVM_FACTS = {"classifier": "svm", "num_classes": 2}
 
 
 def svm_with(**numbers):
@@ -751,7 +741,7 @@ def test_svm_that_could_predict_a_non_finite_posterior_does_not_load(numbers):
         loaded(*svm_with(**numbers), **SVM_FACTS)
     arrays = {key: np.array(value, np.float64) for key, value in {**SVM_PARTS, **numbers}.items()}
     with pytest.raises(ValueError, match="svm numbers could make a prediction overflow"):
-        LinearSvmModel(**arrays, kind=FeatureKind.AMPLITUDE_STATS, num_classes=2)
+        LinearSvmModel(**arrays, num_classes=2)
 
 
 def test_svm_just_inside_the_bound_loads_and_predicts_finitely():

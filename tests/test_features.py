@@ -82,10 +82,16 @@ def test_doppler_too_few_packets():
         extract_doppler(stream, DopplerConfig(5, 10.0))
 
 
-def test_doppler_above_nyquist_rejected():
-    stream = stream_from_series(np.arange(32), packet_rate=100.0)
-    with pytest.raises(ConfigurationError):
-        extract_doppler(stream, DopplerConfig(5, 80.0))
+@pytest.mark.parametrize("rate", [100.0, 159.0, 160.0, 400.0])
+def test_doppler_band_clips_itself_to_nyquist(rate):
+    # a band top above the stream's Nyquist bins as the Nyquist top would,
+    # one below it (or at it) as it is
+    series = np.random.default_rng(3).uniform(1.0, 2.0, 64)
+    stream = stream_from_series(series, packet_rate=rate)
+    got = extract_doppler(stream, DopplerConfig(5, 80.0))
+    want = extract_doppler(stream, DopplerConfig(5, min(80.0, rate / 2)))
+    assert got.values.tobytes() == want.values.tobytes()
+    assert np.count_nonzero(got.values) == 5
 
 
 def test_doppler_default_config_clips_to_nyquist():

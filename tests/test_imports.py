@@ -62,6 +62,35 @@ def test_the_guard_sees_an_unused_import():
     assert unused_imports(tree) == {"math", "b"}
 
 
+def kind_copies(tree: ast.Module) -> set[str]:
+    """Where `tree` imports `FeatureKind`, as "import", or a class in it keeps
+    a `kind`, as "Class.kind": a field, or an assignment to `self.kind`."""
+    found = {"import" for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+             for alias in node.names if alias.name.split(".")[-1] == "FeatureKind"}
+    for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+        fields = {n.target.id for n in cls.body
+                  if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)}
+        stored = {n.attr for n in ast.walk(cls) if isinstance(n, ast.Attribute)
+                  and isinstance(n.ctx, ast.Store) and ast.unparse(n.value) == "self"}
+        found |= {f"{cls.name}.kind" for names in (fields, stored) if "kind" in names}
+    return found
+
+
+def test_classifiers_keep_no_feature_kind():
+    # an expert's feature kind is its registry entry's; the bundle routes by it
+    tree = ast.parse((SOURCES[0].parent / "classifiers.py").read_text(encoding="utf-8"))
+    assert kind_copies(tree) == set()
+
+
+def test_the_guard_sees_a_kept_feature_kind():
+    source = ("from .features import FeatureKind, FeatureVector\n\n"
+              "class Model:\n    def __init__(self, kind):\n        self.kind = kind\n\n"
+              "class Dataset:\n    kind: object\n\n"
+              "class Reader:\n    def read(self, x):\n        self.n = x.kind\n")
+    assert kind_copies(ast.parse(source)) == {"import", "Model.kind", "Dataset.kind"}
+    assert kind_copies(ast.parse("import features.FeatureKind\n")) == {"import"}
+
+
 def named(node: ast.AST) -> Counter:
     """How often each name is used, read as an attribute, or imported under `node`."""
     found = Counter()

@@ -307,6 +307,17 @@ def test_build_requires_nonempty_sets():
         build_bundle(streams, labels, [], [], default_registry(), seed=1)
 
 
+@pytest.mark.parametrize("split", ["training", "validation"])
+def test_build_refuses_a_negative_label(split):
+    # a validation label of -1 would count as a miss, and a training one would
+    # report a class missing from an empty list
+    train_streams, train_labels, val_streams, val_labels = small_split(35)
+    (train_labels if split == "training" else val_labels)[0] = -1
+    with pytest.raises(TrainingError, match=f"{split} label -1 is negative"):
+        build_bundle(train_streams, train_labels, val_streams, val_labels,
+                     default_registry(), seed=1)
+
+
 def test_all_wrong_class_omits_centroid():
     # class 2 validation streams carry a second path of zero amplitude, so
     # they look exactly like one-target scenes and the expert misses them all
@@ -398,6 +409,21 @@ def test_detect_equals_manual_composition(small_bundle, probe_stream):
     assert report.decision.weights == decision.weights
     assert np.array_equal(report.fused, fused)
     assert report.predicted_count == predicted
+
+
+def test_every_model_refuses_the_other_kinds_feature(small_bundle, probe_stream):
+    # a model holds no feature kind: the widths its bundle fixes per kind,
+    # 25 Doppler bins and 6 amplitude statistics, tell the kinds apart
+    cfg = small_bundle.doppler_config()
+    features = {kind: extract_feature(probe_stream, kind, cfg) for kind in FeatureKind}
+    assert {kind: len(fv) for kind, fv in features.items()} == {D: 25, S: 6}
+    assert {type(model) for model in small_bundle.models.values()} == {
+        cls for cls, _, _ in pipeline.MODEL_FORMATS.values()}
+    for spec in small_bundle.registry:
+        model = small_bundle.models[spec.id]
+        predict_posterior(model, features[spec.feature_kind])
+        with pytest.raises(InputError, match=f"expected {len(features[spec.feature_kind])} dims"):
+            predict_posterior(model, features[S if spec.feature_kind is D else D])
 
 
 # On 1000 pkts/s streams the required rates 200, 300 and 500 are strides 5, 3
@@ -940,6 +966,20 @@ def test_short_centroid_or_scaler_is_named(small_bundle, case, names):
     with pytest.raises(FormatError, match=names) as info:
         deserialize_bundle(forge(payload))
     assert "broadcast" not in str(info.value)
+
+
+@pytest.mark.parametrize("k_max", [2.7, True, -1, "2"])
+def test_k_max_that_is_no_count_is_refused(small_bundle, k_max):
+    # 2.7 and "2" used to load as 3 classes, and re-save as they came
+    assert small_bundle.metadata["k_max"] == 2
+    payload = fresh_payload(small_bundle)
+    payload[0]["metadata"]["k_max"] = k_max
+    with pytest.raises(FormatError, match="k_max must be an integer >= 0") as info:
+        deserialize_bundle(forge(payload))
+    assert info.value.exit_code == 5
+    metadata = {**small_bundle.metadata, "k_max": k_max}
+    with pytest.raises(ConfigurationError, match="k_max must be an integer >= 0"):
+        TrainedBundle(small_bundle.registry, small_bundle.models, small_bundle.templates, metadata)
 
 
 # A number of each part of a bundle. Those in the JSON header are given by
