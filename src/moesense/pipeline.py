@@ -192,49 +192,61 @@ def _train_expert(spec: ExpertSpec, data: LabeledDataset, seed: int) -> Model:
     return train_forest(data, seed=seed, **spec.hyperparams)
 
 
-def _train_experts(jobs: Sequence[tuple[ExpertSpec, LabeledDataset, int]]) -> list[Model]:
-    """`_train_expert` over `jobs`, in one forked worker process per usable
-    CPU up to the job count.
+# A training worker's (streams, labels, class count); inherited, as pickling was ~8% slower.
+_train_set: tuple[list[StreamFeatures], Sequence[int], int] | None = None
 
-    A model depends only on its own job, so its bytes do not depend on the
-    worker count. Models come back in job order, and a failure is that of
-    the first failing job in that order. No worker outlives the call.
-    """
+
+def _start_training_worker(train_set: tuple) -> None:
+    global _train_set
+    os.nice(19)  # yield a CPU at once to any process that wakes, the caller included
+    _train_set = train_set
+
+
+def _train_in_worker(spec: ExpertSpec, seed: int) -> Model:
+    """`_train_expert` on the `spec` features of the worker's training set."""
+    caches, labels, num_classes = _train_set
+    features = [cache.feature(spec.required_rate, spec.feature_kind) for cache in caches]
+    return _train_expert(spec, LabeledDataset.build(features, labels, num_classes), seed)
+
+
+def _train_experts(jobs: Sequence[tuple[ExpertSpec, int]], train_set: tuple,
+                   meanwhile: Callable[[], Any]) -> tuple[list[Model], Any]:
+    """`_train_in_worker` over the (spec, seed) `jobs` in one worker per usable
+    CPU up to the job count, forked with `train_set`, while `meanwhile()` runs.
+    A model depends only on its job, so its bytes not on the worker count. The
+    models come back in job order with `meanwhile()`'s result. Its error comes
+    first, then the first failing job's; pending jobs are then cancelled, and
+    no worker outlives the call."""
     workers = min(len(jobs), len(os.sched_getaffinity(0)))
-    # Forked workers start without re-importing numpy and moesense. At niceness
-    # 19 they yield a CPU at once to any process that wakes, the caller included.
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                             initializer=os.nice, initargs=(19,)) as pool:
+    # Forked workers start without re-importing numpy and moesense.
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_start_training_worker, initargs=(train_set,))
+    try:
         try:
-            futures = [pool.submit(_train_expert, *job) for job in jobs]
-            return [future.result() for future in futures]
-        except BrokenProcessPool as exc:
-            raise TrainingError(f"an expert training worker died: {exc}") from exc
+            futures = [pool.submit(_train_in_worker, *job) for job in jobs]
+        finally:
+            done = meanwhile()  # also when the pool broke while submitting: its error comes first
+        return [future.result() for future in futures], done
+    except BrokenProcessPool as exc:
+        raise TrainingError(f"an expert training worker died: {exc}") from exc
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
-def _extract_feature_table(
-    streams: Iterable[CsiStream],
-    labels: Sequence[int],
-    needed: set[tuple[float, FeatureKind]],
-    fingerprint: "hashlib._Hash",
-) -> dict[tuple[float, FeatureKind], list[FeatureVector]]:
-    """One pass over the streams, extracting every (required rate, kind) combo
-    from each stream's `StreamFeatures`, so rates that share a stride share its
-    feature vector. `fingerprint` is updated with what training reads of each
-    stream: its rate, amplitude series and label."""
-    table: dict[tuple[float, FeatureKind], list[FeatureVector]] = {key: [] for key in needed}
-    count = 0
+def _read_streams(streams: Iterable[CsiStream], labels: Sequence[int],
+                  fingerprint: "hashlib._Hash") -> list[StreamFeatures]:
+    """A `StreamFeatures` of each stream's series, not its samples; `fingerprint`
+    is updated with what training reads of each stream: its rate, series and label."""
+    caches = []
     for stream, label in zip(streams, labels):
-        cache = StreamFeatures(stream)
-        fingerprint.update(struct.pack("<dq", stream.packet_rate, len(cache.series)))
-        fingerprint.update(cache.series.astype("<f8", copy=False))
+        series = StreamFeatures.of_stream(stream).series
+        fingerprint.update(struct.pack("<dq", stream.packet_rate, len(series)))
+        fingerprint.update(series.astype("<f8", copy=False))
         fingerprint.update(struct.pack("<q", label))
-        for rate, kind in sorted(needed, key=lambda rk: (rk[0], rk[1].value)):
-            table[(rate, kind)].append(cache.feature(rate, kind))
-        count += 1
-    if count != len(labels):
-        raise InputError(f"{count} streams but {len(labels)} labels")
-    return table
+        caches.append(StreamFeatures(series, stream.packet_rate))
+    if len(caches) != len(labels):
+        raise InputError(f"{len(caches)} streams but {len(labels)} labels")
+    return caches
 
 
 def build_bundle(
@@ -248,9 +260,9 @@ def build_bundle(
     """Train every expert at its required rate and build its template centroids.
 
     Stream arguments may be one-pass iterables; they are consumed exactly
-    once and only their features are retained. Centroids are per-class means
-    of the validation features the expert classified correctly; classes it
-    never gets right have no centroid.
+    once and only their amplitude series are retained. Centroids are
+    per-class means of the validation features the expert classified
+    correctly; classes it never gets right have no centroid.
     """
     validate_registry(registry)
     check_seed(seed, "seed")
@@ -268,12 +280,19 @@ def build_bundle(
 
     needed = {(spec.required_rate, spec.feature_kind) for spec in registry}
     digest = hashlib.sha256()
-    train_table = _extract_feature_table(train_streams, train_labels, needed, digest)
-    val_table = _extract_feature_table(val_streams, val_labels, needed, digest)
+    train_set = (_read_streams(train_streams, train_labels, digest), train_labels, num_classes)
+
+    def validation_table() -> dict[tuple[float, FeatureKind], list[FeatureVector]]:
+        caches = _read_streams(val_streams, val_labels, digest)
+        return {key: [cache.feature(*key) for cache in caches] for key in needed}
 
     ordered = sorted(registry, key=lambda s: s.id)
     master = np.random.default_rng(seed)
     expert_seeds = {spec.id: int(s) for spec, s in zip(ordered, master.integers(0, 2**63, len(ordered)))}
+
+    trained, val_table = _train_experts(
+        [(spec, expert_seeds[spec.id]) for spec in ordered], train_set, validation_table)
+    models = {spec.id: model for spec, model in zip(ordered, trained)}
 
     val_accuracy: dict[str, float] = {}
     val_label_arr = np.asarray(val_labels, dtype=np.int64)
@@ -287,11 +306,6 @@ def build_bundle(
             [np.stack([fv.values for fv in val_table[key]]) for key in ordered_keys if key[1] is kind]
         )
         scalers[kind] = (pooled.mean(axis=0), pooled.std(axis=0))
-
-    jobs = [(spec, LabeledDataset.build(train_table[(spec.required_rate, spec.feature_kind)],
-                                        train_labels, num_classes), expert_seeds[spec.id])
-            for spec in ordered]
-    models = {spec.id: model for spec, model in zip(ordered, _train_experts(jobs))}
 
     templates: dict[str, Template] = {}
     for spec in ordered:
@@ -354,32 +368,38 @@ def _detect(bundle: TrainedBundle, current_rate: float, features: Callable[[], d
 class StreamFeatures:
     """A stream's features and, given a `bundle`, posteriors, each computed once."""
 
-    def __init__(self, stream: CsiStream, bundle: TrainedBundle | None = None):
-        self.stream, self.bundle = stream, bundle
+    def __init__(self, series: np.ndarray, packet_rate: float, bundle: TrainedBundle | None = None):
+        self.packet_rate, self.bundle = packet_rate, bundle
+        self._read_series: Callable[[], np.ndarray] = lambda: series
         self._memo: dict[tuple, Any] = {}  # (stride, kind) features, (id, stride) posteriors
+
+    @classmethod
+    def of_stream(cls, stream: CsiStream, bundle: TrainedBundle | None = None) -> StreamFeatures:
+        """`stream`'s cache; its series checks the stream when first read, after `detect`'s rate."""
+        cache = cls(None, stream.packet_rate, bundle)
+        cache._read_series = lambda: check_samples(stream) or mean_amplitude_series(stream)
+        return cache
 
     @functools.cached_property
     def series(self) -> np.ndarray:
-        check_samples(self.stream)
-        return mean_amplitude_series(self.stream)
+        return self._read_series()
 
     def feature(self, rate: float, kind: FeatureKind) -> FeatureVector:
         """`extract_feature(decimate(stream, rate), ...)`, from every stride-th series value."""
-        return self._feature(decimation_stride(self.stream.packet_rate, rate), kind)
+        return self._feature(decimation_stride(self.packet_rate, rate), kind)
 
     def _feature(self, stride: int, kind: FeatureKind) -> FeatureVector:
         if (stride, kind) not in self._memo:
             kept = np.ascontiguousarray(self.series[::stride])
             self._memo[(stride, kind)] = (
-                doppler_from_series(kept, self.stream.packet_rate / stride)
+                doppler_from_series(kept, self.packet_rate / stride)
                 if kind is FeatureKind.DOPPLER_ENERGY else amp_stats_from_series(kept))
         return self._memo[(stride, kind)]
 
     def posterior(self, expert_id: str, current_rate: float) -> np.ndarray:
         """`expert_posterior(stream, current_rate, bundle, expert_id)`, read-only."""
         spec = self.bundle.spec(expert_id)
-        key = (expert_id, decimation_stride(self.stream.packet_rate,
-                                            expert_input_rate(spec, current_rate)))
+        key = (expert_id, decimation_stride(self.packet_rate, expert_input_rate(spec, current_rate)))
         if key not in self._memo:
             self._memo[key] = predict_posterior(self.bundle.models[expert_id],
                                                 self._feature(key[1], spec.feature_kind))

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moesense import cli, evaluate, pipeline
-from moesense.classifiers import HYPERPARAM_RANGES, HYPERPARAMS, LabeledDataset
+from moesense.classifiers import HYPERPARAM_RANGES, HYPERPARAMS
 from moesense.cli import main
 from moesense.evaluate import evaluate_rate_sweep, evaluate_target_sweep
 from moesense.errors import (
@@ -37,7 +37,6 @@ from moesense.errors import (
     RateError,
     TrainingError,
 )
-from moesense.features import FeatureVector
 from moesense.gating import spec_from_jsonable
 from moesense.pipeline import BUNDLE_MAGIC, BUNDLE_VERSION, load_bundle
 from moesense.simulate import (
@@ -397,9 +396,9 @@ def test_dead_training_worker_is_exit_6_and_writes_no_bundle(dataset, tmp_path, 
                                                               capsys):
     monkeypatch.setattr(pipeline, "_train_expert", dies_in_its_worker)
     spec = spec_from_jsonable(KNN_ENTRY)
-    data = LabeledDataset.build([FeatureVector(spec.feature_kind, np.zeros(2))], [0], 1)
+    stream = pipeline.StreamFeatures(np.zeros(1000), 1000.0)  # one 1 s stream's series
     with pytest.raises(TrainingError, match="worker died"):
-        pipeline._train_experts([(spec, data, 0)])
+        pipeline._train_experts([(spec, 0)], ([stream], [0], 1), lambda: None)
     assert multiprocessing.active_children() == []
 
     reg_path = tmp_path / "registry.json"

@@ -4,6 +4,7 @@ import math
 import multiprocessing
 import os
 import struct
+import time
 import warnings
 from concurrent.futures.process import BrokenProcessPool
 
@@ -14,8 +15,9 @@ from hypothesis import strategies as st
 
 from moesense import pipeline
 from moesense.classifiers import ForestModel, predict_posterior
-from moesense.errors import ConfigurationError, FormatError, InputError, TrainingError
-from moesense.features import DopplerConfig, FeatureKind
+from moesense.errors import ConfigurationError, FormatError, InputError, RateError, TrainingError
+from moesense.evaluate import evaluate_target_sweep
+from moesense.features import DopplerConfig, FeatureKind, mean_amplitude_series
 from moesense.gating import (
     ClassifierKind,
     ExpertSpec,
@@ -28,7 +30,7 @@ from moesense.pipeline import (
     Blocks,
     StreamFeatures,
     TrainedBundle,
-    _extract_feature_table,
+    _read_streams,
     build_bundle,
     bundle_from_jsonable,
     bundle_to_jsonable,
@@ -49,6 +51,8 @@ from moesense.simulate import (
     TargetPath,
     decimate,
     decimation_stride,
+    deserialize_stream,
+    serialize_stream,
     synthesize_stream,
 )
 
@@ -206,6 +210,59 @@ def test_pool_broken_while_submitting_is_training_error(monkeypatch):
     with pytest.raises(TrainingError, match="worker died"):
         build_bundle(*small_split(25), default_registry(), seed=1)
     assert multiprocessing.active_children() == []
+    # the validation streams are still read, and their error comes first
+    train_streams, train_labels, val_streams, val_labels = small_split(25)
+    with pytest.raises(InputError, match="streams but"):
+        build_bundle(train_streams, train_labels, val_streams[:-1], val_labels,
+                     default_registry(), seed=1)
+    assert multiprocessing.active_children() == []
+
+
+def fails_once_released(ran_log, release):
+    """A trainer that logs its expert, waits until the `release` file exists
+    and fails; it runs in a forked worker, so it reports through a file."""
+    def train(spec, data, seed):
+        with open(ran_log, "a") as fh:
+            fh.write(spec.id + "\n")
+        deadline = time.monotonic() + 30
+        while not release.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        time.sleep(0.1)  # the caller cancels the pending jobs as soon as its error is raised
+        raise TrainingError(f"{spec.id} failed")
+    return train
+
+
+def releasing(streams, release):
+    """`streams`, creating the `release` file once they end or fail."""
+    try:
+        yield from streams
+    finally:
+        release.touch()
+
+
+@pytest.mark.parametrize("case", ["reader", "count"])
+def test_validation_error_comes_before_a_training_error(monkeypatch, tmp_path, case):
+    # The validation streams are read while the experts train; their error is
+    # the one raised, as when validation was read before any training.
+    train_streams, train_labels, val_streams, val_labels = small_split(25)
+    if case == "reader":
+        blobs = [serialize_stream(s) for s in val_streams]
+        blobs[1] = blobs[1][:-1]
+        val_iter, error, message = (deserialize_stream(b) for b in blobs), FormatError, "truncated"
+    else:
+        val_iter, error, message = iter(val_streams[:-1]), InputError, "streams but"
+    ran_log, release = tmp_path / "ran.txt", tmp_path / "release"
+    use_cpus(monkeypatch, 1)
+    monkeypatch.setattr(pipeline, "_train_expert", fails_once_released(ran_log, release))
+    registry = default_registry()
+    with pytest.raises(error, match=message):
+        build_bundle(train_streams, train_labels, releasing(val_iter, release), val_labels,
+                     registry, seed=1)
+    assert multiprocessing.active_children() == []
+    # until the validation pass fails, the one worker trains one job and holds
+    # at most two more: the rest were cancelled
+    ran = ran_log.read_text().split() if ran_log.exists() else []
+    assert len(ran) <= 3 < len(registry)
 
 
 def test_feature_table_equals_decimate_then_extract():
@@ -214,7 +271,8 @@ def test_feature_table_equals_decimate_then_extract():
     cfg = DopplerConfig()
     needed = {(spec.required_rate, spec.feature_kind) for spec in default_registry()}
     assert (400.0, D) in needed and (300.0, S) in needed
-    table = _extract_feature_table(streams, labels, needed, hashlib.sha256())
+    caches = _read_streams(streams, labels, hashlib.sha256())  # as the validation pass does
+    table = {key: [cache.feature(*key) for cache in caches] for key in needed}
     assert set(table) == needed
     for (rate, kind), features in table.items():
         assert len(features) == len(streams)
@@ -237,7 +295,7 @@ def test_stream_features_equal_detect_and_expert_posterior(small_bundle):
     # integral and shares stride 3 with 300
     streams, _ = make_streams(2, 2, seed=23)
     for stream in streams:
-        cache = StreamFeatures(stream, small_bundle)
+        cache = StreamFeatures.of_stream(stream, small_bundle)
         for rate in (50.0, 100.0, 300.0, 400.0, 500.0, 333.3):
             want, want_posteriors = reference_pair(stream, rate, small_bundle)
             got = cache.detect(rate)
@@ -257,18 +315,60 @@ def test_stream_features_equal_detect_and_expert_posterior(small_bundle):
                 assert not cached.flags.writeable
 
 
+@pytest.mark.parametrize("packet_rate", [1000.0, 977.0, 500.0])
+def test_stream_features_from_a_series_equal_the_stream_built_ones(packet_rate, small_bundle):
+    streams, _ = make_streams(1, 2, seed=29, packet_rate=packet_rate)
+    rates = sorted({spec.required_rate for spec in default_registry()})
+    for stream in streams:
+        from_stream = StreamFeatures.of_stream(stream, small_bundle)
+        from_series = StreamFeatures(mean_amplitude_series(stream), packet_rate, small_bundle)
+        assert from_series.series.tobytes() == from_stream.series.tobytes()
+        for rate in rates:
+            for kind in FeatureKind:
+                if rate > packet_rate:
+                    for cache in (from_stream, from_series):
+                        with pytest.raises(RateError, match="exceeds stream rate"):
+                            cache.feature(rate, kind)
+                    continue
+                want = extract_feature(decimate(stream, rate), kind, DopplerConfig())
+                for got in (from_stream.feature(rate, kind), from_series.feature(rate, kind)):
+                    assert got.kind is want.kind
+                    assert got.values.tobytes() == want.values.tobytes(), (rate, kind)
+        for rate in (50.0, min(300.0, packet_rate)):
+            want, got = from_stream.detect(rate), from_series.detect(rate)
+            assert got.fused.tobytes() == want.fused.tobytes(), rate
+            assert got.decision.selected == want.decision.selected
+
+
+def test_target_sweep_computes_no_series_for_a_label_it_skips(small_bundle, monkeypatch):
+    # the class 0 streams hold no valid sample: reading one would raise
+    streams, labels = make_streams(2, 2, seed=37)
+    streams = [CsiStream(np.full_like(s.samples, np.nan), s.packet_rate) if label == 0 else s
+               for s, label in zip(streams, labels)]
+    computed = []
+
+    def counted(stream):
+        computed.append(stream)
+        return mean_amplitude_series(stream)
+
+    monkeypatch.setattr(pipeline, "mean_amplitude_series", counted)
+    table = evaluate_target_sweep(small_bundle, zip(streams, labels), [1, 2], rate=300.0)
+    assert [row["n_samples"] for row in table.rows] == [2, 2]
+    assert list(map(id, computed)) == list(map(id, streams[2:]))  # classes 1 and 2 only
+
+
 def test_stream_features_check_the_rate_before_the_stream(small_bundle):
     bad = CsiStream(np.full((64, 2), np.nan + 0j), 1000.0)
     for rate in (0.0, -5.0, float("nan")):
         with pytest.raises(InputError, match="current_rate must be finite and positive"):
-            StreamFeatures(bad, small_bundle).detect(rate)
+            StreamFeatures.of_stream(bad, small_bundle).detect(rate)
     with pytest.raises(InputError, match="stream must hold samples"):
-        StreamFeatures(bad, small_bundle).detect(300.0)
+        StreamFeatures.of_stream(bad, small_bundle).detect(300.0)
 
 
 def fingerprint(streams, labels):
     digest = hashlib.sha256()
-    _extract_feature_table(streams, labels, {(500.0, S)}, digest)
+    _read_streams(streams, labels, digest)
     return digest.hexdigest()
 
 
@@ -479,7 +579,7 @@ def test_expert_consumes_its_training_rate(small_bundle, custom_bundle, probe_st
                 assert served.tobytes() == posterior_at(spec, min(rate, spec.required_rate)), (
                     spec.id, rate)
             for report in (detect(probe_stream, rate, bundle),
-                           StreamFeatures(probe_stream, bundle).detect(rate)):
+                           StreamFeatures.of_stream(probe_stream, bundle).detect(rate)):
                 assert (report.mode is GatingMode.FALLBACK) == (rate < lowest)
                 for eid, served in report.expert_posteriors.items():
                     spec = bundle.spec(eid)
