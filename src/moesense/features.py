@@ -11,6 +11,7 @@ each template centroid and stream feature once, and `pearson` correlates two.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -66,9 +67,12 @@ class DopplerConfig:
         check_positive(self.max_freq_hz, "max_freq_hz", ConfigurationError)
 
 
+DEFAULT_DOPPLER_CONFIG = DopplerConfig()
+
+
 def mean_amplitude_series(stream: CsiStream) -> np.ndarray:
-    """Subcarrier-averaged amplitude, one value per packet."""
-    return np.abs(stream.samples).mean(axis=1)
+    """Subcarrier-averaged amplitude, one value per packet, as `.mean(axis=1)` gives it."""
+    return _sum(np.abs(stream.samples), axis=1) / stream.samples.shape[1]
 
 
 def extract_doppler(stream: CsiStream, cfg: DopplerConfig | None = None) -> FeatureVector:
@@ -91,20 +95,15 @@ def doppler_from_series(
     bins over [0, min(cfg.max_freq_hz, Nyquist)], normalized to sum 1.
     A constant stream has no dynamic energy and yields the all-zero vector.
     """
-    cfg = DopplerConfig() if cfg is None else cfg
+    cfg = DEFAULT_DOPPLER_CONFIG if cfg is None else cfg
     if len(series) < 8:
         raise InputError(f"need at least 8 packets, got {len(series)}")
-    top = min(cfg.max_freq_hz, packet_rate / 2.0)
+    idx = _band_bins(len(series), packet_rate, cfg)
 
     centered = series - series.mean()
     spectrum = np.abs(np.fft.rfft(centered)) ** 2
-    freqs = np.fft.rfftfreq(len(centered), d=1.0 / packet_rate)
-
-    bin_width = top / cfg.num_bins
-    in_band = freqs <= top
-    idx = np.minimum((freqs[in_band] / bin_width).astype(int), cfg.num_bins - 1)
-    energy = np.zeros(cfg.num_bins)
-    np.add.at(energy, idx, spectrum[in_band])
+    # the band is a prefix of the spectrum and never empty, so each bin sums in frequency order
+    energy = np.bincount(idx, weights=spectrum[:len(idx)], minlength=cfg.num_bins)
 
     total = energy.sum()
     if total >= _ZERO_ENERGY_EPS:
@@ -112,6 +111,17 @@ def doppler_from_series(
     else:
         energy[:] = 0.0
     return FeatureVector(FeatureKind.DOPPLER_ENERGY, energy)
+
+
+@functools.lru_cache(maxsize=128)
+def _band_bins(n: int, packet_rate: float, cfg: DopplerConfig) -> np.ndarray:
+    """Read-only bin of each in-band `rfft` frequency of `n` values, which ascend from 0."""
+    check_positive(packet_rate, "packet_rate")
+    top = min(cfg.max_freq_hz, packet_rate / 2.0)
+    freqs = np.fft.rfftfreq(n, d=1.0 / packet_rate)
+    idx = np.minimum((freqs[freqs <= top] / (top / cfg.num_bins)).astype(int), cfg.num_bins - 1)
+    idx.flags.writeable = False
+    return idx
 
 
 def amp_stats_from_series(series: np.ndarray) -> FeatureVector:
@@ -143,10 +153,12 @@ def amp_stats_from_series(series: np.ndarray) -> FeatureVector:
 
 class Centred(NamedTuple):
     """One `pearson` operand, prepared once: the vector less its mean,
-    whether its range is zero, and its centred sum of squares."""
+    whether its range is zero, its centred sum of squares, and whether it is
+    `ready`: not constant, with that sum inside `_SAFE_SUMSQ`."""
     values: np.ndarray
     constant: bool
     sumsq: float
+    ready: bool
 
 
 def centre_rows(rows: np.ndarray) -> list[Centred]:
@@ -156,8 +168,10 @@ def centre_rows(rows: np.ndarray) -> list[Centred]:
     before mean-subtraction rounding can manufacture a spurious variance."""
     centred = list(rows - (_sum(rows, axis=1) / rows.shape[1])[:, None])
     with np.errstate(over="ignore", under="ignore"):
-        sumsq = list(map(float, map(np.ndarray.dot, centred, centred)))
-    return list(map(Centred, centred, (np.ptp(rows, axis=1) == 0.0).tolist(), sumsq))
+        sumsq = np.fromiter(map(np.ndarray.dot, centred, centred), np.float64, len(centred))
+    constant = np.ptp(rows, axis=1) == 0.0
+    ready = ~constant & (_SAFE_SUMSQ[0] < sumsq) & (sumsq < _SAFE_SUMSQ[1])
+    return list(map(Centred, centred, constant.tolist(), sumsq.tolist(), ready.tolist()))
 
 
 def pearson(a: Sequence[float] | np.ndarray | Centred,
@@ -165,7 +179,11 @@ def pearson(a: Sequence[float] | np.ndarray | Centred,
     """Pearson correlation coefficient; 0.0 when either input has zero variance.
 
     A vector input is prepared here; an operand from `centre_rows` is prepared
-    once, and each correlation with it is one dot product."""
+    once, and each correlation with it is one dot product: for two `ready`
+    operands of one shape, the expression the general path below reaches."""
+    if (type(a) is Centred and type(b) is Centred and a.ready and b.ready
+            and a.values.shape == b.values.shape):
+        return float(a.values.dot(b.values)) / math.sqrt(a.sumsq * b.sumsq)
     x = a.values if isinstance(a, Centred) else np.asarray(a, dtype=np.float64)
     y = b.values if isinstance(b, Centred) else np.asarray(b, dtype=np.float64)
     if x.shape != y.shape:

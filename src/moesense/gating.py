@@ -237,8 +237,8 @@ def score_experts(
                 raise InputError(f"no {kind.value} feature supplied for expert {eid}")
             features[kind] = templates.prepare(kind, stream_features[kind].values[None])[0]
         feature = features[kind]
-        scores[eid] = float(max(0.0 if feature is None or row is None else pearson(feature, row)
-                                for row in centroids))
+        scores[eid] = max([0.0 if feature is None or row is None else pearson(feature, row)
+                           for row in centroids])
     return scores
 
 

@@ -40,6 +40,7 @@ from .classifiers import (
 from .errors import ConfigurationError, FormatError, InputError, TrainingError
 from .features import (
     AMP_STATS_LENGTH,
+    DEFAULT_DOPPLER_CONFIG,
     DopplerConfig,
     FeatureKind,
     FeatureVector,
@@ -69,8 +70,8 @@ _BUNDLE_HEADER = struct.Struct("<4sIQ")  # magic, version, JSON header length
 _BLOCK_ALIGN = 8  # every block starts at a multiple of this many bytes
 
 DEFAULT_VAL_FRACTION = 0.25
-# Each feature kind's vector width. A bundle's Doppler experts use `DopplerConfig()`.
-FEATURE_WIDTHS = {FeatureKind.DOPPLER_ENERGY: DopplerConfig().num_bins,
+# Each feature kind's vector width. A bundle's Doppler experts use `DEFAULT_DOPPLER_CONFIG`.
+FEATURE_WIDTHS = {FeatureKind.DOPPLER_ENERGY: DEFAULT_DOPPLER_CONFIG.num_bins,
                   FeatureKind.AMPLITUDE_STATS: AMP_STATS_LENGTH}
 
 
@@ -111,7 +112,7 @@ class TrainedBundle:
                 raise ConfigurationError(f"{kind.value} scaler is not {FEATURE_WIDTHS[kind]} wide")
 
     def doppler_config(self) -> DopplerConfig:
-        return DopplerConfig()  # what `build_bundle` trains every bundle with
+        return DEFAULT_DOPPLER_CONFIG  # what `build_bundle` trains every bundle with
 
     def spec(self, expert_id: str) -> ExpertSpec:
         for s in self.registry:
@@ -237,15 +238,16 @@ def _read_streams(streams: Iterable[CsiStream], labels: Sequence[int],
                   fingerprint: "hashlib._Hash") -> list[StreamFeatures]:
     """A `StreamFeatures` of each stream's series, not its samples; `fingerprint`
     is updated with what training reads of each stream: its rate, series and label."""
-    caches = []
-    for stream, label in zip(streams, labels):
+    caches, streams = [], iter(streams)
+    for label, stream in zip(labels, streams):  # labels first, so no stream is read past them
         series = StreamFeatures.of_stream(stream).series
         fingerprint.update(struct.pack("<dq", stream.packet_rate, len(series)))
         fingerprint.update(series.astype("<f8", copy=False))
         fingerprint.update(struct.pack("<q", label))
         caches.append(StreamFeatures(series, stream.packet_rate))
-    if len(caches) != len(labels):
-        raise InputError(f"{len(caches)} streams but {len(labels)} labels")
+    if len(caches) != len(labels) or next(streams, None) is not None:
+        problem = len(caches) if len(caches) < len(labels) else f"more than {len(labels)}"
+        raise InputError(f"{problem} streams but {len(labels)} labels")
     return caches
 
 

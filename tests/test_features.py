@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moesense import features
 from moesense.errors import ConfigurationError, InputError
 from moesense.features import (
+    DEFAULT_DOPPLER_CONFIG,
     MAX_FEATURE,
     DopplerConfig,
     FeatureKind,
     amp_stats_from_series,
     centre_rows,
+    doppler_from_series,
     extract_amp_stats,
     extract_doppler,
     pearson,
@@ -105,6 +108,65 @@ def test_doppler_config_validation():
         DopplerConfig(1, 50.0)
     with pytest.raises(ConfigurationError):
         DopplerConfig(10, 0.0)
+
+
+def doppler_add_at(series, packet_rate, cfg):
+    """The Doppler energy as it was binned before the cached band: the in-band
+    mask of every rfft frequency, summed into the bins by `np.add.at`."""
+    top = min(cfg.max_freq_hz, packet_rate / 2.0)
+    spectrum = np.abs(np.fft.rfft(series - series.mean())) ** 2
+    freqs = np.fft.rfftfreq(len(series), d=1.0 / packet_rate)
+    in_band = freqs <= top
+    idx = np.minimum((freqs[in_band] / (top / cfg.num_bins)).astype(int), cfg.num_bins - 1)
+    energy = np.zeros(cfg.num_bins)
+    np.add.at(energy, idx, spectrum[in_band])
+    total = energy.sum()
+    if total >= 1e-15:
+        energy /= total
+    else:
+        energy[:] = 0.0
+    return energy
+
+
+@st.composite
+def doppler_cases(draw):
+    """A series of 8 to 3000 values (sometimes constant), a rate (1000/3, rates
+    whose Nyquist clips the default band, or any from 1 to 5000), and a config."""
+    n = draw(st.integers(8, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    series = (np.full(n, 2.5) if draw(st.integers(0, 9)) == 0
+              else rng.uniform(0.5, 2.0, n) * draw(st.sampled_from([1e-3, 1.0, 1e40])))
+    rate = draw(st.sampled_from([1000 / 3, 1000.0, 500.0, 125.0, 124.9, 60.0, 33.3])
+                | st.floats(1.0, 5000.0))
+    cfg = draw(st.sampled_from([DEFAULT_DOPPLER_CONFIG, None])
+               | st.builds(DopplerConfig, st.integers(2, 40), st.floats(0.5, 600.0)))
+    return series, rate, cfg
+
+
+@settings(max_examples=200, deadline=None)
+@given(doppler_cases())
+def test_doppler_equals_the_add_at_binning_bit_for_bit(case):
+    series, rate, cfg = case
+    got = doppler_from_series(series, rate, cfg)
+    want = doppler_add_at(series, rate, DEFAULT_DOPPLER_CONFIG if cfg is None else cfg)
+    assert got.values.dtype == want.dtype and got.values.tobytes() == want.tobytes()
+
+
+def test_doppler_band_bins_are_cached_and_read_only():
+    series = np.random.default_rng(5).uniform(1.0, 2.0, 2000)
+    doppler_from_series(series, 1000 / 3)
+    idx = features._band_bins(2000, 1000 / 3, DopplerConfig())  # an equal config hits the entry
+    assert idx is features._band_bins(2000, 1000 / 3, DEFAULT_DOPPLER_CONFIG)
+    with pytest.raises(ValueError, match="read-only"):
+        idx[0] = 3
+    assert doppler_from_series(series, 1000 / 3).values.tobytes() == \
+        doppler_add_at(series, 1000 / 3, DEFAULT_DOPPLER_CONFIG).tobytes()
+
+
+@pytest.mark.parametrize("rate", [0.0, -500.0, math.nan, math.inf])
+def test_doppler_refuses_a_rate_that_is_not_positive(rate):
+    with pytest.raises(InputError, match="packet_rate"):
+        doppler_from_series(np.arange(64.0), rate)
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +400,40 @@ def test_prepared_operands_correlate_as_the_reference_bit_for_bit(vectors):
         for x, y in [(pa, wider), (wider, pa), (a, wider), (prepared([0.0] * (len(b) + 1)), pa)]:
             with pytest.raises(InputError):
                 pearson(x, y)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(pearson_inputs())
+def test_ready_operands_correlate_as_the_general_path_bit_for_bit(ab):
+    """An operand is ready exactly when it is not constant and its sum of
+    squares lies inside the safe range; two ready operands of one shape give
+    what the general path gives them, forced by clearing the flag."""
+    pa, pb = map(prepared, ab)
+    for op in (pa, pb):
+        assert op.ready == (not op.constant and 2.0**-500 < op.sumsq < 2.0**500)
+    general = [pa._replace(ready=False), pb._replace(ready=False)]
+    try:
+        expected = repr(pearson(*general))
+    except InputError:
+        with pytest.raises(InputError):
+            pearson(pa, pb)
+        return
+    assert repr(pearson(pa, pb)) == repr(pearson(pb, pa)) == expected == repr(pearson(*ab))
+
+
+def test_operands_that_are_not_ready_keep_their_results_and_errors():
+    constant, line = prepared([4.0, 4.0, 4.0]), prepared([1.0, 2.0, 4.0])
+    huge, tiny = prepared([1e300, -1e300, 0.0]), prepared([1e-300, 3e-300, 0.0])
+    assert line.ready and not (constant.ready or huge.ready or tiny.ready)
+    assert pearson(line, constant) == pearson(constant, line) == 0.0
+    assert pearson(huge, tiny) == pearson_reference([1e300, -1e300, 0.0], [1e-300, 3e-300, 0.0])
+    assert pearson(line, huge) == pearson_reference([1.0, 2.0, 4.0], [1e300, -1e300, 0.0])
+    wider = prepared([1.0, 2.0, 4.0, 8.0])
+    assert wider.ready
+    for x, y in [(line, wider), (wider, line), (constant, wider)]:
+        with pytest.raises(InputError, match="length mismatch"):
+            pearson(x, y)
 
 
 def test_prepared_operand_views_one_centred_block():

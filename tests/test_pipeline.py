@@ -114,6 +114,18 @@ def test_split_refuses_more_items_than_labels():
 # build_bundle
 # ---------------------------------------------------------------------------
 
+def test_every_prepared_centroid_takes_the_gate_fast_path(small_bundle, probe_stream):
+    """Each centroid the gate correlates is a ready `pearson` operand, and so
+    is the probe's feature of each kind."""
+    operands = [op for ops in small_bundle.templates.operands.values() for op in ops]
+    assert all(op is None or op.ready for op in operands)
+    assert sum(op is not None for op in operands) > len(small_bundle.registry)
+    observed = decimate(probe_stream, 300.0)
+    for kind in FeatureKind:
+        row = extract_feature(observed, kind, small_bundle.doppler_config()).values[None]
+        assert small_bundle.templates.prepare(kind, row)[0].ready
+
+
 def test_bundle_has_model_and_template_per_expert(small_bundle):
     ids = {spec.id for spec in small_bundle.registry}
     assert set(small_bundle.models) == ids
@@ -215,6 +227,21 @@ def test_pool_broken_while_submitting_is_training_error(monkeypatch):
     with pytest.raises(InputError, match="streams but"):
         build_bundle(train_streams, train_labels, val_streams[:-1], val_labels,
                      default_registry(), seed=1)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("split", ["training", "validation"])
+def test_a_stream_left_over_after_the_last_label_is_refused(split):
+    streams, labels = make_streams(1, 3, seed=31)
+    five, three = [streams[i] for i in (0, 3, 1, 4, 2)], [0, 1, 0]
+    train_streams, train_labels, val_streams, val_labels = small_split(25)
+    if split == "training":
+        train_streams, train_labels = iter(five), three
+    else:
+        val_streams, val_labels = iter(five), three
+    registry = [ExpertSpec("K", D, ClassifierKind.KNN, 300.0, hyperparams={"k": 1})]
+    with pytest.raises(InputError, match="more than 3 streams but 3 labels"):
+        build_bundle(train_streams, train_labels, val_streams, val_labels, registry, seed=1)
     assert multiprocessing.active_children() == []
 
 

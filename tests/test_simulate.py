@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moesense.errors import ConfigurationError, FormatError, InputError, RateError
 from moesense.features import DopplerConfig, FeatureKind, mean_amplitude_series
@@ -13,6 +15,7 @@ from moesense.simulate import (
     ManifestEntry,
     ScenarioConfig,
     TargetPath,
+    check_samples,
     decimate,
     decimation_stride,
     deserialize_stream,
@@ -284,6 +287,57 @@ def test_stream_reader_bounds_samples(value):
         deserialize_stream(serialize_stream(forged))
     samples[7, 3] = np.nextafter(MAX_SAMPLE, 0.0) * (1 + 1j)
     assert deserialize_stream(serialize_stream(forged)).samples[7, 3] == samples[7, 3]
+
+
+UNDER_MAX = float(np.nextafter(MAX_SAMPLE, 0.0))
+# parts on and around the bound, NaN, infinities, subnormals, parts whose
+# squares overflow, and parts near 1e49, a dozen of which square-sum past 1e99
+EDGE_PARTS = [MAX_SAMPLE, -MAX_SAMPLE, UNDER_MAX, -UNDER_MAX, np.nan, np.inf, -np.inf,
+              5e-324, -5e-324, 2.2e-308, 1e160, -1e200, 1.7e308, 0.0, -0.0, 1e49, -3e49]
+
+
+def two_sided(samples):
+    """The stream check before its one-pass test: every part finite and below
+    MAX_SAMPLE in size, by the smallest and the largest part."""
+    values = np.ascontiguousarray(samples, np.complex128).view(np.float64)
+    return bool(values.size and -MAX_SAMPLE < values.min() and values.max() < MAX_SAMPLE)
+
+
+@st.composite
+def sample_blocks(draw):
+    packets, subcarriers = draw(st.integers(0, 8)), draw(st.integers(1, 4))
+    near = st.floats(1e49, UNDER_MAX) | st.floats(-UNDER_MAX, -1e49)
+    part = draw(st.sampled_from(["edge", "near", "any"]))
+    parts = {"edge": st.sampled_from(EDGE_PARTS) | st.floats(-1e51, 1e51),
+             "near": near | st.sampled_from(EDGE_PARTS), "any": st.floats()}[part]
+    size = 2 * packets * subcarriers
+    values = np.array(draw(st.lists(parts, min_size=size, max_size=size)), dtype=np.float64)
+    return values.view(np.complex128).reshape(packets, subcarriers)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sample_blocks())
+def test_check_samples_accepts_what_the_two_sided_rule_accepts(samples):
+    stream = CsiStream(samples, 500.0)
+    blob = serialize_stream(stream)
+    if two_sided(samples):
+        check_samples(stream)
+        assert deserialize_stream(blob).samples.tobytes() == samples.tobytes()
+    else:
+        with pytest.raises(InputError, match="samples"):
+            check_samples(stream)
+        with pytest.raises(FormatError, match="samples"):
+            deserialize_stream(blob)
+
+
+@pytest.mark.parametrize("part", [5e49, UNDER_MAX, 1e49])
+def test_check_samples_accepts_a_sum_of_squares_past_its_one_pass_bound(part):
+    samples = np.full((6, 2), part * (1 - 1j))  # 24 squares near or above 1e98
+    assert (samples.view(np.float64) ** 2).sum() > 1e99
+    check_samples(CsiStream(samples, 500.0))
+    samples[5, 1] = MAX_SAMPLE
+    with pytest.raises(InputError, match="samples"):
+        check_samples(CsiStream(samples, 500.0))
 
 
 def test_stream_reader_rejects_a_stream_without_packets():
