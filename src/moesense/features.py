@@ -11,7 +11,6 @@ each template centroid and stream feature once, and `pearson` correlates two.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -98,11 +97,16 @@ def doppler_from_series(
     cfg = DEFAULT_DOPPLER_CONFIG if cfg is None else cfg
     if len(series) < 8:
         raise InputError(f"need at least 8 packets, got {len(series)}")
-    idx = _band_bins(len(series), packet_rate, cfg)
+    check_positive(packet_rate, "packet_rate")
+    top = min(cfg.max_freq_hz, packet_rate / 2.0)
 
     centered = series - series.mean()
     spectrum = np.abs(np.fft.rfft(centered)) ** 2
-    # the band is a prefix of the spectrum and never empty, so each bin sums in frequency order
+    freqs = np.fft.rfftfreq(len(centered), d=1.0 / packet_rate)
+
+    # the frequencies ascend from 0, so the band is a prefix of the spectrum,
+    # never empty, and each bin sums its terms in frequency order
+    idx = np.minimum((freqs[freqs <= top] / (top / cfg.num_bins)).astype(int), cfg.num_bins - 1)
     energy = np.bincount(idx, weights=spectrum[:len(idx)], minlength=cfg.num_bins)
 
     total = energy.sum()
@@ -111,17 +115,6 @@ def doppler_from_series(
     else:
         energy[:] = 0.0
     return FeatureVector(FeatureKind.DOPPLER_ENERGY, energy)
-
-
-@functools.lru_cache(maxsize=128)
-def _band_bins(n: int, packet_rate: float, cfg: DopplerConfig) -> np.ndarray:
-    """Read-only bin of each in-band `rfft` frequency of `n` values, which ascend from 0."""
-    check_positive(packet_rate, "packet_rate")
-    top = min(cfg.max_freq_hz, packet_rate / 2.0)
-    freqs = np.fft.rfftfreq(n, d=1.0 / packet_rate)
-    idx = np.minimum((freqs[freqs <= top] / (top / cfg.num_bins)).astype(int), cfg.num_bins - 1)
-    idx.flags.writeable = False
-    return idx
 
 
 def amp_stats_from_series(series: np.ndarray) -> FeatureVector:
@@ -153,12 +146,10 @@ def amp_stats_from_series(series: np.ndarray) -> FeatureVector:
 
 class Centred(NamedTuple):
     """One `pearson` operand, prepared once: the vector less its mean,
-    whether its range is zero, its centred sum of squares, and whether it is
-    `ready`: not constant, with that sum inside `_SAFE_SUMSQ`."""
+    whether its range is zero, and its centred sum of squares."""
     values: np.ndarray
     constant: bool
     sumsq: float
-    ready: bool
 
 
 def centre_rows(rows: np.ndarray) -> list[Centred]:
@@ -168,10 +159,8 @@ def centre_rows(rows: np.ndarray) -> list[Centred]:
     before mean-subtraction rounding can manufacture a spurious variance."""
     centred = list(rows - (_sum(rows, axis=1) / rows.shape[1])[:, None])
     with np.errstate(over="ignore", under="ignore"):
-        sumsq = np.fromiter(map(np.ndarray.dot, centred, centred), np.float64, len(centred))
-    constant = np.ptp(rows, axis=1) == 0.0
-    ready = ~constant & (_SAFE_SUMSQ[0] < sumsq) & (sumsq < _SAFE_SUMSQ[1])
-    return list(map(Centred, centred, constant.tolist(), sumsq.tolist(), ready.tolist()))
+        sumsq = list(map(float, map(np.ndarray.dot, centred, centred)))
+    return list(map(Centred, centred, (np.ptp(rows, axis=1) == 0.0).tolist(), sumsq))
 
 
 def pearson(a: Sequence[float] | np.ndarray | Centred,
@@ -179,10 +168,12 @@ def pearson(a: Sequence[float] | np.ndarray | Centred,
     """Pearson correlation coefficient; 0.0 when either input has zero variance.
 
     A vector input is prepared here; an operand from `centre_rows` is prepared
-    once, and each correlation with it is one dot product: for two `ready`
-    operands of one shape, the expression the general path below reaches."""
-    if (type(a) is Centred and type(b) is Centred and a.ready and b.ready
-            and a.values.shape == b.values.shape):
+    once, and each correlation with it is one dot product. Two such operands of
+    one shape, neither constant and each with its sum of squares inside
+    `_SAFE_SUMSQ`, return at once the expression the general path reaches."""
+    lo, hi = _SAFE_SUMSQ
+    if (type(a) is Centred and type(b) is Centred and not (a.constant or b.constant)
+            and lo < a.sumsq < hi and lo < b.sumsq < hi and a.values.shape == b.values.shape):
         return float(a.values.dot(b.values)) / math.sqrt(a.sumsq * b.sumsq)
     x = a.values if isinstance(a, Centred) else np.asarray(a, dtype=np.float64)
     y = b.values if isinstance(b, Centred) else np.asarray(b, dtype=np.float64)
@@ -195,7 +186,7 @@ def pearson(a: Sequence[float] | np.ndarray | Centred,
     if a.constant or b.constant:
         return 0.0
     xc, yc, vx, vy = a.values, b.values, a.sumsq, b.sumsq
-    if not (_SAFE_SUMSQ[0] < vx < _SAFE_SUMSQ[1] and _SAFE_SUMSQ[0] < vy < _SAFE_SUMSQ[1]):
+    if not (lo < vx < hi and lo < vy < hi):
         # Tiny or huge inputs would underflow or overflow the sums. Scaling by
         # a power of two is exact, and the correlation is scale-invariant.
         # ldexp applies the exponent per element, so a subnormal maximum (whose

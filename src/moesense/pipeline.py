@@ -245,9 +245,10 @@ def _read_streams(streams: Iterable[CsiStream], labels: Sequence[int],
         fingerprint.update(series.astype("<f8", copy=False))
         fingerprint.update(struct.pack("<q", label))
         caches.append(StreamFeatures(series, stream.packet_rate))
-    if len(caches) != len(labels) or next(streams, None) is not None:
-        problem = len(caches) if len(caches) < len(labels) else f"more than {len(labels)}"
-        raise InputError(f"{problem} streams but {len(labels)} labels")
+    if len(caches) < len(labels):
+        raise InputError(f"{len(caches)} streams but {len(labels)} labels")
+    if next(streams, None) is not None:
+        raise InputError(f"more than {len(labels)} streams but {len(labels)} labels")
     return caches
 
 

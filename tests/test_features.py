@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moesense import features
 from moesense.errors import ConfigurationError, InputError
 from moesense.features import (
     DEFAULT_DOPPLER_CONFIG,
@@ -111,7 +110,7 @@ def test_doppler_config_validation():
 
 
 def doppler_add_at(series, packet_rate, cfg):
-    """The Doppler energy as it was binned before the cached band: the in-band
+    """The Doppler energy as it was binned before `np.bincount`: the in-band
     mask of every rfft frequency, summed into the bins by `np.add.at`."""
     top = min(cfg.max_freq_hz, packet_rate / 2.0)
     spectrum = np.abs(np.fft.rfft(series - series.mean())) ** 2
@@ -150,17 +149,6 @@ def test_doppler_equals_the_add_at_binning_bit_for_bit(case):
     got = doppler_from_series(series, rate, cfg)
     want = doppler_add_at(series, rate, DEFAULT_DOPPLER_CONFIG if cfg is None else cfg)
     assert got.values.dtype == want.dtype and got.values.tobytes() == want.tobytes()
-
-
-def test_doppler_band_bins_are_cached_and_read_only():
-    series = np.random.default_rng(5).uniform(1.0, 2.0, 2000)
-    doppler_from_series(series, 1000 / 3)
-    idx = features._band_bins(2000, 1000 / 3, DopplerConfig())  # an equal config hits the entry
-    assert idx is features._band_bins(2000, 1000 / 3, DEFAULT_DOPPLER_CONFIG)
-    with pytest.raises(ValueError, match="read-only"):
-        idx[0] = 3
-    assert doppler_from_series(series, 1000 / 3).values.tobytes() == \
-        doppler_add_at(series, 1000 / 3, DEFAULT_DOPPLER_CONFIG).tobytes()
 
 
 @pytest.mark.parametrize("rate", [0.0, -500.0, math.nan, math.inf])
@@ -402,35 +390,38 @@ def test_prepared_operands_correlate_as_the_reference_bit_for_bit(vectors):
                 pearson(x, y)
 
 
+def takes_the_fast_path(op):
+    """Whether `pearson` correlates the prepared `op` with a like operand of its
+    shape in one expression: not constant, its sum of squares in the safe range."""
+    return not op.constant and 2.0**-500 < op.sumsq < 2.0**500
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=300, deadline=None)
 @given(pearson_inputs())
-def test_ready_operands_correlate_as_the_general_path_bit_for_bit(ab):
-    """An operand is ready exactly when it is not constant and its sum of
-    squares lies inside the safe range; two ready operands of one shape give
-    what the general path gives them, forced by clearing the flag."""
-    pa, pb = map(prepared, ab)
-    for op in (pa, pb):
-        assert op.ready == (not op.constant and 2.0**-500 < op.sumsq < 2.0**500)
-    general = [pa._replace(ready=False), pb._replace(ready=False)]
+def test_fast_path_operands_correlate_as_the_general_path_bit_for_bit(ab):
+    """Two prepared operands give what the general path gives them, forced by
+    passing one side as its vector, which `pearson` prepares to the same bits."""
+    (a, b), (pa, pb) = ab, map(prepared, ab)
     try:
-        expected = repr(pearson(*general))
+        expected = repr(pearson(pa, b))
     except InputError:
         with pytest.raises(InputError):
             pearson(pa, pb)
         return
-    assert repr(pearson(pa, pb)) == repr(pearson(pb, pa)) == expected == repr(pearson(*ab))
+    assert repr(pearson(pa, pb)) == repr(pearson(pb, pa)) == expected == repr(pearson(a, pb))
 
 
-def test_operands_that_are_not_ready_keep_their_results_and_errors():
+def test_operands_off_the_fast_path_keep_their_results_and_errors():
     constant, line = prepared([4.0, 4.0, 4.0]), prepared([1.0, 2.0, 4.0])
     huge, tiny = prepared([1e300, -1e300, 0.0]), prepared([1e-300, 3e-300, 0.0])
-    assert line.ready and not (constant.ready or huge.ready or tiny.ready)
+    assert takes_the_fast_path(line)
+    assert not any(map(takes_the_fast_path, (constant, huge, tiny)))
     assert pearson(line, constant) == pearson(constant, line) == 0.0
     assert pearson(huge, tiny) == pearson_reference([1e300, -1e300, 0.0], [1e-300, 3e-300, 0.0])
     assert pearson(line, huge) == pearson_reference([1.0, 2.0, 4.0], [1e300, -1e300, 0.0])
     wider = prepared([1.0, 2.0, 4.0, 8.0])
-    assert wider.ready
+    assert takes_the_fast_path(wider)
     for x, y in [(line, wider), (wider, line), (constant, wider)]:
         with pytest.raises(InputError, match="length mismatch"):
             pearson(x, y)

@@ -115,15 +115,19 @@ def test_split_refuses_more_items_than_labels():
 # ---------------------------------------------------------------------------
 
 def test_every_prepared_centroid_takes_the_gate_fast_path(small_bundle, probe_stream):
-    """Each centroid the gate correlates is a ready `pearson` operand, and so
-    is the probe's feature of each kind."""
+    """Each centroid the gate correlates, and the probe's feature of each kind,
+    is a `pearson` operand that is not constant and whose sum of squares lies
+    in the safe range, so each correlation is one expression."""
+    def fast(op):
+        return not op.constant and 2.0**-500 < op.sumsq < 2.0**500
+
     operands = [op for ops in small_bundle.templates.operands.values() for op in ops]
-    assert all(op is None or op.ready for op in operands)
+    assert all(op is None or fast(op) for op in operands)
     assert sum(op is not None for op in operands) > len(small_bundle.registry)
     observed = decimate(probe_stream, 300.0)
     for kind in FeatureKind:
         row = extract_feature(observed, kind, small_bundle.doppler_config()).values[None]
-        assert small_bundle.templates.prepare(kind, row)[0].ready
+        assert fast(small_bundle.templates.prepare(kind, row)[0])
 
 
 def test_bundle_has_model_and_template_per_expert(small_bundle):
