@@ -214,6 +214,11 @@ def candidates(registry: Sequence[ExpertSpec], rate: float) -> tuple[frozenset[s
     return eligible, sorted(eligible or (spec.id for spec in registry))
 
 
+def expert_input_rate(spec: ExpertSpec, current_rate: float) -> float:
+    """The rate an expert consumes: its training rate, or the lower current rate in fallback."""
+    return min(current_rate, spec.required_rate)
+
+
 def score_experts(
     stream_features: Mapping[FeatureKind, FeatureVector],
     templates: TemplateLibrary,

@@ -57,6 +57,7 @@ from .gating import (
     Template,
     TemplateLibrary,
     decide,
+    expert_input_rate,
     fuse,
     spec_from_jsonable,
     spec_to_jsonable,
@@ -138,12 +139,6 @@ def extract_feature(stream: CsiStream, kind: FeatureKind, doppler_cfg: DopplerCo
     if kind is FeatureKind.DOPPLER_ENERGY:
         return extract_doppler(stream, doppler_cfg)
     return extract_amp_stats(stream)
-
-
-def expert_input_rate(spec: ExpertSpec, current_rate: float) -> float:
-    """Experts consume data decimated to their required rate, which they were
-    trained at, in normal mode, and to the (lower) current rate in fallback."""
-    return min(current_rate, spec.required_rate)
 
 
 def split_train_val(
@@ -333,29 +328,19 @@ def build_bundle(
     return TrainedBundle(tuple(ordered), models, TemplateLibrary(templates, scalers), metadata)
 
 
-def expert_posterior(
-    stream: CsiStream, current_rate: float, bundle: TrainedBundle, expert_id: str
-) -> np.ndarray:
-    """One expert's class posterior for `stream` observed at `current_rate`.
-
-    The expert's input is decimated from the base stream, never from an
-    already-decimated one, so at or above its required rate it consumes
-    exactly the rate it was trained at.
-    """
-    spec = bundle.spec(expert_id)
-    expert_input = decimate(stream, expert_input_rate(spec, current_rate))
-    fv = extract_feature(expert_input, spec.feature_kind, bundle.doppler_config())
-    return predict_posterior(bundle.models[expert_id], fv)
-
-
 def detect(stream: CsiStream, current_rate: float, bundle: TrainedBundle) -> DetectionReport:
     """Run the detection workflow on one stream observed at `current_rate`."""
     def features() -> dict[FeatureKind, FeatureVector]:
         check_samples(stream)
         observed, doppler_cfg = decimate(stream, current_rate), bundle.doppler_config()
         return {kind: extract_feature(observed, kind, doppler_cfg) for kind in FeatureKind}
-    return _detect(bundle, current_rate, features,
-                   lambda eid: expert_posterior(stream, current_rate, bundle, eid))
+
+    def posterior(eid: str) -> np.ndarray:  # from the base stream, never a decimated one
+        spec = bundle.spec(eid)
+        fv = extract_feature(decimate(stream, expert_input_rate(spec, current_rate)),
+                             spec.feature_kind, bundle.doppler_config())
+        return predict_posterior(bundle.models[eid], fv)
+    return _detect(bundle, current_rate, features, posterior)
 
 
 def _detect(bundle: TrainedBundle, current_rate: float, features: Callable[[], dict],
@@ -400,7 +385,8 @@ class StreamFeatures:
         return self._memo[(stride, kind)]
 
     def posterior(self, expert_id: str, current_rate: float) -> np.ndarray:
-        """`expert_posterior(stream, current_rate, bundle, expert_id)`, read-only."""
+        """The expert's posterior at `current_rate`, read-only: `detect`'s, from
+        the series decimated to `gating.expert_input_rate`."""
         spec = self.bundle.spec(expert_id)
         key = (expert_id, decimation_stride(self.packet_rate, expert_input_rate(spec, current_rate)))
         if key not in self._memo:

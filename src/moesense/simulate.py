@@ -202,6 +202,7 @@ def check_samples(stream: CsiStream, error: type[MoeSenseError] = InputError) ->
 def decimation_stride(packet_rate: float, target_rate: float) -> int:
     """The packet stride `decimate` keeps: floor(packet_rate / target_rate)."""
     check_positive(target_rate, "target_rate", ConfigurationError)
+    check_positive(packet_rate, "stream packet rate")
     if not 1 <= packet_rate / target_rate < math.inf:
         problem = "exceeds" if target_rate > packet_rate else "is too small for"
         raise RateError(f"target_rate {target_rate} {problem} stream rate {packet_rate}")

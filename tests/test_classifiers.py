@@ -26,6 +26,7 @@ from moesense.classifiers import (
 from moesense.errors import InputError, TrainingError
 from moesense.features import MAX_FEATURE, FeatureKind, FeatureVector
 from moesense.pipeline import MODEL_FORMATS, Blocks, model_from_jsonable, model_to_jsonable
+from reference import knn_oracle
 
 
 def fv(values, kind=FeatureKind.AMPLITUDE_STATS):
@@ -115,15 +116,6 @@ def test_knn_distance_tie_prefers_lower_index():
     model = train_knn(data, k=1)
     post = predict_knn(model, fv([0, 0]))
     assert post[1] == 1.0  # index 0 holds label 1
-
-
-def knn_oracle(matrix, labels, query, k, num_classes):
-    d2 = ((matrix - query) ** 2).sum(axis=1)
-    order = sorted(range(len(matrix)), key=lambda i: (d2[i], i))[:k]
-    votes = np.zeros(num_classes)
-    for i in order:
-        votes[labels[i]] += 1
-    return votes / k
 
 
 def test_knn_matches_bruteforce_oracle():

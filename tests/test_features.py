@@ -19,6 +19,7 @@ from moesense.features import (
     pearson,
 )
 from moesense.simulate import CsiStream, ScenarioConfig, TargetPath, synthesize_stream
+from reference import pearson_reference, quantile_oracle
 
 
 def stream_from_series(series, packet_rate=100.0):
@@ -161,16 +162,6 @@ def test_doppler_refuses_a_rate_that_is_not_positive(rate):
 # amplitude statistics
 # ---------------------------------------------------------------------------
 
-def quantile_oracle(values, q):
-    """Independent sort-then-interpolate quantile (inclusive endpoints)."""
-    x = sorted(values)
-    pos = q * (len(x) - 1)
-    lo = int(np.floor(pos))
-    hi = int(np.ceil(pos))
-    frac = pos - lo
-    return x[lo] + frac * (x[hi] - x[lo])
-
-
 def test_amp_stats_hand_arithmetic():
     fv = extract_amp_stats(stream_from_series([1, 2, 3, 4]))
     mean, var, mad, median, q1, q3 = fv.values
@@ -297,32 +288,6 @@ def test_pearson_properties(values, seed):
         alpha = float(rng.uniform(0.1, 5.0)) * (1 if seed % 2 else -1)
         beta = float(rng.uniform(-10, 10))
         assert pearson(a, alpha * a + beta) == pytest.approx(np.sign(alpha), abs=1e-9)
-
-
-def pearson_reference(a, b):
-    """pearson written with np.ptp and ndarray.mean; the gate's hot path
-    spells these reductions out, and must not change a bit."""
-    x = np.asarray(a, dtype=np.float64)
-    y = np.asarray(b, dtype=np.float64)
-    if x.shape != y.shape:
-        raise InputError(f"length mismatch: {x.shape} vs {y.shape}")
-    if x.size < 2:
-        raise InputError(f"need at least 2 points, got {x.size}")
-    if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
-        return 0.0
-    xc = x - x.mean()
-    yc = y - y.mean()
-    with np.errstate(over="ignore", under="ignore"):
-        vx = float(xc @ xc)
-        vy = float(yc @ yc)
-    if not (2.0**-500 < vx < 2.0**500 and 2.0**-500 < vy < 2.0**500):
-        xc = np.ldexp(xc, -math.frexp(float(np.abs(xc).max()))[1])
-        yc = np.ldexp(yc, -math.frexp(float(np.abs(yc).max()))[1])
-        vx = float(xc @ xc)
-        vy = float(yc @ yc)
-    if vx <= 0.0 or vy <= 0.0:
-        return 0.0
-    return float(xc @ yc) / math.sqrt(vx * vy)
 
 
 @st.composite

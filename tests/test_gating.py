@@ -29,6 +29,7 @@ from moesense.gating import (
     spec_to_jsonable,
     validate_registry,
 )
+from reference import reference_scores
 
 D = FeatureKind.DOPPLER_ENERGY
 S = FeatureKind.AMPLITUDE_STATS
@@ -193,29 +194,6 @@ def test_scaler_separates_scale_dominated_vectors():
     lib = library(entries, {S: (base - 0.01, np.array([0.05, 0.05, 0.05, 0.05, 0.05, 0.05]))})
     scaled = score_experts({S: x}, lib, ["near", "far"])
     assert scaled["near"] > scaled["far"]
-
-
-def reference_scores(stream_features, lib, candidate_ids):
-    """The gate's scores by their definition, from the raw centroids: a
-    constant raw vector scores 0.0, the rest are scaled, then correlated."""
-    scores = {}
-    for eid in candidate_ids:
-        centroids = lib.centroids(eid)
-        if not centroids:
-            scores[eid] = NO_TEMPLATE_SCORE
-            continue
-        best = -np.inf
-        for centroid in centroids.values():
-            a = np.asarray(stream_features[centroid.kind].values, dtype=np.float64)
-            b = np.asarray(centroid.values, dtype=np.float64)
-            if np.ptp(a) == 0.0 or np.ptp(b) == 0.0:
-                r = 0.0
-            else:
-                mean, std = lib.scalers[centroid.kind]
-                r = pearson((a - mean) / std, (b - mean) / std)
-            best = max(best, r)
-        scores[eid] = float(best)
-    return scores
 
 
 def vectors(width):

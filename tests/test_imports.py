@@ -1,14 +1,17 @@
 """Every name a `moesense` module imports is used in that module, every
 module-level function and class is named outside its own definition, every
-method and property is read as an attribute outside its own definition, and
-every parameter of every function is read in its body."""
+method and property is read as an attribute outside its own definition,
+every parameter of every function is read in its body, and only `detect`
+decimates a stream and then extracts its features."""
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "moesense").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "moesense").glob("*.py"))
 
 # Imported only so that the benchmark's tracer (perfbench/tracer.py) can wrap
 # them where `cli` would call them; nothing in `cli` calls them itself.
@@ -142,6 +145,102 @@ def test_the_guard_sees_a_helper_without_a_caller():
                               "class C:\n    pass\n\nclass D:\n    pass\n"),
                "b": ast.parse("from .a import g\nimport a\n\ndef h():\n    return g(), a.C\n")}
     assert uncalled(modules) == {"a.f", "a.D", "b.h"}
+
+
+def stale_entries(entries: dict[str, str], root: Path) -> set[tuple[str, str]]:
+    """The (entry, file) pairs of `entries` whose file, a path under `root`
+    in the entry's text, is missing or does not read the entry's name: a
+    function by name, a method or property as an attribute of anything but
+    `self`. An entry that names no file is stale too."""
+    stale = set()
+    for entry, callers_text in entries.items():
+        name = entry.split(".")[-1]
+        files = re.findall(r"[\w/]+\.py", callers_text)
+        if not files:
+            stale.add((entry, ""))
+        for file in files:
+            path = root / file
+            if not path.is_file():
+                stale.add((entry, file))
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            reads = named(tree) if entry.count(".") == 1 else Counter(
+                n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+                and isinstance(n.ctx, ast.Load) and ast.unparse(n.value) != "self")
+            if not reads[name]:
+                stale.add((entry, file))
+    return stale
+
+
+def test_every_outside_caller_reads_what_keeps_it():
+    # so an entry goes once the outside caller it names drops its call
+    assert stale_entries(CALLED_FROM_OUTSIDE, ROOT) == set()
+
+
+def test_the_guard_sees_a_stale_outside_caller(tmp_path):
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "uses.py").write_text("def f(lib, t):\n    return lib.centroids(1), t.size\n")
+    (tmp_path / "pkg" / "own.py").write_text("class T:\n    def f(self):\n        return self.size\n")
+    (tmp_path / "pkg" / "names.py").write_text("from gating import helper\n")
+    entries = {"gating.TemplateLibrary.centroids": "pkg/uses.py, and pkg/gone.py",
+               "evaluate.Table.size": "pkg/own.py and pkg/uses.py",
+               "gating.helper": "pkg/names.py", "gating.other": "pkg/uses.py",
+               "gating.T.f": "a caller outside the repository"}
+    assert stale_entries(entries, tmp_path) == {
+        ("gating.TemplateLibrary.centroids", "pkg/gone.py"), ("evaluate.Table.size", "pkg/own.py"),
+        ("gating.other", "pkg/uses.py"), ("gating.T.f", "")}
+
+
+# `detect` is the one path the benchmark's call-count pins follow: it decimates
+# the stream, then extracts, for the gate and for each selected expert.
+PINNED_PATH = {"decimate", "extract_feature"}
+
+
+def callers(modules: dict[str, ast.Module], names: set[str]) -> set[str]:
+    """Where `modules` call one of `names`, by bare name or as an attribute:
+    each module-level function and method, as "module.name" or
+    "module.Class.name", whose body (nested functions included) does, and
+    "module" or "module.Class" for a call outside any of them."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+    def calls(node: ast.AST) -> bool:
+        return any(isinstance(n, ast.Call) and (getattr(n.func, "id", None) in names
+                                                or getattr(n.func, "attr", None) in names)
+                   for n in ast.walk(node))
+
+    def where(prefix: str, node: ast.AST) -> str:
+        return f"{prefix}.{node.name}" if isinstance(node, functions) else prefix
+
+    found = set()
+    for module, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                found |= {where(f"{module}.{node.name}", m) for m in node.body if calls(m)}
+            elif calls(node):
+                found.add(where(module, node))
+    return found
+
+
+def test_only_detect_decimates_then_extracts():
+    # every other path slices an amplitude series through `StreamFeatures`
+    modules = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    assert callers(modules, PINNED_PATH) == {"pipeline.detect"}
+
+
+def test_the_guard_sees_a_second_caller():
+    detect = ("def decimate(stream, rate):\n    return stream\n\n"
+              "def detect(stream, rate):\n    def features():\n"
+              "        return extract_feature(decimate(stream, rate))\n    return features()\n")
+    second = ("from . import pipeline\nfrom .simulate import decimate\n\n"
+              "def sweep(stream):\n    return [decimate(stream, r) for r in (1, 2)]\n\n"
+              "class Table:\n    def row(self, stream):\n"
+              "        return pipeline.extract_feature(stream)\n\n"
+              "    def size(self):\n        return decimate\n\n"
+              "    LAST = decimate(None, 1)\n\n"
+              "CACHE = pipeline.decimate(None, 1)\n")
+    modules = {"pipeline": ast.parse(detect), "evaluate": ast.parse(second)}
+    assert callers(modules, PINNED_PATH) == {"pipeline.detect", "evaluate.sweep",
+                                             "evaluate.Table.row", "evaluate.Table", "evaluate"}
 
 
 def test_the_guard_sees_a_method_without_a_caller():

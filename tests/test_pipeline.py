@@ -10,12 +10,13 @@ from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from moesense import pipeline
 from moesense.classifiers import ForestModel, predict_posterior
-from moesense.errors import ConfigurationError, FormatError, InputError, RateError, TrainingError
+from moesense.errors import (ConfigurationError, FormatError, InputError, MoeSenseError, RateError,
+                             TrainingError)
 from moesense.evaluate import evaluate_target_sweep
 from moesense.features import DopplerConfig, FeatureKind, mean_amplitude_series
 from moesense.gating import (
@@ -24,6 +25,7 @@ from moesense.gating import (
     GatingMode,
     decide,
     default_registry,
+    expert_input_rate,
     fuse,
 )
 from moesense.pipeline import (
@@ -36,8 +38,6 @@ from moesense.pipeline import (
     bundle_to_jsonable,
     deserialize_bundle,
     detect,
-    expert_input_rate,
-    expert_posterior,
     extract_feature,
     load_bundle,
     save_bundle,
@@ -55,6 +55,7 @@ from moesense.simulate import (
     serialize_stream,
     synthesize_stream,
 )
+from reference import reference_detect
 
 D = FeatureKind.DOPPLER_ENERGY
 S = FeatureKind.AMPLITUDE_STATS
@@ -313,11 +314,19 @@ def test_feature_table_equals_decimate_then_extract():
             assert got.values.tobytes() == want.values.tobytes(), (rate, kind)
 
 
+def decimate_path_posterior(stream, rate, bundle, spec):
+    """The expert's posterior by the decimate path: its input decimated from
+    the base stream to `min(rate, required rate)`, then extracted and predicted."""
+    expert_input = decimate(stream, min(rate, spec.required_rate))
+    fv = extract_feature(expert_input, spec.feature_kind, bundle.doppler_config())
+    return predict_posterior(bundle.models[spec.id], fv)
+
+
 def reference_pair(stream, rate, bundle):
     """What a sweep computed for one (stream, rate) pair before `StreamFeatures`:
-    `detect`, then `expert_posterior` for every expert (a superset of the pool)."""
+    `detect`, then the decimate-path posterior of every expert (a superset of the pool)."""
     report = detect(stream, rate, bundle)
-    return report, {spec.id: expert_posterior(stream, rate, bundle, spec.id)
+    return report, {spec.id: decimate_path_posterior(stream, rate, bundle, spec)
                     for spec in bundle.registry}
 
 
@@ -605,8 +614,9 @@ def test_expert_consumes_its_training_rate(small_bundle, custom_bundle, probe_st
             for label, row in zip(template.labels, template.values):
                 assert row.tobytes() == np.stack(right[label]).mean(axis=0).tobytes(), spec.id
         for rate in rates:
+            cache = StreamFeatures.of_stream(probe_stream, bundle)
             for spec in bundle.registry:
-                served = expert_posterior(probe_stream, rate, bundle, spec.id)
+                served = cache.posterior(spec.id, rate)
                 assert served.tobytes() == posterior_at(spec, min(rate, spec.required_rate)), (
                     spec.id, rate)
             for report in (detect(probe_stream, rate, bundle),
@@ -653,7 +663,7 @@ def test_detect_takes_samples_just_under_the_bound(small_bundle, probe_stream, v
         for rate in (50.0, 300.0, 500.0, 1000.0):
             detect(stream, rate, small_bundle)
             for spec in small_bundle.registry:
-                expert_posterior(stream, rate, small_bundle, spec.id)
+                decimate_path_posterior(stream, rate, small_bundle, spec)
 
 
 @pytest.mark.parametrize("value", [MAX_SAMPLE, -MAX_SAMPLE,
@@ -673,6 +683,85 @@ def test_detect_bounds_the_parts_of_any_sample_layout(small_bundle, probe_stream
     wide = np.repeat(probe_stream.samples, 2, axis=1)
     strided = detect(CsiStream(wide[:, ::2], probe_stream.packet_rate), 500.0, small_bundle)
     assert strided.fused.tobytes() == detect(probe_stream, 500.0, small_bundle).fused.tobytes()
+
+
+def report_fields(report):
+    """Every field of a `DetectionReport`, as `reference_detect` returns them."""
+    decision = report.decision
+    return {"eligible": decision.eligible, "selected": decision.selected,
+            "weights": decision.weights, "scores": decision.scores, "mode": decision.mode.value,
+            "expert_posteriors": report.expert_posteriors, "fused": report.fused,
+            "predicted_count": report.predicted_count, "current_rate": report.current_rate}
+
+
+def bits(run):
+    """The fields `run()` returns, each float and array as its bytes, so that
+    == compares bits; or the class of the package error it raises."""
+    try:
+        fields = dict(run())
+    except MoeSenseError as exc:
+        return type(exc)
+    for name in ("weights", "current_rate", "fused"):
+        fields[name] = np.asarray(fields[name], dtype=np.float64).tobytes()
+    for name in ("scores", "expert_posteriors"):
+        fields[name] = [(eid, np.asarray(v, dtype=np.float64).tobytes())
+                        for eid, v in fields[name].items()]
+    return fields
+
+
+@st.composite
+def detect_requests(draw):
+    """A stream of 8-3,000 packets over 1-30 subcarriers (a scene, noise, a
+    constant, or zeros, which tie every score at 0.0) and a rate: fallback,
+    a required rate exactly, 333.3 pkts/s, above the stream's own, or any."""
+    level = draw(st.sampled_from(["scene", "noise", "constant", "zeros"]))
+    packets = draw(st.one_of(st.integers(8, 100), st.integers(8, 3000)))
+    width = draw(st.integers(1, 30))
+    packet_rate = draw(st.sampled_from([1000.0, 977.0, 500.0, 2000.0]))
+    rate = draw(st.one_of(st.sampled_from([50.0, 100.0, 299.0, 300.0, 333.3, 400.0, 500.0,
+                                           600.0, 1000.0, 1500.0]),
+                          st.floats(20.0, 1100.0)))
+    return level, packets, width, packet_rate, rate, draw(st.integers(0, 2**32 - 1))
+
+
+def request_stream(level, packets, width, packet_rate, seed):
+    rng = np.random.default_rng(seed)
+    if level == "scene":
+        cfg = ScenarioConfig(num_targets=seed % 3, packet_rate=packet_rate,
+                             duration=packets / packet_rate, num_subcarriers=width,
+                             rng_seed=seed)
+        return synthesize_stream(cfg)
+    shape = (packets, width)
+    samples = {"noise": lambda: 1 + rng.normal(0, 0.3, shape) + 1j * rng.normal(0, 0.3, shape),
+               "constant": lambda: np.full(shape, complex(*rng.normal(size=2))),
+               "zeros": lambda: np.zeros(shape, complex)}[level]()
+    return CsiStream(samples, packet_rate)
+
+
+@settings(max_examples=45, deadline=None)
+@given(case=detect_requests())
+@example(case=("noise", 1000, 8, 1000.0, 1000.0, 1))  # every expert above its required rate
+@example(case=("scene", 1000, 8, 1000.0, 300.0, 2))  # a required rate exactly
+@example(case=("zeros", 1000, 8, 1000.0, 500.0, 3))  # every score ties at 0.0
+@example(case=("scene", 2000, 30, 1000.0, 333.3, 4))  # strides shared with 300 pkts/s
+@example(case=("noise", 1000, 4, 1000.0, 50.0, 5))  # fallback
+def test_both_detect_paths_equal_the_reference_detector(small_bundle, case):
+    level, packets, width, packet_rate, rate, seed = case
+    stream = request_stream(level, packets, width, packet_rate, seed)
+    want = bits(lambda: reference_detect(stream, rate, small_bundle))
+    assert bits(lambda: report_fields(detect(stream, rate, small_bundle))) == want
+    cache = StreamFeatures.of_stream(stream, small_bundle)
+    assert bits(lambda: report_fields(cache.detect(rate))) == want
+
+
+@pytest.mark.parametrize("packet_rate", [math.nan, -1000.0, 0.0, math.inf])
+def test_detect_refuses_a_stream_rate_that_is_not_finite_and_positive(small_bundle, probe_stream,
+                                                                     packet_rate):
+    stream = CsiStream(probe_stream.samples, packet_rate)
+    for run in (lambda: detect(stream, 50.0, small_bundle),
+                lambda: StreamFeatures.of_stream(stream, small_bundle).detect(50.0)):
+        with pytest.raises(InputError, match="stream packet rate must be finite and positive"):
+            run()
 
 
 # ---------------------------------------------------------------------------
@@ -731,7 +820,7 @@ def test_loaded_arrays_are_read_only_views(small_bundle, probe_stream):
     for rate in (50.0, 300.0, 500.0, 1000.0):
         detect(probe_stream, rate, loaded)
         for spec in loaded.registry:
-            expert_posterior(probe_stream, rate, loaded, spec.id)
+            decimate_path_posterior(probe_stream, rate, loaded, spec)
     assert serialize_bundle(loaded) == data
 
 
