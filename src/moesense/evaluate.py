@@ -91,6 +91,7 @@ def _count_hits(
         raise InputError(f"a sweep needs distinct conditions, got {[c for c, _ in conditions]}")
     rates = list(dict.fromkeys(r for _, r in conditions))
     pools = {r: candidates(bundle.registry, r)[1] for r in rates}
+    draws = {r: (np.array(pool), min(3, len(pool))) for r, pool in pools.items()}  # for `choice`
     # One generator per rate draws a fresh random triple per stream, so the
     # baseline shows the average random combination, not one lucky draw.
     triple_rngs = {} if triple_seed is None else {
@@ -110,12 +111,12 @@ def _count_hits(
             counts["n_samples"] += 1
             counts["framework"] += int(cache.detect(r).predicted_count == label)
             if triple_rngs:
-                triple = sorted(triple_rngs[r].choice(pool, size=min(3, len(pool)), replace=False).tolist())
+                triple = sorted(triple_rngs[r].choice(*draws[r], replace=False).tolist())
                 _, rand_pred = fuse([cache.posterior(eid, r) for eid in triple],
                                     [1.0 / len(triple)] * len(triple))
                 counts["random3"] += int(rand_pred == label)
             for eid in pool:
-                counts[eid] += int(np.argmax(cache.posterior(eid, r)) == label)
+                counts[eid] += int(cache.posterior(eid, r).argmax() == label)
     if not streams:
         raise InputError("a sweep needs at least one stream")
     return hits

@@ -30,6 +30,7 @@ from .simulate import check_positive
 NO_TEMPLATE_SCORE = -1.0
 
 TOP_K = 3  # experts the gate selects
+_max, _min = np.maximum.reduce, np.minimum.reduce
 
 
 class ClassifierKind(enum.Enum):
@@ -188,6 +189,18 @@ class TemplateLibrary:
         constant = (np.ptp(rows, axis=1) == 0.0).tolist()
         return [None if c else op for c, op in zip(constant, centre_rows((rows - mean) / std))]
 
+    def prepare_row(self, kind: FeatureKind, row: np.ndarray) -> Centred | None:
+        """`prepare(kind, row[None])[0]` bit for bit, in a pass over the one row."""
+        mean, std = self._scalers[kind]
+        if row.shape != mean.shape:
+            raise InputError(f"{kind.value} rows must be {len(mean)} wide, got {row.shape}")
+        if _max(row) - _min(row) == 0.0:
+            return None
+        x = (row - mean) / std
+        centred = x - np.add.reduce(x) / len(x)
+        with np.errstate(over="ignore", under="ignore"):
+            return Centred(centred, bool(_max(x) - _min(x) == 0.0), float(centred.dot(centred)))
+
     def template(self, expert_id: str) -> Template:
         if expert_id not in self._templates:
             raise ConfigurationError(f"no template entry for expert {expert_id}")
@@ -240,7 +253,7 @@ def score_experts(
         if kind not in features:
             if kind not in stream_features:
                 raise InputError(f"no {kind.value} feature supplied for expert {eid}")
-            features[kind] = templates.prepare(kind, stream_features[kind].values[None])[0]
+            features[kind] = templates.prepare_row(kind, stream_features[kind].values)
         feature = features[kind]
         scores[eid] = max([0.0 if feature is None or row is None else pearson(feature, row)
                            for row in centroids])
@@ -288,14 +301,13 @@ def fuse(
     posteriors: Sequence[np.ndarray], weights: Sequence[float]
 ) -> tuple[np.ndarray, int]:
     """Weighted average of posteriors; prediction is the argmax (lowest-index ties)."""
-    if len(posteriors) != len(weights):
-        raise InputError(f"{len(posteriors)} posteriors but {len(weights)} weights")
-    if len(posteriors) == 0:
-        raise InputError("need at least one posterior to fuse")
-    fused = np.zeros_like(np.asarray(posteriors[0], dtype=np.float64))
+    if len(posteriors) != len(weights) or len(posteriors) == 0:
+        raise InputError(f"fuse needs a posterior and one weight per posterior, got "
+                         f"{len(posteriors)} posteriors and {len(weights)} weights")
+    fused = 0.0  # the first term makes the sum an array, as adding it to zeros would
     for p, w in zip(posteriors, weights):
-        fused += float(w) * np.asarray(p, dtype=np.float64)
-    return fused, int(np.argmax(fused))
+        fused = fused + float(w) * np.asarray(p, dtype=np.float64)
+    return fused, int(fused.argmax())
 
 
 # ---------------------------------------------------------------------------

@@ -360,6 +360,7 @@ class StreamFeatures:
         self.packet_rate, self.bundle = packet_rate, bundle
         self._read_series: Callable[[], np.ndarray] = lambda: series
         self._memo: dict[tuple, Any] = {}  # (stride, kind) features, (id, stride) posteriors
+        self._posteriors: dict[tuple[str, float], np.ndarray] = {}  # by (id, current rate)
 
     @classmethod
     def of_stream(cls, stream: CsiStream, bundle: TrainedBundle | None = None) -> StreamFeatures:
@@ -377,23 +378,25 @@ class StreamFeatures:
         return self._feature(decimation_stride(self.packet_rate, rate), kind)
 
     def _feature(self, stride: int, kind: FeatureKind) -> FeatureVector:
-        if (stride, kind) not in self._memo:
+        if (feature := self._memo.get((stride, kind))) is None:
             kept = np.ascontiguousarray(self.series[::stride])
-            self._memo[(stride, kind)] = (
+            feature = self._memo[(stride, kind)] = (
                 doppler_from_series(kept, self.packet_rate / stride)
                 if kind is FeatureKind.DOPPLER_ENERGY else amp_stats_from_series(kept))
-        return self._memo[(stride, kind)]
+        return feature
 
     def posterior(self, expert_id: str, current_rate: float) -> np.ndarray:
         """The expert's posterior at `current_rate`, read-only: `detect`'s, from
         the series decimated to `gating.expert_input_rate`."""
+        if (hit := self._posteriors.get((expert_id, current_rate))) is not None:
+            return hit
         spec = self.bundle.spec(expert_id)
         key = (expert_id, decimation_stride(self.packet_rate, expert_input_rate(spec, current_rate)))
         if key not in self._memo:
             self._memo[key] = predict_posterior(self.bundle.models[expert_id],
                                                 self._feature(key[1], spec.feature_kind))
             self._memo[key].setflags(write=False)
-        return self._memo[key]
+        return self._posteriors.setdefault((expert_id, current_rate), self._memo[key])
 
     def detect(self, current_rate: float) -> DetectionReport:
         """`detect(stream, current_rate, bundle)`, from this cache."""
@@ -430,11 +433,11 @@ class Blocks:
     the JSON header keeps in its place. `get` returns the array a reference
     names, in the dtype its caller expects, as a read-only view of its
     block, once the reference's shape fits the block and, for a float
-    dtype, every value is finite.
+    dtype, every value is finite; `reads` counts the gets of each block.
     """
 
     def __init__(self, data: Sequence[bytes | memoryview] = ()):
-        self.data = list(data)
+        self.data, self.reads = list(data), {}
 
     def put(self, array: Any, dtype: str) -> dict[str, Any]:
         arr = np.ascontiguousarray(array, dtype=dtype)
@@ -449,6 +452,7 @@ class Blocks:
             raise ValueError(f"bad block shape {shape!r}")
         # reshape raises ValueError when the shape's size is not the block's
         array = np.frombuffer(self.data[block], dtype).reshape(shape)
+        self.reads[block] = self.reads.get(block, 0) + 1
         return finite_array(array, f"block {block}") if array.dtype.kind == "f" else array
 
 
@@ -532,11 +536,14 @@ def serialize_bundle(bundle: TrainedBundle) -> bytes:
 def deserialize_bundle(data: bytes) -> TrainedBundle:
     try:
         # bytes(), so that no array views a buffer its caller can still change.
-        header, blocks = _unpack(bytes(data))
-        return bundle_from_jsonable(header, Blocks(blocks).get)
+        header, views = _unpack(bytes(data))
+        bundle = bundle_from_jsonable(header, (blocks := Blocks(views)).get)
     except (KeyError, ValueError, TypeError, AttributeError, OverflowError, RecursionError,
             ConfigurationError) as exc:
         raise FormatError(f"bundle payload malformed: {exc}") from exc
+    if misread := {i: blocks.reads.get(i, 0) for i in range(len(views)) if blocks.reads.get(i) != 1}:
+        raise FormatError(f"bundle blocks read other than once (block: reads): {misread}")
+    return bundle
 
 
 def _pack(header: dict[str, Any], blocks: Sequence[bytes]) -> bytes:

@@ -26,6 +26,7 @@ from moesense.classifiers import (
 from moesense.errors import InputError, TrainingError
 from moesense.features import MAX_FEATURE, FeatureKind, FeatureVector
 from moesense.pipeline import MODEL_FORMATS, Blocks, model_from_jsonable, model_to_jsonable
+from reference import _forest as reference_forest
 from reference import knn_oracle
 
 
@@ -504,6 +505,21 @@ def test_forest_predicts_bit_for_bit_as_the_per_tree_walk(seed):
         expected = per_tree_walk(model, fv(q)).tobytes()
         assert predict_forest(model, fv(q)).tobytes() == expected
         assert predict_forest(clone, fv(q)).tobytes() == expected
+
+
+def test_forest_sums_its_trees_in_tree_order():
+    """Leaves whose class shares are not dyadic (1 of 6, 4 of 20, ...) make
+    the sum over the trees depend on its order, so a forest that adds its
+    trees in any order but the stored one fails the reference here."""
+    counts = [[1, 1, 4], [8, 4, 8], [3, 3, 8], [8, 1, 1],
+              [7, 4, 6], [2, 8, 5], [9, 8, 7], [3, 7, 1]]
+    # four stumps, on features 0, 1, 0, 1 at 0.5: leaf rows 2t (left) and 2t + 1 (right)
+    model = ForestModel([3] * 4, [0, -1, -1, 1, -1, -1] * 2, [0.5] * 4, [2] * 4, counts, 3, 2)
+    for side in ([0, 2, 4, 6], [1, 3, 5, 7]):
+        assert not np.array_equal(model.leaves[side].sum(axis=0),
+                                  model.leaves[side[::-1]].sum(axis=0))
+    for q in ([0.0, 0.0], [1.0, 1.0], [0.5, 0.9], [0.9, 0.5]):
+        assert predict_forest(model, fv(q)).tobytes() == reference_forest(model, q).tobytes()
 
 
 def leaf_row(model, tree, q):

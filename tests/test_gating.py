@@ -1,9 +1,10 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from moesense import gating
@@ -262,6 +263,63 @@ def test_scores_equal_the_reference_exactly(gate):
     assert score_experts(features, lib, ids) == reference_scores(features, lib, ids)
 
 
+@st.composite
+def rows_to_prepare(draw):
+    """A library of one kind, 6 or 25 wide, whose scaler may have zero-std
+    columns, and a block of rows: any, constant as drawn, or constant once
+    standardized. At 1e-170 or 1e90 in size, and with a zero mean, a row's
+    centred sum of squares lies below or above `_SAFE_SUMSQ`."""
+    width = draw(st.sampled_from([6, 25]))
+    mean, std = draw(scalers(width))
+    size = draw(st.sampled_from([1.0, 1e-170, 1e90]))
+    if size != 1.0:
+        mean = np.zeros(width)
+    lib = TemplateLibrary({}, {D: (mean, std)})
+    mean, std = lib.scalers[D]
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        v = np.array(draw(vectors(width)))
+        rows.append(mean + v[0] * std if draw(st.booleans()) else v * size)
+    return lib, np.array(rows)
+
+
+def operand_bits(op):
+    return None if op is None else (op.values.tobytes(), op.constant, type(op.constant),
+                                    repr(op.sumsq))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows_to_prepare())
+def test_one_row_preparation_is_the_block_pass_bit_for_bit(case):
+    """`prepare_row`, which prepares the gate's stream feature, gives each
+    row the operand the library's block pass gives it, in a block of other
+    rows or alone."""
+    lib, block = case
+    for row, op in zip(block, lib.prepare(D, block)):
+        want = operand_bits(op)
+        assert operand_bits(lib.prepare_row(D, row)) == want
+        assert operand_bits(lib.prepare(D, row[None])[0]) == want
+
+
+def test_one_row_preparation_covers_each_operand_form():
+    """The forms the property above draws, one of each: a constant raw row,
+    a row constant only once standardized, a zero-std column, and sums of
+    squares below and above `_SAFE_SUMSQ`; and, under a tiny std, one that
+    overflows to infinity without a warning."""
+    lib = TemplateLibrary({}, {D: (np.zeros(6), np.array([1.0, 0.0, 2.0, 1.0, 1.0, 0.5]))})
+    std = lib.scalers[D][1]
+    rows = np.array([[0.3] * 6, 2.0 * std, [0.0, 1.0, 0.0, 1.0, 0.0, 1.0],
+                     np.arange(6) * 1e-170, np.arange(6) * 1e90])
+    ops = [lib.prepare_row(D, row) for row in rows]
+    assert ops[0] is None and ops[1].constant and not ops[2].constant
+    assert ops[3].sumsq < 2.0**-500 and ops[4].sumsq > 2.0**500
+    assert [operand_bits(op) for op in ops] == [operand_bits(op) for op in lib.prepare(D, rows)]
+    tiny = TemplateLibrary({}, {D: (np.zeros(6), np.full(6, 1e-60))})
+    row = np.arange(6) * 1e95
+    assert tiny.prepare_row(D, row).sumsq == math.inf
+    assert operand_bits(tiny.prepare_row(D, row)) == operand_bits(tiny.prepare(D, row[None])[0])
+
+
 def test_pearson_is_called_once_per_pair_of_non_constant_raw_vectors(monkeypatch):
     """The rule the benchmark's call-count pin relies on: the gate calls
     `pearson` once for each candidate centroid whose raw row is not constant,
@@ -491,6 +549,30 @@ def test_fuse_argmax_invariant_under_score_scaling():
         w = w / w.sum()
         _, pred = fuse(ps, w)
         assert pred == fuse(ps, np.maximum(scores, 0) / np.maximum(scores, 0).sum())[1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.floats(-1, 1), min_size=3, max_size=3), min_size=n, max_size=n),
+    st.lists(st.floats(-1, 1), min_size=n, max_size=n))),
+    st.sampled_from(["lists", "arrays", "block"]))
+@example(([[-0.0, 0.5, 0.5]], [1.0]), "lists")  # 0.0 + -0.0 is 0.0
+def test_fuse_adds_in_order_from_zero(case, form):
+    """fuse takes lists, arrays or one block of posteriors, and its sum is
+    the plain sequential 0.0 + w0 * p0 + w1 * p1 + ..., per class, bit for bit."""
+    posteriors, weights = case
+    want = []
+    for j in range(3):
+        total = 0.0
+        for p, w in zip(posteriors, weights):
+            total = total + w * p[j]
+        want.append(total)
+    args = {"lists": (posteriors, weights),
+            "arrays": ([np.array(p) for p in posteriors], np.array(weights)),
+            "block": (np.array(posteriors), tuple(weights))}[form]
+    fused, predicted = fuse(*args)
+    assert fused.tobytes() == np.array(want).tobytes()
+    assert predicted == want.index(max(want))
 
 
 def test_fuse_length_mismatch():

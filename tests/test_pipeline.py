@@ -17,7 +17,7 @@ from moesense import pipeline
 from moesense.classifiers import ForestModel, predict_posterior
 from moesense.errors import (ConfigurationError, FormatError, InputError, MoeSenseError, RateError,
                              TrainingError)
-from moesense.evaluate import evaluate_target_sweep
+from moesense.evaluate import evaluate_rate_sweep, evaluate_target_sweep
 from moesense.features import DopplerConfig, FeatureKind, mean_amplitude_series
 from moesense.gating import (
     ClassifierKind,
@@ -55,6 +55,8 @@ from moesense.simulate import (
     serialize_stream,
     synthesize_stream,
 )
+from reference import _feature as reference_feature
+from reference import _posterior as reference_posterior
 from reference import reference_detect
 
 D = FeatureKind.DOPPLER_ENERGY
@@ -754,6 +756,52 @@ def test_both_detect_paths_equal_the_reference_detector(small_bundle, case):
     assert bits(lambda: report_fields(cache.detect(rate))) == want
 
 
+def reference_rate_rows(bundle, data, rates, seed):
+    """`evaluate_rate_sweep`'s rows, counted from the reference detector: the
+    framework from `reference_detect`, each pool expert from its posterior
+    at `min(rate, required_rate)`, and the random triple drawn by one
+    generator per rate, seeded [seed, the rate's rank], that picks a fresh
+    triple from the sorted pool for each stream."""
+    specs = {spec.id: spec for spec in bundle.registry}
+    pools = {r: sorted(e for e in specs if specs[e].required_rate <= r) or sorted(specs)
+             for r in rates}
+    rngs = {r: np.random.default_rng([seed, i]) for i, r in enumerate(sorted(rates))}
+    hits = {r: dict.fromkeys(["n_samples", "framework", "random3", *pools[r]], 0) for r in rates}
+    for stream, label in data:
+        for r in rates:
+            posteriors = {eid: reference_posterior(
+                bundle.models[eid], reference_feature(stream.samples, stream.packet_rate,
+                                                      min(r, specs[eid].required_rate),
+                                                      specs[eid].feature_kind).values)
+                for eid in pools[r]}
+            triple = sorted(rngs[r].choice(pools[r], size=min(3, len(pools[r])),
+                                           replace=False).tolist())
+            fused = np.zeros(bundle.metadata["k_max"] + 1)
+            for eid in triple:
+                fused += (1.0 / len(triple)) * posteriors[eid]
+            counts = hits[r]
+            counts["n_samples"] += 1
+            counts["framework"] += int(reference_detect(stream, r, bundle)["predicted_count"] == label)
+            counts["random3"] += int(np.argmax(fused) == label)
+            for eid in pools[r]:
+                counts[eid] += int(np.argmax(posteriors[eid]) == label)
+    return [{"rate": f"{r:.4f}", **{col: h if col == "n_samples" else h / counts["n_samples"]
+                                     for col, h in counts.items()}}
+            for r, counts in hits.items()]
+
+
+def test_rate_sweep_counts_what_the_reference_detector_counts(small_bundle):
+    """Every row of a rate sweep, column by column and in order, as the
+    reference detector counts it: at a fallback rate (50), at 400 and 500
+    pkts/s, whose gate features share a stride, at 333.3 and 300 pkts/s,
+    which share another, given out of order."""
+    streams, labels = make_streams(2, 3, seed=17)
+    rates = [500.0, 50.0, 400.0, 333.3, 300.0]
+    table = evaluate_rate_sweep(small_bundle, zip(streams, labels), rates, seed=11)
+    want = reference_rate_rows(small_bundle, zip(streams, labels), rates, seed=11)
+    assert [list(row.items()) for row in table.rows] == [list(row.items()) for row in want]
+
+
 @pytest.mark.parametrize("packet_rate", [math.nan, -1000.0, 0.0, math.inf])
 def test_detect_refuses_a_stream_rate_that_is_not_finite_and_positive(small_bundle, probe_stream,
                                                                      packet_rate):
@@ -978,6 +1026,25 @@ def test_forged_bundle_unchanged_loads(small_bundle):
     data = serialize_bundle(small_bundle)
     assert forge(fresh_payload(small_bundle)) == data
     assert serialize_bundle(deserialize_bundle(forge(fresh_payload(small_bundle)))) == data
+
+
+def test_a_block_read_twice_or_never_does_not_load(small_bundle):
+    """Each block is one array: a reference aimed at another block of the
+    same shape leaves its own block unread, and a block no reference names
+    is never read, so neither bundle loads, and the error names the block."""
+    def refused(header, blocks):
+        with pytest.raises(FormatError, match=r"blocks read other than once \(block: reads\)") as e:
+            deserialize_bundle(forge((header, blocks)))
+        return str(e.value).split("(block: reads): ")[1]
+
+    header, blocks = fresh_payload(small_bundle)
+    scaler = header["scalers"]["amp_stats"]
+    mean, std = scaler["mean"]["block"], scaler["std"]["block"]
+    assert scaler["mean"]["shape"] == scaler["std"]["shape"] == [6]
+    scaler["std"] = dict(scaler["mean"])
+    assert refused(header, blocks) == str({mean: 2, std: 0})
+    header, blocks = fresh_payload(small_bundle)
+    assert refused(header, [*blocks, bytes(8)]) == str({len(blocks): 0})
 
 
 def _column(name, change):
