@@ -168,13 +168,7 @@ def pearson(a: Sequence[float] | np.ndarray | Centred,
     """Pearson correlation coefficient; 0.0 when either input has zero variance.
 
     A vector input is prepared here; an operand from `centre_rows` is prepared
-    once, and each correlation with it is one dot product. Two such operands of
-    one shape, neither constant and each with its sum of squares inside
-    `_SAFE_SUMSQ`, return at once the expression the general path reaches."""
-    lo, hi = _SAFE_SUMSQ
-    if (type(a) is Centred and type(b) is Centred and not (a.constant or b.constant)
-            and lo < a.sumsq < hi and lo < b.sumsq < hi and a.values.shape == b.values.shape):
-        return float(a.values.dot(b.values)) / math.sqrt(a.sumsq * b.sumsq)
+    once, and each correlation with it is one dot product."""
     x = a.values if isinstance(a, Centred) else np.asarray(a, dtype=np.float64)
     y = b.values if isinstance(b, Centred) else np.asarray(b, dtype=np.float64)
     if x.shape != y.shape:
@@ -186,6 +180,7 @@ def pearson(a: Sequence[float] | np.ndarray | Centred,
     if a.constant or b.constant:
         return 0.0
     xc, yc, vx, vy = a.values, b.values, a.sumsq, b.sumsq
+    lo, hi = _SAFE_SUMSQ
     if not (lo < vx < hi and lo < vy < hi):
         # Tiny or huge inputs would underflow or overflow the sums. Scaling by
         # a power of two is exact, and the correlation is scale-invariant.
@@ -195,6 +190,6 @@ def pearson(a: Sequence[float] | np.ndarray | Centred,
         yc = np.ldexp(yc, -math.frexp(float(np.abs(yc).max()))[1])
         vx = float(xc.dot(xc))
         vy = float(yc.dot(yc))
-    if vx <= 0.0 or vy <= 0.0:
-        return 0.0
+        if vx <= 0.0 or vy <= 0.0:  # an in-range sum of squares is positive
+            return 0.0
     return float(xc.dot(yc)) / math.sqrt(vx * vy)

@@ -154,6 +154,8 @@ class TemplateLibrary:
             if mean.ndim != 1 or mean.shape != std.shape:
                 raise ConfigurationError(f"{kind.value} scaler mean {mean.shape} and std "
                                          f"{std.shape} are not two vectors of one width")
+            if not (std >= 0.0).all():  # NaN fails it too; a zero std is kept as 1
+                raise ConfigurationError(f"{kind.value} scaler holds a negative or NaN std")
             std = np.where(std > 0, std, 1.0)
             with np.errstate(over="ignore"):  # so `pearson` of scaled features stays finite
                 if not np.isfinite(2 * ((MAX_FEATURE + np.abs(mean)) / std).sum()):
@@ -273,25 +275,25 @@ def decide(
 ) -> GatingDecision:
     """Full gate: rate filter, correlation scores, top `TOP_K`, weights.
 
-    Weights are the positive-clipped scores of the selected experts
-    normalized to sum 1, or uniform when every clipped score is zero.
+    Weights are the selected scores clipped at +0.0, each over their left-to-right
+    sum, or uniform when that sum is not positive.
     """
     validate_registry(registry)
     eligible, scored = candidates(registry, current_rate)
     scores = score_experts(stream_features, templates, scored)
     selected = tuple(select_top_k(scores))
 
-    clipped = np.maximum([scores[eid] for eid in selected], 0.0)
-    total = clipped.sum()
-    if total > 0:
-        weights = clipped / total
-    else:
-        weights = np.full(len(selected), 1.0 / len(selected))
+    clipped = [s if s > 0.0 else 0.0 for s in map(scores.__getitem__, selected)]
+    total = 0.0
+    for s in clipped:
+        total += s
+    weights = (tuple(s / total for s in clipped) if total > 0.0
+               else (1.0 / len(clipped),) * len(clipped))
 
     return GatingDecision(
         eligible=eligible,
         selected=selected,
-        weights=tuple(float(w) for w in weights),
+        weights=weights,
         scores=scores,
         mode=GatingMode.NORMAL if eligible else GatingMode.FALLBACK,
     )

@@ -386,6 +386,12 @@ def test_library_at_its_bounds_scores_the_largest_features():
     assert scores == {"E1": -1.0}
 
 
+@pytest.mark.parametrize("bad", [-1.0, -1e-300, np.nan])
+def test_library_refuses_a_negative_or_nan_std(bad):
+    with pytest.raises(ConfigurationError, match="doppler scaler holds a negative or NaN std"):
+        TemplateLibrary({}, {D: ([1.0, 2.0], [0.5, bad])})
+
+
 def test_library_keeps_a_zero_std_as_one_and_its_scalers_read_only():
     lib = TemplateLibrary({}, {D: ([1.0, 2.0], [0.0, 0.5])})
     mean, std = lib.scalers[D]
@@ -508,6 +514,39 @@ def test_decide_deterministic():
     a = decide(small_registry(), lib, x, 250.0)
     b = decide(small_registry(), lib, x, 250.0)
     assert a.selected == b.selected and a.weights == b.weights and a.scores == b.scores
+
+
+def decide_on_scores(scores):
+    """`decide`'s decision at 500 pkts/s, every expert of `small_registry`
+    eligible, when the gate scores them `scores`."""
+    lib = small_library(np.random.default_rng(7))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gating, "score_experts", lambda features, templates, ids: dict(scores))
+        return decide(small_registry(), lib, {D: fv([0.1, 0.2, 0.3, 0.4])}, 500.0)
+
+
+def numpy_weights(scores):
+    """The weight rule on numpy arrays: `np.maximum` clips, `sum` totals."""
+    clipped = np.maximum(scores, 0.0)
+    return clipped / clipped.sum() if clipped.sum() > 0 else np.full(len(scores), 1 / len(scores))
+
+
+def test_a_negative_zero_score_weighs_zero_not_negative_zero():
+    decision = decide_on_scores({"A1": 0.5, "A2": 0.25, "A3": -0.0})
+    assert decision.selected == ("A1", "A2", "A3")
+    assert [math.copysign(1.0, w) for w in decision.weights] == [1.0, 1.0, 1.0]
+    assert decision.weights == (0.5 / 0.75, 0.25 / 0.75, 0.0)
+    assert decide_on_scores(dict.fromkeys(["A1", "A2", "A3"], -0.0)).weights == (1 / 3,) * 3
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.floats(-1.0, 1.0), st.sampled_from([0.0, -0.0, 2.0**-1074])),
+                min_size=3, max_size=3))
+def test_weights_equal_the_numpy_rule_bit_for_bit(values):
+    scores = dict(zip(["A1", "A2", "A3"], values))
+    decision = decide_on_scores(scores)
+    selected = [scores[eid] for eid in decision.selected]
+    assert np.array(decision.weights).tobytes() == numpy_weights(selected).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -117,20 +117,20 @@ def test_split_refuses_more_items_than_labels():
 # build_bundle
 # ---------------------------------------------------------------------------
 
-def test_every_prepared_centroid_takes_the_gate_fast_path(small_bundle, probe_stream):
+def test_every_prepared_centroid_correlates_without_a_rescale(small_bundle, probe_stream):
     """Each centroid the gate correlates, and the probe's feature of each kind,
     is a `pearson` operand that is not constant and whose sum of squares lies
-    in the safe range, so each correlation is one expression."""
-    def fast(op):
+    in the safe range, so each correlation is one dot product and one division."""
+    def in_range(op):
         return not op.constant and 2.0**-500 < op.sumsq < 2.0**500
 
     operands = [op for ops in small_bundle.templates.operands.values() for op in ops]
-    assert all(op is None or fast(op) for op in operands)
+    assert all(op is None or in_range(op) for op in operands)
     assert sum(op is not None for op in operands) > len(small_bundle.registry)
     observed = decimate(probe_stream, 300.0)
     for kind in FeatureKind:
         row = extract_feature(observed, kind, small_bundle.doppler_config()).values[None]
-        assert fast(small_bundle.templates.prepare(kind, row)[0])
+        assert in_range(small_bundle.templates.prepare(kind, row)[0])
 
 
 def test_bundle_has_model_and_template_per_expert(small_bundle):
@@ -748,12 +748,36 @@ def request_stream(level, packets, width, packet_rate, seed):
 @example(case=("scene", 2000, 30, 1000.0, 333.3, 4))  # strides shared with 300 pkts/s
 @example(case=("noise", 1000, 4, 1000.0, 50.0, 5))  # fallback
 def test_both_detect_paths_equal_the_reference_detector(small_bundle, case):
+    both_detect_paths_equal_the_reference_detector(small_bundle, case)
+
+
+def both_detect_paths_equal_the_reference_detector(bundle, case):
     level, packets, width, packet_rate, rate, seed = case
     stream = request_stream(level, packets, width, packet_rate, seed)
-    want = bits(lambda: reference_detect(stream, rate, small_bundle))
-    assert bits(lambda: report_fields(detect(stream, rate, small_bundle))) == want
-    cache = StreamFeatures.of_stream(stream, small_bundle)
+    want = bits(lambda: reference_detect(stream, rate, bundle))
+    assert bits(lambda: report_fields(detect(stream, rate, bundle))) == want
+    cache = StreamFeatures.of_stream(stream, bundle)
     assert bits(lambda: report_fields(cache.detect(rate))) == want
+
+
+@pytest.fixture(scope="module")
+def four_class_bundle():
+    """A bundle of `CUSTOM_REGISTRY` over counts 0-3: another registry and
+    another class count than `small_bundle`'s."""
+    streams, labels = make_streams(3, 8, seed=9)
+    return build_bundle(*split_train_val(streams, labels, seed=9), CUSTOM_REGISTRY, seed=9)
+
+
+@settings(max_examples=45, deadline=None)
+@given(case=detect_requests())
+@example(case=("noise", 1000, 8, 1000.0, 1000.0, 1))  # every expert above its required rate
+@example(case=("scene", 1000, 8, 1000.0, 200.0, 2))  # a required rate exactly
+@example(case=("zeros", 1000, 8, 1000.0, 500.0, 3))  # every score ties at 0.0
+@example(case=("scene", 2000, 30, 1000.0, 333.3, 4))  # strides shared with 300 pkts/s
+@example(case=("noise", 1000, 4, 1000.0, 150.0, 5))  # fallback
+def test_both_detect_paths_equal_the_reference_detector_on_four_classes(four_class_bundle, case):
+    assert four_class_bundle.metadata["k_max"] == 3
+    both_detect_paths_equal_the_reference_detector(four_class_bundle, case)
 
 
 def reference_rate_rows(bundle, data, rates, seed):
@@ -1207,6 +1231,9 @@ DISAGREEING_PARTS = {
                                 lambda v: v.__setitem__((0, 2), np.nan)),
     "amp_stats_forest_registered_as_doppler": _doppler_forest_from_amp_stats,
     "scaler_too_short": _edit(("scalers", "amp_stats", "mean"), "<f8", lambda v: v[:-1]),
+    # a negative std used to load as 1.0, so the bundle re-saved as other bytes
+    "scaler_std_negative": _edit(("scalers", "amp_stats", "std"), "<f8",
+                                 lambda v: v.__setitem__(0, -v[0])),
     "svm_bias_missing": _edit(("models", "E1", "biases"), "<f8", lambda v: v[:-1]),
     "knn_label_out_of_range": _edit(("models", "E6", "labels"), "<i8",
                                     lambda v: v.__setitem__(0, 7)),
@@ -1494,3 +1521,57 @@ def test_mutated_bundle_loads_or_is_format_error(tiny_bundle_bytes, data):
         deserialize_bundle(raw)
     except FormatError:
         pass
+
+
+DELETE = object()
+# each JSON type, edge numbers, the registry's enum strings, an expert id,
+# and a reference to block 0, the amp_stats scaler mean
+HEADER_VALUES = [DELETE, None, True, False, 0, 1, 2, 3, -1, 2**63, 0.5, -0.0, 1e308, "", "K",
+                 "knn", "svm", "forest", "doppler", "amp_stats", [], [0], [1, 2], {},
+                 {"block": 0, "shape": [6]}]
+
+
+def _walk_path(header, walk):
+    """The path of the node `walk` reaches from the header's root: each step
+    takes child `i % count` in key or list order, until a leaf or the walk ends."""
+    path, node = [], header
+    for i in walk:
+        keys = sorted(node) if isinstance(node, dict) else range(len(node)) \
+            if isinstance(node, list) else ()
+        if not keys:
+            break
+        path.append(keys[i % len(keys)])
+        node = node[path[-1]]
+    return path
+
+
+@settings(max_examples=300, deadline=None)
+@given(walk=st.lists(st.integers(0, 63), min_size=1, max_size=8),
+       value=st.sampled_from(HEADER_VALUES))
+@example(walk=[3, 0, 1, 0], value=0)  # scalers/amp_stats/std/block aimed at the mean's block
+def test_header_mutant_is_refused_or_loads_to_a_fixed_point(tiny_bundle_bytes, probe_stream,
+                                                             walk, value):
+    """Set one header node, at any depth, to a value or delete it, and repack:
+    the bundle is a FormatError, or it loads, re-saves to a fixed point,
+    detects as its re-save does, and reads each of its blocks once."""
+    header, views = pipeline._unpack(tiny_bundle_bytes)
+    *parents, last = _walk_path(header, walk)
+    if value is DELETE:
+        del _node(header, parents)[last]
+    else:
+        _node(header, parents)[last] = json.loads(json.dumps(value))
+    raw = pipeline._pack(header, [bytes(view) for view in views])
+    try:
+        loaded = deserialize_bundle(raw)
+    except FormatError:
+        return
+    header, views = pipeline._unpack(raw)
+    blocks = Blocks(views)
+    bundle_from_jsonable(header, blocks.get)
+    assert [blocks.reads.get(i, 0) for i in range(len(views))] == [1] * len(views)
+    resaved = serialize_bundle(loaded)
+    again = deserialize_bundle(resaved)
+    assert serialize_bundle(again) == resaved
+    for rate in (150.0, 1000.0):  # fallback, and every expert eligible
+        assert (bits(lambda: report_fields(detect(probe_stream, rate, loaded)))
+                == bits(lambda: report_fields(detect(probe_stream, rate, again))))
