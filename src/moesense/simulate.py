@@ -7,8 +7,8 @@ Gaussian noise scaled against the dynamic-path power. Target count shows up
 as the amount and spread of temporal amplitude variation, which is what the
 downstream feature extractors measure.
 
-Streams round-trip through a small binary container ("CSI2") and datasets
-are described by a plain CSV manifest (path, label).
+Streams round-trip through a small binary container ("CSI3", whose 32-byte header leaves
+the samples 8-aligned) and datasets are described by a plain CSV manifest (path, label).
 """
 from __future__ import annotations
 
@@ -40,8 +40,8 @@ PATH_DELAY_RANGE_NS = (5.0, 50.0)
 MAX_SAMPLE = 1e50
 SNR_DB_RANGE = (-100.0, 300.0)  # finite snr_db, well inside finite noise below MAX_SAMPLE
 
-STREAM_MAGIC = b"CSI2"
-_HEADER = struct.Struct("<4sQQd")  # magic, packets, subcarriers, rate
+STREAM_MAGIC = b"CSI3"
+_HEADER = struct.Struct("<4sIQQd")  # magic, header length (32), packets, subcarriers, rate
 
 
 @dataclass(frozen=True)
@@ -228,26 +228,28 @@ def decimate(stream: CsiStream, target_rate: float) -> CsiStream:
 # ---------------------------------------------------------------------------
 
 def serialize_stream(stream: CsiStream) -> bytes:
-    header = _HEADER.pack(STREAM_MAGIC, stream.num_packets, stream.num_subcarriers,
-                          float(stream.packet_rate))
+    header = _HEADER.pack(STREAM_MAGIC, _HEADER.size, stream.num_packets,
+                          stream.num_subcarriers, float(stream.packet_rate))
     return b"".join((header, np.ascontiguousarray(stream.samples, dtype="<c16")))
 
 
 def deserialize_stream(data: bytes) -> CsiStream:
+    """The stream in `data`, its samples a read-only view of `data` (of a copy unless `bytes`)."""
+    data = bytes(data)
     if len(data) < _HEADER.size:
         raise FormatError("stream container shorter than its header")
-    magic, n, k, rate = _HEADER.unpack_from(data)
+    magic, size, n, k, rate = _HEADER.unpack_from(data)
     if magic != STREAM_MAGIC:
         raise FormatError(f"bad stream magic {magic!r}, expected {STREAM_MAGIC!r}")
+    if size != _HEADER.size:
+        raise FormatError(f"stream header length is {size}, expected {_HEADER.size}")
     check_positive(rate, "stream packet rate", FormatError)
     if k < 1:
         raise FormatError("stream container holds no subcarriers")
     expected = _HEADER.size + n * k * 16
     if len(data) != expected:
         raise FormatError(f"stream container truncated: {len(data)} bytes, expected {expected}")
-    samples = np.frombuffer(data, dtype="<c16", offset=_HEADER.size).reshape(n, k)
-    # a copy: past the 28-byte header the view is unaligned, and numpy's dot ~70x slower on it
-    stream = CsiStream(samples.astype(np.complex128), rate)
+    stream = CsiStream(np.frombuffer(data, "<c16", offset=_HEADER.size).reshape(n, k), rate)
     check_samples(stream, FormatError)
     return stream
 

@@ -777,7 +777,7 @@ def test_train_stream_with_a_huge_sample_is_format_error(dataset, tmp_path, caps
     assert "below 1e+50" in capsys.readouterr().err
 
 
-STREAM_HEADER = struct.Struct("<4sQQd")  # magic, packets, subcarriers, rate
+STREAM_HEADER = struct.Struct("<4sIQQd")  # magic, header length, packets, subcarriers, rate
 
 
 @pytest.fixture(scope="module")
@@ -790,7 +790,7 @@ def fuzzed_stream_path(tmp_path_factory):
 def test_mutated_stream_detects_or_is_input_or_format_error(dataset, bundle_path,
                                                             fuzzed_stream_path, data):
     """Flip header bytes, set edge header values, truncate, or flip payload
-    bytes of a CSI2 stream: `moesense detect` must exit 0, 3 or 5."""
+    bytes of a CSI3 stream: `moesense detect` must exit 0, 3 or 5."""
     raw = (dataset / read_manifest(dataset / "manifest.csv")[4].path).read_bytes()
     size = STREAM_HEADER.size
     mutation = data.draw(st.sampled_from(["flip_header", "edge_header", "truncate",
@@ -803,15 +803,17 @@ def test_mutated_stream_detects_or_is_input_or_format_error(dataset, bundle_path
         raw = raw[:data.draw(st.integers(0, len(raw) - 1))]
     else:
         # the payload is cut to the packets and subcarriers the header names
-        magic, n, k, rate = STREAM_HEADER.unpack_from(raw)
-        edge = data.draw(st.sampled_from(["packets", "subcarriers", "rate"]))
-        if edge == "packets":
+        magic, length, n, k, rate = STREAM_HEADER.unpack_from(raw)
+        edge = data.draw(st.sampled_from(["length", "packets", "subcarriers", "rate"]))
+        if edge == "length":
+            length = data.draw(st.sampled_from([0, 28, 31, 33, 40, 2**32 - 1]))
+        elif edge == "packets":
             n = data.draw(st.sampled_from([0, 1, 7, 8]))
         elif edge == "subcarriers":
             k = 0
         else:
             rate = data.draw(st.sampled_from([5e-324, 1e-300, 1e300]))
-        raw = STREAM_HEADER.pack(magic, n, k, rate) + raw[size:size + n * k * 16]
+        raw = STREAM_HEADER.pack(magic, length, n, k, rate) + raw[size:size + n * k * 16]
     fuzzed_stream_path.write_bytes(raw)
     rate = data.draw(st.sampled_from(["50", "300", "500"]))
     assert main(["detect", "--bundle", str(bundle_path), "--stream", str(fuzzed_stream_path),
@@ -1008,33 +1010,55 @@ def test_train_on_empty_manifest_is_training_error(tmp_path, capsys):
     assert not out.parent.exists()
 
 
+# The retired stream containers, each as a header before the samples: CSI1 also
+# held the scene's seed and true target count after the rate; CSI2 had no header
+# length, so its 28 bytes left the samples 4 bytes off 8-alignment.
+RETIRED_HEADERS = {
+    "CSI1": lambda stream, label: struct.pack("<4sQQdqq", b"CSI1", *stream.samples.shape,
+                                              stream.packet_rate, 11, label),
+    "CSI2": lambda stream, label: struct.pack("<4sQQd", b"CSI2", *stream.samples.shape,
+                                              stream.packet_rate),
+}
+
+
 @pytest.fixture(scope="module")
-def csi1_dataset(dataset, tmp_path_factory):
-    """`dataset` with every stream in the retired CSI1 container, whose header
-    also held the scene's seed and true target count after the rate."""
-    old = tmp_path_factory.mktemp("csi1") / "ds"
-    shutil.copytree(dataset, old)
-    for entry in read_manifest(old / "manifest.csv"):
-        stream = load_stream(old / entry.path)
-        header = struct.pack("<4sQQdqq", b"CSI1", *stream.samples.shape, stream.packet_rate,
-                             11, entry.label)
-        (old / entry.path).write_bytes(header + stream.samples.astype("<c16").tobytes())
-    return old
+def retired_datasets(dataset, tmp_path_factory):
+    """`dataset` once per retired container, every stream rewritten in it."""
+    out = {}
+    for magic, header in RETIRED_HEADERS.items():
+        out[magic] = tmp_path_factory.mktemp(magic.lower()) / "ds"
+        shutil.copytree(dataset, out[magic])
+        for entry in read_manifest(out[magic] / "manifest.csv"):
+            stream = load_stream(out[magic] / entry.path)
+            (out[magic] / entry.path).write_bytes(header(stream, entry.label)
+                                                  + stream.samples.astype("<c16").tobytes())
+    return out
 
 
-@pytest.mark.parametrize("command", ["detect", "train", "eval-rate"])
-def test_csi1_stream_is_format_error(csi1_dataset, bundle_path, tmp_path, capsys, command):
-    out = tmp_path / "out"
+def retired_stream_is_format_error(magic, datasets, bundle_path, tmp_path, capsys, command):
+    """`command` on the dataset in the retired container `magic` exits 5 naming
+    CSI3, and writes nothing."""
+    dataset, out = datasets[magic], tmp_path / "out"
     args = {"detect": ["--bundle", str(bundle_path), "--stream",
-                       str(csi1_dataset / "class0_0000.csi"), "--rate", "500", "--json"],
-            "train": ["--dataset", str(csi1_dataset), "--out", str(out)],
-            "eval-rate": ["--bundle", str(bundle_path), "--dataset", str(csi1_dataset),
+                       str(dataset / "class0_0000.csi"), "--rate", "500", "--json"],
+            "train": ["--dataset", str(dataset), "--out", str(out)],
+            "eval-rate": ["--bundle", str(bundle_path), "--dataset", str(dataset),
                           "--out", str(out)]}[command]
     assert main([command, *args]) == EXIT_FORMAT
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: bad stream magic b'CSI1', expected b'CSI2'")
+    assert captured.err.startswith(f"error: bad stream magic b'{magic}', expected b'CSI3'")
     assert captured.out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["detect", "train", "eval-rate"])
+def test_csi1_stream_is_format_error(retired_datasets, bundle_path, tmp_path, capsys, command):
+    retired_stream_is_format_error("CSI1", retired_datasets, bundle_path, tmp_path, capsys, command)
+
+
+@pytest.mark.parametrize("command", ["detect", "train", "eval-rate"])
+def test_csi2_stream_is_format_error(retired_datasets, bundle_path, tmp_path, capsys, command):
+    retired_stream_is_format_error("CSI2", retired_datasets, bundle_path, tmp_path, capsys, command)
 
 
 def test_train_with_a_huge_label_is_training_error_without_a_huge_allocation(tmp_path):

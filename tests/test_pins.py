@@ -29,13 +29,15 @@ DETECT_RATES = ("50", "300", "500")
 DETECT_STREAMS = range(0, 36, 6)  # manifest rows: two streams of each class
 
 OUTPUT_PINS = {
-    # manifest.csv, then every stream file in manifest order. Streams are CSI2
-    # (magic, packets, subcarriers, rate); as CSI1, whose header also held each
-    # stream's seed and true target count, the same samples gave ac80ac137d459f17...
+    # manifest.csv, then every stream file in manifest order. Streams are CSI3
+    # (magic, header length 32, packets, subcarriers, rate); as CSI2, whose 28-byte
+    # header had no length field and left the samples 4 bytes off 8-alignment, the
+    # same samples gave f362bc8752e38c1a..., and as CSI1, whose header also held each
+    # stream's seed and true target count, ac80ac137d459f17...
     # The manifest is `path,label`; with a third column holding each stream's rate
     # the CSI1 streams gave c63e7382d314c0c0... (rates written "1000.0") and
     # f717d1d4a6e1f244... ("1000.0000")
-    "dataset": "f362bc8752e38c1aa64f7f8db82524ce262f6a1031a3de8a87b249912da54b7a",
+    "dataset": "7e0ee1d1ce1a06c5b67c86552a303645d975ffa1553a2d043718e482cf4b4a98",
     "eval_rate_csv": "15208e1352f5a940bd988a6bfa0bb832a8d42dc1b1c3dce294a38bba7647f5b0",
     "eval_targets_csv": "a0e608193e21be95b8cc3165121ab6f2adae636f78ed474df5c2db8f4cdcaef0",
     # stdout of every detect call, streams outer and rates inner

@@ -826,6 +826,30 @@ def test_rate_sweep_counts_what_the_reference_detector_counts(small_bundle):
     assert [list(row.items()) for row in table.rows] == [list(row.items()) for row in want]
 
 
+def test_a_loaded_stream_serves_as_its_writable_copy_does(small_bundle):
+    """A stream loaded from its bytes holds read-only samples. `detect`, the
+    feature cache's `detect` and a rate sweep give on it, bit for bit, what
+    they give on a writable copy and what the reference detector gives: no
+    path writes to the samples it is handed."""
+    streams, labels = make_streams(2, 2, seed=23)
+    loaded = [deserialize_stream(serialize_stream(stream)) for stream in streams]
+    copies = [CsiStream(stream.samples.copy(), stream.packet_rate) for stream in loaded]
+    assert not any(stream.samples.flags.writeable for stream in loaded)
+    for stream, copy in zip(loaded, copies):
+        for rate in (50.0, 300.0, 333.3, 500.0):
+            want = bits(lambda: reference_detect(copy, rate, small_bundle))
+            for served in (stream, copy):
+                cache = StreamFeatures.of_stream(served, small_bundle)
+                assert bits(lambda: report_fields(detect(served, rate, small_bundle))) == want
+                assert bits(lambda: report_fields(cache.detect(rate))) == want
+    rates = [500.0, 50.0, 333.3, 300.0]
+    rows = [[list(row.items()) for row in evaluate_rate_sweep(small_bundle, zip(data, labels),
+                                                               rates, seed=11).rows]
+            for data in (loaded, copies)]
+    want = reference_rate_rows(small_bundle, zip(copies, labels), rates, seed=11)
+    assert rows[0] == rows[1] == [list(row.items()) for row in want]
+
+
 @pytest.mark.parametrize("packet_rate", [math.nan, -1000.0, 0.0, math.inf])
 def test_detect_refuses_a_stream_rate_that_is_not_finite_and_positive(small_bundle, probe_stream,
                                                                      packet_rate):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moesense import simulate
 from moesense.errors import ConfigurationError, FormatError, InputError, RateError
 from moesense.features import DopplerConfig, FeatureKind, mean_amplitude_series
 from moesense.gating import ClassifierKind, ExpertSpec, default_registry, filter_by_rate
@@ -250,14 +251,50 @@ def test_stream_serialization_is_canonical():
 
 def test_stream_bad_magic():
     data = serialize_stream(synthesize_stream(make_config()))
-    with pytest.raises(FormatError, match="bad stream magic b'XXXX', expected b'CSI2'"):
+    with pytest.raises(FormatError, match="bad stream magic b'XXXX', expected b'CSI3'"):
         deserialize_stream(b"XXXX" + data[4:])
 
 
 def test_stream_container_is_its_header_and_samples():
     stream = synthesize_stream(make_config(num_subcarriers=3))
-    header = struct.pack("<4sQQd", b"CSI2", stream.num_packets, 3, stream.packet_rate)
+    header = struct.pack("<4sIQQd", b"CSI3", 32, stream.num_packets, 3, stream.packet_rate)
     assert serialize_stream(stream) == header + stream.samples.astype("<c16").tobytes()
+
+
+def test_stream_header_keeps_the_samples_aligned():
+    # a header of a multiple of 8 bytes starts the samples 8-aligned in a bytes object
+    assert simulate._HEADER.size == 32
+    assert simulate._HEADER.size % 8 == 0 == simulate._HEADER.size % np.dtype(complex).alignment
+
+
+@pytest.mark.parametrize("length", [0, 28, 31, 33, 40, 2**32 - 1])
+def test_stream_header_length_other_than_32_is_format_error(length):
+    data = serialize_stream(synthesize_stream(make_config()))
+    forged = data[:4] + struct.pack("<I", length) + data[8:]
+    with pytest.raises(FormatError, match=f"stream header length is {length}, expected 32"):
+        deserialize_stream(forged)
+
+
+def test_stream_loaded_from_bytes_is_a_read_only_view_of_them():
+    stream = synthesize_stream(make_config())
+    data = serialize_stream(stream)
+    samples = deserialize_stream(data).samples
+    assert np.shares_memory(samples, np.frombuffer(data, np.uint8))
+    assert samples.flags.aligned and samples.flags.c_contiguous
+    assert not samples.flags.writeable and not samples.flags.owndata
+    assert samples.dtype == np.complex128 and np.array_equal(samples, stream.samples)
+    with pytest.raises(ValueError, match="read-only"):
+        samples[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("kind", ["bytearray", "memoryview"])
+def test_stream_loaded_from_a_mutable_buffer_is_a_copy(kind):
+    stream = synthesize_stream(make_config())
+    buf = bytearray(serialize_stream(stream))
+    loaded = deserialize_stream(memoryview(buf) if kind == "memoryview" else buf)
+    buf[32:] = bytes(len(buf) - 32)  # every sample zeroed after the load
+    assert np.array_equal(loaded.samples, stream.samples)
+    assert not np.shares_memory(loaded.samples, np.frombuffer(buf, np.uint8))
 
 
 def test_stream_truncated():
