@@ -102,7 +102,7 @@ def _count_hits(
 
     streams = 0
     for streams, (stream, label) in enumerate(data, 1):
-        cache = StreamFeatures.of_stream(stream, bundle)  # reads the stream when a pair counts
+        cache = StreamFeatures(stream, bundle)  # reads the stream when a pair counts
         for r in rates:
             counts = hits.get(condition_of(r, label))
             if counts is None:

@@ -231,15 +231,15 @@ def _train_experts(jobs: Sequence[tuple[ExpertSpec, int]], train_set: tuple,
 
 def _read_streams(streams: Iterable[CsiStream], labels: Sequence[int],
                   fingerprint: "hashlib._Hash") -> list[StreamFeatures]:
-    """A `StreamFeatures` of each stream's series, not its samples; `fingerprint`
+    """Each stream's `StreamFeatures`, which keeps its series, not its samples; `fingerprint`
     is updated with what training reads of each stream: its rate, series and label."""
     caches, streams = [], iter(streams)
     for label, stream in zip(labels, streams):  # labels first, so no stream is read past them
-        series = StreamFeatures.of_stream(stream).series
-        fingerprint.update(struct.pack("<dq", stream.packet_rate, len(series)))
-        fingerprint.update(series.astype("<f8", copy=False))
+        cache = StreamFeatures(stream)
+        fingerprint.update(struct.pack("<dq", cache.packet_rate, len(cache.series)))
+        fingerprint.update(cache.series.astype("<f8", copy=False))
         fingerprint.update(struct.pack("<q", label))
-        caches.append(StreamFeatures(series, stream.packet_rate))
+        caches.append(cache)
     if len(caches) < len(labels):
         raise InputError(f"{len(caches)} streams but {len(labels)} labels")
     if next(streams, None) is not None:
@@ -356,22 +356,18 @@ def _detect(bundle: TrainedBundle, current_rate: float, features: Callable[[], d
 class StreamFeatures:
     """A stream's features and, given a `bundle`, posteriors, each computed once."""
 
-    def __init__(self, series: np.ndarray, packet_rate: float, bundle: TrainedBundle | None = None):
-        self.packet_rate, self.bundle = packet_rate, bundle
-        self._read_series: Callable[[], np.ndarray] = lambda: series
+    def __init__(self, stream: CsiStream, bundle: TrainedBundle | None = None):
+        self.packet_rate, self.bundle, self._stream = stream.packet_rate, bundle, stream
         self._memo: dict[tuple, Any] = {}  # (stride, kind) features, (id, stride) posteriors
-        self._posteriors: dict[tuple[str, float], np.ndarray] = {}  # by (id, current rate)
-
-    @classmethod
-    def of_stream(cls, stream: CsiStream, bundle: TrainedBundle | None = None) -> StreamFeatures:
-        """`stream`'s cache; its series checks the stream when first read, after `detect`'s rate."""
-        cache = cls(None, stream.packet_rate, bundle)
-        cache._read_series = lambda: check_samples(stream) or mean_amplitude_series(stream)
-        return cache
 
     @functools.cached_property
     def series(self) -> np.ndarray:
-        return self._read_series()
+        """The stream's amplitude series, checked and computed when first read,
+        after `detect`'s rate; the cache then drops the stream, keeping the series."""
+        check_samples(self._stream)
+        series = mean_amplitude_series(self._stream)
+        del self._stream
+        return series
 
     def feature(self, rate: float, kind: FeatureKind) -> FeatureVector:
         """`extract_feature(decimate(stream, rate), ...)`, from every stride-th series value."""
@@ -388,15 +384,13 @@ class StreamFeatures:
     def posterior(self, expert_id: str, current_rate: float) -> np.ndarray:
         """The expert's posterior at `current_rate`, read-only: `detect`'s, from
         the series decimated to `gating.expert_input_rate`."""
-        if (hit := self._posteriors.get((expert_id, current_rate))) is not None:
-            return hit
         spec = self.bundle.spec(expert_id)
         key = (expert_id, decimation_stride(self.packet_rate, expert_input_rate(spec, current_rate)))
-        if key not in self._memo:
-            self._memo[key] = predict_posterior(self.bundle.models[expert_id],
-                                                self._feature(key[1], spec.feature_kind))
-            self._memo[key].setflags(write=False)
-        return self._posteriors.setdefault((expert_id, current_rate), self._memo[key])
+        if (posterior := self._memo.get(key)) is None:
+            posterior = self._memo[key] = predict_posterior(self.bundle.models[expert_id],
+                                                            self._feature(key[1], spec.feature_kind))
+            posterior.setflags(write=False)
+        return posterior
 
     def detect(self, current_rate: float) -> DetectionReport:
         """`detect(stream, current_rate, bundle)`, from this cache."""

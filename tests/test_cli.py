@@ -37,11 +37,12 @@ from moesense.errors import (
     RateError,
     TrainingError,
 )
-from moesense.gating import spec_from_jsonable
+from moesense.gating import candidates, expert_input_rate, spec_from_jsonable
 from moesense.pipeline import BUNDLE_MAGIC, BUNDLE_VERSION, load_bundle
 from moesense.simulate import (
     CsiStream,
     ScenarioConfig,
+    decimation_stride,
     load_stream,
     read_manifest,
     save_stream,
@@ -396,7 +397,7 @@ def test_dead_training_worker_is_exit_6_and_writes_no_bundle(dataset, tmp_path, 
                                                               capsys):
     monkeypatch.setattr(pipeline, "_train_expert", dies_in_its_worker)
     spec = spec_from_jsonable(KNN_ENTRY)
-    stream = pipeline.StreamFeatures(np.zeros(1000), 1000.0)  # one 1 s stream's series
+    stream = pipeline.StreamFeatures(CsiStream(np.zeros((1000, 1), complex), 1000.0))  # 1 s
     with pytest.raises(TrainingError, match="worker died"):
         pipeline._train_experts([(spec, 0)], ([stream], [0], 1), lambda: None)
     assert multiprocessing.active_children() == []
@@ -623,8 +624,18 @@ def test_sweeps_compute_a_streams_series_once_and_never_decimate(dataset, bundle
             for e in read_manifest(dataset / "manifest.csv")]
     series = counted(monkeypatch, pipeline, "mean_amplitude_series")
     decimated = counted(monkeypatch, pipeline, "decimate")
-    evaluate_rate_sweep(bundle, iter(data), [100.0, 200.0, 300.0, 400.0, 500.0])
+    predicted = counted(monkeypatch, pipeline, "predict_posterior")
+    rates = [100.0, 200.0, 300.0, 400.0, 500.0]
+    evaluate_rate_sweep(bundle, iter(data), rates)
     assert series == [stream for stream, _ in data]  # CsiStream compares by identity
+    # each stream predicts each pool expert once per distinct input stride
+    strides = [{(eid, decimation_stride(stream.packet_rate,
+                                        expert_input_rate(bundle.spec(eid), rate)))
+                for rate in rates for eid in candidates(bundle.registry, rate)[1]}
+               for stream, _ in data]
+    expert_of = {id(model): eid for eid, model in bundle.models.items()}
+    assert sorted(expert_of[id(model)] for model in predicted) == sorted(
+        eid for pairs in strides for eid, _ in pairs)
     series.clear()
     # the target sweep reads no stream whose label it skips
     evaluate_target_sweep(bundle, iter(data), [1], rate=300.0)

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import math
@@ -6,6 +7,7 @@ import os
 import struct
 import time
 import warnings
+import weakref
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -337,7 +339,7 @@ def test_stream_features_equal_detect_and_expert_posterior(small_bundle):
     # integral and shares stride 3 with 300
     streams, _ = make_streams(2, 2, seed=23)
     for stream in streams:
-        cache = StreamFeatures.of_stream(stream, small_bundle)
+        cache = StreamFeatures(stream, small_bundle)
         for rate in (50.0, 100.0, 300.0, 400.0, 500.0, 333.3):
             want, want_posteriors = reference_pair(stream, rate, small_bundle)
             got = cache.detect(rate)
@@ -358,28 +360,48 @@ def test_stream_features_equal_detect_and_expert_posterior(small_bundle):
 
 
 @pytest.mark.parametrize("packet_rate", [1000.0, 977.0, 500.0])
-def test_stream_features_from_a_series_equal_the_stream_built_ones(packet_rate, small_bundle):
+def test_stream_features_equal_decimate_then_extract_at_any_stream_rate(packet_rate, small_bundle):
     streams, _ = make_streams(1, 2, seed=29, packet_rate=packet_rate)
     rates = sorted({spec.required_rate for spec in default_registry()})
     for stream in streams:
-        from_stream = StreamFeatures.of_stream(stream, small_bundle)
-        from_series = StreamFeatures(mean_amplitude_series(stream), packet_rate, small_bundle)
-        assert from_series.series.tobytes() == from_stream.series.tobytes()
+        cache = StreamFeatures(stream, small_bundle)
         for rate in rates:
             for kind in FeatureKind:
                 if rate > packet_rate:
-                    for cache in (from_stream, from_series):
-                        with pytest.raises(RateError, match="exceeds stream rate"):
-                            cache.feature(rate, kind)
+                    with pytest.raises(RateError, match="exceeds stream rate"):
+                        cache.feature(rate, kind)
                     continue
                 want = extract_feature(decimate(stream, rate), kind, DopplerConfig())
-                for got in (from_stream.feature(rate, kind), from_series.feature(rate, kind)):
-                    assert got.kind is want.kind
-                    assert got.values.tobytes() == want.values.tobytes(), (rate, kind)
+                got = cache.feature(rate, kind)
+                assert got.kind is want.kind
+                assert got.values.tobytes() == want.values.tobytes(), (rate, kind)
         for rate in (50.0, min(300.0, packet_rate)):
-            want, got = from_stream.detect(rate), from_series.detect(rate)
+            want, got = detect(stream, rate, small_bundle), cache.detect(rate)
             assert got.fused.tobytes() == want.fused.tobytes(), rate
             assert got.decision.selected == want.decision.selected
+
+
+def test_stream_features_keep_the_series_not_the_stream(small_bundle):
+    streams, _ = make_streams(0, 1, seed=31)
+    want = detect(streams[0], 300.0, small_bundle)
+    cache = StreamFeatures(streams[0], small_bundle)
+    cache.series
+    stream = weakref.ref(streams.pop())
+    gc.collect()
+    assert stream() is None  # the caller dropped it, and so did the cache
+    got = cache.detect(300.0)
+    assert got.fused.tobytes() == want.fused.tobytes()
+    assert got.decision.selected == want.decision.selected
+
+
+def test_stream_features_refuse_a_bad_stream_on_every_series_read():
+    cache = StreamFeatures(CsiStream(np.full((64, 2), np.nan + 0j), 1000.0))
+    errors = []
+    for _ in range(2):
+        with pytest.raises(InputError, match="stream must hold samples") as info:
+            cache.series
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
 
 
 def test_target_sweep_computes_no_series_for_a_label_it_skips(small_bundle, monkeypatch):
@@ -403,9 +425,9 @@ def test_stream_features_check_the_rate_before_the_stream(small_bundle):
     bad = CsiStream(np.full((64, 2), np.nan + 0j), 1000.0)
     for rate in (0.0, -5.0, float("nan")):
         with pytest.raises(InputError, match="current_rate must be finite and positive"):
-            StreamFeatures.of_stream(bad, small_bundle).detect(rate)
+            StreamFeatures(bad, small_bundle).detect(rate)
     with pytest.raises(InputError, match="stream must hold samples"):
-        StreamFeatures.of_stream(bad, small_bundle).detect(300.0)
+        StreamFeatures(bad, small_bundle).detect(300.0)
 
 
 def fingerprint(streams, labels):
@@ -616,13 +638,13 @@ def test_expert_consumes_its_training_rate(small_bundle, custom_bundle, probe_st
             for label, row in zip(template.labels, template.values):
                 assert row.tobytes() == np.stack(right[label]).mean(axis=0).tobytes(), spec.id
         for rate in rates:
-            cache = StreamFeatures.of_stream(probe_stream, bundle)
+            cache = StreamFeatures(probe_stream, bundle)
             for spec in bundle.registry:
                 served = cache.posterior(spec.id, rate)
                 assert served.tobytes() == posterior_at(spec, min(rate, spec.required_rate)), (
                     spec.id, rate)
             for report in (detect(probe_stream, rate, bundle),
-                           StreamFeatures.of_stream(probe_stream, bundle).detect(rate)):
+                           StreamFeatures(probe_stream, bundle).detect(rate)):
                 assert (report.mode is GatingMode.FALLBACK) == (rate < lowest)
                 for eid, served in report.expert_posteriors.items():
                     spec = bundle.spec(eid)
@@ -756,7 +778,7 @@ def both_detect_paths_equal_the_reference_detector(bundle, case):
     stream = request_stream(level, packets, width, packet_rate, seed)
     want = bits(lambda: reference_detect(stream, rate, bundle))
     assert bits(lambda: report_fields(detect(stream, rate, bundle))) == want
-    cache = StreamFeatures.of_stream(stream, bundle)
+    cache = StreamFeatures(stream, bundle)
     assert bits(lambda: report_fields(cache.detect(rate))) == want
 
 
@@ -839,7 +861,7 @@ def test_a_loaded_stream_serves_as_its_writable_copy_does(small_bundle):
         for rate in (50.0, 300.0, 333.3, 500.0):
             want = bits(lambda: reference_detect(copy, rate, small_bundle))
             for served in (stream, copy):
-                cache = StreamFeatures.of_stream(served, small_bundle)
+                cache = StreamFeatures(served, small_bundle)
                 assert bits(lambda: report_fields(detect(served, rate, small_bundle))) == want
                 assert bits(lambda: report_fields(cache.detect(rate))) == want
     rates = [500.0, 50.0, 333.3, 300.0]
@@ -855,7 +877,7 @@ def test_detect_refuses_a_stream_rate_that_is_not_finite_and_positive(small_bund
                                                                      packet_rate):
     stream = CsiStream(probe_stream.samples, packet_rate)
     for run in (lambda: detect(stream, 50.0, small_bundle),
-                lambda: StreamFeatures.of_stream(stream, small_bundle).detect(50.0)):
+                lambda: StreamFeatures(stream, small_bundle).detect(50.0)):
         with pytest.raises(InputError, match="stream packet rate must be finite and positive"):
             run()
 
