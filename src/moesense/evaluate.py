@@ -5,6 +5,7 @@ the CSV that `eval-rate` and `eval-targets` print.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -12,12 +13,13 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError
-from .gating import candidates, fuse
-from .pipeline import StreamFeatures, TrainedBundle
+from .errors import ConfigurationError, InputError, MoeSenseError
+from .gating import candidates, expert_input_rate, fuse
+from .pipeline import StreamFeatures, TrainedBundle, fill
 from .simulate import CsiStream, ScenarioConfig, check_seed, synthesize_stream
 
 DEFAULT_SWEEP_RATE = 300.0  # rate at which the target sweep runs
+SWEEP_CHUNK = 64  # counted streams a sweep reads and fills at once; bounds what it holds
 CSV_FLOAT_FMT = "{:.4f}"
 
 
@@ -86,6 +88,8 @@ def _count_hits(
     `data` must hold a stream, and `conditions` at least one condition, none
     twice, each paired with its rate, in row order. `condition_of(rate, label)`
     names the one a pair counts toward, and pairs outside them are skipped.
+    It fills (`pipeline.fill`), then counts, `SWEEP_CHUNK` counted streams at a
+    time; an error reading one comes before the count of those read with it.
     """
     if not conditions or len(dict(conditions)) != len(conditions):
         raise InputError(f"a sweep needs distinct conditions, got {[c for c, _ in conditions]}")
@@ -100,23 +104,35 @@ def _count_hits(
     hits = {c: dict.fromkeys(["n_samples", "framework", *random3, *pools[r]], 0)
             for c, r in conditions}
 
-    streams = 0
-    for streams, (stream, label) in enumerate(data, 1):
-        cache = StreamFeatures(stream, bundle)  # reads the stream when a pair counts
-        for r in rates:
-            counts = hits.get(condition_of(r, label))
-            if counts is None:
-                continue
-            pool = pools[r]
-            counts["n_samples"] += 1
-            counts["framework"] += int(cache.detect(r).predicted_count == label)
-            if triple_rngs:
-                triple = sorted(triple_rngs[r].choice(*draws[r], replace=False).tolist())
-                _, rand_pred = fuse([cache.posterior(eid, r) for eid in triple],
-                                    [1.0 / len(triple)] * len(triple))
-                counts["random3"] += int(rand_pred == label)
-            for eid in pool:
-                counts[eid] += int(cache.posterior(eid, r).argmax() == label)
+    # what the gate and each pool expert read at each rate
+    features = dict.fromkeys((rate, spec.feature_kind) for r in rates for spec in
+                             map(bundle.spec, pools[r]) for rate in (r, expert_input_rate(spec, r)))
+    streams, data = 0, iter(data)
+    while True:
+        chunk = []
+        for stream, label in data:
+            streams += 1
+            if pairs := [(r, counts) for r in rates
+                         if (counts := hits.get(condition_of(r, label))) is not None]:
+                chunk.append((StreamFeatures(stream, bundle), label, pairs))
+                if len(chunk) == SWEEP_CHUNK:
+                    break
+        with contextlib.suppress(MoeSenseError):  # the count meets it at its own stream and rate
+            fill([cache for cache, _, _ in chunk], features,
+                 [(eid, r) for r in rates for eid in pools[r]])
+        for cache, label, pairs in chunk:
+            for r, counts in pairs:
+                counts["n_samples"] += 1
+                counts["framework"] += int(cache.detect(r).predicted_count == label)
+                if triple_rngs:
+                    triple = sorted(triple_rngs[r].choice(*draws[r], replace=False).tolist())
+                    _, rand_pred = fuse([cache.posterior(eid, r) for eid in triple],
+                                        [1.0 / len(triple)] * len(triple))
+                    counts["random3"] += int(rand_pred == label)
+                for eid in pools[r]:
+                    counts[eid] += int(cache.posterior(eid, r).argmax() == label)
+        if len(chunk) < SWEEP_CHUNK:
+            break
     if not streams:
         raise InputError("a sweep needs at least one stream")
     return hits

@@ -43,6 +43,11 @@ class FeatureKind(enum.Enum):
     DOPPLER_ENERGY = "doppler"
     AMPLITUDE_STATS = "amp_stats"
 
+    def check_packets(self, n: int) -> None:
+        """InputError unless a series of `n` packets is long enough for this kind's kernel."""
+        if n < (least := 8 if self is FeatureKind.DOPPLER_ENERGY else 2):
+            raise InputError(f"need at least {least} packets, got {n}")
+
 
 @dataclass(frozen=True, eq=False)
 class FeatureVector:
@@ -87,7 +92,8 @@ def extract_amp_stats(stream: CsiStream) -> FeatureVector:
 def doppler_from_series(
     series: np.ndarray, packet_rate: float, cfg: DopplerConfig | None = None
 ) -> FeatureVector:
-    """Binned, normalized spectral energy of the amplitude variation.
+    """Binned, normalized spectral energy of the amplitude variation of a series,
+    or of each row of a 2-D block of them, bit for bit what that row alone gives.
 
     The mean-removed subcarrier-averaged amplitude is Fourier transformed,
     its magnitude-squared spectrum accumulated into `cfg.num_bins` uniform
@@ -95,53 +101,52 @@ def doppler_from_series(
     A constant stream has no dynamic energy and yields the all-zero vector.
     """
     cfg = DEFAULT_DOPPLER_CONFIG if cfg is None else cfg
-    if len(series) < 8:
-        raise InputError(f"need at least 8 packets, got {len(series)}")
+    n = series.shape[-1]
+    FeatureKind.DOPPLER_ENERGY.check_packets(n)
     check_positive(packet_rate, "packet_rate")
     top = min(cfg.max_freq_hz, packet_rate / 2.0)
 
-    centered = series - series.mean()
+    centered = series - _sum(series, axis=-1, keepdims=True) / n
     spectrum = np.abs(np.fft.rfft(centered)) ** 2
-    freqs = np.fft.rfftfreq(len(centered), d=1.0 / packet_rate)
+    freqs = np.fft.rfftfreq(n, d=1.0 / packet_rate)
 
-    # the frequencies ascend from 0, so the band is a prefix of the spectrum,
-    # never empty, and each bin sums its terms in frequency order
+    # the frequencies ascend from 0, so the band is a prefix of the spectrum, never
+    # empty; row r's bins follow row r - 1's, so one bincount sums each in frequency order
     idx = np.minimum((freqs[freqs <= top] / (top / cfg.num_bins)).astype(int), cfg.num_bins - 1)
-    energy = np.bincount(idx, weights=spectrum[:len(idx)], minlength=cfg.num_bins)
-
-    total = energy.sum()
-    if total >= _ZERO_ENERGY_EPS:
-        energy /= total
-    else:
-        energy[:] = 0.0
+    band = spectrum[..., :len(idx)].reshape(-1, len(idx))  # a row per series
+    energy = np.bincount((idx + cfg.num_bins * np.arange(len(band))[:, None]).reshape(-1),
+                         band.reshape(-1), len(band) * cfg.num_bins)
+    energy = energy.reshape(*series.shape[:-1], cfg.num_bins)
+    total = _sum(energy, axis=-1, keepdims=True)
+    energy = np.divide(energy, total, out=np.zeros_like(energy), where=total >= _ZERO_ENERGY_EPS)
     return FeatureVector(FeatureKind.DOPPLER_ENERGY, energy)
 
 
 def amp_stats_from_series(series: np.ndarray) -> FeatureVector:
-    """[mean, population variance, MAD, median, Q1, Q3] of the amplitude series.
+    """[mean, population variance, MAD, median, Q1, Q3] of the amplitude
+    series, or of each row of a 2-D block of them.
 
     Bit for bit what `series.mean()`, `series.var()`, `np.abs(series -
-    mean).mean()` and `np.quantile(series, [0.5, 0.25, 0.75])` return: the
-    moments are the same pairwise sums divided by the count, and the
-    quartiles are numpy's linear interpolation between the order statistics
-    one partition puts in place.
+    mean).mean()` and `np.quantile(series, [0.5, 0.25, 0.75])` return for
+    each series: the moments are the same pairwise sums divided by the
+    count, and the quartiles are numpy's linear interpolation between the
+    order statistics one sort puts in place (as a partition does, but for
+    the sign of a zero, and an amplitude series holds no -0.0).
     """
-    n = len(series)
-    if n < 2:
-        raise InputError(f"need at least 2 packets, got {n}")
-    mean = _sum(series) / n
+    n = series.shape[-1]
+    FeatureKind.AMPLITUDE_STATS.check_packets(n)
+    mean = _sum(series, axis=-1, keepdims=True) / n
     deviation = series - mean
-    positions = [(n - 1) * q for q in (0.5, 0.25, 0.75)]  # exact for these q
-    lows = [int(p) for p in positions]
-    ordered = np.partition(series, sorted({*lows, *(i + 1 for i in lows)}))
+    ordered = np.sort(series).T  # a 2-D block's rows are its columns here
     quartiles = []
-    for p, i in zip(positions, lows):
+    for p in ((n - 1) * q for q in (0.5, 0.25, 0.75)):  # exact for these q
+        i = int(p)
         a, b, g = ordered[i], ordered[i + 1], p - i
         # numpy's interpolation rule: from the nearer of the two order statistics
         quartiles.append(a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g))
-    values = np.array([mean, _sum(deviation * deviation) / n, _sum(np.abs(deviation)) / n,
-                       *quartiles])
-    return FeatureVector(FeatureKind.AMPLITUDE_STATS, values)
+    values = np.array([mean.T[0], _sum(deviation * deviation, axis=-1) / n,
+                       _sum(np.abs(deviation), axis=-1) / n, *quartiles])
+    return FeatureVector(FeatureKind.AMPLITUDE_STATS, np.ascontiguousarray(values.T))
 
 
 class Centred(NamedTuple):

@@ -253,9 +253,11 @@ def score_experts(
             scores[eid] = NO_TEMPLATE_SCORE
             continue
         if kind not in features:
-            if kind not in stream_features:
-                raise InputError(f"no {kind.value} feature supplied for expert {eid}")
-            features[kind] = templates.prepare_row(kind, stream_features[kind].values)
+            try:  # a lookup, so that a mapping may extract a feature when first read
+                values = stream_features[kind].values
+            except KeyError:
+                raise InputError(f"no {kind.value} feature supplied for expert {eid}") from None
+            features[kind] = templates.prepare_row(kind, values)
         feature = features[kind]
         scores[eid] = max([0.0 if feature is None or row is None else pearson(feature, row)
                            for row in centroids])

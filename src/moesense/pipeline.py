@@ -201,6 +201,7 @@ def _start_training_worker(train_set: tuple) -> None:
 def _train_in_worker(spec: ExpertSpec, seed: int) -> Model:
     """`_train_expert` on the `spec` features of the worker's training set."""
     caches, labels, num_classes = _train_set
+    fill(caches, [(spec.required_rate, spec.feature_kind)])
     features = [cache.feature(spec.required_rate, spec.feature_kind) for cache in caches]
     return _train_expert(spec, LabeledDataset.build(features, labels, num_classes), seed)
 
@@ -282,6 +283,7 @@ def build_bundle(
 
     def validation_table() -> dict[tuple[float, FeatureKind], list[FeatureVector]]:
         caches = _read_streams(val_streams, val_labels, digest)
+        fill(caches, needed)
         return {key: [cache.feature(*key) for cache in caches] for key in needed}
 
     ordered = sorted(registry, key=lambda s: s.id)
@@ -371,32 +373,64 @@ class StreamFeatures:
 
     def feature(self, rate: float, kind: FeatureKind) -> FeatureVector:
         """`extract_feature(decimate(stream, rate), ...)`, from every stride-th series value."""
-        return self._feature(decimation_stride(self.packet_rate, rate), kind)
-
-    def _feature(self, stride: int, kind: FeatureKind) -> FeatureVector:
-        if (feature := self._memo.get((stride, kind))) is None:
-            kept = np.ascontiguousarray(self.series[::stride])
-            feature = self._memo[(stride, kind)] = (
-                doppler_from_series(kept, self.packet_rate / stride)
-                if kind is FeatureKind.DOPPLER_ENERGY else amp_stats_from_series(kept))
-        return feature
+        key = (decimation_stride(self.packet_rate, rate), kind)
+        if key not in self._memo:
+            fill([self], [(rate, kind)])
+        return self._memo[key]
 
     def posterior(self, expert_id: str, current_rate: float) -> np.ndarray:
         """The expert's posterior at `current_rate`, read-only: `detect`'s, from
         the series decimated to `gating.expert_input_rate`."""
         spec = self.bundle.spec(expert_id)
-        key = (expert_id, decimation_stride(self.packet_rate, expert_input_rate(spec, current_rate)))
+        rate = expert_input_rate(spec, current_rate)
+        key = (expert_id, decimation_stride(self.packet_rate, rate))
         if (posterior := self._memo.get(key)) is None:
             posterior = self._memo[key] = predict_posterior(self.bundle.models[expert_id],
-                                                            self._feature(key[1], spec.feature_kind))
+                                                            self.feature(rate, spec.feature_kind))
             posterior.setflags(write=False)
         return posterior
 
     def detect(self, current_rate: float) -> DetectionReport:
         """`detect(stream, current_rate, bundle)`, from this cache."""
-        return _detect(self.bundle, current_rate,
-                       lambda: {kind: self.feature(current_rate, kind) for kind in FeatureKind},
+        return _detect(self.bundle, current_rate, lambda: _GateFeatures(self, current_rate),
                        lambda eid: self.posterior(eid, current_rate))
+
+
+class _GateFeatures(dict):
+    """A cache's features at `rate`, each extracted when the gate first reads it, so only
+    the kinds it scores; like `detect`'s, it refuses a series too short for either."""
+
+    def __init__(self, cache: StreamFeatures, rate: float):
+        super().__init__()
+        self.cache, self.rate = cache, rate
+        stride = decimation_stride(cache.packet_rate, rate)  # checked before the series, as in `detect`
+        for kind in FeatureKind:
+            kind.check_packets(len(cache.series[::stride]))
+
+    def __missing__(self, kind: FeatureKind) -> FeatureVector:
+        return self.cache.feature(self.rate, kind)
+
+
+def fill(caches: Sequence[StreamFeatures], features: Iterable[tuple[float, FeatureKind]],
+         posteriors: Iterable[tuple[str, float]] = ()) -> None:
+    """Compute into each cache, bit for bit, `cache.feature(rate, kind)` for each of
+    `features`, then `cache.posterior(expert_id, rate)` for each of `posteriors`: one
+    kernel call per feature for the caches of one packet rate and series length."""
+    groups: dict[tuple[float, int], list[StreamFeatures]] = {}
+    for cache in caches:
+        groups.setdefault((cache.packet_rate, len(cache.series)), []).append(cache)
+    for rate, kind in features:
+        for (packet_rate, _), group in groups.items():
+            stride = decimation_stride(packet_rate, rate)
+            if missing := [cache for cache in group if (stride, kind) not in cache._memo]:
+                kept = np.stack([cache.series[::stride] for cache in missing])
+                block = (doppler_from_series(kept, packet_rate / stride)
+                         if kind is FeatureKind.DOPPLER_ENERGY else amp_stats_from_series(kept))
+                for cache, row in zip(missing, block.values):
+                    cache._memo[(stride, kind)] = FeatureVector(kind, row)
+    for expert_id, rate in posteriors:  # one expert's predicts back to back
+        for cache in caches:
+            cache.posterior(expert_id, rate)
 
 
 # ---------------------------------------------------------------------------

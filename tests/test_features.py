@@ -242,6 +242,35 @@ def test_amp_stats_equals_numpy_bit_for_bit(series):
 
 
 # ---------------------------------------------------------------------------
+# one kernel per kind, for a series and for a block of them
+# ---------------------------------------------------------------------------
+
+@st.composite
+def series_blocks(draw):
+    """1, 2, 5 or 64 series of one length in 8-2,000 (odd ones too), some of
+    them constant, at one scale from tiny to huge, and a packet rate."""
+    rows = draw(st.sampled_from([1, 2, 5, 64]))
+    n = draw(st.one_of(st.sampled_from([8, 9, 667, 2000]), st.integers(8, 2000)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([2.0**-1000, 1e-3, 1.0, 1e90]))
+    block = rng.uniform(0.5, 2.0, (rows, n)) * scale
+    block[rng.random(rows) < 0.25] = 1.5 * scale  # zero Doppler energy
+    return block, draw(st.sampled_from([600.0, 977.0, 1000.0, 2000.0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(series_blocks())
+def test_a_block_gives_each_row_what_the_row_alone_gives_bit_for_bit(case):
+    block, rate = case
+    for kernel, width in ((lambda s: doppler_from_series(s, rate), DEFAULT_DOPPLER_CONFIG.num_bins),
+                          (amp_stats_from_series, 6)):
+        got = kernel(block).values
+        rows = [kernel(row.copy()).values for row in block]
+        assert got.shape == (len(block), width) and all(row.shape == (width,) for row in rows)
+        assert got.tobytes() == b"".join(row.tobytes() for row in rows)
+
+
+# ---------------------------------------------------------------------------
 # pearson
 # ---------------------------------------------------------------------------
 

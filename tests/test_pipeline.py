@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from moesense import pipeline
+from moesense import evaluate, pipeline, simulate
 from moesense.classifiers import ForestModel, predict_posterior
 from moesense.errors import (ConfigurationError, FormatError, InputError, MoeSenseError, RateError,
                              TrainingError)
@@ -836,16 +836,88 @@ def reference_rate_rows(bundle, data, rates, seed):
             for r, counts in hits.items()]
 
 
+def mixed_streams(count, seed):
+    """`count` streams at 977, 1,000 or 2,000 pkts/s, of 0.3-1 s over 1, 4 or
+    8 subcarriers, and their labels, 0-2 in turn."""
+    rng = np.random.default_rng(seed)
+    streams = [synthesize_stream(ScenarioConfig(
+        num_targets=i % 3, packet_rate=float(rng.choice([977.0, 1000.0, 2000.0])),
+        duration=float(rng.uniform(0.3, 1.0)), num_subcarriers=int(rng.choice([1, 4, 8])),
+        rng_seed=int(rng.integers(2**32)))) for i in range(count)]
+    return streams, [i % 3 for i in range(count)]
+
+
 def test_rate_sweep_counts_what_the_reference_detector_counts(small_bundle):
     """Every row of a rate sweep, column by column and in order, as the
     reference detector counts it: at a fallback rate (50), at 400 and 500
     pkts/s, whose gate features share a stride, at 333.3 and 300 pkts/s,
-    which share another, given out of order."""
+    which share another, given out of order, over a one-pass iterator of
+    more streams than one chunk, of mixed packet rates, lengths and widths."""
     streams, labels = make_streams(2, 3, seed=17)
+    more, more_labels = mixed_streams(evaluate.SWEEP_CHUNK, seed=17)
+    streams, labels = streams + more, labels + more_labels
     rates = [500.0, 50.0, 400.0, 333.3, 300.0]
     table = evaluate_rate_sweep(small_bundle, zip(streams, labels), rates, seed=11)
     want = reference_rate_rows(small_bundle, zip(streams, labels), rates, seed=11)
     assert [list(row.items()) for row in table.rows] == [list(row.items()) for row in want]
+
+
+@pytest.mark.parametrize("case,rates,error,message", [
+    # stream 2 is at 400 pkts/s, and stream 3 holds a NaN
+    ("slow", [300.0, 500.0], RateError, "target_rate 500.0 exceeds stream rate 400.0"),
+    # stream 2 has 20 packets: 7 at 300 pkts/s, where the gate scores no Doppler
+    # feature, and 2 at 100 pkts/s, where it does; stream 3 holds a NaN
+    ("short", [500.0, 300.0], InputError, "need at least 8 packets, got 7"),
+    ("short", [500.0, 100.0], InputError, "need at least 8 packets, got 2"),
+])
+def test_a_sweep_raises_the_error_a_count_stream_by_stream_meets_first(small_bundle, case,
+                                                                       rates, error, message):
+    streams, labels = make_streams(1, 1, seed=3)
+    cfg = {"slow": {"packet_rate": 400.0}, "short": {"duration": 0.02}}[case]
+    streams.append(make_streams(0, 1, seed=4, **cfg)[0][0])
+    nan = streams[0].samples.copy()
+    nan[3, 1] = np.nan
+    streams.append(CsiStream(nan, 1000.0))
+    with pytest.raises(error, match=f"^{message}$"):
+        evaluate_rate_sweep(small_bundle, zip(streams, [0, 1, 0, 1]), rates, seed=11)
+
+
+def test_a_sweep_extracts_each_feature_its_gate_and_pool_read_once_per_block(small_bundle,
+                                                                            monkeypatch):
+    """Six streams of one rate and length: one kernel call per (stride, kind)
+    the sweep reads, and none for the stride-3 Doppler feature at 300 pkts/s,
+    which no candidate there scores."""
+    streams, labels = make_streams(2, 2, seed=5)
+    calls = []
+    for name in ("doppler_from_series", "amp_stats_from_series"):
+        original = getattr(pipeline, name)
+        monkeypatch.setattr(pipeline, name, lambda series, *args, name=name, original=original:
+                            calls.append((name[0], series.shape))
+                            or original(series, *args))
+    evaluate_rate_sweep(small_bundle, zip(streams, labels), [100.0, 200.0, 300.0, 400.0, 500.0])
+    # 1,000 packets at strides 2, 3, 5 and 10
+    assert sorted(calls) == sorted([("a", (6, n)) for n in (500, 334, 200, 100)]
+                                   + [("d", (6, n)) for n in (500, 200, 100)])
+
+
+def test_a_stream_built_in_code_is_checked_at_every_read(small_bundle, probe_stream):
+    stream = CsiStream(probe_stream.samples.copy(), probe_stream.packet_rate)
+    detect(stream, 300.0, small_bundle)
+    stream.samples[5, 2] = np.nan
+    for _ in range(2):
+        for run in (lambda: detect(stream, 300.0, small_bundle),
+                    lambda: StreamFeatures(stream, small_bundle).detect(300.0)):
+            with pytest.raises(InputError, match="must hold samples, all finite"):
+                run()
+
+
+def test_a_loaded_stream_is_checked_once_when_it_loads(probe_stream):
+    # its samples view immutable bytes, so no later write can make the check stale
+    loaded = deserialize_stream(serialize_stream(probe_stream))
+    with pytest.raises(ValueError):
+        loaded.samples.setflags(write=True)
+    assert loaded in simulate._CHECKED
+    assert CsiStream(loaded.samples, loaded.packet_rate) not in simulate._CHECKED
 
 
 def test_a_loaded_stream_serves_as_its_writable_copy_does(small_bundle):
