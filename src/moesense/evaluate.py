@@ -85,11 +85,11 @@ def _count_hits(
     "framework" (`detect`'s prediction), "random3" when `triple_seed` is given,
     then each pool expert (rate-eligible, or all at fallback rates).
 
-    `data` must hold a stream, and `conditions` at least one condition, none
-    twice, each paired with its rate, in row order. `condition_of(rate, label)`
-    names the one a pair counts toward, and pairs outside them are skipped.
-    It fills (`pipeline.fill`), then counts, `SWEEP_CHUNK` counted streams at a
-    time; an error reading one comes before the count of those read with it.
+    `data` must hold a stream, and `conditions` at least one condition, none twice,
+    each paired with its rate, in row order. `condition_of(rate, label)` names the one
+    a pair counts toward; others are skipped. It fills (`pipeline.fill`), then counts,
+    `SWEEP_CHUNK` counted streams at a time, each pair by its rate's `TrainedBundle.plan`;
+    an error reading one stream comes before the count of those read with it.
     """
     if not conditions or len(dict(conditions)) != len(conditions):
         raise InputError(f"a sweep needs distinct conditions, got {[c for c, _ in conditions]}")

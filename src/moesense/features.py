@@ -11,6 +11,7 @@ each template centroid and stream feature once, and `pearson` correlates two.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -104,22 +105,23 @@ def doppler_from_series(
     n = series.shape[-1]
     FeatureKind.DOPPLER_ENERGY.check_packets(n)
     check_positive(packet_rate, "packet_rate")
-    top = min(cfg.max_freq_hz, packet_rate / 2.0)
-
-    centered = series - _sum(series, axis=-1, keepdims=True) / n
-    spectrum = np.abs(np.fft.rfft(centered)) ** 2
-    freqs = np.fft.rfftfreq(n, d=1.0 / packet_rate)
-
-    # the frequencies ascend from 0, so the band is a prefix of the spectrum, never
-    # empty; row r's bins follow row r - 1's, so one bincount sums each in frequency order
-    idx = np.minimum((freqs[freqs <= top] / (top / cfg.num_bins)).astype(int), cfg.num_bins - 1)
-    band = spectrum[..., :len(idx)].reshape(-1, len(idx))  # a row per series
-    energy = np.bincount((idx + cfg.num_bins * np.arange(len(band))[:, None]).reshape(-1),
-                         band.reshape(-1), len(band) * cfg.num_bins)
+    width, bins = _band_bins(n, packet_rate, cfg, series.size // n)
+    band = np.abs(np.fft.rfft(series - _sum(series, axis=-1, keepdims=True) / n)[..., :width]) ** 2
+    energy = np.bincount(bins, band.reshape(-1), len(bins) // width * cfg.num_bins)
     energy = energy.reshape(*series.shape[:-1], cfg.num_bins)
-    total = _sum(energy, axis=-1, keepdims=True)
-    energy = np.divide(energy, total, out=np.zeros_like(energy), where=total >= _ZERO_ENERGY_EPS)
-    return FeatureVector(FeatureKind.DOPPLER_ENERGY, energy)
+    total = _sum(energy, axis=-1, keepdims=True)  # a row below the floor divides to zeros
+    return FeatureVector(FeatureKind.DOPPLER_ENERGY,
+                         energy / np.where(total >= _ZERO_ENERGY_EPS, total, np.inf))
+
+
+@functools.lru_cache(maxsize=64)
+def _band_bins(n: int, packet_rate: float, cfg: DopplerConfig, rows: int) -> tuple[int, np.ndarray]:
+    """The band's length, a prefix of the rfft's ascending frequencies, and each band value's
+    bin in a block of `rows`, row r's after row r - 1's, for one bincount in frequency order."""
+    top = min(cfg.max_freq_hz, packet_rate / 2.0)
+    freqs = np.fft.rfftfreq(n, d=1.0 / packet_rate)
+    idx = np.minimum((freqs[freqs <= top] / (top / cfg.num_bins)).astype(int), cfg.num_bins - 1)
+    return len(idx), (idx + cfg.num_bins * np.arange(rows)[:, None]).reshape(-1)
 
 
 def amp_stats_from_series(series: np.ndarray) -> FeatureVector:

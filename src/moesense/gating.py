@@ -253,11 +253,9 @@ def score_experts(
             scores[eid] = NO_TEMPLATE_SCORE
             continue
         if kind not in features:
-            try:  # a lookup, so that a mapping may extract a feature when first read
-                values = stream_features[kind].values
-            except KeyError:
-                raise InputError(f"no {kind.value} feature supplied for expert {eid}") from None
-            features[kind] = templates.prepare_row(kind, values)
+            if kind not in stream_features:
+                raise InputError(f"no {kind.value} feature supplied for expert {eid}")
+            features[kind] = templates.prepare_row(kind, stream_features[kind].values)
         feature = features[kind]
         scores[eid] = max([0.0 if feature is None or row is None else pearson(feature, row)
                            for row in centroids])
@@ -269,20 +267,21 @@ def select_top_k(scores: Mapping[str, float]) -> list[str]:
     return sorted(scores, key=lambda eid: (-scores[eid], eid))[:TOP_K]
 
 
-def decide(
-    registry: Sequence[ExpertSpec],
-    templates: TemplateLibrary,
-    stream_features: Mapping[FeatureKind, FeatureVector],
-    current_rate: float,
-) -> GatingDecision:
-    """Full gate: rate filter, correlation scores, top `TOP_K`, weights.
-
-    Weights are the selected scores clipped at +0.0, each over their left-to-right
-    sum, or uniform when that sum is not positive.
-    """
+def decide(registry: Sequence[ExpertSpec], templates: TemplateLibrary,
+           stream_features: Mapping[FeatureKind, FeatureVector], current_rate: float) -> GatingDecision:
+    """Full gate: rate filter, correlation scores, top `TOP_K`, weights."""
     validate_registry(registry)
-    eligible, scored = candidates(registry, current_rate)
-    scores = score_experts(stream_features, templates, scored)
+    return decide_scored(templates, stream_features, *candidates(registry, current_rate), {})
+
+
+def decide_scored(templates: TemplateLibrary, stream_features: Mapping[FeatureKind, FeatureVector],
+                  eligible: frozenset[str], scored: list[str],
+                  known: dict[str, float]) -> GatingDecision:
+    """`decide` from a checked rate's `candidates`, scoring into `known` those it lacks. Weights are
+    the selected scores clipped at +0.0 over their left-to-right sum, or uniform if it is not > 0."""
+    if missing := [eid for eid in scored if eid not in known]:
+        known.update(score_experts(stream_features, templates, missing))
+    scores = {eid: known[eid] for eid in scored}
     selected = tuple(select_top_k(scores))
 
     clipped = [s if s > 0.0 else 0.0 for s in map(scores.__getitem__, selected)]
@@ -292,13 +291,8 @@ def decide(
     weights = (tuple(s / total for s in clipped) if total > 0.0
                else (1.0 / len(clipped),) * len(clipped))
 
-    return GatingDecision(
-        eligible=eligible,
-        selected=selected,
-        weights=weights,
-        scores=scores,
-        mode=GatingMode.NORMAL if eligible else GatingMode.FALLBACK,
-    )
+    return GatingDecision(eligible, selected, weights, scores,
+                          GatingMode.NORMAL if eligible else GatingMode.FALLBACK)
 
 
 def fuse(

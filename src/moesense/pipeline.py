@@ -10,6 +10,7 @@ identical bytes.
 """
 from __future__ import annotations
 
+import contextlib
 import copy
 import functools
 import hashlib
@@ -22,7 +23,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from .classifiers import (
     train_knn,
     train_linear_svm,
 )
-from .errors import ConfigurationError, FormatError, InputError, TrainingError
+from .errors import ConfigurationError, FormatError, InputError, MoeSenseError, TrainingError
 from .features import (
     AMP_STATS_LENGTH,
     DEFAULT_DOPPLER_CONFIG,
@@ -56,7 +57,9 @@ from .gating import (
     GatingDecision,
     Template,
     TemplateLibrary,
+    candidates,
     decide,
+    decide_scored,
     expert_input_rate,
     fuse,
     spec_from_jsonable,
@@ -74,6 +77,31 @@ DEFAULT_VAL_FRACTION = 0.25
 # Each feature kind's vector width. A bundle's Doppler experts use `DEFAULT_DOPPLER_CONFIG`.
 FEATURE_WIDTHS = {FeatureKind.DOPPLER_ENERGY: DEFAULT_DOPPLER_CONFIG.num_bins,
                   FeatureKind.AMPLITUDE_STATS: AMP_STATS_LENGTH}
+
+
+class Plan(NamedTuple):
+    """What serving a rate from a stream of one packet rate reads. A stride is None where
+    `decimation_stride` refuses it; with no gate stride there are no candidates."""
+    candidates: tuple[frozenset[str] | None, list[str]]  # the rate's `gating.candidates`
+    kinds: set[FeatureKind]  # the feature kinds the candidates score
+    stride: int | None  # the gate's
+    experts: Mapping[str, tuple[Model, FeatureKind, float, int | None]]  # per id, input stride last
+
+
+class _ById(dict):
+    def __missing__(self, expert_id: str):
+        raise ConfigurationError(f"unknown expert id {expert_id}")
+
+
+def _plan(registry: Sequence[ExpertSpec], models: dict, rate: float, packet_rate: float) -> Plan:
+    """`TrainedBundle.plan`, with no registry check: the bundle made it when built."""
+    def stride(r: float) -> int | None:
+        with contextlib.suppress(MoeSenseError):
+            return decimation_stride(packet_rate, r)
+    experts = _ById((s.id, (models[s.id], s.feature_kind, r, stride(r)))
+                    for s in registry for r in (expert_input_rate(s, rate),))
+    pool = candidates(registry, rate) if (gate := stride(rate)) else (None, [])
+    return Plan(pool, {experts[eid][1] for eid in pool[1]}, gate, experts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,15 +139,16 @@ class TrainedBundle:
         for kind, (mean, _) in self.templates.scalers.items():
             if mean.shape != (FEATURE_WIDTHS[kind],):
                 raise ConfigurationError(f"{kind.value} scaler is not {FEATURE_WIDTHS[kind]} wide")
+        object.__setattr__(self, "_specs", _ById((spec.id, spec) for spec in self.registry))
+        # plan(rate, packet_rate): `_plan`, for the 256 keys last used; no cycle keeps the bundle
+        object.__setattr__(self, "plan", functools.lru_cache(maxsize=256)(
+            functools.partial(_plan, self.registry, self.models)))
 
     def doppler_config(self) -> DopplerConfig:
         return DEFAULT_DOPPLER_CONFIG  # what `build_bundle` trains every bundle with
 
     def spec(self, expert_id: str) -> ExpertSpec:
-        for s in self.registry:
-            if s.id == expert_id:
-                return s
-        raise ConfigurationError(f"unknown expert id {expert_id}")
+        return self._specs[expert_id]
 
 
 @dataclass(frozen=True, eq=False)
@@ -332,24 +361,24 @@ def build_bundle(
 
 def detect(stream: CsiStream, current_rate: float, bundle: TrainedBundle) -> DetectionReport:
     """Run the detection workflow on one stream observed at `current_rate`."""
-    def features() -> dict[FeatureKind, FeatureVector]:
+    def gate() -> GatingDecision:
         check_samples(stream)
         observed, doppler_cfg = decimate(stream, current_rate), bundle.doppler_config()
-        return {kind: extract_feature(observed, kind, doppler_cfg) for kind in FeatureKind}
+        return decide(bundle.registry, bundle.templates, {
+            kind: extract_feature(observed, kind, doppler_cfg) for kind in FeatureKind}, current_rate)
 
     def posterior(eid: str) -> np.ndarray:  # from the base stream, never a decimated one
-        spec = bundle.spec(eid)
-        fv = extract_feature(decimate(stream, expert_input_rate(spec, current_rate)),
-                             spec.feature_kind, bundle.doppler_config())
-        return predict_posterior(bundle.models[eid], fv)
-    return _detect(bundle, current_rate, features, posterior)
+        model, kind, rate, _ = bundle.plan(current_rate, stream.packet_rate).experts[eid]
+        return predict_posterior(model, extract_feature(decimate(stream, rate), kind,
+                                                        bundle.doppler_config()))
+    return _detect(current_rate, gate, posterior)
 
 
-def _detect(bundle: TrainedBundle, current_rate: float, features: Callable[[], dict],
+def _detect(current_rate: float, gate: Callable[[], GatingDecision],
             posterior: Callable[[str], np.ndarray]) -> DetectionReport:
-    """Check the rate, gate on `features()`, and fuse the selected experts' posteriors."""
+    """Check the rate, gate, and fuse the selected experts' posteriors."""
     check_positive(current_rate, "current_rate")
-    decision = decide(bundle.registry, bundle.templates, features(), current_rate)
+    decision = gate()
     posteriors = {eid: posterior(eid) for eid in decision.selected}
     fused, predicted = fuse([posteriors[eid] for eid in decision.selected], decision.weights)
     return DetectionReport(decision, posteriors, fused, predicted, float(current_rate))
@@ -360,7 +389,7 @@ class StreamFeatures:
 
     def __init__(self, stream: CsiStream, bundle: TrainedBundle | None = None):
         self.packet_rate, self.bundle, self._stream = stream.packet_rate, bundle, stream
-        self._memo: dict[tuple, Any] = {}  # (stride, kind) features, (id, stride) posteriors
+        self._memo: dict = {}  # (stride, kind) features, (id, stride) posteriors, stride: scores
 
     @functools.cached_property
     def series(self) -> np.ndarray:
@@ -379,43 +408,33 @@ class StreamFeatures:
         return self._memo[key]
 
     def posterior(self, expert_id: str, current_rate: float) -> np.ndarray:
-        """The expert's posterior at `current_rate`, read-only: `detect`'s, from
-        the series decimated to `gating.expert_input_rate`."""
-        spec = self.bundle.spec(expert_id)
-        rate = expert_input_rate(spec, current_rate)
-        key = (expert_id, decimation_stride(self.packet_rate, rate))
-        if (posterior := self._memo.get(key)) is None:
-            posterior = self._memo[key] = predict_posterior(self.bundle.models[expert_id],
-                                                            self.feature(rate, spec.feature_kind))
+        """The expert's posterior at `current_rate`, read-only: `detect`'s, once per input
+        stride of the bundle's plan; where the plan has none, `feature` raises."""
+        model, kind, rate, stride = self.bundle.plan(current_rate, self.packet_rate).experts[expert_id]
+        if (posterior := self._memo.get((expert_id, stride))) is None:
+            feature = self._memo.get((stride, kind)) or self.feature(rate, kind)
+            posterior = self._memo[expert_id, stride] = predict_posterior(model, feature)
             posterior.setflags(write=False)
         return posterior
 
     def detect(self, current_rate: float) -> DetectionReport:
-        """`detect(stream, current_rate, bundle)`, from this cache."""
-        return _detect(self.bundle, current_rate, lambda: _GateFeatures(self, current_rate),
-                       lambda eid: self.posterior(eid, current_rate))
-
-
-class _GateFeatures(dict):
-    """A cache's features at `rate`, each extracted when the gate first reads it, so only
-    the kinds it scores; like `detect`'s, it refuses a series too short for either."""
-
-    def __init__(self, cache: StreamFeatures, rate: float):
-        super().__init__()
-        self.cache, self.rate = cache, rate
-        stride = decimation_stride(cache.packet_rate, rate)  # checked before the series, as in `detect`
-        for kind in FeatureKind:
-            kind.check_packets(len(cache.series[::stride]))
-
-    def __missing__(self, kind: FeatureKind) -> FeatureVector:
-        return self.cache.feature(self.rate, kind)
+        """`detect(stream, current_rate, bundle)`, from this cache; it keeps scores per stride."""
+        def gate() -> GatingDecision:
+            plan = self.bundle.plan(current_rate, self.packet_rate)
+            stride = plan.stride or decimation_stride(self.packet_rate, current_rate)  # or raises
+            for kind in FeatureKind:  # like `detect`, refuse a series too short for either kind
+                kind.check_packets(-(-len(self.series) // stride))
+            features = {kind: self.feature(current_rate, kind) for kind in plan.kinds}
+            return decide_scored(self.bundle.templates, features, *plan.candidates,
+                                 self._memo.setdefault(stride, {}))
+        return _detect(current_rate, gate, lambda eid: self.posterior(eid, current_rate))
 
 
 def fill(caches: Sequence[StreamFeatures], features: Iterable[tuple[float, FeatureKind]],
          posteriors: Iterable[tuple[str, float]] = ()) -> None:
     """Compute into each cache, bit for bit, `cache.feature(rate, kind)` for each of
-    `features`, then `cache.posterior(expert_id, rate)` for each of `posteriors`: one
-    kernel call per feature for the caches of one packet rate and series length."""
+    `features`, then `cache.posterior(expert_id, rate)` (from the bundle's plan) for each
+    of `posteriors`: one kernel call per feature for the caches of one rate and length."""
     groups: dict[tuple[float, int], list[StreamFeatures]] = {}
     for cache in caches:
         groups.setdefault((cache.packet_rate, len(cache.series)), []).append(cache)

@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import struct
 import time
+import tracemalloc
 import warnings
 import weakref
 from concurrent.futures.process import BrokenProcessPool
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from moesense import evaluate, pipeline, simulate
+from moesense import evaluate, gating, pipeline, simulate
 from moesense.classifiers import ForestModel, predict_posterior
 from moesense.errors import (ConfigurationError, FormatError, InputError, MoeSenseError, RateError,
                              TrainingError)
@@ -357,6 +358,36 @@ def test_stream_features_equal_detect_and_expert_posterior(small_bundle):
                 cached = cache.posterior(eid, rate)
                 assert cached.tobytes() == posterior.tobytes(), (eid, rate)
                 assert not cached.flags.writeable
+
+
+@pytest.mark.parametrize("rate", [2000.0, math.inf])
+def test_a_posterior_needs_only_its_experts_input_rate(small_bundle, probe_stream, rate):
+    # E5 consumes 300 pkts/s whatever the rate above it; the gate reads `rate` itself
+    cache = StreamFeatures(probe_stream, small_bundle)
+    want = decimate_path_posterior(probe_stream, rate, small_bundle, small_bundle.spec("E5"))
+    assert cache.posterior("E5", rate).tobytes() == want.tobytes()
+    assert cache.posterior("E5", rate) is cache.posterior("E5", 300.0)
+    error = RateError if rate < math.inf else InputError
+    with pytest.raises(error, match=f"{rate}"):
+        cache.detect(rate)
+
+
+def test_a_posterior_of_an_unknown_expert_is_a_configuration_error(small_bundle, probe_stream):
+    with pytest.raises(ConfigurationError, match="^unknown expert id nope$"):
+        StreamFeatures(probe_stream, small_bundle).posterior("nope", 300.0)
+
+
+@pytest.mark.parametrize("rate", [math.nan, 0.0, -300.0])
+def test_a_posterior_refuses_a_target_rate_and_detect_a_current_rate(small_bundle, probe_stream,
+                                                                    rate):
+    cache = StreamFeatures(probe_stream, small_bundle)
+    with pytest.raises(ConfigurationError, match=f"^target_rate must be finite and positive, "
+                                                 f"got {rate}$"):
+        cache.posterior("E5", rate)
+    for run in (lambda: cache.detect(rate), lambda: detect(probe_stream, rate, small_bundle)):
+        with pytest.raises(InputError, match=f"^current_rate must be finite and positive, "
+                                             f"got {rate}$"):
+            run()
 
 
 @pytest.mark.parametrize("packet_rate", [1000.0, 977.0, 500.0])
@@ -800,6 +831,59 @@ def four_class_bundle():
 def test_both_detect_paths_equal_the_reference_detector_on_four_classes(four_class_bundle, case):
     assert four_class_bundle.metadata["k_max"] == 3
     both_detect_paths_equal_the_reference_detector(four_class_bundle, case)
+
+
+@pytest.mark.parametrize("packet_rate", [977.0, 2000.0])
+def test_a_cache_serves_rates_that_share_a_stride_as_the_reference_detector(small_bundle,
+                                                                            packet_rate):
+    """One cache per stream serves its rates in turn, so a later rate reads the gate
+    scores and posteriors an earlier rate of its stride left: at 2,000 pkts/s 300 and
+    333.3 pkts/s share stride 6, and at 977 pkts/s 333.3 and 400 share stride 2."""
+    streams, _ = make_streams(2, 1, seed=41, packet_rate=packet_rate)
+    for stream in streams:
+        cache = StreamFeatures(stream, small_bundle)
+        for rate in (300.0, 333.3, 400.0, 500.0, 50.0, 333.3):
+            want = bits(lambda: reference_detect(stream, rate, small_bundle))
+            assert bits(lambda: report_fields(detect(stream, rate, small_bundle))) == want, rate
+            assert bits(lambda: report_fields(cache.detect(rate))) == want, rate
+
+
+def test_rates_that_share_a_gate_stride_score_each_expert_once(small_bundle, monkeypatch):
+    # at 1,000 pkts/s 400 and 500 pkts/s both gate at stride 2: E5-E8 are candidates
+    # at both, E3 and E4 only at 500
+    streams, labels = make_streams(2, 1, seed=43)
+    scored, original = [], gating.score_experts
+    monkeypatch.setattr(gating, "score_experts", lambda features, templates, ids:
+                        scored.append(list(ids)) or original(features, templates, ids))
+    evaluate_rate_sweep(small_bundle, zip(streams, labels), [500.0, 400.0])
+    assert scored == [["E3", "E4", "E5", "E6", "E7", "E8"]] * len(streams)
+    scored.clear()
+    evaluate_rate_sweep(small_bundle, zip(streams, labels), [400.0, 500.0])
+    assert scored == [["E5", "E6", "E7", "E8"], ["E3", "E4"]] * len(streams)
+    scored.clear()
+    for rate in (400.0, 500.0):  # `detect` keeps no scores
+        detect(streams[0], rate, small_bundle)
+    assert scored == [["E5", "E6", "E7", "E8"], ["E3", "E4", "E5", "E6", "E7", "E8"]]
+
+
+def test_a_bundle_keeps_a_bounded_number_of_plans(small_bundle, probe_stream):
+    bundle = deserialize_bundle(serialize_bundle(small_bundle))
+    assert bundle.plan.cache_info().currsize == 0  # loading builds none
+    cache = StreamFeatures(probe_stream, bundle)
+    want = cache.posterior("E5", 300.0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(10_000):  # a rate per request; E5 reads 300 pkts/s at each
+            assert cache.posterior("E5", 300.0 + i / 64) is want
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert bundle.plan.cache_info().currsize == 256
+    assert grown < 2_000_000, grown
+    freed = weakref.ref(bundle)
+    del bundle, cache
+    assert freed() is None  # the plans hold no reference back, so no cycle keeps the bundle
 
 
 def reference_rate_rows(bundle, data, rates, seed):
