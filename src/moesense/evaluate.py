@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -107,16 +108,14 @@ def _count_hits(
     # what the gate and each pool expert read at each rate
     features = dict.fromkeys((rate, spec.feature_kind) for r in rates for spec in
                              map(bundle.spec, pools[r]) for rate in (r, expert_input_rate(spec, r)))
-    streams, data = 0, iter(data)
-    while True:
-        chunk = []
-        for stream, label in data:
-            streams += 1
-            if pairs := [(r, counts) for r in rates
-                         if (counts := hits.get(condition_of(r, label))) is not None]:
-                chunk.append((StreamFeatures(stream, bundle), label, pairs))
-                if len(chunk) == SWEEP_CHUNK:
-                    break
+    try:  # read the first stream ahead, then the rest
+        data = itertools.chain([next(data := iter(data))], data)
+    except StopIteration:
+        raise InputError("a sweep needs at least one stream") from None
+    counted = ((StreamFeatures(stream, bundle), label, pairs) for stream, label in data
+               if (pairs := [(r, counts) for r in rates
+                             if (counts := hits.get(condition_of(r, label))) is not None]))
+    while chunk := list(itertools.islice(counted, SWEEP_CHUNK)):
         with contextlib.suppress(MoeSenseError):  # the count meets it at its own stream and rate
             fill([cache for cache, _, _ in chunk], features,
                  [(eid, r) for r in rates for eid in pools[r]])
@@ -131,10 +130,6 @@ def _count_hits(
                     counts["random3"] += int(rand_pred == label)
                 for eid in pools[r]:
                     counts[eid] += int(cache.posterior(eid, r).argmax() == label)
-        if len(chunk) < SWEEP_CHUNK:
-            break
-    if not streams:
-        raise InputError("a sweep needs at least one stream")
     return hits
 
 

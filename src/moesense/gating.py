@@ -267,18 +267,12 @@ def select_top_k(scores: Mapping[str, float]) -> list[str]:
     return sorted(scores, key=lambda eid: (-scores[eid], eid))[:TOP_K]
 
 
-def decide(registry: Sequence[ExpertSpec], templates: TemplateLibrary,
-           stream_features: Mapping[FeatureKind, FeatureVector], current_rate: float) -> GatingDecision:
-    """Full gate: rate filter, correlation scores, top `TOP_K`, weights."""
-    validate_registry(registry)
-    return decide_scored(templates, stream_features, *candidates(registry, current_rate), {})
-
-
-def decide_scored(templates: TemplateLibrary, stream_features: Mapping[FeatureKind, FeatureVector],
-                  eligible: frozenset[str], scored: list[str],
-                  known: dict[str, float]) -> GatingDecision:
-    """`decide` from a checked rate's `candidates`, scoring into `known` those it lacks. Weights are
+def decide(templates: TemplateLibrary, stream_features: Mapping[FeatureKind, FeatureVector],
+           eligible: frozenset[str], scored: list[str], known: dict[str, float]) -> GatingDecision:
+    """The gate from a checked rate's `candidates`, scoring into `known` those it lacks. Weights are
     the selected scores clipped at +0.0 over their left-to-right sum, or uniform if it is not > 0."""
+    if not scored:
+        raise ConfigurationError("the gate has no expert to score")
     if missing := [eid for eid in scored if eid not in known]:
         known.update(score_experts(stream_features, templates, missing))
     scores = {eid: known[eid] for eid in scored}

@@ -59,7 +59,6 @@ from .gating import (
     TemplateLibrary,
     candidates,
     decide,
-    decide_scored,
     expert_input_rate,
     fuse,
     spec_from_jsonable,
@@ -360,15 +359,19 @@ def build_bundle(
 
 
 def detect(stream: CsiStream, current_rate: float, bundle: TrainedBundle) -> DetectionReport:
-    """Run the detection workflow on one stream observed at `current_rate`."""
+    """Run the detection workflow on one stream observed at `current_rate`, from the bundle's plan."""
+    plan = None
+
     def gate() -> GatingDecision:
+        nonlocal plan
         check_samples(stream)
         observed, doppler_cfg = decimate(stream, current_rate), bundle.doppler_config()
-        return decide(bundle.registry, bundle.templates, {
-            kind: extract_feature(observed, kind, doppler_cfg) for kind in FeatureKind}, current_rate)
+        features = {kind: extract_feature(observed, kind, doppler_cfg) for kind in FeatureKind}
+        plan = bundle.plan(current_rate, stream.packet_rate)  # both rates checked by `decimate`
+        return decide(bundle.templates, features, *plan.candidates, {})
 
     def posterior(eid: str) -> np.ndarray:  # from the base stream, never a decimated one
-        model, kind, rate, _ = bundle.plan(current_rate, stream.packet_rate).experts[eid]
+        model, kind, rate, _ = plan.experts[eid]
         return predict_posterior(model, extract_feature(decimate(stream, rate), kind,
                                                         bundle.doppler_config()))
     return _detect(current_rate, gate, posterior)
@@ -425,8 +428,8 @@ class StreamFeatures:
             for kind in FeatureKind:  # like `detect`, refuse a series too short for either kind
                 kind.check_packets(-(-len(self.series) // stride))
             features = {kind: self.feature(current_rate, kind) for kind in plan.kinds}
-            return decide_scored(self.bundle.templates, features, *plan.candidates,
-                                 self._memo.setdefault(stride, {}))
+            return decide(self.bundle.templates, features, *plan.candidates,
+                          self._memo.setdefault(stride, {}))
         return _detect(current_rate, gate, lambda eid: self.posterior(eid, current_rate))
 
 

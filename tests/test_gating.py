@@ -170,7 +170,8 @@ def test_feature_of_another_width_is_input_error(width):
     with pytest.raises(InputError, match=rf"amp_stats rows must be 6 wide, got \({width},\)"):
         score_experts(features, lib, ["E1"])
     with pytest.raises(InputError, match="amp_stats rows must be 6 wide"):
-        decide([ExpertSpec("E1", S, ClassifierKind.FOREST, 100.0)], lib, features, 100.0)
+        registry = [ExpertSpec("E1", S, ClassifierKind.FOREST, 100.0)]
+        decide(lib, features, *candidates(registry, 100.0), {})
 
 
 def test_score_with_scaler_identical_still_one_and_constant_still_zero():
@@ -445,7 +446,7 @@ def test_decide_normal_mode_respects_rate():
     rng = np.random.default_rng(2)
     lib = small_library(rng)
     x = {D: fv(rng.uniform(size=4))}
-    decision = decide(small_registry(), lib, x, 250.0)
+    decision = decide(lib, x, *candidates(small_registry(), 250.0), {})
     assert decision.mode is GatingMode.NORMAL
     assert decision.eligible == {"A2", "A3"}
     assert set(decision.selected) <= decision.eligible
@@ -456,7 +457,7 @@ def test_decide_fallback_over_full_registry():
     rng = np.random.default_rng(3)
     lib = small_library(rng)
     x = {D: fv(rng.uniform(size=4))}
-    decision = decide(small_registry(), lib, x, 50.0)
+    decision = decide(lib, x, *candidates(small_registry(), 50.0), {})
     assert decision.mode is GatingMode.FALLBACK
     assert decision.eligible == set()
     assert len(decision.selected) == 3
@@ -471,7 +472,7 @@ def test_candidates_are_what_decide_admits_and_scores(registry):
     fallbacks = 0
     for rate in [50.0, 99.9, 100.0, 150.0, 200.0, 250.0, 300.0, 400.0, 450.0, 500.0, 600.0, 1e4]:
         eligible, scored = candidates(registry, rate)
-        decision = decide(registry, lib, x, rate)
+        decision = decide(lib, x, *candidates(registry, rate), {})
         assert eligible == decision.eligible and type(eligible) is frozenset
         assert scored == sorted(decision.scores)
         fallbacks += decision.mode is GatingMode.FALLBACK
@@ -482,7 +483,7 @@ def test_decide_weights_are_clipped_normalized_scores():
     rng = np.random.default_rng(4)
     lib = small_library(rng)
     x = {D: fv(rng.uniform(size=4))}
-    decision = decide(small_registry(), lib, x, 500.0)
+    decision = decide(lib, x, *candidates(small_registry(), 500.0), {})
     clipped = np.maximum([decision.scores[eid] for eid in decision.selected], 0.0)
     expected = clipped / clipped.sum() if clipped.sum() > 0 else np.full(3, 1 / 3)
     assert np.allclose(decision.weights, expected, atol=1e-12)
@@ -498,21 +499,22 @@ def test_decide_uniform_when_all_scores_clip_to_zero():
     rng = np.random.default_rng(5)
     lib = small_library(rng)
     x = {D: fv([0.5, 0.5, 0.5, 0.5])}  # zero variance, all scores 0
-    decision = decide(small_registry(), lib, x, 500.0)
+    decision = decide(lib, x, *candidates(small_registry(), 500.0), {})
     assert np.allclose(decision.weights, [1 / 3] * 3)
 
 
 def test_decide_empty_registry_rejected():
+    lib = TemplateLibrary({}, {})
     with pytest.raises(ConfigurationError):
-        decide([], TemplateLibrary({}, {}), {}, 100.0)
+        decide(lib, {}, *candidates([], 100.0), {})
 
 
 def test_decide_deterministic():
     rng = np.random.default_rng(6)
     lib = small_library(rng)
     x = {D: fv(rng.uniform(size=4))}
-    a = decide(small_registry(), lib, x, 250.0)
-    b = decide(small_registry(), lib, x, 250.0)
+    a = decide(lib, x, *candidates(small_registry(), 250.0), {})
+    b = decide(lib, x, *candidates(small_registry(), 250.0), {})
     assert a.selected == b.selected and a.weights == b.weights and a.scores == b.scores
 
 
@@ -522,7 +524,8 @@ def decide_on_scores(scores):
     lib = small_library(np.random.default_rng(7))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gating, "score_experts", lambda features, templates, ids: dict(scores))
-        return decide(small_registry(), lib, {D: fv([0.1, 0.2, 0.3, 0.4])}, 500.0)
+        x = {D: fv([0.1, 0.2, 0.3, 0.4])}
+        return decide(lib, x, *candidates(small_registry(), 500.0), {})
 
 
 def numpy_weights(scores):

@@ -227,6 +227,14 @@ def test_only_detect_decimates_then_extracts():
     assert callers(modules, PINNED_PATH) == {"pipeline.detect"}
 
 
+def test_one_gate_entry_for_every_detect():
+    # both detect paths gate through `decide`, where the benchmark's tracer wraps it,
+    # and only `decide` scores the experts
+    modules = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    assert callers(modules, {"score_experts"}) == {"gating.decide"}
+    assert callers(modules, {"decide"}) == {"pipeline.detect", "pipeline.StreamFeatures.detect"}
+
+
 def test_the_guard_sees_a_second_caller():
     detect = ("def decimate(stream, rate):\n    return stream\n\n"
               "def detect(stream, rate):\n    def features():\n"

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from moesense import evaluate, gating, pipeline, simulate
+from moesense import cli, evaluate, gating, pipeline, simulate
 from moesense.classifiers import ForestModel, predict_posterior
 from moesense.errors import (ConfigurationError, FormatError, InputError, MoeSenseError, RateError,
                              TrainingError)
@@ -26,6 +26,7 @@ from moesense.gating import (
     ClassifierKind,
     ExpertSpec,
     GatingMode,
+    candidates,
     decide,
     default_registry,
     expert_input_rate,
@@ -591,7 +592,8 @@ def test_detect_equals_manual_composition(small_bundle, probe_stream):
         D: extract_feature(observed, D, cfg),
         S: extract_feature(observed, S, cfg),
     }
-    decision = decide(small_bundle.registry, small_bundle.templates, features, rate)
+    eligible, scored = candidates(small_bundle.registry, rate)
+    decision = decide(small_bundle.templates, features, eligible, scored, {})
     posteriors = []
     for eid in decision.selected:
         spec = small_bundle.spec(eid)
@@ -982,6 +984,22 @@ def test_a_sweep_extracts_each_feature_its_gate_and_pool_read_once_per_block(sma
     # 1,000 packets at strides 2, 3, 5 and 10
     assert sorted(calls) == sorted([("a", (6, n)) for n in (500, 334, 200, 100)]
                                    + [("d", (6, n)) for n in (500, 200, 100)])
+
+
+def test_a_sweep_gates_each_stream_and_rate_through_decide(small_bundle, monkeypatch):
+    """`decide` is the one gate entry, so a sweep's gates are where a tracer of
+    `pipeline.decide` counts them: one per (stream, rate), fallback at the
+    rates that admit no expert of the default registry."""
+    streams, labels = make_streams(2, 2, seed=5)
+    plain = evaluate_rate_sweep(small_bundle, zip(streams, labels), cli.DEFAULT_RATES)
+    modes = []
+    original = pipeline.decide
+    monkeypatch.setattr(pipeline, "decide", lambda *args: modes.append(
+        (decision := original(*args)).mode) or decision)
+    counted = evaluate_rate_sweep(small_bundle, zip(streams, labels), cli.DEFAULT_RATES)
+    assert len(modes) == 6 * 5
+    assert modes.count(GatingMode.FALLBACK) == 6 * 2  # 100 and 200 pkts/s
+    assert counted.rows == plain.rows
 
 
 def test_a_stream_built_in_code_is_checked_at_every_read(small_bundle, probe_stream):
